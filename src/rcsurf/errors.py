@@ -86,10 +86,6 @@ class DegenerateParameterization(RcsurfError):
     pass
 
 
-class StencilOutsideDomain(RcsurfError):
-    pass
-
-
 class NotIsothermal(RcsurfError):
     def __init__(self, E, F, G):
         self.E, self.F, self.G = E, F, G

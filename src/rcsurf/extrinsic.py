@@ -15,8 +15,8 @@ import numpy as np
 from .surface import cross_metric_batch
 
 __all__ = [
-    "extrinsic_fields", "weingarten_cross_check", "gauss_equation_residual",
-    "curvature_decomposition", "classify", "l_tensor",
+    "extrinsic_fields", "gauss_equation_residual", "curvature_decomposition",
+    "classify", "l_tensor",
 ]
 
 AMBIENT_FLAT_TOL = 1e-9
@@ -49,66 +49,35 @@ def extrinsic_fields(base):
     return out
 
 
-def weingarten_cross_check(surface, fields, h_scale=1e-5):
-    """Residual between the algebraic Weingarten map (II times the inverse
-    induced metric) and the covariant derivative of any normal extension,
-    W(X_a) = -(d_a N^k + Gamma^k_ij X_a^i N^j) d_k.
-
-    The normal derivative uses a small central stencil in (u, v); the
-    returned residual adds the magnitude of the normal component of the
-    covariant path, which must vanish.
-    """
-    U, V = fields["u"], fields["v"]
-    hu = surface._fd_steps(U, 0, h_scale * surface.extent(0))
-    hv = surface._fd_steps(V, 1, h_scale * surface.extent(1))
-    dN_u = (surface.normal_at(U + hu, V) - surface.normal_at(U - hu, V)) / (2 * hu)[:, None]
-    dN_v = (surface.normal_at(U, V + hv) - surface.normal_at(U, V - hv)) / (2 * hv)[:, None]
-    g, gamma, N = fields["g"], fields["gamma"], fields["N"]
-    out = np.zeros(U.shape)
-    for a, (Xa, dNa) in enumerate(((fields["Xu"], dN_u), (fields["Xv"], dN_v))):
-        path2 = -(dNa + np.einsum("nkij,ni,nj->nk", gamma, Xa, N))
-        path1 = (fields["W"][:, 0, a, None] * fields["Xu"]
-                 + fields["W"][:, 1, a, None] * fields["Xv"])
-        out = np.maximum(out, np.max(np.abs(path1 - path2), axis=-1))
-        normal_part = np.abs(np.einsum("nkl,nk,nl->n", g, path2, N))
-        out = out + normal_part
-    return out
-
-
-def surface_curvature_lowered(surface, fields, h_scale=1e-3):
-    """R_S(X_u, X_v, X_v, X_u) of the induced connection (FD in (u, v))."""
-    K = surface.intrinsic_curvature(fields["u"], fields["v"], h_scale=h_scale,
-                                    base=fields)
-    return K * fields["area"] ** 2
-
-
-def gauss_equation_residual(surface, fields):
-    """|ambient R4(Xu,Xv,Xv,Xu) - [R_S - II(u,u)II(v,v) + II(u,v)II(v,u)]|."""
+def gauss_equation_residual(fields, K):
+    """|ambient R4(Xu,Xv,Xv,Xu) - [R_S - II(u,u)II(v,v) + II(u,v)II(v,u)]|,
+    with R_S(Xu,Xv,Xv,Xu) = K area^2 from the intrinsic curvature K at the
+    same samples."""
     if "r4" not in fields:
         raise KeyError("fields must be built with with_curvature=True")
     lhs = np.einsum("nijkm,ni,nj,nk,nm->n", fields["r4"],
                     fields["Xu"], fields["Xv"], fields["Xv"], fields["Xu"])
     II = fields["II"]
-    rs = surface_curvature_lowered(surface, fields)
+    rs = K * fields["area"] ** 2
     rhs = rs - II[:, 0, 0] * II[:, 1, 1] + II[:, 0, 1] * II[:, 1, 0]
     return np.abs(lhs - rhs)
 
 
-def curvature_decomposition(surface, fields):
-    """Theorema-Egregium and sectional-splitting residuals.
+def curvature_decomposition(fields, K):
+    """Theorema-Egregium and sectional-splitting residuals for the
+    intrinsic curvature K at the same samples.
 
-    egregium = |K_e - K_intrinsic| (meaningful when the ambient is flat;
-    the caller masks by flatness), sectional_split = |sec~ - (K - K_e)|.
+    egregium = |K_e - K| (meaningful when the ambient is flat; the caller
+    masks by flatness), sectional_split = |sec~ - (K - K_e)|.
     """
-    K_int = surface.intrinsic_curvature(fields["u"], fields["v"], base=fields)
     lhs = np.einsum("nijkm,ni,nj,nk,nm->n", fields["r4"],
                     fields["Xu"], fields["Xv"], fields["Xv"], fields["Xu"])
     sec_tilde = lhs / fields["area"] ** 2
     ambient_flat = float(np.max(np.abs(fields["r4"]))) <= AMBIENT_FLAT_TOL
     return {
-        "K_intrinsic": K_int,
-        "egregium": np.abs(fields["K_e"] - K_int),
-        "sectional_split": np.abs(sec_tilde - (K_int - fields["K_e"])),
+        "K_intrinsic": K,
+        "egregium": np.abs(fields["K_e"] - K),
+        "sectional_split": np.abs(sec_tilde - (K - fields["K_e"])),
         "ambient_flat": ambient_flat,
         "sec_tilde": sec_tilde,
     }

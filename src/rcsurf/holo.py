@@ -1,6 +1,6 @@
 """Complex-analytic layer on isothermal charts: Hopf differential phi,
-quadratic differential psi built from the third fundamental form,
-Cauchy-Riemann residuals and the curvature identity for d/dzbar of phi.
+quadratic differential psi built from the third fundamental form, the
+exact d/dzbar of phi and bold_H, and the curvature identity tying them.
 
 The chart identification is z = u + i v; with the package's normal
 convention (N from X_u x X_v) an isothermal chart is automatically
@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import extrinsic
+from . import expr, extrinsic
 from .surface import cross_metric_batch
 
-__all__ = [
-    "holo_fields", "phi_at", "bold_h_at", "dbar", "cr_residual",
-    "hopf_identity_residual",
-]
+__all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 
 
 def holo_fields(surface, fields, ext=None, tol_iso=1e-8):
@@ -43,56 +40,28 @@ def holo_fields(surface, fields, ext=None, tol_iso=1e-8):
     }
 
 
-def phi_at(surface, U, V):
-    """Hopf-differential coefficient as a pointwise function of (u, v)."""
-    ext = extrinsic.extrinsic_fields(surface.base_fields(U, V))
-    II = ext["II"]
-    return 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))
-
-
-def bold_h_at(surface, U, V):
-    ext = extrinsic.extrinsic_fields(surface.base_fields(U, V))
-    return ext["bold_H"]
-
-
-def dbar(surface, U, V, func, h_scale=None):
-    """d/dzbar = (d/du + i d/dv) / 2 by 4th-order central differences.
-
-    func maps (U, V) arrays to a complex array.  Steps shrink near
-    non-periodic edges so the +-2h stencil stays inside the domain;
-    boundary samples raise StencilOutsideDomain.
-    """
+def dbar(surface, U, V):
+    """(dbar phi, dbar bold_H) at flat arrays U, V, with
+    d/dzbar = (d/du + i d/dv) / 2, from the exact (u, v) derivatives of the
+    surface composition (Surface.gauss_exprs)."""
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    if h_scale is None:
-        h_scale = 1.0 / 64.0
-    hu = surface._fd_steps(U, 0, 0.5 * h_scale * surface.extent(0))
-    hv = surface._fd_steps(V, 1, 0.5 * h_scale * surface.extent(1))
-
-    def d4(axis, hs):
-        if axis == 0:
-            f = lambda s: func(U + s * hs, V)
-        else:
-            f = lambda s: func(U, V + s * hs)
-        return (-f(2.0) + 8.0 * f(1.0) - 8.0 * f(-1.0) + f(-2.0)) / (12.0 * hs)
-
-    return 0.5 * (d4(0, hu) + 1j * d4(1, hv))
+    d = expr.eval_table(surface.gauss_exprs()["d_hopf"], {"u": U, "v": V})
+    d = d[..., 0] + 1j * d[..., 1]          # d[:, q, axis]: q = phi, bold_H
+    out = 0.5 * (d[:, :, 0] + 1j * d[:, :, 1])
+    return out[:, 0], out[:, 1]
 
 
-def cr_residual(surface, U, V, func, h_scale=None):
-    """|d func / d zbar|: the pointwise holomorphicity defect."""
-    return np.abs(dbar(surface, U, V, func, h_scale))
-
-
-def hopf_identity_residual(surface, fields, ext=None, holo=None, h_scale=None):
+def hopf_identity_residual(surface, fields, ext=None, holo=None):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
                           - (i/2) R(Xu, Xv, dz, N) - (1/2) II(J T_S(Xu,Xv), dz)
 
-    with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Left side and the
-    bold_H derivative use 4th-order stencils; everything else is assembled
-    pointwise from exact data.
+    with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Both d/dzbar
+    terms come from dbar (exact derivatives of the surface composition);
+    everything else is assembled pointwise from the same samples, so the
+    residual is round-off.
     """
     if ext is None:
         ext = extrinsic.extrinsic_fields(fields)
@@ -100,9 +69,7 @@ def hopf_identity_residual(surface, fields, ext=None, holo=None, h_scale=None):
         holo = holo_fields(surface, fields, ext)
     if "r4" not in fields:
         raise KeyError("fields must be built with with_curvature=True")
-    U, V = fields["u"], fields["v"]
-    lhs = dbar(surface, U, V, lambda uu, vv: phi_at(surface, uu, vv), h_scale)
-    dbar_H = dbar(surface, U, V, lambda uu, vv: bold_h_at(surface, uu, vv), h_scale)
+    lhs, dbar_H = dbar(surface, fields["u"], fields["v"])
     lam2 = holo["lam"] ** 2
 
     r4, Xu, Xv, N = fields["r4"], fields["Xu"], fields["Xv"], fields["N"]

@@ -115,6 +115,14 @@ def _parse_matrix(rows, allowed, path, shape):
     return out
 
 
+def _flag(doc, field, path):
+    """Optional JSON boolean, False when absent."""
+    val = doc.get(field, False)
+    if not isinstance(val, bool):
+        raise SceneFormatError(path, "expected a JSON boolean")
+    return val
+
+
 def build_scene(doc) -> Scene:
     """Validate a scene document and construct the Scene."""
     name = doc.get("name", "unnamed")
@@ -146,7 +154,11 @@ def build_scene(doc) -> Scene:
     except (TypeError, IndexError, ValueError) as err:
         raise SceneFormatError("surface.domain", "expected [[u0,u1],[v0,v1]]") from err
     periodic = sdoc.get("periodic", [False, False])
-    surf = Surface(amb, X, domain, periodic, bool(sdoc.get("isothermal", False)))
+    if (not isinstance(periodic, list) or len(periodic) != 2
+            or not all(isinstance(p, bool) for p in periodic)):
+        raise SceneFormatError("surface.periodic", "expected [bool, bool]")
+    surf = Surface(amb, X, domain, periodic,
+                   _flag(sdoc, "isothermal", "surface.isothermal"))
 
     gauge = None
     if doc.get("gauge") is not None:
@@ -163,7 +175,7 @@ def build_scene(doc) -> Scene:
 
     scene = Scene(
         name, amb, surf, gauge=gauge,
-        closed=bool(doc.get("closed", False)),
+        closed=_flag(doc, "closed", "closed"),
         chi=doc.get("euler_characteristic"),
         normal_axis=normal_axis,
         tolerances=doc.get("tolerances"),
@@ -456,8 +468,12 @@ class SampleGrid:
     """Deterministic tensor grid of surface samples with lazy field caches.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
-    excludes two grid-stencil widths at non-periodic edges and samples
-    whose area density falls below 1e-6 (chart poles).
+    excludes two grid widths at non-periodic edges and samples whose area
+    density falls below 1e-6 (chart poles).  Every derivative is exact, so
+    the edge margin protects no stencil; it stays because it fixes which
+    samples the masked suites check, and the near-pole samples of polar
+    charts it keeps out carry larger round-off (divcurl on
+    round_sphere_standard at 24x24 is 1.0e-15 with it, 3.9e-14 without).
     """
 
     def __init__(self, scene, nu, nv):

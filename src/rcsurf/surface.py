@@ -7,6 +7,11 @@ connection coefficients, the almost complex structure, and the second
 fundamental form (computed here because the induced connection needs the
 same covariant derivatives).
 
+Quantities that need (u, v) derivatives of these fields (intrinsic
+curvature, the Hopf identity, the Gauss map) read them from one symbolic
+composition of the ambient onto X(u, v), built once per surface by
+gauss_exprs and differentiated exactly.
+
 Orientation: N = (X_u x_g X_v) / |.|, so (N, X_u, X_v) is positively
 oriented in the chart and the surface orientation is the (X_u, X_v) order.
 Index conventions for the induced connection mirror the ambient module.
@@ -17,19 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .ambient import _det3, _inv3
-from .errors import (
-    DegenerateParameterization, NotIsothermal, NotWeitzenboeck, OutsideChart,
-    StencilOutsideDomain,
-)
+from .ambient import _det3, _inv3, _sum3
+from .errors import DegenerateParameterization, NotIsothermal, OutsideChart
 
 __all__ = ["Surface", "SurfaceSample", "cross_metric_batch"]
 
 AREA_DENSITY_TOL = 1e-9
-
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
 def cross_metric_batch(g, u, v):
@@ -81,7 +79,7 @@ class Surface:
         self.Xuu = [expr.diff(c, "u") for c in self.Xu]
         self.Xuv = [expr.diff(c, "v") for c in self.Xu]
         self.Xvv = [expr.diff(c, "v") for c in self.Xv]
-        self._gauss = None
+        self._comp = None
 
     # --- domain bookkeeping ---------------------------------------------------
 
@@ -201,69 +199,24 @@ class Surface:
         fields = self.base_fields(np.array([u], dtype=float), np.array([v], dtype=float))
         return SurfaceSample(self, (float(u), float(v)), fields)
 
-    def normal_at(self, U, V):
-        """Numeric unit normal only (used by finite-difference cross checks)."""
-        U = np.atleast_1d(np.asarray(U, dtype=float))
-        V = np.atleast_1d(np.asarray(V, dtype=float))
-        uv_bind = {"u": U, "v": V}
-        memo = {}
-        p = expr.eval_table(self.X, uv_bind, memo)
-        Xu = expr.eval_table(self.Xu, uv_bind, memo)
-        Xv = expr.eval_table(self.Xv, uv_bind, memo)
-        g = self.ambient.metric_at(self.ambient.bindings(p))
-        raw = cross_metric_batch(g, Xu, Xv)
-        E = np.einsum("nab,na,nb->n", g, Xu, Xu)
-        F = np.einsum("nab,na,nb->n", g, Xu, Xv)
-        G = np.einsum("nab,na,nb->n", g, Xv, Xv)
-        return raw / np.sqrt(E * G - F * F)[:, None]
-
     # --- intrinsic curvature ----------------------------------------------------
 
-    def _fd_steps(self, U, axis, h):
-        """Central-difference abscissae along one axis, shrinking h near
-        non-periodic edges; raises when a point sits on the edge itself."""
-        lo, hi = self.domain[axis]
-        if self.periodic[axis]:
-            return np.full_like(U, h)
-        dist = np.minimum(U - lo, hi - U)
-        if np.any(dist < 0):
-            raise StencilOutsideDomain("sample outside the non-periodic domain")
-        if np.any(dist == 0.0):
-            raise StencilOutsideDomain(
-                "stencil for a boundary sample of a non-periodic axis")
-        return np.minimum(h, dist / 2.0)
-
-    def gammaS_at(self, U, V):
-        return self.base_fields(U, V)["gammaS"]
-
-    def intrinsic_curvature(self, U, V, h_scale=1e-3, base=None):
+    def intrinsic_curvature(self, U, V, base=None):
         """Gaussian curvature of the induced connection, K = Scal_S / 2.
 
-        The induced coefficients have no closed form, so their (u, v)
-        derivatives use central differences (step h_scale * extent) with
-        one Richardson extrapolation.
+        The (u, v) derivatives of the induced coefficients it needs,
+        d_u gammaS^c_vv and d_v gammaS^c_uv, are evaluated from their exact
+        expressions (see gauss_exprs); the rest comes from base_fields at
+        the same samples.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
         if base is None:
             base = self.base_fields(U, V)
-        hu = self._fd_steps(U, 0, h_scale * self.extent(0))
-        hv = self._fd_steps(V, 1, h_scale * self.extent(1))
-
-        def d_gamma(axis, hs):
-            def probe(sign, scale):
-                if axis == 0:
-                    return self.gammaS_at(U + sign * scale * hs, V)
-                return self.gammaS_at(U, V + sign * scale * hs)
-            d_h = (probe(+1, 1.0) - probe(-1, 1.0)) / (2.0 * hs)[:, None, None, None]
-            d_h2 = (probe(+1, 0.5) - probe(-1, 0.5)) / hs[:, None, None, None]
-            return (4.0 * d_h2 - d_h) / 3.0
-
-        dG_u = d_gamma(0, hu)      # d/du gammaS[c][a][b]
-        dG_v = d_gamma(1, hv)
+        dG = expr.eval_table(self.gauss_exprs()["d_gammaS"], {"u": U, "v": V})
         gS = base["gammaS"]
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
-        vec = (dG_u[:, :, 1, 1] - dG_v[:, :, 0, 1]
+        vec = (dG[:, 0] - dG[:, 1]
                + np.einsum("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
                - np.einsum("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
         lowered = np.einsum("nd,nd->n", vec, base["G_S"][:, :, 0])
@@ -284,26 +237,34 @@ class Surface:
         lam = np.sqrt(E)
         return lam
 
-    # --- symbolic Gauss-map pipeline ------------------------------------------------
+    # --- the surface composition ---------------------------------------------------
 
     def gauss_exprs(self):
-        """Exact (u, v)-expressions for the Gauss map n and its derivatives.
+        """The surface composition: exact (u, v)-expressions built once by
+        composing the ambient metric and connection with X(u, v).
 
-        Frame components of the unit normal, built by composing the chart
-        fields with X(u, v) and differentiating symbolically.  Only
-        available for frame-defined ambients.
+        From the composed fields come the induced connection
+        gammaS^c_ab = Ginv_S^cd g(nabla_a X_b, X_d), the unit normal N, II,
+        H and star_tau = (II_uv - II_vu) / area.  Only the derivatives the
+        identities read are differentiated, because each one evaluated on
+        a grid costs memory in proportion to its expression size:
+
+            d_gammaS  [[d_u gammaS^c_vv], [d_v gammaS^c_uv]] (c = u, v), for K
+            d_hopf    [q][axis][part]: d_u / d_v of (Re phi, Im phi) and of
+                      (H, star_tau), for the Hopf identity
+            n, dn_du, dn_dv
+                      frame components of the unit normal (the Gauss map)
+                      and their derivatives; frame-defined ambients only
         """
-        if self._gauss is not None:
-            return self._gauss
+        if self._comp is not None:
+            return self._comp
         amb = self.ambient
-        if amb.kind != "frame":
-            raise NotWeitzenboeck("Gauss map needs a frame-defined ambient")
         sub = {"x": self.X[0], "y": self.X[1], "z": self.X[2]}
         cmemo = {}
         g_uv = [[expr.compose(amb.g[a][b], sub, cmemo) for b in range(3)]
                 for a in range(3)]
-        finv_uv = [[expr.compose(amb.frame_inv[i][j], sub, cmemo) for j in range(3)]
-                   for i in range(3)]
+        gamma_uv = [[[expr.compose(amb.gamma[k][i][j], sub, cmemo) for j in range(3)]
+                     for i in range(3)] for k in range(3)]
         Xu, Xv = self.Xu, self.Xv
 
         def dot(vec_a, vec_b):
@@ -316,7 +277,23 @@ class Surface:
         E = dot(Xu, Xu)
         F = dot(Xu, Xv)
         G = dot(Xv, Xv)
-        area = expr.call("sqrt", expr.sub(expr.mul(E, G), expr.mul(F, F)))
+        det2 = expr.sub(expr.mul(E, G), expr.mul(F, F))
+        area = expr.call("sqrt", det2)
+        Ginv = [[expr.div(G, det2), expr.neg(expr.div(F, det2))],
+                [expr.neg(expr.div(F, det2)), expr.div(E, det2)]]
+
+        # covariant derivatives nabla_a X_b and the induced connection
+        tang = (Xu, Xv)
+        second = ((self.Xuu, self.Xuv), (self.Xuv, self.Xvv))
+        cov = [[[expr.add(second[a][b][k], _sum3([
+                    expr.mul(gamma_uv[k][i][j], expr.mul(tang[a][i], tang[b][j]))
+                    for i in range(3) for j in range(3)])) for k in range(3)]
+                for b in range(2)] for a in range(2)]
+
+        def gammaS(c, a, b):
+            return _sum3([expr.mul(Ginv[c][d], dot(cov[a][b], tang[d])) for d in range(2)])
+
+        # unit normal N = (X_u x_g X_v) / area
         detg = _det3(g_uv)
         ginv = _inv3(g_uv, detg)
         sq = expr.call("sqrt", detg)
@@ -325,18 +302,38 @@ class Surface:
             i, j = (l + 1) % 3, (l + 2) % 3
             lowered.append(expr.mul(sq, expr.sub(expr.mul(Xu[i], Xv[j]),
                                                  expr.mul(Xu[j], Xv[i]))))
-        n = []
-        for i in range(3):
-            acc = expr.con(0.0)
-            for j in range(3):
-                raised_j = expr.con(0.0)
-                for l in range(3):
-                    raised_j = expr.add(raised_j, expr.mul(ginv[j][l], lowered[l]))
-                acc = expr.add(acc, expr.mul(finv_uv[i][j], raised_j))
-            n.append(expr.div(acc, area))
-        self._gauss = {
-            "n": n,
-            "dn_du": [expr.diff(c, "u") for c in n],
-            "dn_dv": [expr.diff(c, "v") for c in n],
+        raised = []
+        for j in range(3):
+            raised_j = expr.con(0.0)
+            for l in range(3):
+                raised_j = expr.add(raised_j, expr.mul(ginv[j][l], lowered[l]))
+            raised.append(raised_j)
+        N = [expr.div(r, area) for r in raised]
+
+        II = [[dot(cov[a][b], N) for b in range(2)] for a in range(2)]
+        H = _sum3([expr.mul(II[c][d], Ginv[d][c]) for c in range(2) for d in range(2)])
+        star_tau = expr.div(expr.sub(II[0][1], II[1][0]), area)
+        phi_re = expr.mul(expr.con(0.25), expr.sub(II[0][0], II[1][1]))
+        phi_im = expr.mul(expr.con(-0.25), expr.add(II[0][1], II[1][0]))
+
+        self._comp = {
+            "d_gammaS": [[expr.diff(gammaS(c, 1, 1), "u") for c in range(2)],
+                         [expr.diff(gammaS(c, 0, 1), "v") for c in range(2)]],
+            "d_hopf": [[[expr.diff(q, w) for q in pair] for w in ("u", "v")]
+                       for pair in ((phi_re, phi_im), (H, star_tau))],
         }
-        return self._gauss
+        if amb.kind == "frame":
+            finv_uv = [[expr.compose(amb.frame_inv[i][j], sub, cmemo) for j in range(3)]
+                       for i in range(3)]
+            n = []
+            for i in range(3):
+                acc = expr.con(0.0)
+                for j in range(3):
+                    acc = expr.add(acc, expr.mul(finv_uv[i][j], raised[j]))
+                n.append(expr.div(acc, area))
+            self._comp.update({
+                "n": n,
+                "dn_du": [expr.diff(c, "u") for c in n],
+                "dn_dv": [expr.diff(c, "v") for c in n],
+            })
+        return self._comp

@@ -73,9 +73,8 @@ def test_criterion_03_rotated_frame_plane():
     z = g.U + 1j * g.V
     assert np.max(np.abs(ext["bold_H"] - z)) <= 1e-8
     m = g.interior_mask
-    cr = holo.cr_residual(sc.surface, g.U[m], g.V[m],
-                          lambda u, v: holo.bold_h_at(sc.surface, u, v))
-    assert np.max(cr) <= 1e-6
+    _, dbar_h = holo.dbar(sc.surface, g.U[m], g.V[m])
+    assert np.max(np.abs(dbar_h)) <= 1e-6
     assert np.max(np.abs(g.holo["phi"] + z / 4.0)) <= 1e-8
     assert np.max(np.abs(extrinsic.l_tensor(g.ext))) <= 1e-8
     sub = {k: (v[m] if isinstance(v, np.ndarray) and v.shape[:1] == g.U.shape else v)
@@ -131,15 +130,15 @@ def test_criterion_06_gauss_equation_and_egregium():
         g = scenes.make_grid(sc, 16, 16)
         m = g.interior_mask
         worst_ge = max(worst_ge,
-                       np.max(extrinsic.gauss_equation_residual(sc.surface, g.ext)[m]))
-        dec = extrinsic.curvature_decomposition(sc.surface, g.ext)
+                       np.max(extrinsic.gauss_equation_residual(g.ext, g.intrinsic_K)[m]))
+        dec = extrinsic.curvature_decomposition(g.ext, g.intrinsic_K)
         if dec["ambient_flat"]:
             worst_eg = max(worst_eg, np.max(dec["egregium"][m]))
     assert worst_ge <= 1e-5
     assert worst_eg <= 1e-4
     sc = scenes.builtin("cartan_schouten_sphere", lam=0.7)
     g = scenes.make_grid(sc, 16, 16)
-    dec = extrinsic.curvature_decomposition(sc.surface, g.ext)
+    dec = extrinsic.curvature_decomposition(g.ext, g.intrinsic_K)
     split = np.max(dec["sectional_split"][g.interior_mask])
     assert split <= 1e-4
     _report(6, f"Gauss equation {worst_ge:.2e}, Egregium {worst_eg:.2e}, "

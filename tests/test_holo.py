@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from rcsurf import extrinsic, holo, scenes
-from rcsurf.errors import NotIsothermal, StencilOutsideDomain
+from rcsurf.errors import NotIsothermal
+
+import fd_oracles
+
+ISOTHERMAL_BUILTINS = ["euclidean_plane", "rotated_frame_plane",
+                       "catenoid_frame_plane", "catenoid_frame_cylinder"]
 
 
 def grid_all(name, n=12, m=12, **params):
@@ -87,34 +92,46 @@ def test_not_isothermal_raises():
 
 
 def test_cr_residual_constant_and_antiholomorphic():
+    # self-test of the finite-difference d/dzbar oracle
     sc, g = grid_all("rotated_frame_plane", 10, 10)
     surf = sc.surface
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    const = holo.cr_residual(surf, U, V,
-                             lambda u, v: np.full(u.shape, 2.5 + 0j, dtype=complex))
+    const = fd_oracles.cr_residual(
+        surf, U, V, lambda u, v: np.full(u.shape, 2.5 + 0j, dtype=complex))
     assert np.max(const) <= 1e-12
-    zbar = holo.cr_residual(surf, U, V, lambda u, v: u - 1j * v)
+    zbar = fd_oracles.cr_residual(surf, U, V, lambda u, v: u - 1j * v)
     assert np.max(np.abs(zbar - 1.0)) <= 1e-10
 
 
 def test_cr_residual_of_holomorphic_bold_h():
     sc, g = grid_all("rotated_frame_plane", 10, 10)   # bold_H = z
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    res = holo.cr_residual(sc.surface, U, V,
-                           lambda u, v: holo.bold_h_at(sc.surface, u, v))
-    assert np.max(res) <= 1e-7
+    _, dbar_h = holo.dbar(sc.surface, U, V)
+    assert np.max(np.abs(dbar_h)) <= 1e-7
 
 
-def test_cr_residual_boundary_raises():
+def test_dbar_at_boundary_sample():
+    # u = -2 is the edge of a non-periodic axis: the exact derivatives need
+    # no stencil; bold_H = z and phi = -z/4 are holomorphic
     sc, g = grid_all("rotated_frame_plane", 8, 8)
-    with pytest.raises(StencilOutsideDomain):
-        holo.cr_residual(sc.surface, np.array([-2.0]), np.array([0.0]),
-                         lambda u, v: u + 0j)
+    dbar_phi, dbar_h = holo.dbar(sc.surface, np.array([-2.0]), np.array([0.0]))
+    assert abs(dbar_phi[0]) <= 1e-15 and abs(dbar_h[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ISOTHERMAL_BUILTINS)
+def test_dbar_matches_fd_oracle(name):
+    sc, g = grid_all(name)
+    surf = sc.surface
+    U, V = g.U[g.interior_mask], g.V[g.interior_mask]
+    dbar_phi, dbar_h = holo.dbar(surf, U, V)
+    fd_phi = fd_oracles.dbar(surf, U, V, lambda u, v: fd_oracles.phi_at(surf, u, v))
+    fd_h = fd_oracles.dbar(surf, U, V, lambda u, v: fd_oracles.bold_h_at(surf, u, v))
+    assert np.max(np.abs(dbar_phi - fd_phi)) <= 1e-6
+    assert np.max(np.abs(dbar_h - fd_h)) <= 1e-6
 
 
 def test_hopf_identity_residual_on_isothermal_builtins():
-    for name in ("euclidean_plane", "rotated_frame_plane", "catenoid_frame_plane",
-                 "catenoid_frame_cylinder"):
+    for name in ISOTHERMAL_BUILTINS:
         sc, g = grid_all(name, 10, 10)
         res = holo.hopf_identity_residual(sc.surface, interior_fields(g))
         assert np.max(res) <= 1e-5, name
@@ -127,10 +144,7 @@ def test_cor_equivalence_cr_of_h_and_phi():
     sc, g = grid_all("rotated_frame_plane", 10, 10, theta="x^2*y", e=(-1.0, 0.0, 0.0))
     assert np.max(np.abs(extrinsic.l_tensor(g.ext))) <= 1e-12
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    cr_h = holo.cr_residual(sc.surface, U, V,
-                            lambda u, v: holo.bold_h_at(sc.surface, u, v))
-    cr_phi = holo.cr_residual(sc.surface, U, V,
-                              lambda u, v: holo.phi_at(sc.surface, u, v))
+    cr_phi, cr_h = np.abs(holo.dbar(sc.surface, U, V))
     lam2 = g.holo["lam"][g.interior_mask] ** 2
     assert np.max(np.abs(cr_phi - 0.25 * lam2 * cr_h)) <= 1e-6
     generic = np.abs(V) > 0.3
@@ -139,10 +153,7 @@ def test_cor_equivalence_cr_of_h_and_phi():
     # harmonic angle: both defects vanish
     sc2, g2 = grid_all("rotated_frame_plane", 10, 10, theta="x*y", e=(-1.0, 0.0, 0.0))
     U2, V2 = g2.U[g2.interior_mask], g2.V[g2.interior_mask]
-    cr_h2 = holo.cr_residual(sc2.surface, U2, V2,
-                             lambda u, v: holo.bold_h_at(sc2.surface, u, v))
-    cr_phi2 = holo.cr_residual(sc2.surface, U2, V2,
-                               lambda u, v: holo.phi_at(sc2.surface, u, v))
+    cr_phi2, cr_h2 = np.abs(holo.dbar(sc2.surface, U2, V2))
     assert np.max(cr_h2) <= 1e-7 and np.max(cr_phi2) <= 1e-7
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rcsurf import scenes
+from rcsurf import cli, scenes
 from rcsurf.errors import (
     IoError, SceneFormatError, SingularFrame, UndefinedField, UnknownScene,
 )
@@ -63,6 +63,25 @@ def test_unknown_ambient_variable_rejected():
     with pytest.raises(SceneFormatError) as err:
         scenes.build_scene(doc)
     assert "ambient.F[0][0]" == err.value.field
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("surface", "periodic", "no", "surface.periodic"),
+    ("surface", "periodic", [True], "surface.periodic"),
+    ("surface", "periodic", [1, 0], "surface.periodic"),
+    ("surface", "isothermal", "false", "surface.isothermal"),
+    (None, "closed", "false", "closed"),
+])
+def test_non_boolean_flags_rejected(tmp_path, capsys, section, key, value, path):
+    doc = scenes.builtin("euclidean_plane").to_dict()
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(SceneFormatError) as err:
+        scenes.build_scene(doc)
+    assert err.value.field == path
+    scene_path = tmp_path / "bad.rcscene"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", "--scene", str(scene_path), "--grid", "8x8"]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_singular_frame_scene_rejected():

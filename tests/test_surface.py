@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from rcsurf import expr, scenes
-from rcsurf.errors import (
-    DegenerateParameterization, NotIsothermal, OutsideChart, StencilOutsideDomain,
-)
+from rcsurf.errors import DegenerateParameterization, NotIsothermal, OutsideChart
 from rcsurf.surface import Surface
 
+import fd_oracles
 from test_ambient import identity_frame
 from rcsurf import ambient as ambient_mod
 
@@ -172,10 +171,20 @@ def test_sample_outside_domain_raises():
         sc.surface.sample(3.0, 0.5)
 
 
-def test_stencil_outside_domain_at_boundary():
+def test_exact_curvature_at_boundary_sample():
+    # u = 0 is the edge of a non-periodic axis: exact K needs no stencil
     sc = scenes.builtin("euclidean_plane")
-    with pytest.raises(StencilOutsideDomain):
-        sc.surface.intrinsic_curvature(np.array([0.0]), np.array([0.5]))
+    K = sc.surface.intrinsic_curvature(np.array([0.0]), np.array([0.5]))
+    assert K[0] == 0.0
+
+
+@pytest.mark.parametrize("name", scenes.builtin_names())
+def test_exact_curvature_matches_fd_oracle(name):
+    sc = scenes.builtin(name)
+    g = scenes.make_grid(sc, 12, 12)
+    m = g.interior_mask
+    oracle = fd_oracles.intrinsic_curvature(sc.surface, g.U[m], g.V[m])
+    assert np.max(np.abs(g.intrinsic_K[m] - oracle)) <= 1e-9
 
 
 def test_periodic_axis_wraps_stencils():
