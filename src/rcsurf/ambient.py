@@ -125,33 +125,43 @@ class Ambient:
 
     # --- batch field evaluation ----------------------------------------------
 
-    def metric_at(self, bindings, memo=None):
-        return expr.eval_table(self.g, bindings, memo)
+    def _check_frame(self, bindings):
+        """Raise SingularFrame where a frame ambient's determinant is near
+        zero or negative.  Everything built from the inverse frame divides
+        by it, so this runs before any such table is evaluated."""
+        if self.kind != "frame":
+            return
+        det = expr.eval_table(self.frame_det, bindings)
+        if np.any(np.abs(det) < FRAME_DET_TOL):
+            raise SingularFrame(
+                f"frame determinant within {FRAME_DET_TOL} of zero at a sample")
+        if np.any(det < 0.0):
+            raise SingularFrame("frame is negatively oriented at a sample")
 
-    def christoffel_at(self, bindings, memo=None):
-        if self.kind == "frame":
-            det = expr.eval_table(self.frame_det, bindings, memo)
-            if np.any(np.abs(det) < FRAME_DET_TOL):
-                raise SingularFrame(f"|det F| fell below {FRAME_DET_TOL}")
-            if np.any(det < 0.0):
-                raise SingularFrame("frame is negatively oriented (det F < 0)")
-        return expr.eval_table(self.gamma, bindings, memo)
+    def fields_at(self, bindings, names):
+        """The named tables ('g', 'gamma', 'dgamma', 'dg') at batched
+        points, evaluated as one program after _check_frame."""
+        self._check_frame(bindings)
+        return expr.eval_table(tuple(getattr(self, n) for n in names), bindings)
 
-    def torsion_at(self, bindings, memo=None):
-        G = self.christoffel_at(bindings, memo)
+    def metric_at(self, bindings):
+        return expr.eval_table(self.g, bindings)
+
+    def christoffel_at(self, bindings):
+        return self.fields_at(bindings, ("gamma",))[0]
+
+    def torsion_at(self, bindings):
+        G = self.christoffel_at(bindings)
         return G - np.swapaxes(G, -2, -1)
 
-    def curvature_at(self, bindings, memo=None):
+    def curvature_at(self, bindings):
         """Returns dict with rm, r4 (lowered), ric, scal for batched points."""
-        if memo is None:
-            memo = {}
-        G = self.christoffel_at(bindings, memo)
-        D = expr.eval_table(self.dgamma, bindings, memo)
-        g = self.metric_at(bindings, memo)
-        return self._curvature_from(G, D, g)
+        G, D, g = self.fields_at(bindings, ("gamma", "dgamma", "g"))
+        return self.curvature_from(G, D, g)
 
     @staticmethod
-    def _curvature_from(G, D, g):
+    def curvature_from(G, D, g):
+        """Curvature from stacked Gamma, dGamma and g (see curvature_at)."""
         term1 = D.transpose(0, 2, 4, 1, 3)
         term2 = D.transpose(0, 2, 4, 3, 1)
         term3 = np.einsum("nlim,nmjk->nlkij", G, G)
@@ -163,15 +173,8 @@ class Ambient:
         scal = np.einsum("nij,nij->n", ginv, ric)
         return {"rm": rm, "r4": r4, "ric": ric, "scal": scal}
 
-    def dmetric_at(self, bindings, memo=None):
-        return expr.eval_table(self.dg, bindings, memo)
-
-    def metric_compat_residual_at(self, bindings, memo=None):
-        if memo is None:
-            memo = {}
-        G = self.christoffel_at(bindings, memo)
-        g = self.metric_at(bindings, memo)
-        dg = self.dmetric_at(bindings, memo)
+    def metric_compat_residual_at(self, bindings):
+        G, g, dg = self.fields_at(bindings, ("gamma", "g", "dg"))
         single = G.ndim == 3
         if single:
             G, g, dg = G[None], g[None], dg[None]
@@ -192,13 +195,8 @@ class Ambient:
 
     def curvature(self, p):
         self.check_inside(p)
-        b = self.bindings(p)
-        memo = {}
-        G = self.christoffel_at(b, memo)
-        D = expr.eval_table(self.dgamma, b, memo)
-        g = self.metric_at(b, memo)
-        out = self._curvature_from(G[None], D[None], g[None])
-        return {k: (v[0] if hasattr(v, "ndim") else v) for k, v in out.items()}
+        cur = self.curvature_at(self.bindings(np.atleast_2d(p)))
+        return {k: v[0] for k, v in cur.items()}
 
     def metric_compat_residual(self, p):
         self.check_inside(p)
@@ -222,10 +220,9 @@ class Ambient:
         metric cross product, the hypothesis making the L tensor vanish."""
         self.check_inside(p)
         b = self.bindings(p)
-        memo = {}
         cur = self.curvature(p)
-        g = self.metric_at(b, memo)
-        T = self.torsion_at(b, memo)
+        g = self.metric_at(b)
+        T = self.torsion_at(b)
         ric_dev = np.max(np.abs(cur["ric"] - (cur["scal"] / 3.0) * g))
         # cross tensor C^k_ij = sqrt(det g) g^kl eps_lij
         eps = np.zeros((3, 3, 3))
@@ -249,22 +246,15 @@ class Ambient:
     def validate(self, points):
         """Run the construction-time guards at the given sample points."""
         b = self.bindings(np.atleast_2d(np.asarray(points, dtype=float)))
-        memo = {}
-        if self.kind == "frame":
-            det = expr.eval_table(self.frame_det, b, memo)
-            if np.any(np.abs(det) < FRAME_DET_TOL):
-                raise SingularFrame(
-                    f"frame determinant within {FRAME_DET_TOL} of zero at a sample")
-            if np.any(det < 0.0):
-                raise SingularFrame("frame is negatively oriented at a sample")
-        g = self.metric_at(b, memo)
+        self._check_frame(b)
+        g = self.metric_at(b)
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
         if sym > 1e-12:
             raise IncompatibleConnection(f"metric not symmetric (deviation {sym:.3e})")
         eig = np.linalg.eigvalsh(g)
         if np.any(eig <= 0.0):
             raise IncompatibleConnection("metric not positive definite at a sample")
-        res = self.metric_compat_residual_at(b, memo)
+        res = self.metric_compat_residual_at(b)
         worst = float(np.max(res))
         if worst > COMPAT_HARD_TOL:
             raise IncompatibleConnection(

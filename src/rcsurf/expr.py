@@ -3,9 +3,12 @@
 Expressions are immutable, hash-consed AST nodes, so structurally equal
 subtrees are shared.  Sharing is what keeps the derived expression DAGs
 (metric inverses, connection coefficients, normal fields and their
-derivatives) small enough to evaluate quickly: the evaluator memoizes per
-node and therefore computes every distinct subexpression once, whether the
-bindings are scalars or numpy arrays covering a whole sample grid.
+derivatives) small enough to evaluate quickly.  A table of expressions is
+compiled once into a program that lists every distinct node once, children
+first, and frees each intermediate after its last use.  Over a sample grid
+the program runs in chunks of CHUNK samples, so the memory for
+intermediates is bounded by the chunk, not by the grid.  Scalar bindings
+are a batch of one.
 
 Grammar (whitespace-insensitive)::
 
@@ -232,114 +235,168 @@ def _apply_scalar(fn, x):
 
 # --- evaluation ------------------------------------------------------------
 
-def evaluate(e: Expr, bindings, memo=None):
-    """Evaluate one expression; see evaluate_many for the engine."""
-    return evaluate_many([e], bindings, memo)[0]
+CHUNK = 8192
+"""Samples per chunk when a table is evaluated over arrays."""
+
+# Compiled programs keyed by table shapes and leaf ids.  The ids stay unique
+# because _interned keeps every node alive for the life of the process.
+_programs: dict = {}
 
 
-def evaluate_many(exprs, bindings, memo=None):
-    """Evaluate several expressions under the same bindings.
+def evaluate(e: Expr, bindings):
+    """Evaluate one expression: a batch of one in evaluate_many."""
+    return evaluate_many([e], bindings)[0]
 
-    Bindings map variable names to floats or numpy arrays (all of one
-    shape).  A single memo keyed by node identity is shared across the
-    list, so the common subexpression DAG is evaluated exactly once.
+
+def evaluate_many(exprs, bindings):
+    """Evaluate several expressions under the same bindings with one
+    program (see eval_table).  Returns one value per expression, with the
+    batch shape of the bindings (a numpy scalar for scalar bindings)."""
+    return [v[()] for v in eval_table(tuple(exprs), bindings)]
+
+
+def eval_table(table, bindings):
+    """Evaluate a nested list of Exprs into one ndarray.
+
+    Bindings map variable names to floats or numpy arrays of one shape.
+    The result has shape batch_shape + nest_shape where batch_shape comes
+    from the first array binding (scalar bindings give batch_shape = ()).
+    Constant subexpressions broadcast.
+
+    A tuple at the top level is a group of tables, and the result is then
+    a tuple holding one such array per table.  The group compiles into one
+    program, so a subexpression shared between its tables is computed once.
+
+    The program is compiled once per process (see _compile) and run over
+    CHUNK samples at a time, each chunk written straight into the output,
+    so the memory for intermediates is bounded by the chunk, not by the
+    batch.  An unbound variable raises before any evaluation; a domain
+    error raises in whichever chunk holds the offending sample.
     """
-    if memo is None:
-        memo = {}
-    out = []
-    for e in exprs:
-        out.append(_eval_iter(e, bindings, memo))
-    return out
+    group = isinstance(table, tuple)
+    tables = table if group else (table,)
+    shapes, leaves = [], []
+    for t in tables:
+        shapes.append(_nest_shape(t))
+        _flatten(t, leaves)
+    key = (tuple(shapes), tuple(map(id, leaves)))
+    prog = _programs.get(key)
+    if prog is None:
+        prog = _programs[key] = _compile(leaves, shapes)
+    ops, names = prog
+    for name in names:
+        if name not in bindings:
+            raise UnknownVariable(name)
+
+    batch = next((np.shape(v) for v in bindings.values() if np.shape(v)), ())
+    n = math.prod(batch)
+    outs = [np.empty((n, math.prod(s)), dtype=float) for s in shapes]
+    flat = {}
+    for k in names:
+        v = bindings[k]
+        flat[k] = np.broadcast_to(v, batch).reshape(-1) if np.shape(v) else v
+    for lo in range(0, n, CHUNK):
+        sl = slice(lo, min(lo + CHUNK, n))
+        _run(ops, {k: v[sl] if np.shape(v) else v for k, v in flat.items()}, outs, sl)
+    res = tuple(o.reshape(batch + s) for o, s in zip(outs, shapes))
+    return res if group else res[0]
 
 
-def _eval_iter(root, bindings, memo):
-    stack = [root]
-    while stack:
-        e = stack[-1]
-        eid = id(e)
-        if eid in memo:
-            stack.pop()
-            continue
-        k = e.kind
-        if k == _CONST:
-            memo[eid] = e.value
-            stack.pop()
-        elif k == _VAR:
-            try:
-                memo[eid] = bindings[e.name]
-            except KeyError:
-                raise UnknownVariable(e.name) from None
-            stack.pop()
-        elif k == _NEG or k == _CALL:
-            aid = id(e.a)
-            if aid in memo:
-                av = memo[aid]
-                memo[eid] = -av if k == _NEG else _apply_fn(e.name, av)
+def _nest_shape(t):
+    return (len(t),) + _nest_shape(t[0]) if isinstance(t, (list, tuple)) else ()
+
+
+def _flatten(t, leaves):
+    if isinstance(t, (list, tuple)):
+        for s in t:
+            _flatten(s, leaves)
+    else:
+        leaves.append(t)
+
+
+def _compile(leaves, shapes):
+    """Program for the flattened leaves of a group of tables.
+
+    Returns (ops, variable names).  The ops list every distinct node once,
+    children before parents.  Op i is (kind, a, b, arg, dest, frees): a and
+    b index the ops of its operands, arg is the constant, variable or
+    function name, dest lists the (table, column) output slots it fills and
+    frees the ops whose values are dead once op i has run (their last use).
+    """
+    index, order, last = {}, [], []
+    for root in leaves:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in index:
                 stack.pop()
-            else:
-                stack.append(e.a)
-        else:
-            aid, bid = id(e.a), id(e.b)
-            ready = True
-            if aid not in memo:
-                stack.append(e.a)
-                ready = False
-            if bid not in memo:
-                stack.append(e.b)
-                ready = False
-            if not ready:
                 continue
-            av, bv = memo[aid], memo[bid]
+            a, b = e.a, e.b
+            if a is not None and id(a) not in index:
+                stack.append(a)
+            elif b is not None and id(b) not in index:
+                stack.append(b)
+            else:
+                stack.pop()
+                i = len(order)
+                index[id(e)] = i
+                order.append(e)
+                last.append(i)
+                if a is not None:
+                    last[index[id(a)]] = i
+                if b is not None:
+                    last[index[id(b)]] = i
+
+    dest = [[] for _ in order]
+    leaf = iter(leaves)
+    for t, shape in enumerate(shapes):
+        for col in range(math.prod(shape)):
+            dest[index[id(next(leaf))]].append((t, col))
+    frees = [[] for _ in order]
+    for j, i in enumerate(last):
+        frees[i].append(j)
+
+    ops = [(e.kind,
+            None if e.a is None else index[id(e.a)],
+            None if e.b is None else index[id(e.b)],
+            e.value if e.kind == _CONST else e.name,
+            tuple(d), tuple(f))
+           for e, d, f in zip(order, dest, frees)]
+    return ops, [e.name for e in order if e.kind == _VAR]
+
+
+def _run(ops, bindings, outs, sl):
+    """Run a compiled program on one chunk of samples, writing the table
+    leaves into rows sl of the output arrays."""
+    vals = [None] * len(ops)
+    for i, (k, a, b, arg, dest, frees) in enumerate(ops):
+        if k == _CONST:
+            v = arg
+        elif k == _VAR:
+            v = bindings[arg]
+        elif k == _NEG:
+            v = -vals[a]
+        elif k == _CALL:
+            v = _apply_fn(arg, vals[a])
+        else:
+            av, bv = vals[a], vals[b]
             if k == _ADD:
-                memo[eid] = av + bv
+                v = av + bv
             elif k == _SUB:
-                memo[eid] = av - bv
+                v = av - bv
             elif k == _MUL:
-                memo[eid] = av * bv
+                v = av * bv
             elif k == _DIV:
                 if np.any(np.asarray(bv) == 0.0):
                     raise EvalDomainError("/", 0.0)
-                memo[eid] = av / bv
+                v = av / bv
             else:
-                memo[eid] = _checked_pow(av, bv)
-            stack.pop()
-    return memo[id(root)]
-
-
-def eval_table(table, bindings, memo=None):
-    """Evaluate a nested list of Exprs into one ndarray.
-
-    The result has shape batch_shape + nest_shape where batch_shape comes
-    from the array bindings (scalar bindings give batch_shape = ()).
-    Constant subexpressions broadcast.  One memo serves the whole table, so
-    the shared DAG is evaluated once.
-    """
-    if memo is None:
-        memo = {}
-    batch = ()
-    for v in bindings.values():
-        v = np.asarray(v)
-        if v.shape:
-            batch = v.shape
-            break
-
-    def nest_shape(t):
-        return (len(t),) + nest_shape(t[0]) if isinstance(t, (list, tuple)) else ()
-
-    shape = batch + nest_shape(table)
-    out = np.empty(shape, dtype=float)
-
-    def walk(t, idx):
-        if isinstance(t, (list, tuple)):
-            for i, s in enumerate(t):
-                walk(s, idx + (i,))
-        else:
-            val = _eval_iter(t, bindings, memo)
-            sl = (Ellipsis,) + idx
-            out[sl] = val
-
-    walk(table, ())
-    return out
+                v = _checked_pow(av, bv)
+        for t, col in dest:
+            outs[t][sl, col] = v
+        vals[i] = v
+        for j in frees:
+            vals[j] = None
 
 
 # --- differentiation -------------------------------------------------------

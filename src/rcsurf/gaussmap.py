@@ -38,11 +38,6 @@ class GaugeField:
     theta: object
     axis: tuple
 
-    def values_at(self, bindings, memo=None):
-        th = expr.evaluate(self.theta, bindings, memo)
-        ax = expr.eval_table(list(self.axis), bindings, memo)
-        return th, ax
-
 
 def _require_frame(surface):
     if surface.ambient.kind != "frame":
@@ -60,18 +55,13 @@ def gauss_field(surface, fields):
     _require_frame(surface)
     amb = surface.ambient
     pb = amb.bindings(fields["p"])
-    memo = {}
-    F = expr.eval_table(amb.frame, pb, memo)        # (n,3,3): E_i = F[:, i]
-    Finv = expr.eval_table(amb.frame_inv, pb, memo)
+    F, Finv = expr.eval_table((amb.frame, amb.frame_inv), pb)   # E_i = F[:, :, i]
     N, g = fields["N"], fields["g"]
     n = np.einsum("nij,nj->ni", Finv, N)
 
     ge = surface.gauss_exprs()
-    uv_bind = {"u": fields["u"], "v": fields["v"]}
-    umemo = {}
-    n_exact = expr.eval_table(ge["n"], uv_bind, umemo)
-    dn_du = expr.eval_table(ge["dn_du"], uv_bind, umemo)
-    dn_dv = expr.eval_table(ge["dn_dv"], uv_bind, umemo)
+    n_exact, dn_du, dn_dv = expr.eval_table(
+        (ge["n"], ge["dn_du"], ge["dn_dv"]), {"u": fields["u"], "v": fields["v"]})
 
     e_top = np.empty_like(F)        # e_top[:, :, i] = E_i - n^i N
     e_cross = np.empty_like(F)
@@ -159,7 +149,7 @@ def _axis_unit_check(gauge, fields):
 
 
 def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField,
-                           ext=None):
+                           ext=None, gf=None):
     """max |bold_H(s.g) - bold_H(s) e^{i theta}| over the samples, for a
     gauge rotating about the Gauss-map axis.
 
@@ -169,20 +159,20 @@ def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField,
     _require_frame(surf)
     if ext is None:
         ext = extrinsic.extrinsic_fields(fields)
-    gf = gauss_field(surf, fields)
+    if gf is None:
+        gf = gauss_field(surf, fields)
     ax = _axis_unit_check(gauge, fields)
     if np.max(np.linalg.norm(ax - gf["n"], axis=-1)) > 1e-8:
         raise AxisNotNormal("gauge axis differs from the Gauss map on S")
-    pb = surf.ambient.bindings(fields["p"])
-    theta = expr.evaluate(gauge.theta, pb)
-    theta = np.broadcast_to(theta, fields["u"].shape)
+    theta = expr.eval_table(gauge.theta, surf.ambient.bindings(fields["p"]))
     gsurf = gauged_surface(surf, gauge)
     ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(fields["u"], fields["v"]))
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return float(np.max(np.abs(ext_g["bold_H"] - predicted)))
 
 
-def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None):
+def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None,
+                           gf=None):
     """Residual of the arbitrary-rotation gauge formulas.
 
     H'  = H  - e.Grad_x(theta) - sin(theta) Div_x(e) + (1-cos) Curl_x(e).e
@@ -195,18 +185,16 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None):
     _require_frame(surf)
     if ext is None:
         ext = extrinsic.extrinsic_fields(fields)
-    gf = gauss_field(surf, fields)
+    if gf is None:
+        gf = gauss_field(surf, fields)
     ax = _axis_unit_check(gauge, fields)
-    pb = surf.ambient.bindings(fields["p"])
-    memo = {}
-    theta = np.broadcast_to(expr.evaluate(gauge.theta, pb, memo),
-                            fields["u"].shape).astype(float)
 
-    # chart gradients of theta and the axis components (exact)
+    # theta with the chart gradients of theta and of the axis components (exact)
     vars3 = ("x", "y", "z")
-    dtheta = expr.eval_table([expr.diff(gauge.theta, w) for w in vars3], pb, memo)
-    dax = expr.eval_table([[expr.diff(c, w) for w in vars3] for c in gauge.axis],
-                          pb, memo)          # (n, 3 comp, 3 chart)
+    theta, dtheta, dax = expr.eval_table(     # dax: (n, 3 comp, 3 chart)
+        (gauge.theta, [expr.diff(gauge.theta, w) for w in vars3],
+         [[expr.diff(c, w) for w in vars3] for c in gauge.axis]),
+        surf.ambient.bindings(fields["p"]))
 
     def along(vec_coords, grad_chart):
         return np.einsum("nc,nc->n", grad_chart, vec_coords)

@@ -6,18 +6,21 @@ A scene document is a JSON object (extension .rcscene) with keys::
     ambient               {"type": "frame", "F": [[expr x3] x3]}
                           | {"type": "coefficients", "g": [[expr x3] x3],
                              "Gamma": [[[expr x3] x3] x3]}   # Gamma[k][i][j]
-      .chart_domain       optional {"x": [lo, hi], ...}
+      .chart_domain       optional {"x": [lo, hi], ...}, finite lo < hi
     surface               {"X": [expr, expr, expr],
                            "domain": [[u0, u1], [v0, v1]],
                            "periodic": [bool, bool],
                            "isothermal": bool}
     gauge                 optional {"theta": expr, "axis": [expr x3]}
     closed                optional bool (chart covers a closed surface)
-    euler_characteristic  optional int
+    euler_characteristic  optional integer
     normal_axis           optional [expr x3]: Gauss map in frame components,
                           extended off the surface (used by gauge suites)
-    tolerances            optional {suite-entry name: float}
+    tolerances            optional {suite-entry name: positive number}
     goldens               optional {name: expr in (u, v)}, informational
+
+build_scene rejects a value of the wrong type or range with a
+SceneFormatError that names its JSON path.
 
 Ambient expressions use variables x, y, z; surface expressions use u, v.
 Grids place uniform nodes on periodic axes (trapezoid weights) and
@@ -123,15 +126,62 @@ def _flag(doc, field, path):
     return val
 
 
+def _object(doc, field, path):
+    """Optional JSON object, {} when absent."""
+    val = doc.get(field)
+    if val is None:
+        return {}
+    if not isinstance(val, dict):
+        raise SceneFormatError(path, "expected a JSON object")
+    return val
+
+
+def _number(val, path):
+    """A finite JSON number, not a boolean."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not math.isfinite(val)):
+        raise SceneFormatError(path, "expected a finite number")
+    return float(val)
+
+
+def _chart_domain(adoc):
+    out = {}
+    for var, box in _object(adoc, "chart_domain", "ambient.chart_domain").items():
+        path = f"ambient.chart_domain.{var}"
+        if var not in AMBIENT_VARS:
+            raise SceneFormatError(path, "expected a chart variable x, y or z")
+        if not isinstance(box, list) or len(box) != 2:
+            raise SceneFormatError(path, "expected [lo, hi]")
+        lo, hi = (_number(b, path) for b in box)
+        if not lo < hi:
+            raise SceneFormatError(path, "expected lo < hi")
+        out[var] = (lo, hi)
+    return out or None
+
+
+def _tolerances(doc):
+    out = {}
+    for key, val in _object(doc, "tolerances", "tolerances").items():
+        out[key] = _number(val, f"tolerances.{key}")
+        if out[key] <= 0.0:
+            raise SceneFormatError(f"tolerances.{key}", "expected a positive number")
+    return out
+
+
+def _goldens(doc):
+    out = _object(doc, "goldens", "goldens")
+    for key, val in out.items():
+        if not isinstance(val, str):
+            raise SceneFormatError(f"goldens.{key}", "expected an expression string")
+    return out
+
+
 def build_scene(doc) -> Scene:
     """Validate a scene document and construct the Scene."""
     name = doc.get("name", "unnamed")
     adoc = _need(doc, "ambient", "", dict)
     kind = _need(adoc, "type", "ambient", str)
-    chart_domain = None
-    if adoc.get("chart_domain") is not None:
-        chart_domain = {k: (float(v[0]), float(v[1]))
-                        for k, v in adoc["chart_domain"].items()}
+    chart_domain = _chart_domain(adoc)
     if kind == "frame":
         F = _parse_matrix(_need(adoc, "F", "ambient"), AMBIENT_VARS,
                           "ambient.F", (3, 3))
@@ -173,13 +223,17 @@ def build_scene(doc) -> Scene:
         normal_axis = tuple(_parse_matrix(doc["normal_axis"], AMBIENT_VARS,
                                           "normal_axis", (3,)))
 
+    chi = doc.get("euler_characteristic")
+    if chi is not None and (isinstance(chi, bool) or not isinstance(chi, int)):
+        raise SceneFormatError("euler_characteristic", "expected a JSON integer")
+
     scene = Scene(
         name, amb, surf, gauge=gauge,
         closed=_flag(doc, "closed", "closed"),
-        chi=doc.get("euler_characteristic"),
+        chi=chi,
         normal_axis=normal_axis,
-        tolerances=doc.get("tolerances"),
-        goldens=doc.get("goldens"),
+        tolerances=_tolerances(doc),
+        goldens=_goldens(doc),
         doc=doc,
     )
     _validate_scene(scene)
@@ -611,8 +665,7 @@ EXPORT_COLUMNS = [
 ]
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+_ROW = ",".join(["%.17g"] * 14 + ["%d"]) + "\n"
 
 
 def export_fields(grid: SampleGrid, path, classify_tol=None):
@@ -641,18 +694,13 @@ def export_fields(grid: SampleGrid, path, classify_tol=None):
     flags = (cls["umbilic"].astype(int)
              + 2 * cls["minimal_point"].astype(int)
              + 4 * cls["geodesic_point"].astype(int))
+    p = base["p"]
+    cols = [grid.U, grid.V, p[:, 0], p[:, 1], p[:, 2],
+            ext["H"], ext["star_tau"], ext["K_e"], K, abs_phi, abs_psi,
+            nf[:, 0], nf[:, 1], nf[:, 2], flags]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(EXPORT_COLUMNS) + "\n")
-            for i in range(n):
-                row = [
-                    _fmt(grid.U[i]), _fmt(grid.V[i]),
-                    _fmt(base["p"][i, 0]), _fmt(base["p"][i, 1]), _fmt(base["p"][i, 2]),
-                    _fmt(ext["H"][i]), _fmt(ext["star_tau"][i]), _fmt(ext["K_e"][i]),
-                    _fmt(K[i]), _fmt(abs_phi[i]), _fmt(abs_psi[i]),
-                    _fmt(nf[i, 0]), _fmt(nf[i, 1]), _fmt(nf[i, 2]),
-                    str(int(flags[i])),
-                ]
-                fh.write(",".join(row) + "\n")
+            fh.writelines(_ROW % row for row in zip(*(c.tolist() for c in cols)))
     except OSError as err:
         raise IoError(f"cannot write field export {path!r}: {err}") from err

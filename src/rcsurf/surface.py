@@ -108,20 +108,16 @@ class Surface:
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
-        uv_bind = {"u": U, "v": V}
-        memo = {}
-        p = expr.eval_table(self.X, uv_bind, memo)          # (n, 3)
-        Xu = expr.eval_table(self.Xu, uv_bind, memo)
-        Xv = expr.eval_table(self.Xv, uv_bind, memo)
-        Xuu = expr.eval_table(self.Xuu, uv_bind, memo)
-        Xuv = expr.eval_table(self.Xuv, uv_bind, memo)
-        Xvv = expr.eval_table(self.Xvv, uv_bind, memo)
+        p, Xu, Xv, Xuu, Xuv, Xvv = expr.eval_table(      # each (n, 3)
+            (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
+            {"u": U, "v": V})
 
         amb = self.ambient
         pb = amb.bindings(p)
-        amb_memo = {}
-        g = amb.metric_at(pb, amb_memo)
-        gamma = amb.christoffel_at(pb, amb_memo)
+        if with_curvature:
+            g, gamma, dgamma = amb.fields_at(pb, ("g", "gamma", "dgamma"))
+        else:
+            g, gamma = amb.fields_at(pb, ("g", "gamma"))
         tor = gamma - np.swapaxes(gamma, -2, -1)
 
         E = np.einsum("nab,na,nb->n", g, Xu, Xu)
@@ -185,7 +181,7 @@ class Surface:
             "tau_uv": tau_uv, "T_S": T_S, "JXu": JXu, "JXv": JXv,
         }
         if with_curvature:
-            cur = amb.curvature_at(pb, amb_memo)
+            cur = amb.curvature_from(gamma, dgamma, g)
             out["r4"] = cur["r4"]
             out["rm"] = cur["rm"]
         return out
@@ -247,7 +243,7 @@ class Surface:
         gammaS^c_ab = Ginv_S^cd g(nabla_a X_b, X_d), the unit normal N, II,
         H and star_tau = (II_uv - II_vu) / area.  Only the derivatives the
         identities read are differentiated, because each one evaluated on
-        a grid costs memory in proportion to its expression size:
+        a grid costs time in proportion to its expression size:
 
             d_gammaS  [[d_u gammaS^c_vv], [d_v gammaS^c_uv]] (c = u, v), for K
             d_hopf    [q][axis][part]: d_u / d_v of (Re phi, Im phi) and of

@@ -232,7 +232,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
                 res = 0.0
                 for gfld in random_gauge_fields(scene, gauge_fields, seed=1234):
                     res = max(res, gaussmap.gauge_theorem_residual(
-                        surf, grid.base, gfld, grid.ext))
+                        surf, grid.base, gfld, grid.ext, grid.gauss))
                 entry("gauge_theorem", res)
             res = 0.0
             fields = random_gauge_fields(scene, gauge_fields, seed=4321,
@@ -241,7 +241,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
                 fields = fields + [scene.gauge]
             for gfld in fields:
                 res = max(res, gaussmap.general_gauge_residual(
-                    surf, grid.base, gfld, grid.ext))
+                    surf, grid.base, gfld, grid.ext, grid.gauss))
             entry("gauge_general", res)
         elif suite == "psi_identity":
             if not surf.declared_isothermal:

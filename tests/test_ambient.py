@@ -145,8 +145,7 @@ def test_weitzenboeck_torsion_equals_minus_bracket(rng):
     F = amb.frame
     p = rng.uniform(-1, 1, size=3)
     b = amb.bindings(p)
-    memo = {}
-    Fv = expr.eval_table(F, b, memo)
+    Fv = expr.eval_table(F, b)
     T = amb.torsion(p)
     vars3 = ("x", "y", "z")
     for i in range(3):
@@ -155,8 +154,8 @@ def test_weitzenboeck_torsion_equals_minus_bracket(rng):
             bracket = np.zeros(3)
             for k in range(3):
                 for m in range(3):
-                    dEj = expr.evaluate(expr.diff(F[k][j], vars3[m]), b, memo)
-                    dEi = expr.evaluate(expr.diff(F[k][i], vars3[m]), b, memo)
+                    dEj = expr.evaluate(expr.diff(F[k][j], vars3[m]), b)
+                    dEi = expr.evaluate(expr.diff(F[k][i], vars3[m]), b)
                     bracket[k] += Fv[m, i] * dEj - Fv[m, j] * dEi
             lhs = np.einsum("kab,a,b->k", T, Fv[:, i], Fv[:, j])
             assert np.allclose(lhs, -bracket, atol=1e-11)

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcsurf import expr
+from rcsurf import expr, scenes
 from rcsurf.errors import EvalDomainError, ExprSyntaxError, UnknownFunction, UnknownVariable
 
+import eval_oracle
 from conftest import random_expr
 
 
@@ -156,8 +159,7 @@ def test_array_evaluation_matches_scalar(rng):
 def test_evaluate_many_shares_memo():
     e = expr.parse("sin(x) + cos(x)", {"x"})
     d = expr.diff(e, "x")
-    memo = {}
-    vals = expr.evaluate_many([e, d], {"x": 0.3}, memo)
+    vals = expr.evaluate_many([e, d], {"x": 0.3})
     assert vals[0] == pytest.approx(math.sin(0.3) + math.cos(0.3))
     assert vals[1] == pytest.approx(math.cos(0.3) - math.sin(0.3))
 
@@ -194,3 +196,75 @@ def test_hyperbolic_identity(u, v):
 def test_sech_is_reciprocal_cosh(x):
     e = expr.parse("sech(x)*cosh(x)", {"x"})
     assert expr.evaluate(e, {"x": x}) == pytest.approx(1.0, rel=1e-12)
+
+
+# --- compiled programs against the tree-walk oracle ---------------------------
+
+_LENGTHS = [None, 1, expr.CHUNK - 1, expr.CHUNK + 1, 2 * expr.CHUNK + 3]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_LENGTHS))
+@settings(max_examples=40, deadline=None)
+def test_compiled_program_matches_tree_walk(seed, n):
+    """Bit-identical to the memoised tree walk on scalar bindings and on
+    arrays of one sample, just under one chunk, just over one chunk and
+    over two chunks."""
+    rng = np.random.default_rng(seed)
+    names = ["u", "v"]
+    table = [[random_expr(rng, names) for _ in range(3)] for _ in range(2)]
+    extra = random_expr(rng, names)
+    if n is None:
+        b = {k: float(rng.uniform(-2, 2)) for k in names}
+    else:
+        b = {k: rng.uniform(-2, 2, size=n) for k in names}
+    want = eval_oracle.eval_table(table, b)
+    got = expr.eval_table(table, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a group shares one program and gives each table its own array
+    got_t, got_e = expr.eval_table((table, extra), b)
+    assert got_t.tobytes() == want.tobytes()
+    assert got_e.tobytes() == eval_oracle.eval_table(extra, b).tobytes()
+
+
+@pytest.mark.parametrize("fn, text", [
+    ("/", "1/(x - 3)"), ("log", "log(3 - x)"), ("sqrt", "sqrt(3 - x)"),
+    ("^", "(3 - x)^0.5"),
+])
+def test_domain_error_in_last_chunk_only(fn, text):
+    x = np.linspace(0.0, 1.0, 2 * expr.CHUNK + 3)
+    x[-1] = 3.5 if fn != "/" else 3.0      # the only bad sample
+    e = expr.parse(text, {"x"})
+    with pytest.raises(EvalDomainError) as err:
+        expr.eval_table([e], {"x": x})
+    assert err.value.function == fn
+    x[-1] = 0.5
+    assert np.all(np.isfinite(expr.eval_table([e], {"x": x})))
+
+
+def test_unknown_variable_raises_on_arrays():
+    e = expr.parse("x + y", {"x", "y"})
+    with pytest.raises(UnknownVariable):
+        expr.eval_table([e], {"x": np.zeros(expr.CHUNK + 1)})
+
+
+def test_table_memory_is_bounded_by_the_chunk():
+    """Peak traced memory beyond the outputs does not grow with the batch."""
+    amb = scenes.builtin("catenoid_frame_cylinder").ambient
+    tables = (amb.g, amb.gamma, amb.dgamma)
+
+    def extra(n):
+        t = np.linspace(0.0, 6.0, n)
+        b = {"x": np.cos(t), "y": np.sin(t), "z": t / 3.0 - 1.0}
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = expr.eval_table(tables, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak - sum(o.nbytes for o in out)
+
+    extra(16)                                  # compile outside the measurement
+    small, large = extra(2 * expr.CHUNK), extra(4 * expr.CHUNK)
+    assert large <= 1.05 * small, (small, large)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rcsurf
 from rcsurf import cli, scenes, verify
 
 
@@ -114,6 +118,36 @@ def test_cli_verify_failure_exit_code(tmp_path):
 def test_cli_missing_scene_is_config_error(capsys):
     assert cli.main(["verify", "--scene", "no/such/file.rcscene"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("ambient", "chart_domain", [1, 2], "ambient.chart_domain"),
+    ("ambient", "chart_domain", {"x": [2, 1]}, "ambient.chart_domain.x"),
+    ("ambient", "chart_domain", {"w": [0, 1]}, "ambient.chart_domain.w"),
+    ("ambient", "chart_domain", {"z": [0, "1"]}, "ambient.chart_domain.z"),
+    (None, "euler_characteristic", "two", "euler_characteristic"),
+    (None, "euler_characteristic", 2.5, "euler_characteristic"),
+    (None, "euler_characteristic", True, "euler_characteristic"),
+    (None, "tolerances", {"gauss_eq": "x"}, "tolerances.gauss_eq"),
+    (None, "tolerances", {"gauss_eq": -1e-5}, "tolerances.gauss_eq"),
+    (None, "tolerances", [1], "tolerances"),
+    (None, "goldens", [1], "goldens"),
+    (None, "goldens", {"H": -2}, "goldens.H"),
+])
+def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
+    """A malformed scene value exits 2 with its JSON path and no traceback."""
+    doc = scenes.builtin("round_sphere_standard").to_dict()
+    (doc[section] if section else doc)[key] = value
+    scene_path = tmp_path / "bad.rcscene"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsurf.cli", "verify", "--scene", str(scene_path),
+         "--grid", "8x8"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert path in proc.stderr
 
 
 def test_cli_rejects_bad_flags(capsys):
