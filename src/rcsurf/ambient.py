@@ -23,6 +23,8 @@ expressions); finite differences appear only in test oracles.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import expr
@@ -67,7 +69,8 @@ class Ambient:
     """Immutable chart-level Riemann-Cartan structure.
 
     Use frame_ambient or coefficient_ambient to construct.  Evaluation
-    bindings map 'x', 'y', 'z' to floats or equally-shaped arrays.
+    bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings);
+    every *_at method checks the chart domain and the frame first.
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -79,51 +82,41 @@ class Ambient:
         self.frame_inv = frame_inv
         self.frame_det = frame_det
         self.chart_domain = chart_domain  # optional {var: (lo, hi)}
-        self._dgamma = None
-        self._dg = None
 
     # --- symbolic lazies ---------------------------------------------------
 
-    @property
+    @cached_property
     def dgamma(self):
         """dgamma[m][k][i][j] = d_m Gamma^k_ij (exact)."""
-        if self._dgamma is None:
-            self._dgamma = [
-                [[[expr.diff(self.gamma[k][i][j], v) for j in range(3)]
+        return [[[[expr.diff(self.gamma[k][i][j], v) for j in range(3)]
                   for i in range(3)] for k in range(3)]
                 for v in CHART_VARS]
-        return self._dgamma
 
-    @property
+    @cached_property
     def dg(self):
         """dg[m][a][b] = d_m g_ab (exact)."""
-        if self._dg is None:
-            self._dg = [
-                [[expr.diff(self.g[a][b], v) for b in range(3)]
+        return [[[expr.diff(self.g[a][b], v) for b in range(3)]
                  for a in range(3)] for v in CHART_VARS]
-        return self._dg
 
-    # --- chart handling ------------------------------------------------------
-
-    def check_inside(self, p):
-        if self.chart_domain is None:
-            return
-        for k, name in enumerate(CHART_VARS):
-            box = self.chart_domain.get(name)
-            if box is None:
-                continue
-            lo, hi = box
-            if not (lo <= p[k] <= hi):
-                raise OutsideChart(f"{name} = {p[k]!r} outside [{lo}, {hi}]")
+    # --- batch field evaluation ----------------------------------------------
 
     @staticmethod
     def bindings(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return {"x": pts[0], "y": pts[1], "z": pts[2]}
-        return {"x": pts[..., 0], "y": pts[..., 1], "z": pts[..., 2]}
+        """Chart bindings for stacked points (n, 3); one point is a batch
+        of one."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return {"x": pts[:, 0], "y": pts[:, 1], "z": pts[:, 2]}
 
-    # --- batch field evaluation ----------------------------------------------
+    def _check_inside(self, bindings):
+        """Raise OutsideChart where a sample leaves the chart domain."""
+        for name, (lo, hi) in (self.chart_domain or {}).items():
+            vals = bindings[name]
+            outside = ~((lo <= vals) & (vals <= hi))
+            if np.any(outside):
+                val = float(vals[np.argmax(outside)])
+                raise OutsideChart(
+                    f"ambient.chart_domain.{name}: sample at {name} = {val!r} "
+                    f"outside [{lo}, {hi}]")
 
     def _check_frame(self, bindings):
         """Raise SingularFrame where a frame ambient's determinant is near
@@ -140,12 +133,13 @@ class Ambient:
 
     def fields_at(self, bindings, names):
         """The named tables ('g', 'gamma', 'dgamma', 'dg') at batched
-        points, evaluated as one program after _check_frame."""
+        points, evaluated as one program after the chart and frame checks."""
+        self._check_inside(bindings)
         self._check_frame(bindings)
         return expr.eval_table(tuple(getattr(self, n) for n in names), bindings)
 
     def metric_at(self, bindings):
-        return expr.eval_table(self.g, bindings)
+        return self.fields_at(bindings, ("g",))[0]
 
     def christoffel_at(self, bindings):
         return self.fields_at(bindings, ("gamma",))[0]
@@ -174,88 +168,64 @@ class Ambient:
         return {"rm": rm, "r4": r4, "ric": ric, "scal": scal}
 
     def metric_compat_residual_at(self, bindings):
-        G, g, dg = self.fields_at(bindings, ("gamma", "g", "dg"))
-        single = G.ndim == 3
-        if single:
-            G, g, dg = G[None], g[None], dg[None]
-        t1 = np.einsum("nlma,nlb->nmab", G, g)
-        t2 = np.einsum("nlmb,nal->nmab", G, g)
-        res = np.max(np.abs(dg - t1 - t2), axis=(1, 2, 3))
-        return float(res[0]) if single else res
+        """max |nabla g| per sample."""
+        return _compat_residual(*self.fields_at(bindings, ("gamma", "g", "dg")))
 
-    # --- point-level operations ------------------------------------------------
+    def sectional_at(self, bindings, u, v):
+        """Sectional curvature of span{u, v} at batched points:
+        R(u,v,v,u) / gram determinant, with u, v of shape (3,) or (n, 3)."""
+        u, v = (np.broadcast_to(np.asarray(w, dtype=float), (len(bindings["x"]), 3))
+                for w in (u, v))
+        r4 = self.curvature_at(bindings)["r4"]
+        g = self.metric_at(bindings)
+        guu, gvv, guv = (np.einsum("na,nab,nb->n", a, g, b)
+                         for a, b in ((u, u), (v, v), (u, v)))
+        den = guu * gvv - guv ** 2
+        if np.any(den < 1e-12):
+            raise DegeneratePlane(f"gram determinant {np.min(den)!r} below 1e-12")
+        return np.einsum("nijkm,ni,nj,nk,nm->n", r4, u, v, v, u) / den
 
-    def christoffel(self, p):
-        self.check_inside(p)
-        return self.christoffel_at(self.bindings(p))
-
-    def torsion(self, p):
-        self.check_inside(p)
-        return self.torsion_at(self.bindings(p))
-
-    def curvature(self, p):
-        self.check_inside(p)
-        cur = self.curvature_at(self.bindings(np.atleast_2d(p)))
-        return {k: v[0] for k, v in cur.items()}
-
-    def metric_compat_residual(self, p):
-        self.check_inside(p)
-        return self.metric_compat_residual_at(self.bindings(p))
-
-    def sectional(self, p, u, v):
-        """Sectional curvature of span{u, v}: R(u,v,v,u) / gram determinant."""
-        self.check_inside(p)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        cur = self.curvature(p)
-        g = self.metric_at(self.bindings(p))
-        den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-        if den < 1e-12:
-            raise DegeneratePlane(f"gram determinant {den!r} below 1e-12")
-        num = np.einsum("ijkm,i,j,k,m->", cur["r4"], u, v, v, u)
-        return float(num / den)
-
-    def sufficient_condition_check(self, p, tol=1e-8):
-        """Tests Ric proportional to g and torsion proportional to the
-        metric cross product, the hypothesis making the L tensor vanish."""
-        self.check_inside(p)
-        b = self.bindings(p)
-        cur = self.curvature(p)
-        g = self.metric_at(b)
-        T = self.torsion_at(b)
-        ric_dev = np.max(np.abs(cur["ric"] - (cur["scal"] / 3.0) * g))
+    def sufficient_condition_at(self, bindings, tol=1e-8):
+        """Tests, per sample, Ric proportional to g and torsion proportional
+        to the metric cross product, the hypothesis making the L tensor
+        vanish.  Returns arrays over the batch."""
+        cur = self.curvature_at(bindings)
+        g = self.metric_at(bindings)
+        T = self.torsion_at(bindings)
+        ric_dev = np.max(np.abs(cur["ric"] - (cur["scal"] / 3.0)[:, None, None] * g),
+                         axis=(1, 2))
         # cross tensor C^k_ij = sqrt(det g) g^kl eps_lij
         eps = np.zeros((3, 3, 3))
         eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
         eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-        ginv = np.linalg.inv(g)
-        C = np.sqrt(np.linalg.det(g)) * np.einsum("kl,lij->kij", ginv, eps)
-        cc = np.sum(C * C)
-        kappa = np.sum(T * C) / cc if cc > 0 else 0.0
-        tor_dev = np.max(np.abs(T - kappa * C))
+        C = (np.sqrt(np.linalg.det(g))[:, None, None, None]
+             * np.einsum("nkl,lij->nkij", np.linalg.inv(g), eps))
+        cc = np.sum(C * C, axis=(1, 2, 3))
+        kappa = np.sum(T * C, axis=(1, 2, 3)) / np.where(cc > 0, cc, 1.0)
+        tor_dev = np.max(np.abs(T - kappa[:, None, None, None] * C), axis=(1, 2, 3))
         return {
-            "ricci_proportional": bool(ric_dev <= tol),
-            "torsion_proportional": bool(tor_dev <= tol),
-            "ricci_deviation": float(ric_dev),
-            "torsion_deviation": float(tor_dev),
-            "kappa": float(kappa),
+            "ricci_proportional": ric_dev <= tol,
+            "torsion_proportional": tor_dev <= tol,
+            "ricci_deviation": ric_dev,
+            "torsion_deviation": tor_dev,
+            "kappa": kappa,
         }
 
     # --- validation ---------------------------------------------------------------
 
     def validate(self, points):
-        """Run the construction-time guards at the given sample points."""
-        b = self.bindings(np.atleast_2d(np.asarray(points, dtype=float)))
-        self._check_frame(b)
-        g = self.metric_at(b)
+        """Run the construction-time guards at the given sample points.
+
+        One (Gamma, g, dg) group, the program metric_compat_residual_at
+        uses, feeds every guard."""
+        G, g, dg = self.fields_at(self.bindings(points), ("gamma", "g", "dg"))
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
         if sym > 1e-12:
             raise IncompatibleConnection(f"metric not symmetric (deviation {sym:.3e})")
         eig = np.linalg.eigvalsh(g)
         if np.any(eig <= 0.0):
             raise IncompatibleConnection("metric not positive definite at a sample")
-        res = self.metric_compat_residual_at(b)
-        worst = float(np.max(res))
+        worst = float(np.max(_compat_residual(G, g, dg)))
         if worst > COMPAT_HARD_TOL:
             raise IncompatibleConnection(
                 f"metric compatibility residual {worst:.3e} exceeds {COMPAT_HARD_TOL}")
@@ -287,6 +257,13 @@ def coefficient_ambient(g, gamma, chart_domain=None) -> Ambient:
     """Ambient defined directly by metric and connection coefficient Exprs;
     gamma is indexed gamma[k][i][j] with nabla_{d_i} d_j = Gamma^k_ij d_k."""
     return Ambient("coefficients", g, gamma, chart_domain=chart_domain)
+
+
+def _compat_residual(G, g, dg):
+    """max |d_m g_ab - Gamma^l_ma g_lb - Gamma^l_mb g_al| per sample."""
+    t1 = np.einsum("nlma,nlb->nmab", G, g)
+    t2 = np.einsum("nlmb,nal->nmab", G, g)
+    return np.max(np.abs(dg - t1 - t2), axis=(1, 2, 3))
 
 
 def _dot3(u, v):

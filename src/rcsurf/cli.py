@@ -3,9 +3,8 @@
 Subcommands: verify (run suites, exit 0 iff all pass), fields (export a
 sample grid), integrate (one named field), list (built-in scenes).
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
-error.  Grid work is vectorized; --jobs is accepted as a worker hint and
-never changes results, so reports and exports are byte-identical across
-settings and runs.
+error.  Grid work is vectorized and deterministic, so reports and exports
+are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ def _add_scene_args(p):
                    help="builtin parameter, repeatable (e.g. lambda=0.5)")
     p.add_argument("--grid", default="32x32", metavar="NxM",
                    help="grid resolution, at least 8 per axis")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; output is identical for any value")
 
 
 def _build_parser():
@@ -40,7 +37,7 @@ def _build_parser():
     v = sub.add_parser("verify", help="run verification suites")
     _add_scene_args(v)
     v.add_argument("--tol", default="analytic",
-                   help="tolerance tier (analytic, strict) or a number")
+                   help="tolerance tier (analytic, strict) or a finite positive number")
     v.add_argument("--suite", help="comma-separated suite names (default: all)")
     v.add_argument("--out", help="write the JSON report here")
 
@@ -113,23 +110,12 @@ def _run(args):
             print(f"{name:<26} {scenes.builtin_provenance(name)}")
         return 0
 
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     scene = _load(args)
     nu, nv = _grid_shape(args.grid)
 
     if args.command == "verify":
-        tol = args.tol
-        if tol not in verify.TIERS:
-            try:
-                tol = float(tol)
-            except ValueError:
-                raise ValueError(
-                    f"--tol must be a tier ({', '.join(verify.TIERS)}) or a number")
-            if tol <= 0:
-                raise ValueError("--tol must be positive")
         suites = args.suite.split(",") if args.suite else None
-        report = verify.run_verification(scene, nu, nv, suites=suites, tol=tol)
+        report = verify.run_verification(scene, nu, nv, suites=suites, tol=args.tol)
         print(f"scene {scene.name} ({report.grid_shape[0]}x{report.grid_shape[1]})")
         for line in report.summary_lines():
             print(line)

@@ -87,15 +87,14 @@ def _directional(gf, comp, j):
     return comp[:, 0] * gf["dn_du"][:, j] + comp[:, 1] * gf["dn_dv"][:, j]
 
 
-def div_curl(surface, fields, gf=None):
+def div_curl(fields, gf):
     """The four divergence/curl scalars of the Gauss map.
 
     Identities they satisfy: Div_top = -H, Div_cross = *tau,
     Curl_top = -*tau n, Curl_cross = -H n.  The full curl vectors are
-    returned as well for the ladder checks.
+    returned as well for the ladder checks.  gf is gauss_field at the
+    samples of fields.
     """
-    if gf is None:
-        gf = gauss_field(surface, fields)
     nsamp = fields["u"].shape[0]
     D = np.empty((nsamp, 3, 3, 2))     # D[:, i, j, which]: E_i^top/cross (n^j)
     for i in range(3):
@@ -148,19 +147,15 @@ def _axis_unit_check(gauge, fields):
     return ax
 
 
-def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField,
-                           ext=None, gf=None):
+def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
     """max |bold_H(s.g) - bold_H(s) e^{i theta}| over the samples, for a
     gauge rotating about the Gauss-map axis.
 
     Raises AxisNotNormal when the gauge axis differs from the Gauss map on
-    the surface beyond 1e-8.
+    the surface beyond 1e-8.  ext and gf are the extrinsic and Gauss-map
+    blocks of the samples of fields.
     """
     _require_frame(surf)
-    if ext is None:
-        ext = extrinsic.extrinsic_fields(fields)
-    if gf is None:
-        gf = gauss_field(surf, fields)
     ax = _axis_unit_check(gauge, fields)
     if np.max(np.linalg.norm(ax - gf["n"], axis=-1)) > 1e-8:
         raise AxisNotNormal("gauge axis differs from the Gauss map on S")
@@ -171,8 +166,7 @@ def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField,
     return float(np.max(np.abs(ext_g["bold_H"] - predicted)))
 
 
-def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None,
-                           gf=None):
+def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
     """Residual of the arbitrary-rotation gauge formulas.
 
     H'  = H  - e.Grad_x(theta) - sin(theta) Div_x(e) + (1-cos) Curl_x(e).e
@@ -181,12 +175,9 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None,
     with Grad/Div/Curl taken along the projected frames and e given in
     frame components.  Both predicted scalars are compared against a full
     recomputation in the gauged frame; the max of the two sups is returned.
+    ext and gf are as for gauge_theorem_residual.
     """
     _require_frame(surf)
-    if ext is None:
-        ext = extrinsic.extrinsic_fields(fields)
-    if gf is None:
-        gf = gauss_field(surf, fields)
     ax = _axis_unit_check(gauge, fields)
 
     # theta with the chart gradients of theta and of the axis components (exact)
@@ -231,15 +222,14 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext=None,
 # --- conformality and degree ---------------------------------------------------
 
 
-def conformality_test(surface, fields, gf=None, tol=1e-7):
+def conformality_test(fields, gf, tol=1e-7):
     """Pullback-metric conformality of the Gauss map at each sample.
 
     G_n is the Gram matrix of (dn/du, dn/dv) in the round-sphere (ambient
     R^3) inner product; the verdict is |G_n - k G_S| <= tol |G_n| with
-    k = tr(G_S^-1 G_n) / 2, and k must exceed tol.
+    k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  gf is gauss_field at
+    the samples of fields.
     """
-    if gf is None:
-        gf = gauss_field(surface, fields)
     du, dv = gf["dn_du"], gf["dn_dv"]
     G_n = np.empty(fields["G_S"].shape)
     G_n[:, 0, 0] = np.einsum("ni,ni->n", du, du)

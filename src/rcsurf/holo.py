@@ -18,13 +18,11 @@ from .surface import cross_metric_batch
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 
 
-def holo_fields(surface, fields, ext=None, tol_iso=1e-8):
+def holo_fields(surface, fields, ext):
     """phi and psi coefficients, the isothermal factor, and the residual of
-    psi = bold_H * phi at each sample.  Raises NotIsothermal off isothermal
-    charts."""
-    if ext is None:
-        ext = extrinsic.extrinsic_fields(fields)
-    lam = surface.isothermal_factor(fields["u"], fields["v"], tol=tol_iso, base=fields)
+    psi = bold_H * phi at each sample, from the base and extrinsic blocks of
+    the same samples.  Raises NotIsothermal off isothermal charts."""
+    lam = surface.isothermal_factor(fields)
     II, III = ext["II"], ext["III"]
     phi = 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))
     psi = 0.25 * ((III[:, 0, 0] - III[:, 1, 1]) - 2j * III[:, 0, 1])
@@ -52,7 +50,7 @@ def dbar(surface, U, V):
     return out[:, 0], out[:, 1]
 
 
-def hopf_identity_residual(surface, fields, ext=None, holo=None):
+def hopf_identity_residual(surface, fields, ext, holo):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
@@ -61,12 +59,10 @@ def hopf_identity_residual(surface, fields, ext=None, holo=None):
     with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Both d/dzbar
     terms come from dbar (exact derivatives of the surface composition);
     everything else is assembled pointwise from the same samples, so the
-    residual is round-off.
+    residual is round-off.  fields, ext and holo are the base, extrinsic
+    and holomorphic blocks of the same samples; only II and lam are read
+    from the latter two.
     """
-    if ext is None:
-        ext = extrinsic.extrinsic_fields(fields)
-    if holo is None:
-        holo = holo_fields(surface, fields, ext)
     if "r4" not in fields:
         raise KeyError("fields must be built with with_curvature=True")
     lhs, dbar_H = dbar(surface, fields["u"], fields["v"])

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -240,15 +241,18 @@ def build_scene(doc) -> Scene:
     return scene
 
 
-def _validate_scene(scene, n=5):
-    """Cheap structural validation at a coarse grid of surface samples."""
+def _validate_scene(scene):
+    """Cheap structural validation at 5x5 interior surface samples."""
     (u0, u1), (v0, v1) = scene.surface.domain
-    us = np.linspace(u0, u1, n + 2)[1:-1]
-    vs = np.linspace(v0, v1, n + 2)[1:-1]
+    us = np.linspace(u0, u1, 7)[1:-1]
+    vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
-    pts = expr.eval_table(scene.surface.X, {"u": U, "v": V})
+    surf = scene.surface
+    # the six-table group base_fields evaluates, so no program of its own
+    pts = expr.eval_table((surf.X, surf.Xu, surf.Xv, surf.Xuu, surf.Xuv, surf.Xvv),
+                          {"u": U, "v": V})[0]
     scene.ambient.validate(pts)
-    scene.surface.base_fields(U, V)
+    surf.base_fields(U, V)
 
 
 def load_scene(path) -> Scene:
@@ -330,8 +334,14 @@ def _euclidean_plane():
 @_register("rotated_frame_plane",
            "plane z=0 seen through a frame rotated by angle theta(x,y,z) about a fixed axis")
 def _rotated_frame_plane(theta="x*y", e=(-1.0, 0.0, 0.0)):
-    e = tuple(float(c) for c in e)
-    norm = math.sqrt(sum(c * c for c in e))
+    try:
+        e = tuple(float(c) for c in e)
+    except (TypeError, ValueError):
+        e = ()
+    norm = math.hypot(*e)
+    if len(e) != 3 or not math.isfinite(norm) or norm == 0.0:
+        raise SceneFormatError("params.e",
+                               "expected a finite non-zero axis of three numbers")
     if abs(norm - 1.0) > 1e-12:
         e = tuple(c / norm for c in e)
     theta_e = expr.parse(theta, AMBIENT_VARS)
@@ -541,55 +551,40 @@ class SampleGrid:
         self.U, self.V = UU.ravel(), VV.ravel()
         self.weights = np.outer(self.u_weights, self.v_weights).ravel()
         self.requested = (int(nu), int(nv))
-        self._cache = {}
 
     # lazy heavy blocks --------------------------------------------------------
 
-    @property
+    @cached_property
     def base(self):
-        if "base" not in self._cache:
-            self._cache["base"] = self.surface.base_fields(self.U, self.V,
-                                                           with_curvature=True)
-        return self._cache["base"]
+        return self.surface.base_fields(self.U, self.V, with_curvature=True)
 
-    @property
+    @cached_property
     def ext(self):
-        if "ext" not in self._cache:
-            self._cache["ext"] = extrinsic.extrinsic_fields(self.base)
-        return self._cache["ext"]
+        return extrinsic.extrinsic_fields(self.base)
 
-    @property
+    @cached_property
     def gauss(self):
-        if "gauss" not in self._cache:
-            self._cache["gauss"] = gaussmap.gauss_field(self.surface, self.base)
-        return self._cache["gauss"]
+        return gaussmap.gauss_field(self.surface, self.base)
 
-    @property
+    @cached_property
     def holo(self):
-        if "holo" not in self._cache:
-            self._cache["holo"] = holo.holo_fields(self.surface, self.base, self.ext)
-        return self._cache["holo"]
+        return holo.holo_fields(self.surface, self.base, self.ext)
 
-    @property
+    @cached_property
     def interior_mask(self):
-        if "interior" not in self._cache:
-            mask = self.base["area"] >= DENSITY_MASK_TOL
-            for axis, (nodes, req) in enumerate(
-                    ((self.U, self.requested[0]), (self.V, self.requested[1]))):
-                if self.surface.periodic[axis]:
-                    continue
-                lo, hi = self.surface.domain[axis]
-                margin = 2.0 * (hi - lo) / req
-                mask &= (nodes - lo >= margin) & (hi - nodes >= margin)
-            self._cache["interior"] = mask
-        return self._cache["interior"]
+        mask = self.base["area"] >= DENSITY_MASK_TOL
+        for axis, (nodes, req) in enumerate(
+                ((self.U, self.requested[0]), (self.V, self.requested[1]))):
+            if self.surface.periodic[axis]:
+                continue
+            lo, hi = self.surface.domain[axis]
+            margin = 2.0 * (hi - lo) / req
+            mask &= (nodes - lo >= margin) & (hi - nodes >= margin)
+        return mask
 
-    @property
+    @cached_property
     def intrinsic_K(self):
-        if "K" not in self._cache:
-            self._cache["K"] = self.surface.intrinsic_curvature(
-                self.U, self.V, base=self.base)
-        return self._cache["K"]
+        return self.surface.intrinsic_curvature(self.base)
 
     # named scalar fields -----------------------------------------------------
 
@@ -668,16 +663,16 @@ EXPORT_COLUMNS = [
 _ROW = ",".join(["%.17g"] * 14 + ["%d"]) + "\n"
 
 
-def export_fields(grid: SampleGrid, path, classify_tol=None):
+def export_fields(grid: SampleGrid, path):
     """Tabular export: one row per sample, 17 significant digits, LF line
     endings, deterministic row-major ordering.
 
     abs_phi/abs_psi are blank (nan) off isothermal charts, n_i off
     frame-defined ambients.  flags packs the classifiers as bit 1 =
-    umbilic, 2 = minimal, 4 = geodesic.
+    umbilic, 2 = minimal, 4 = geodesic, at the scene's "classify"
+    tolerance (default 1e-7).
     """
-    if classify_tol is None:
-        classify_tol = grid.scene.tolerances.get("classify", 1e-7)
+    tol = grid.scene.tolerances.get("classify", 1e-7)
     base, ext = grid.base, grid.ext
     n = grid.U.shape[0]
     K = grid.intrinsic_K
@@ -690,7 +685,7 @@ def export_fields(grid: SampleGrid, path, classify_tol=None):
         nf = grid.gauss["n"]
     except NotWeitzenboeck:
         nf = np.full((n, 3), np.nan)
-    cls = extrinsic.classify(ext, tol=classify_tol)
+    cls = extrinsic.classify(ext, tol=tol)
     flags = (cls["umbilic"].astype(int)
              + 2 * cls["minimal_point"].astype(int)
              + 4 * cls["geodesic_point"].astype(int))

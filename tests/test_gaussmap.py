@@ -51,7 +51,7 @@ def test_gauss_field_invariants():
 
 def test_div_curl_values_rotated_plane():
     sc, g = grid_all("rotated_frame_plane")      # theta = x*y, e = (-1,0,0)
-    dc = gaussmap.div_curl(sc.surface, g.base, g.gauss)
+    dc = gaussmap.div_curl(g.base, g.gauss)
     # H = u, *tau = v here
     assert np.max(np.abs(dc["div_top"] + g.U)) <= 1e-12
     assert np.max(np.abs(dc["div_cross"] - g.V)) <= 1e-12
@@ -62,7 +62,7 @@ def test_div_curl_ladder_all_frame_builtins():
                  "catenoid_frame_cylinder", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
         ext, gf = g.ext, g.gauss
-        dc = gaussmap.div_curl(sc.surface, g.base, gf)
+        dc = gaussmap.div_curl(g.base, gf)
         n = gf["n"]
         m = g.interior_mask
         assert np.max(np.abs(dc["div_top"] + ext["H"])[m]) <= 1e-7, name
@@ -129,7 +129,7 @@ def test_gauging_standard_frame_reproduces_rotated_plane():
 def test_gauge_theorem_quarter_turn_multiplies_by_i():
     sc, g = grid_all("rotated_frame_plane", 8, 8)
     gauge = gaussmap.GaugeField(expr.con(np.pi / 2), sc.normal_axis)
-    res = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext)
+    res = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
     assert res <= 1e-7
     gsurf = gaussmap.gauged_surface(sc.surface, gauge)
     ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
@@ -141,7 +141,8 @@ def test_gauge_theorem_random_fields():
     for name in ("catenoid_frame_plane", "torus_standard"):
         sc, g = grid_all(name, 8, 8)
         for gauge in random_gauge_fields(sc, 3, seed=99):
-            res = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext)
+            res = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge,
+                                                  g.ext, g.gauss)
             assert res <= 1e-6, name
 
 
@@ -149,7 +150,7 @@ def test_gauge_theorem_rejects_wrong_axis():
     sc, g = grid_all("catenoid_frame_plane", 6, 6)
     gauge = gaussmap.GaugeField(expr.con(0.5), tuple(expr.con(c) for c in (0, 0, 1)))
     with pytest.raises(AxisNotNormal):
-        gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext)
+        gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
 
 
 def test_general_gauge_random_fields():
@@ -157,7 +158,8 @@ def test_general_gauge_random_fields():
     for name in ("rotated_frame_plane", "catenoid_frame_cylinder"):
         sc, g = grid_all(name, 8, 8)
         for gauge in random_gauge_fields(sc, 3, seed=7, about_normal=False):
-            res = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext)
+            res = gaussmap.general_gauge_residual(sc.surface, g.base, gauge,
+                                                  g.ext, g.gauss)
             assert res <= 1e-5, name
 
 
@@ -165,8 +167,8 @@ def test_general_gauge_specializes_to_theorem():
     sc, g = grid_all("catenoid_frame_plane", 8, 8)
     from rcsurf.verify import random_gauge_fields
     gauge = random_gauge_fields(sc, 1, seed=5)[0]     # axis = Gauss map
-    r_general = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext)
-    r_theorem = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext)
+    r_general = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
+    r_theorem = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
     assert abs(r_general - r_theorem) <= 1e-9
 
 
@@ -184,17 +186,17 @@ def test_same_gauss_map_frames_share_abs_bold_h():
 
 def test_conformality_catenoid_everywhere():
     sc, g = grid_all("catenoid_frame_plane")
-    conf = gaussmap.conformality_test(sc.surface, g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss)
     assert conf["conformal"].all()
     assert np.max(np.abs(conf["k"] - 1 / np.cosh(g.V) ** 2)) <= 1e-7
 
 
 def test_conformality_trivial_cases():
     sc, g = grid_all("euclidean_plane")
-    conf = gaussmap.conformality_test(sc.surface, g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss)
     assert not conf["conformal"].any()          # dn = 0: geodesic plane
     sc, g = grid_all("round_sphere_standard")
-    conf = gaussmap.conformality_test(sc.surface, g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss)
     assert conf["conformal"].all()              # totally umbilic, never geodesic
 
 

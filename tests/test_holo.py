@@ -16,10 +16,9 @@ def grid_all(name, n=12, m=12, **params):
     return sc, g
 
 
-def interior_fields(g):
+def interior_fields(g, block):
     sel = g.interior_mask
-    return {k: (v[sel] if isinstance(v, np.ndarray)
-                and v.shape[:1] == g.U.shape else v) for k, v in g.ext.items()}
+    return {k: v[sel] for k, v in block.items()}
 
 
 def test_phi_rotated_frame_plane_closed_form():
@@ -133,7 +132,9 @@ def test_dbar_matches_fd_oracle(name):
 def test_hopf_identity_residual_on_isothermal_builtins():
     for name in ISOTHERMAL_BUILTINS:
         sc, g = grid_all(name, 10, 10)
-        res = holo.hopf_identity_residual(sc.surface, interior_fields(g))
+        ext = interior_fields(g, g.ext)
+        res = holo.hopf_identity_residual(sc.surface, ext, ext,
+                                          interior_fields(g, g.holo))
         assert np.max(res) <= 1e-5, name
 
 
@@ -163,7 +164,7 @@ def test_conformality_matches_classifier_equivalence():
     for name in ("euclidean_plane", "rotated_frame_plane", "catenoid_frame_plane",
                  "catenoid_frame_cylinder", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
-        conf = gaussmap.conformality_test(sc.surface, g.base, g.gauss)
+        conf = gaussmap.conformality_test(g.base, g.gauss)
         cls = extrinsic.classify(g.ext)
         want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
         m = g.interior_mask

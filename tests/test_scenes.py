@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rcsurf import cli, scenes
+import rcsurf
+from rcsurf import cli, expr, scenes, verify
 from rcsurf.errors import (
     IoError, SceneFormatError, SingularFrame, UndefinedField, UnknownScene,
 )
@@ -227,3 +231,44 @@ def test_interior_mask_masks_low_density_and_edges():
     margin = 2 * (hi - lo) / 16
     inside = (g.U - lo >= margin) & (hi - g.U >= margin)
     assert not (m & ~inside).any()
+
+
+class _LookupLog(dict):
+    """Program cache that records every key looked up."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = set()
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+
+def test_scene_validation_compiles_only_grid_programs(monkeypatch):
+    # validation reads p from the six-table X..Xvv group and g from the
+    # (Gamma, g, dg) group; of the programs a build compiles, verify reuses
+    # all but the (g, Gamma) group of base_fields without curvature
+    programs = _LookupLog()
+    monkeypatch.setattr(expr, "_programs", programs)
+    sc = scenes.builtin("catenoid_frame_cylinder")
+    built = set(programs)
+    assert len(built) == 4
+    programs.looked_up.clear()
+    verify.run_verification(sc, 8, 8)
+    unused = built - programs.looked_up
+    assert [shapes for shapes, _ in unused] == [((3, 3), (3, 3, 3))]
+
+
+@pytest.mark.parametrize("axis", ["0,0,0", "nan,0,0", "1,0"])
+def test_cli_bad_rotation_axis_is_input_error(axis):
+    """A zero, non-finite or wrong-length axis exits 2 naming params.e."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsurf.cli", "verify", "--builtin",
+         "rotated_frame_plane", "--param", f"e={axis}", "--grid", "8x8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "params.e" in proc.stderr

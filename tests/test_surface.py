@@ -14,30 +14,35 @@ def euclidean_ambient():
     return ambient_mod.frame_ambient(identity_frame())
 
 
+def sample(surf, u, v):
+    """base_fields at one (u, v): a batch of one."""
+    return {k: a[0] for k, a in surf.base_fields([u], [v]).items()}
+
+
 def test_euclidean_plane_sample():
     sc = scenes.builtin("euclidean_plane")
-    s = sc.surface.sample(0.3, 0.6)
-    assert np.allclose(s.N, [0, 0, 1], atol=1e-15)
-    assert np.allclose(s.G_S, np.eye(2), atol=1e-15)
-    assert np.allclose(s.JXu, s.Xv, atol=1e-15)
-    assert np.allclose(s.JXv, -s.Xu, atol=1e-15)
-    assert s.area == pytest.approx(1.0)
-    assert np.max(np.abs(s.gammaS)) == 0.0
+    s = sample(sc.surface, 0.3, 0.6)
+    assert np.allclose(s["N"], [0, 0, 1], atol=1e-15)
+    assert np.allclose(s["G_S"], np.eye(2), atol=1e-15)
+    assert np.allclose(s["JXu"], s["Xv"], atol=1e-15)
+    assert np.allclose(s["JXv"], -s["Xu"], atol=1e-15)
+    assert s["area"] == pytest.approx(1.0)
+    assert np.max(np.abs(s["gammaS"])) == 0.0
 
 
 def test_round_sphere_chart():
     sc = scenes.builtin("round_sphere_standard")
     for (th, ph) in [(0.4, 1.0), (1.2, 4.2), (2.8, 0.3)]:
-        s = sc.surface.sample(th, ph)
-        assert s.area == pytest.approx(np.sin(th), rel=1e-12)
+        s = sample(sc.surface, th, ph)
+        assert s["area"] == pytest.approx(np.sin(th), rel=1e-12)
         # outward radial normal
-        assert np.allclose(s.N, s.p, atol=1e-12)
+        assert np.allclose(s["N"], s["p"], atol=1e-12)
 
 
 def test_catenoid_frame_plane_normal_is_d3():
     sc = scenes.builtin("catenoid_frame_plane")
-    s = sc.surface.sample(1.0, 0.5)
-    assert np.allclose(s.N, [0, 0, 1], atol=1e-14)
+    s = sample(sc.surface, 1.0, 0.5)
+    assert np.allclose(s["N"], [0, 0, 1], atol=1e-14)
 
 
 def test_normal_is_unit_and_orthogonal(rng):
@@ -122,7 +127,7 @@ def test_induced_torsion_is_tangential_ambient_torsion():
 
 def test_isothermal_factor_euclidean_plane():
     sc = scenes.builtin("euclidean_plane")
-    lam = sc.surface.isothermal_factor(0.5, 0.5)
+    lam = sc.surface.isothermal_factor(sc.surface.base_fields([0.5], [0.5]))
     assert lam[0] == pytest.approx(1.0)
 
 
@@ -133,27 +138,28 @@ def test_isothermal_factor_actual_catenoid():
          ("cosh(v)*cos(u)", "cosh(v)*sin(u)", "v")]
     surf = Surface(amb, X, ((0.0, 2 * np.pi), (-1.5, 1.5)), (True, False), True)
     for (u, v) in [(0.3, 0.2), (2.0, -1.0)]:
-        lam = surf.isothermal_factor(u, v)
+        lam = surf.isothermal_factor(surf.base_fields([u], [v]))
         assert lam[0] == pytest.approx(np.cosh(v), rel=1e-12)
 
 
 def test_isothermal_rejects_round_sphere():
     sc = scenes.builtin("round_sphere_standard")
     with pytest.raises(NotIsothermal) as err:
-        sc.surface.isothermal_factor(1.0, 2.0)
+        sc.surface.isothermal_factor(sc.surface.base_fields([1.0], [2.0]))
     assert err.value.E == pytest.approx(1.0)
 
 
 def test_intrinsic_curvature_plane_zero():
     sc = scenes.builtin("euclidean_plane")
-    K = sc.surface.intrinsic_curvature(np.array([0.4]), np.array([0.5]))
+    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.4], [0.5]))
     assert abs(K[0]) <= 1e-12
 
 
 def test_intrinsic_curvature_cartan_schouten_sphere():
     sc = scenes.builtin("cartan_schouten_sphere", lam=1.0)
     g = scenes.make_grid(sc, 12, 12)
-    K = sc.surface.intrinsic_curvature(g.U[g.interior_mask], g.V[g.interior_mask])
+    K = sc.surface.intrinsic_curvature(
+        sc.surface.base_fields(g.U[g.interior_mask], g.V[g.interior_mask]))
     assert np.max(np.abs(K - 1.0)) <= 1e-4
 
 
@@ -162,19 +168,23 @@ def test_degenerate_parameterization_raises():
     X = [expr.parse(t, {"u", "v"}) for t in ("u", "u", "0")]
     surf = Surface(amb, X, ((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(DegenerateParameterization):
-        surf.sample(0.5, 0.5)
+        sample(surf, 0.5, 0.5)
 
 
-def test_sample_outside_domain_raises():
-    sc = scenes.builtin("euclidean_plane")
-    with pytest.raises(OutsideChart):
-        sc.surface.sample(3.0, 0.5)
+def test_base_fields_outside_chart_raises():
+    # the ambient chart domain holds on every sample of the batch path
+    amb = ambient_mod.frame_ambient(identity_frame(), chart_domain={"x": (-1.0, 1.0)})
+    X = [expr.parse(t, {"u", "v"}) for t in ("u", "v", "0")]
+    surf = Surface(amb, X, ((0.0, 3.0), (0.0, 1.0)))
+    surf.base_fields([0.2, 0.9], [0.5, 0.5])
+    with pytest.raises(OutsideChart, match="chart_domain.x"):
+        surf.base_fields([0.2, 3.0], [0.5, 0.5])
 
 
 def test_exact_curvature_at_boundary_sample():
     # u = 0 is the edge of a non-periodic axis: exact K needs no stencil
     sc = scenes.builtin("euclidean_plane")
-    K = sc.surface.intrinsic_curvature(np.array([0.0]), np.array([0.5]))
+    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.0], [0.5]))
     assert K[0] == 0.0
 
 
@@ -190,7 +200,7 @@ def test_exact_curvature_matches_fd_oracle(name):
 def test_periodic_axis_wraps_stencils():
     # u = 0 sits on the periodic seam of the catenoid-frame plane; fine
     sc = scenes.builtin("catenoid_frame_plane")
-    K = sc.surface.intrinsic_curvature(np.array([0.0]), np.array([0.3]))
+    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.0], [0.3]))
     assert abs(K[0] + 1 / np.cosh(0.3) ** 2) <= 1e-5
 
 

@@ -46,8 +46,9 @@ def test_strict_tier_and_overrides():
     sc = scenes.builtin("euclidean_plane")
     rep = verify.run_verification(sc, 10, 10, tol="strict")
     assert rep.passed
-    with pytest.raises(ValueError):
-        verify.run_verification(sc, 10, 10, tol="bogus")
+    for tol in ("bogus", float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            verify.run_verification(sc, 10, 10, tol=tol)
     with pytest.raises(ValueError):
         verify.run_verification(sc, 10, 10, suites=["nope"])
 
@@ -133,6 +134,7 @@ def test_cli_missing_scene_is_config_error(capsys):
     (None, "tolerances", [1], "tolerances"),
     (None, "goldens", [1], "goldens"),
     (None, "goldens", {"H": -2}, "goldens.H"),
+    ("ambient", "chart_domain", {"x": [-0.5, 0.5]}, "chart_domain.x"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -153,8 +155,9 @@ def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path)
 def test_cli_rejects_bad_flags(capsys):
     assert cli.main(["verify", "--builtin", "euclidean_plane",
                      "--grid", "4x4"]) == 2
-    assert cli.main(["verify", "--builtin", "euclidean_plane",
-                     "--tol", "-3"]) == 2
+    for tol in ("-3", "nan", "inf", "1e400"):
+        assert cli.main(["verify", "--builtin", "euclidean_plane",
+                         "--tol", tol]) == 2
     # both --scene and --builtin given
     assert cli.main(["verify", "--builtin", "euclidean_plane",
                      "--scene", "x"]) == 2
@@ -181,21 +184,19 @@ def test_cli_fields_export(tmp_path, capsys):
 
 def test_cli_jobs_does_not_change_report(tmp_path):
     outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"r{jobs}.json"
+    for run in ("1", "4"):
+        out = tmp_path / f"r{run}.json"
         assert cli.main(["verify", "--builtin", "torus_standard",
-                         "--grid", "10x10", "--jobs", jobs,
-                         "--out", str(out)]) == 0
+                         "--grid", "10x10", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
 
 def test_cli_jobs_does_not_change_export(tmp_path):
     outs = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"f{jobs}.csv"
+    for run in ("1", "3"):
+        out = tmp_path / f"f{run}.csv"
         assert cli.main(["fields", "--builtin", "catenoid_frame_plane",
-                         "--grid", "8x8", "--jobs", jobs,
-                         "--out", str(out)]) == 0
+                         "--grid", "8x8", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
