@@ -151,21 +151,20 @@ class Ambient:
     def curvature_at(self, bindings):
         """Returns dict with rm, r4 (lowered), ric, scal for batched points."""
         G, D, g = self.fields_at(bindings, ("gamma", "dgamma", "g"))
-        return self.curvature_from(G, D, g)
+        rm, r4 = self.curvature_from(G, D, g)
+        ric = np.einsum("nljli->nij", rm)
+        scal = np.einsum("nij,nij->n", np.linalg.inv(g), ric)
+        return {"rm": rm, "r4": r4, "ric": ric, "scal": scal}
 
     @staticmethod
     def curvature_from(G, D, g):
-        """Curvature from stacked Gamma, dGamma and g (see curvature_at)."""
+        """(rm, r4) from stacked Gamma, dGamma and g (see curvature_at)."""
         term1 = D.transpose(0, 2, 4, 1, 3)
         term2 = D.transpose(0, 2, 4, 3, 1)
         term3 = np.einsum("nlim,nmjk->nlkij", G, G)
         term4 = np.einsum("nljm,nmik->nlkij", G, G)
         rm = term1 - term2 + term3 - term4
-        r4 = np.einsum("nlkij,nlm->nijkm", rm, g)
-        ric = np.einsum("nljli->nij", rm)
-        ginv = np.linalg.inv(g)
-        scal = np.einsum("nij,nij->n", ginv, ric)
-        return {"rm": rm, "r4": r4, "ric": ric, "scal": scal}
+        return rm, np.einsum("nlkij,nlm->nijkm", rm, g)
 
     def metric_compat_residual_at(self, bindings):
         """max |nabla g| per sample."""

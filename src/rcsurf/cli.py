@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import scenes, verify
-from .errors import RcsurfError
+from .errors import RcsurfError, SceneFormatError
 
 __all__ = ["main"]
 
@@ -55,17 +55,22 @@ def _build_parser():
 
 
 def _parse_params(items):
+    """--param K=V items as factory keyword arguments: a comma list is a
+    tuple of numbers, a number a float, anything else stays text for the
+    built-in to check (a bad value is reported as params.K)."""
     out = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"--param needs K=V, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key == "lambda":        # python keyword, factory argument is lam
-            key = "lam"
-        val = val.strip()
+        name, val = (part.strip() for part in item.split("=", 1))
+        key = "lam" if name == "lambda" else name   # python keyword
         if "," in val:
-            out[key] = tuple(float(x) for x in val.split(","))
+            try:
+                out[key] = tuple(float(x) for x in val.split(","))
+            except ValueError:
+                raise SceneFormatError(f"params.{name}",
+                                       f"expected numbers separated by commas, "
+                                       f"got {val!r}") from None
         else:
             try:
                 out[key] = float(val)

@@ -80,6 +80,15 @@ class IncompatibleConnection(RcsurfError):
     """Connection coefficients fail metric compatibility beyond tolerance."""
 
 
+class NonFiniteValue(RcsurfError):
+    """A grid block or residual holds inf or NaN (the inputs overflow the
+    numeric layers).  field names it as block.key."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(f"{field}: {message}")
+
+
 # --- surface --------------------------------------------------------------
 
 class DegenerateParameterization(RcsurfError):

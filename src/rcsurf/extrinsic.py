@@ -12,68 +12,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from .surface import cross_metric_batch
+from .surface import cross_metric_batch, require_finite
 
 __all__ = [
-    "extrinsic_fields", "gauss_equation_residual", "curvature_decomposition",
-    "classify", "l_tensor",
+    "mean_curvature", "extrinsic_fields", "gauss_equation_residual",
+    "curvature_decomposition", "classify", "l_tensor",
 ]
 
 AMBIENT_FLAT_TOL = 1e-9
 
 
+def mean_curvature(base):
+    """W, H, star_tau and bold_H = H + i*star_tau at the samples of base
+    (a base_fields dict): the part of extrinsic_fields a gauged
+    recomputation reads.  star_tau is the torsion 2-form on the oriented
+    orthonormal pair."""
+    W = np.swapaxes(base["II"] @ base["Ginv_S"], -2, -1)  # W[r, c]: W(X_c) = W[r,c] X_r
+    H = np.trace(W, axis1=-2, axis2=-1)
+    star_tau = base["tau_uv"] / base["area"]
+    return require_finite("ext", {
+        "W": W, "H": H, "star_tau": star_tau, "bold_H": H + 1j * star_tau,
+    }, base["u"], base["v"])
+
+
 def extrinsic_fields(base):
     """Extend a base-field dict with the extrinsic quantities.
 
-    Adds: W (tangent basis), W_on (orthonormal basis), H, K_e, star_tau
-    (from the torsion 2-form), star_tau_w (from the Weingarten matrix),
-    star_tau_agreement, bold_H, III, phi-ready data.
+    Adds mean_curvature (W, H, star_tau, bold_H), W_on (W in the
+    orthonormal basis), K_e and III.
     """
-    II = base["II"]
-    Ginv = base["Ginv_S"]
-    W = np.swapaxes(II @ Ginv, -2, -1)          # W[r, c]: W(X_c) = W[r,c] X_r
-    W_on = base["Binv"] @ W @ base["B"]
-    H = np.trace(W, axis1=-2, axis2=-1)
-    K_e = W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0]
-    star_tau = base["tau_uv"] / base["area"]    # tau on the oriented orthonormal pair
-    star_tau_w = W_on[:, 1, 0] - W_on[:, 0, 1]
-    III = np.einsum("nra,nrs,nsb->nab", W, base["G_S"], W)
     out = dict(base)
-    out.update({
-        "W": W, "W_on": W_on, "H": H, "K_e": K_e,
-        "star_tau": star_tau, "star_tau_w": star_tau_w,
-        "star_tau_agreement": np.abs(star_tau - star_tau_w),
-        "bold_H": H + 1j * star_tau,
-        "III": III,
-    })
+    out.update(mean_curvature(base))
+    W = out["W"]
+    out.update(require_finite("ext", {
+        "W_on": base["Binv"] @ W @ base["B"],
+        "K_e": W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0],
+        "III": np.einsum("nra,nrs,nsb->nab", W, base["G_S"], W),
+    }, base["u"], base["v"]))
     return out
 
 
-def gauss_equation_residual(fields, K):
+def gauss_equation_residual(fields, curv, K):
     """|ambient R4(Xu,Xv,Xv,Xu) - [R_S - II(u,u)II(v,v) + II(u,v)II(v,u)]|,
-    with R_S(Xu,Xv,Xv,Xu) = K area^2 from the intrinsic curvature K at the
-    same samples."""
-    if "r4" not in fields:
-        raise KeyError("fields must be built with with_curvature=True")
-    lhs = np.einsum("nijkm,ni,nj,nk,nm->n", fields["r4"],
-                    fields["Xu"], fields["Xv"], fields["Xv"], fields["Xu"])
+    with R_S(Xu,Xv,Xv,Xu) = K area^2 from the intrinsic curvature K and the
+    ambient term from the curvature block curv, at the same samples."""
     II = fields["II"]
     rs = K * fields["area"] ** 2
     rhs = rs - II[:, 0, 0] * II[:, 1, 1] + II[:, 0, 1] * II[:, 1, 0]
-    return np.abs(lhs - rhs)
+    return np.abs(curv["r_uvvu"] - rhs)
 
 
-def curvature_decomposition(fields, K):
+def curvature_decomposition(fields, curv, K):
     """Theorema-Egregium and sectional-splitting residuals for the
-    intrinsic curvature K at the same samples.
+    intrinsic curvature K and the curvature block curv at the same samples.
 
     egregium = |K_e - K| (meaningful when the ambient is flat; the caller
     masks by flatness), sectional_split = |sec~ - (K - K_e)|.
     """
-    lhs = np.einsum("nijkm,ni,nj,nk,nm->n", fields["r4"],
-                    fields["Xu"], fields["Xv"], fields["Xv"], fields["Xu"])
-    sec_tilde = lhs / fields["area"] ** 2
-    ambient_flat = float(np.max(np.abs(fields["r4"]))) <= AMBIENT_FLAT_TOL
+    sec_tilde = curv["r_uvvu"] / fields["area"] ** 2
+    ambient_flat = float(np.max(np.abs(curv["r4"]))) <= AMBIENT_FLAT_TOL
     return {
         "K_intrinsic": K,
         "egregium": np.abs(fields["K_e"] - K),
@@ -115,16 +112,15 @@ def apply_weingarten(fields, comp):
     return np.einsum("nrc,nc->nr", fields["W"], comp)
 
 
-def l_tensor(fields):
+def l_tensor(fields, curv):
     """L(E1bar, E2bar) = R(E1bar, E2bar) N - J W J T_S(E1bar, E2bar), as a
-    chart-coordinate vector.  Vanishing of L is the hypothesis tying
-    holomorphicity of bold H to that of the Hopf differential."""
-    if "rm" not in fields:
-        raise KeyError("fields must be built with with_curvature=True")
+    chart-coordinate vector, from the extrinsic and curvature blocks of the
+    same samples.  Vanishing of L is the hypothesis tying holomorphicity of
+    bold H to that of the Hopf differential."""
     g = fields["g"]
     e1, e2, N = fields["E1bar"], fields["E2bar"], fields["N"]
     # R(E1, E2) N: rm[l, k, i, j] with i <- E1, j <- E2, k <- N
-    RN = np.einsum("nlkij,nk,ni,nj->nl", fields["rm"], N, e1, e2)
+    RN = np.einsum("nlkij,nk,ni,nj->nl", curv["rm"], N, e1, e2)
     # tangential torsion on the orthonormal pair = T_S(Xu, Xv) / area
     TS = fields["T_S"] / fields["area"][:, None]
     JT = cross_metric_batch(g, N, TS)

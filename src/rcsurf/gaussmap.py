@@ -3,11 +3,18 @@ projections, the divergence/curl description of H and *tau, gauge
 transformations of the global frame, conformality, and mapping degree.
 
 The Gauss map n collects the frame components of the unit normal.  Its
-parameter derivatives come from the surface's exact expression pipeline, so
-the divergence/curl ladder holds to round-off rather than stencil accuracy.
-All directional derivatives along projected frame vectors stay on the
-surface: tangent vectors are expanded in (X_u, X_v) and applied to the
-(u, v)-dependence through the chain rule.
+data come in three blocks, each built only for its readers:
+
+    gauss_field        n                        export, gauge theorem, degree
+    gauss_derivatives  dn_du, dn_dv (exact)     div/curl, conformality, degree
+    projected_frames   e_top, e_cross and their (u, v) components
+                                                div/curl, general gauge law
+
+The parameter derivatives come from the surface's exact expression
+pipeline, so the divergence/curl ladder holds to round-off rather than
+stencil accuracy.  All directional derivatives along projected frame
+vectors stay on the surface: tangent vectors are expanded in (X_u, X_v) and
+applied to the (u, v)-dependence through the chain rule.
 """
 
 from __future__ import annotations
@@ -20,13 +27,14 @@ from . import expr
 from .ambient import frame_ambient
 from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck
 from .so3 import matmul_exprs, rodrigues_exprs
-from .surface import Surface, cross_metric_batch
+from .surface import Surface, cross_metric_batch, require_finite
 from . import extrinsic
 
 __all__ = [
-    "GaugeField", "gauss_field", "div_curl", "apply_gauge", "gauged_surface",
+    "GaugeField", "gauss_field", "gauss_derivatives", "projected_frames",
+    "div_curl", "apply_gauge", "gauged_surface", "gauged_mean_curvature",
     "gauge_theorem_residual", "general_gauge_residual", "conformality_test",
-    "degree_integrand", "weingarten_from_gauss_map", "area_form_pullback_residual",
+    "degree_integrand",
 ]
 
 
@@ -45,25 +53,36 @@ def _require_frame(surface):
 
 
 def gauss_field(surface, fields):
-    """Per-sample Gauss map data for a batch of surface samples.
-
-    Returns frame components n of the normal with exact parameter
-    derivatives, plus the projected frame directions E_i^T (tangential
-    part) and E_i^x (normal cross frame vector) as both chart vectors and
-    (u, v)-components.
-    """
+    """The Gauss map block {n}: frame components n = F^-1 N of the unit
+    normal at the samples of fields (a base_fields dict)."""
     _require_frame(surface)
     amb = surface.ambient
-    pb = amb.bindings(fields["p"])
-    F, Finv = expr.eval_table((amb.frame, amb.frame_inv), pb)   # E_i = F[:, :, i]
-    N, g = fields["N"], fields["g"]
-    n = np.einsum("nij,nj->ni", Finv, N)
+    Finv = expr.eval_table(amb.frame_inv, amb.bindings(fields["p"]))
+    n = np.einsum("nij,nj->ni", Finv, fields["N"])
+    return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
 
+
+def gauss_derivatives(surface, fields):
+    """The block {dn_du, dn_dv}: exact parameter derivatives of the Gauss
+    map at the samples of fields, from the surface composition."""
+    _require_frame(surface)
     ge = surface.gauss_exprs()
-    n_exact, dn_du, dn_dv = expr.eval_table(
-        (ge["n"], ge["dn_du"], ge["dn_dv"]), {"u": fields["u"], "v": fields["v"]})
+    dn_du, dn_dv = expr.eval_table((ge["dn_du"], ge["dn_dv"]),
+                                   {"u": fields["u"], "v": fields["v"]})
+    return {"dn_du": dn_du, "dn_dv": dn_dv}
 
-    e_top = np.empty_like(F)        # e_top[:, :, i] = E_i - n^i N
+
+def projected_frames(surface, fields, gauss):
+    """The projected frame directions E_i^T = E_i - n^i N (tangential part)
+    and E_i^x = N x E_i (normal cross frame vector), as chart vectors
+    e_top, e_cross (n, 3 chart, 3 frame index) and as (u, v)-components
+    top_comp, cross_comp (n, 2, 3).  gauss is gauss_field at the samples
+    of fields."""
+    _require_frame(surface)
+    amb = surface.ambient
+    F = expr.eval_table(amb.frame, amb.bindings(fields["p"]))   # E_i = F[:, :, i]
+    N, g, n = fields["N"], fields["g"], gauss["n"]
+    e_top = np.empty_like(F)
     e_cross = np.empty_like(F)
     for i in range(3):
         Ei = F[:, :, i]
@@ -73,34 +92,33 @@ def gauss_field(surface, fields):
                          for i in range(3)], axis=-1)    # (n, 2, 3)
     cross_comp = np.stack([extrinsic.tangent_components(fields, e_cross[:, :, i])
                            for i in range(3)], axis=-1)
-    return {
-        "n": n, "n_exact": n_exact, "dn_du": dn_du, "dn_dv": dn_dv,
+    return require_finite("gauss_frames", {
         "e_top": e_top, "e_cross": e_cross,
         "top_comp": top_comp, "cross_comp": cross_comp,
-        "frame": F, "frame_inv": Finv,
-    }
+    }, fields["u"], fields["v"])
 
 
-def _directional(gf, comp, j):
+def _directional(dn, comp, j):
     """Directional derivative of n^j along the tangent vector with
     (u, v)-components comp: comp_u dn/du + comp_v dn/dv."""
-    return comp[:, 0] * gf["dn_du"][:, j] + comp[:, 1] * gf["dn_dv"][:, j]
+    return comp[:, 0] * dn["dn_du"][:, j] + comp[:, 1] * dn["dn_dv"][:, j]
 
 
-def div_curl(fields, gf):
+def div_curl(gauss, dn, frames):
     """The four divergence/curl scalars of the Gauss map.
 
     Identities they satisfy: Div_top = -H, Div_cross = *tau,
     Curl_top = -*tau n, Curl_cross = -H n.  The full curl vectors are
-    returned as well for the ladder checks.  gf is gauss_field at the
-    samples of fields.
+    returned as well for the ladder checks.  gauss, dn and frames are the
+    gauss_field, gauss_derivatives and projected_frames blocks of the same
+    samples.
     """
-    nsamp = fields["u"].shape[0]
-    D = np.empty((nsamp, 3, 3, 2))     # D[:, i, j, which]: E_i^top/cross (n^j)
+    n = gauss["n"]
+    D = np.empty((n.shape[0], 3, 3, 2))  # D[:, i, j, which]: E_i^top/cross (n^j)
     for i in range(3):
         for j in range(3):
-            D[:, i, j, 0] = _directional(gf, gf["top_comp"][:, :, i], j)
-            D[:, i, j, 1] = _directional(gf, gf["cross_comp"][:, :, i], j)
+            D[:, i, j, 0] = _directional(dn, frames["top_comp"][:, :, i], j)
+            D[:, i, j, 1] = _directional(dn, frames["cross_comp"][:, :, i], j)
     div_top = D[:, 0, 0, 0] + D[:, 1, 1, 0] + D[:, 2, 2, 0]
     div_cross = D[:, 0, 0, 1] + D[:, 1, 1, 1] + D[:, 2, 2, 1]
     curl_top = np.stack([D[:, 1, 2, 0] - D[:, 2, 1, 0],
@@ -109,7 +127,6 @@ def div_curl(fields, gf):
     curl_cross = np.stack([D[:, 1, 2, 1] - D[:, 2, 1, 1],
                            D[:, 2, 0, 1] - D[:, 0, 2, 1],
                            D[:, 0, 1, 1] - D[:, 1, 0, 1]], axis=-1)
-    n = gf["n"]
     return {
         "div_top": div_top,
         "div_cross": div_cross,
@@ -147,26 +164,34 @@ def _axis_unit_check(gauge, fields):
     return ax
 
 
-def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
+def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields):
+    """H, star_tau and bold_H of the surface seen through the gauged frame,
+    at the samples of fields: a recomputation that builds the gauged base
+    block and only the part of the extrinsic block it reads
+    (extrinsic.mean_curvature)."""
+    gsurf = gauged_surface(surf, gauge)
+    return extrinsic.mean_curvature(gsurf.base_fields(fields["u"], fields["v"]))
+
+
+def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss):
     """max |bold_H(s.g) - bold_H(s) e^{i theta}| over the samples, for a
     gauge rotating about the Gauss-map axis.
 
     Raises AxisNotNormal when the gauge axis differs from the Gauss map on
-    the surface beyond 1e-8.  ext and gf are the extrinsic and Gauss-map
-    blocks of the samples of fields.
+    the surface beyond 1e-8.  ext and gauss are the extrinsic and
+    gauss_field blocks of the samples of fields.
     """
     _require_frame(surf)
     ax = _axis_unit_check(gauge, fields)
-    if np.max(np.linalg.norm(ax - gf["n"], axis=-1)) > 1e-8:
+    if np.max(np.linalg.norm(ax - gauss["n"], axis=-1)) > 1e-8:
         raise AxisNotNormal("gauge axis differs from the Gauss map on S")
     theta = expr.eval_table(gauge.theta, surf.ambient.bindings(fields["p"]))
-    gsurf = gauged_surface(surf, gauge)
-    ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(fields["u"], fields["v"]))
+    gauged = gauged_mean_curvature(surf, gauge, fields)
     predicted = ext["bold_H"] * np.exp(1j * theta)
-    return float(np.max(np.abs(ext_g["bold_H"] - predicted)))
+    return float(np.max(np.abs(gauged["bold_H"] - predicted)))
 
 
-def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
+def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames):
     """Residual of the arbitrary-rotation gauge formulas.
 
     H'  = H  - e.Grad_x(theta) - sin(theta) Div_x(e) + (1-cos) Curl_x(e).e
@@ -175,7 +200,8 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
     with Grad/Div/Curl taken along the projected frames and e given in
     frame components.  Both predicted scalars are compared against a full
     recomputation in the gauged frame; the max of the two sups is returned.
-    ext and gf are as for gauge_theorem_residual.
+    ext and frames are the extrinsic and projected_frames blocks of the
+    samples of fields.
     """
     _require_frame(surf)
     ax = _axis_unit_check(gauge, fields)
@@ -192,7 +218,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
 
     out = {}
     for which, comp_key in (("top", "e_top"), ("cross", "e_cross")):
-        E = gf[comp_key]                      # (n, 3 chart, 3 frame index)
+        E = frames[comp_key]                  # (n, 3 chart, 3 frame index)
         grad_theta = np.stack([along(E[:, :, i], dtheta) for i in range(3)], axis=-1)
         div_e = np.zeros_like(theta)
         curl_e = np.zeros((theta.shape[0], 3))
@@ -212,25 +238,24 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, gf):
 
     H_pred = ext["H"] - out["cross"]
     st_pred = ext["star_tau"] - out["top"]
-    gsurf = gauged_surface(surf, gauge)
-    ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(fields["u"], fields["v"]))
-    res_h = np.max(np.abs(ext_g["H"] - H_pred))
-    res_t = np.max(np.abs(ext_g["star_tau"] - st_pred))
+    gauged = gauged_mean_curvature(surf, gauge, fields)
+    res_h = np.max(np.abs(gauged["H"] - H_pred))
+    res_t = np.max(np.abs(gauged["star_tau"] - st_pred))
     return float(max(res_h, res_t))
 
 
 # --- conformality and degree ---------------------------------------------------
 
 
-def conformality_test(fields, gf, tol=1e-7):
+def conformality_test(fields, dn, tol=1e-7):
     """Pullback-metric conformality of the Gauss map at each sample.
 
     G_n is the Gram matrix of (dn/du, dn/dv) in the round-sphere (ambient
     R^3) inner product; the verdict is |G_n - k G_S| <= tol |G_n| with
-    k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  gf is gauss_field at
-    the samples of fields.
+    k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  dn is
+    gauss_derivatives at the samples of fields.
     """
-    du, dv = gf["dn_du"], gf["dn_dv"]
+    du, dv = dn["dn_du"], dn["dn_dv"]
     G_n = np.empty(fields["G_S"].shape)
     G_n[:, 0, 0] = np.einsum("ni,ni->n", du, du)
     G_n[:, 0, 1] = G_n[:, 1, 0] = np.einsum("ni,ni->n", du, dv)
@@ -242,27 +267,13 @@ def conformality_test(fields, gf, tol=1e-7):
     return {"conformal": conformal, "k": k, "defect": defect, "G_n": G_n}
 
 
-def degree_integrand(gf):
+def degree_integrand(gauss, dn):
     """Pullback of the unit-sphere area form through the Gauss map, as a
-    density against du dv: sum_cyc n^i (d_u n^j d_v n^k - d_v n^j d_u n^k)."""
-    n, du, dv = gf["n"], gf["dn_du"], gf["dn_dv"]
+    density against du dv: sum_cyc n^i (d_u n^j d_v n^k - d_v n^j d_u n^k).
+    gauss and dn are the gauss_field and gauss_derivatives blocks of the
+    same samples."""
+    n, du, dv = gauss["n"], dn["dn_du"], dn["dn_dv"]
     out = np.zeros(n.shape[0])
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         out += n[:, i] * (du[:, j] * dv[:, k] - dv[:, j] * du[:, k])
     return out
-
-
-def weingarten_from_gauss_map(fields, gf):
-    """W = -sum_i dN^i (x) E_i expressed in the (X_u, X_v) basis; agrees
-    with the algebraic Weingarten map on frame-defined ambients."""
-    n = fields["u"].shape[0]
-    W = np.empty((n, 2, 2))
-    for a, dn in enumerate((gf["dn_du"], gf["dn_dv"])):
-        vec = -np.einsum("nji,ni->nj", gf["frame"], dn)   # -sum_i dn^i E_i
-        W[:, :, a] = extrinsic.tangent_components(fields, vec)
-    return W
-
-
-def area_form_pullback_residual(fields, ext, gf):
-    """|K_e sqrt(det G_S) - degree integrand| pointwise (area-form pullback)."""
-    return np.abs(ext["K_e"] * fields["area"] - degree_integrand(gf))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, extrinsic
-from .surface import cross_metric_batch
+from .surface import cross_metric_batch, require_finite
 
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 
@@ -28,14 +28,14 @@ def holo_fields(surface, fields, ext):
     psi = 0.25 * ((III[:, 0, 0] - III[:, 1, 1]) - 2j * III[:, 0, 1])
     lam2 = lam * lam
     bold_h_iso = ((II[:, 0, 0] + II[:, 1, 1]) + 1j * (II[:, 0, 1] - II[:, 1, 0])) / lam2
-    return {
+    return require_finite("holo", {
         "lam": lam,
         "phi": phi,
         "psi": psi,
         "psi_identity_residual": np.abs(psi - ext["bold_H"] * phi),
         "bold_h_isothermal": bold_h_iso,
         "bold_h_agreement": np.abs(bold_h_iso - ext["bold_H"]),
-    }
+    }, fields["u"], fields["v"])
 
 
 def dbar(surface, U, V):
@@ -50,7 +50,7 @@ def dbar(surface, U, V):
     return out[:, 0], out[:, 1]
 
 
-def hopf_identity_residual(surface, fields, ext, holo):
+def hopf_identity_residual(surface, fields, curv, ext, holo):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
@@ -59,16 +59,14 @@ def hopf_identity_residual(surface, fields, ext, holo):
     with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Both d/dzbar
     terms come from dbar (exact derivatives of the surface composition);
     everything else is assembled pointwise from the same samples, so the
-    residual is round-off.  fields, ext and holo are the base, extrinsic
-    and holomorphic blocks of the same samples; only II and lam are read
-    from the latter two.
+    residual is round-off.  fields, curv, ext and holo are the base,
+    curvature, extrinsic and holomorphic blocks of the same samples; only
+    r4, II and lam are read from the latter three.
     """
-    if "r4" not in fields:
-        raise KeyError("fields must be built with with_curvature=True")
     lhs, dbar_H = dbar(surface, fields["u"], fields["v"])
     lam2 = holo["lam"] ** 2
 
-    r4, Xu, Xv, N = fields["r4"], fields["Xu"], fields["Xv"], fields["N"]
+    r4, Xu, Xv, N = curv["r4"], fields["Xu"], fields["Xv"], fields["N"]
     r_u = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
     r_v = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
     r_term = 0.5 * (r_u - 1j * r_v)

@@ -40,8 +40,8 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    IoError, NotClosed, NotIsothermal, NotWeitzenboeck, SceneFormatError,
-    UndefinedField, UnknownScene,
+    IoError, NotClosed, NotIsothermal, NotWeitzenboeck, RcsurfError,
+    SceneFormatError, UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
 from .surface import Surface
@@ -303,6 +303,18 @@ def builtin_provenance(name):
     return _PROVENANCE[name]
 
 
+def _param_number(val, name):
+    """A built-in's numeric parameter as a finite float; name is the one
+    the user types (params.<name> in the error)."""
+    try:
+        out = float(val)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise SceneFormatError(f"params.{name}", f"expected a finite number, got {val!r}")
+    return out
+
+
 def builtin(name, **params) -> Scene:
     try:
         factory = _BUILTINS[name]
@@ -344,7 +356,10 @@ def _rotated_frame_plane(theta="x*y", e=(-1.0, 0.0, 0.0)):
                                "expected a finite non-zero axis of three numbers")
     if abs(norm - 1.0) > 1e-12:
         e = tuple(c / norm for c in e)
-    theta_e = expr.parse(theta, AMBIENT_VARS)
+    try:
+        theta_e = expr.parse(str(theta), AMBIENT_VARS)
+    except RcsurfError as err:
+        raise SceneFormatError("params.theta", str(err)) from None
     F = gaussmap.rodrigues_exprs(theta_e, tuple(expr.con(c) for c in e))
     on_surface = {"x": expr.var("u"), "y": expr.var("v"), "z": expr.con(0.0)}
     th_x = expr.compose(expr.diff(theta_e, "x"), on_surface)
@@ -430,7 +445,7 @@ def _catenoid_frame_cylinder():
 @_register("cartan_schouten_sphere",
            "unit sphere in flat space with the torsionful constant-lambda connection")
 def _cartan_schouten_sphere(lam=0.3):
-    lam = float(lam)
+    lam = _param_number(lam, "lambda")
     eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
     gamma = [[[str(lam * eps.get((i, j, k), 0)) if eps.get((i, j, k), 0) else "0"
@@ -476,7 +491,7 @@ def _round_sphere_standard():
 @_register("torus_standard",
            "torus of revolution in the standard Euclidean frame")
 def _torus_standard(R=2.0, r=0.5):
-    R, r = float(R), float(r)
+    R, r = _param_number(R, "R"), _param_number(r, "r")
     Rs, rs = repr(R), repr(r)
     rho = "sqrt(x^2 + y^2)"
     d = f"sqrt(({rho} - {Rs})^2 + z^2)"
@@ -531,6 +546,23 @@ def _axis_nodes(lo, hi, n, periodic):
 class SampleGrid:
     """Deterministic tensor grid of surface samples with lazy field caches.
 
+    Each block is built on first read and only then, so a run holds only
+    what its readers read:
+
+        base          first-order geometry (Surface.base_fields); everything
+        curvature     rm, r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
+                      ambient_sanity, gauss_eq, egregium, hopf_identity
+        ext           Weingarten map, H, star_tau, bold_H, K_e, III: most
+                      suites, holo, export
+        intrinsic_K   K of the induced connection: gauss_eq, egregium,
+                      Gauss-Bonnet, export
+        holo          Hopf data on isothermal charts: psi/hopf identities,
+                      export
+        gauss         Gauss map n: gauge theorem, degree, gauss_frames,
+                      export
+        gauss_dn      its exact derivatives: divcurl, conformality, degree
+        gauss_frames  projected frames: divcurl, gauge_general
+
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
     density falls below 1e-6 (chart poles).  Every derivative is exact, so
@@ -556,7 +588,11 @@ class SampleGrid:
 
     @cached_property
     def base(self):
-        return self.surface.base_fields(self.U, self.V, with_curvature=True)
+        return self.surface.base_fields(self.U, self.V)
+
+    @cached_property
+    def curvature(self):
+        return self.surface.curvature_fields(self.base)
 
     @cached_property
     def ext(self):
@@ -565,6 +601,14 @@ class SampleGrid:
     @cached_property
     def gauss(self):
         return gaussmap.gauss_field(self.surface, self.base)
+
+    @cached_property
+    def gauss_dn(self):
+        return gaussmap.gauss_derivatives(self.surface, self.base)
+
+    @cached_property
+    def gauss_frames(self):
+        return gaussmap.projected_frames(self.surface, self.base, self.gauss)
 
     @cached_property
     def holo(self):
@@ -601,7 +645,8 @@ class SampleGrid:
             "area_density": lambda: self.base["area"],
             "abs_phi": lambda: np.abs(self.holo["phi"]),
             "abs_psi": lambda: np.abs(self.holo["psi"]),
-            "degree_integrand": lambda: gaussmap.degree_integrand(self.gauss),
+            "degree_integrand": lambda: gaussmap.degree_integrand(self.gauss,
+                                                                  self.gauss_dn),
         }
         if name not in simple:
             raise UndefinedField(f"no field named {name!r}")
@@ -642,7 +687,7 @@ def gauss_degree(grid: SampleGrid):
                 if probe["area"][0] > 1e-3:
                     raise NotClosed(
                         "non-periodic axis without vanishing density at its edge")
-    raw = float(np.sum(grid.weights * gaussmap.degree_integrand(grid.gauss))
+    raw = float(np.sum(grid.weights * gaussmap.degree_integrand(grid.gauss, grid.gauss_dn))
                 / (4.0 * math.pi))
     degree = int(round(raw))
     residual = abs(raw - degree)

@@ -1,16 +1,22 @@
 """Parameterized surfaces embedded in an ambient Riemann-Cartan 3-manifold.
 
 A Surface is a closed-form map X(u, v) with exact partial derivatives.  The
-batch entry point base_fields evaluates everything needed at arrays of
-parameter points: tangents, oriented unit normal, induced metric, induced
-connection coefficients, the almost complex structure, and the second
-fundamental form (computed here because the induced connection needs the
-same covariant derivatives).
+batch entry point base_fields evaluates the first-order geometry at arrays
+of parameter points: tangents, oriented unit normal, induced metric and
+orthonormal tangent frame, the ambient covariant derivatives of the
+tangents, the second fundamental form and the torsion 2-form on the
+tangent pair.  Every other block is built from it only where a reader
+asks: the induced connection inside intrinsic_curvature, the ambient
+curvature in curvature_fields.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
 composition of the ambient onto X(u, v), built once per surface by
 gauss_exprs and differentiated exactly.
+
+Every block is checked for inf and NaN as it is built (require_finite), so
+an input that overflows the numeric layers stops with NonFiniteValue
+naming the block and the field instead of reaching a residual or an export.
 
 Orientation: N = (X_u x_g X_v) / |.|, so (N, X_u, X_v) is positively
 oriented in the chart and the surface orientation is the (X_u, X_v) order.
@@ -23,9 +29,9 @@ import numpy as np
 
 from . import expr
 from .ambient import _det3, _inv3, _sum3
-from .errors import DegenerateParameterization, NotIsothermal
+from .errors import DegenerateParameterization, NonFiniteValue, NotIsothermal
 
-__all__ = ["Surface", "cross_metric_batch"]
+__all__ = ["Surface", "cross_metric_batch", "induced_connection", "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
@@ -36,6 +42,33 @@ def cross_metric_batch(g, u, v):
     det = np.linalg.det(g)
     w = np.sqrt(det)[..., None] * np.cross(u, v)
     return np.linalg.solve(g, w[..., None])[..., 0]
+
+
+def require_finite(block, fields, U, V):
+    """Return fields (a dict of per-sample arrays at the samples U, V) when
+    every value is finite; else raise NonFiniteValue naming block.key and
+    the first offending sample."""
+    for key, val in fields.items():
+        ok = np.isfinite(val)
+        if not ok.all():
+            i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+            raise NonFiniteValue(
+                f"{block}.{key}",
+                f"non-finite value at sample {i} (u={float(U[i])!r}, v={float(V[i])!r})")
+    return fields
+
+
+def induced_connection(base):
+    """gammaS[c][a][b] at the samples of base (a base_fields dict): the
+    tangential part of nabla_a X_b expanded in (X_u, X_v), so that
+    nabla^S_a X_b = gammaS^c_ab X_c."""
+    tang = np.stack([base["Xu"], base["Xv"]], axis=1)            # (n, 2, 3)
+    N = base["N"]
+    tangential = base["cov"] - base["II"][..., None] * N[:, None, None, :]
+    rhs = np.einsum("nkl,nabk,ncl->nabc", base["g"], tangential, tang)  # last = (Xu,Xv)
+    gammaS = np.linalg.solve(base["G_S"][:, None, None, :, :],
+                             rhs[..., None])[..., 0]            # coords in (Xu, Xv)
+    return np.einsum("nabc->ncab", gammaS)                      # gammaS[c][a][b]
 
 
 class Surface:
@@ -72,12 +105,12 @@ class Surface:
 
     # --- pointwise batch fields -------------------------------------------------
 
-    def base_fields(self, U, V, with_curvature=False):
+    def base_fields(self, U, V):
         """Evaluate the first-order geometry at flat arrays U, V.
 
         Returns a dict of stacked arrays keyed by field name.  Everything
-        downstream (extrinsic forms, Gauss map, holomorphic layer) starts
-        from this dict.
+        downstream (extrinsic forms, curvature, Gauss map, holomorphic
+        layer) starts from this dict.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
@@ -87,10 +120,7 @@ class Surface:
 
         amb = self.ambient
         pb = amb.bindings(p)
-        if with_curvature:
-            g, gamma, dgamma = amb.fields_at(pb, ("g", "gamma", "dgamma"))
-        else:
-            g, gamma = amb.fields_at(pb, ("g", "gamma"))
+        g, gamma = amb.fields_at(pb, ("g", "gamma"))
         tor = gamma - np.swapaxes(gamma, -2, -1)
 
         E = np.einsum("nab,na,nb->n", g, Xu, Xu)
@@ -130,34 +160,37 @@ class Surface:
         second[:, 1, 1] = Xvv
         cov = second + np.einsum("nkij,nai,nbj->nabk", gamma, tang, tang)
         II = np.einsum("nkl,nabk,nl->nab", g, cov, N)
-        tangential = cov - II[..., None] * N[:, None, None, :]
-        rhs = np.einsum("nkl,nabk,ncl->nabc", g, tangential, tang)  # (n,2,2,2): last = (Xu,Xv)
-        gammaS = np.linalg.solve(G_S[:, None, None, :, :],
-                                 rhs[..., None])[..., 0]            # coords in (Xu, Xv)
-        gammaS = np.einsum("nabc->ncab", gammaS)                    # gammaS[c][a][b]
 
-        # torsion 2-form on the tangent pair, tangential torsion, J
+        # torsion 2-form on the tangent pair and tangential torsion
         TXuXv = np.einsum("nkij,ni,nj->nk", tor, Xu, Xv)
         tau_uv = np.einsum("nkl,nk,nl->n", g, N, TXuXv)
         T_S = TXuXv - tau_uv[:, None] * N
-        JXu = cross_metric_batch(g, N, Xu)
-        JXv = cross_metric_batch(g, N, Xv)
 
-        out = {
+        return require_finite("base", {
             "u": U, "v": V, "p": p, "Xu": Xu, "Xv": Xv,
             "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
             "g": g, "gamma": gamma, "torsion": tor,
             "E": E, "F": F, "G": G, "G_S": G_S, "Ginv_S": Ginv,
             "area": area, "N": N, "B": B, "Binv": Binv,
             "E1bar": E1b, "E2bar": E2b,
-            "cov": cov, "II": II, "gammaS": gammaS,
-            "tau_uv": tau_uv, "T_S": T_S, "JXu": JXu, "JXv": JXv,
-        }
-        if with_curvature:
-            cur = amb.curvature_from(gamma, dgamma, g)
-            out["r4"] = cur["r4"]
-            out["rm"] = cur["rm"]
-        return out
+            "cov": cov, "II": II,
+            "tau_uv": tau_uv, "T_S": T_S,
+        }, U, V)
+
+    # --- ambient curvature on the surface -----------------------------------------
+
+    def curvature_fields(self, base):
+        """Ambient curvature at the samples of base (a base_fields dict):
+        rm, the lowered r4, and r_uvvu = R(Xu, Xv, Xv, Xu), the one
+        contraction the Gauss equation and the sectional split both read.
+        On the grid path only this block evaluates dGamma."""
+        amb = self.ambient
+        dgamma, = amb.fields_at(amb.bindings(base["p"]), ("dgamma",))
+        rm, r4 = amb.curvature_from(base["gamma"], dgamma, base["g"])
+        Xu, Xv = base["Xu"], base["Xv"]
+        r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
+        return require_finite("curvature", {"rm": rm, "r4": r4, "r_uvvu": r_uvvu},
+                              base["u"], base["v"])
 
     # --- intrinsic curvature ----------------------------------------------------
 
@@ -167,18 +200,20 @@ class Surface:
 
         The (u, v) derivatives of the induced coefficients it needs,
         d_u gammaS^c_vv and d_v gammaS^c_uv, are evaluated from their exact
-        expressions (see gauss_exprs); the rest comes from base.
+        expressions (see gauss_exprs); the induced connection itself is
+        built here from base (induced_connection), its only library reader.
         """
         dG = expr.eval_table(self.gauss_exprs()["d_gammaS"],
                              {"u": base["u"], "v": base["v"]})
-        gS = base["gammaS"]
+        gS = induced_connection(base)
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
         vec = (dG[:, 0] - dG[:, 1]
                + np.einsum("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
                - np.einsum("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
         lowered = np.einsum("nd,nd->n", vec, base["G_S"][:, :, 0])
         det2 = base["area"] ** 2
-        return lowered / det2
+        return require_finite("intrinsic", {"K": lowered / det2},
+                              base["u"], base["v"])["K"]
 
     # --- isothermal charts --------------------------------------------------------
 

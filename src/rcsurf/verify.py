@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import expr, extrinsic, gaussmap, holo, scenes
-from .errors import RcsurfError
+from .errors import NonFiniteValue, RcsurfError
 
 __all__ = ["SUITES", "TIERS", "VerificationReport", "run_verification",
            "random_gauge_fields"]
@@ -182,6 +182,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     nsamples = int(grid.U.shape[0])
 
     def entry(name, residual, samples=None, mean=None):
+        if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
+            raise NonFiniteValue(f"report.{name}", "non-finite residual")
         t = tols[name]
         status = "pass" if residual <= t else "fail"
         report.add(name, status, residual, t, samples or nsamples,
@@ -194,7 +196,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             parts = [amb.metric_compat_residual_at(pb)]
             T = base["torsion"]
             parts.append(np.max(np.abs(T + np.swapaxes(T, -2, -1)), axis=(1, 2, 3)))
-            r4 = base["r4"]
+            r4 = grid.curvature["r4"]
             parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)))
             parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4)))
             if is_frame:
@@ -205,11 +207,13 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             res = np.max(np.stack(parts), axis=0)
             entry("ambient_sanity", float(np.max(res)), mean=float(np.mean(res)))
         elif suite == "gauss_eq":
-            res = extrinsic.gauss_equation_residual(grid.ext, grid.intrinsic_K)
+            res = extrinsic.gauss_equation_residual(grid.ext, grid.curvature,
+                                                    grid.intrinsic_K)
             entry("gauss_eq", _masked_max(res, mask), int(mask.sum()),
                   _masked_mean(res, mask))
         elif suite == "egregium":
-            dec = extrinsic.curvature_decomposition(grid.ext, grid.intrinsic_K)
+            dec = extrinsic.curvature_decomposition(grid.ext, grid.curvature,
+                                                    grid.intrinsic_K)
             if dec["ambient_flat"]:
                 entry("egregium", _masked_max(dec["egregium"], mask),
                       int(mask.sum()), _masked_mean(dec["egregium"], mask))
@@ -221,9 +225,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             if not is_frame:
                 report.add("divcurl", "skip", reason="ambient not frame-defined")
                 continue
-            ext, gf = grid.ext, grid.gauss
-            dc = gaussmap.div_curl(grid.base, gf)
-            n = gf["n"]
+            ext, n = grid.ext, grid.gauss["n"]
+            dc = gaussmap.div_curl(grid.gauss, grid.gauss_dn, grid.gauss_frames)
             res = np.max(np.stack([
                 np.abs(dc["div_top"] + ext["H"]),
                 np.abs(dc["div_cross"] - ext["star_tau"]),
@@ -252,7 +255,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 fields = fields + [scene.gauge]
             for gfld in fields:
                 res = max(res, gaussmap.general_gauge_residual(
-                    surf, grid.base, gfld, grid.ext, grid.gauss))
+                    surf, grid.base, gfld, grid.ext, grid.gauss_frames))
             entry("gauge_general", res)
         elif suite == "psi_identity":
             if not surf.declared_isothermal:
@@ -266,7 +269,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 continue
             ext, hol = ({k: v[mask] for k, v in block.items()}
                         for block in (grid.ext, grid.holo))
-            res = holo.hopf_identity_residual(surf, ext, ext, hol)
+            curv = {"r4": grid.curvature["r4"][mask]}       # all the residual reads
+            res = holo.hopf_identity_residual(surf, ext, curv, ext, hol)
             entry("hopf_identity", float(np.max(res)), int(mask.sum()),
                   float(np.mean(res)))
         elif suite == "conformality":
@@ -274,7 +278,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 report.add("conformality", "skip", reason="ambient not frame-defined")
                 continue
             cls_tol = scene.tolerances.get("classify", 1e-7)
-            conf = gaussmap.conformality_test(grid.base, grid.gauss, tol=cls_tol)
+            conf = gaussmap.conformality_test(grid.base, grid.gauss_dn, tol=cls_tol)
             cls = extrinsic.classify(grid.ext, tol=cls_tol)
             want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
             frac = float(np.mean(conf["conformal"][mask] != want[mask]))

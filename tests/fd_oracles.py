@@ -9,6 +9,7 @@ near non-periodic edges and refuse samples on the edge itself.
 import numpy as np
 
 from rcsurf import extrinsic
+from rcsurf.surface import induced_connection
 
 
 def fd_steps(surface, U, axis, h):
@@ -39,15 +40,15 @@ def intrinsic_curvature(surface, U, V, h_scale=1e-3, base=None):
     def d_gamma(axis, hs):
         def probe(sign, scale):
             if axis == 0:
-                return surface.base_fields(U + sign * scale * hs, V)["gammaS"]
-            return surface.base_fields(U, V + sign * scale * hs)["gammaS"]
+                return induced_connection(surface.base_fields(U + sign * scale * hs, V))
+            return induced_connection(surface.base_fields(U, V + sign * scale * hs))
         d_h = (probe(+1, 1.0) - probe(-1, 1.0)) / (2.0 * hs)[:, None, None, None]
         d_h2 = (probe(+1, 0.5) - probe(-1, 0.5)) / hs[:, None, None, None]
         return (4.0 * d_h2 - d_h) / 3.0
 
     dG_u = d_gamma(0, hu)      # d/du gammaS[c][a][b]
     dG_v = d_gamma(1, hv)
-    gS = base["gammaS"]
+    gS = induced_connection(base)
     vec = (dG_u[:, :, 1, 1] - dG_v[:, :, 0, 1]
            + np.einsum("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
            - np.einsum("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))

@@ -39,7 +39,7 @@ def test_criterion_01_catenoid_frame_plane():
     assert np.max(np.abs(W_on[:, 1, 1] - sech)) <= 1e-9
     assert np.max(np.abs(W_on[:, 0, 1])) <= 1e-9
     assert np.max(np.abs(W_on[:, 1, 0])) <= 1e-9
-    conf = gaussmap.conformality_test(g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss_dn)
     m = g.interior_mask
     assert conf["conformal"][m].all()
     assert np.max(np.abs(conf["k"] - sech ** 2)[m]) <= 1e-7
@@ -76,9 +76,10 @@ def test_criterion_03_rotated_frame_plane():
     _, dbar_h = holo.dbar(sc.surface, g.U[m], g.V[m])
     assert np.max(np.abs(dbar_h)) <= 1e-6
     assert np.max(np.abs(g.holo["phi"] + z / 4.0)) <= 1e-8
-    assert np.max(np.abs(extrinsic.l_tensor(g.ext))) <= 1e-8
-    sub, hol = ({k: v[m] for k, v in block.items()} for block in (g.ext, g.holo))
-    res = holo.hopf_identity_residual(sc.surface, sub, sub, hol)
+    assert np.max(np.abs(extrinsic.l_tensor(g.ext, g.curvature))) <= 1e-8
+    curv, sub, hol = ({k: v[m] for k, v in block.items()}
+                      for block in (g.curvature, g.ext, g.holo))
+    res = holo.hopf_identity_residual(sc.surface, sub, curv, sub, hol)
     assert np.max(res) <= 1e-5
     _report(3, "rotated-frame plane theta=xy (bold_H=u+iv, CR, phi, L=0, "
                "Hopf-coefficient identity)")
@@ -94,7 +95,7 @@ def test_criterion_04_gauge_theorem_all_weitzenboeck_builtins():
             r = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
             worst_theorem = max(worst_theorem, r)
         for gauge in verify.random_gauge_fields(sc, 5, seed=4048, about_normal=False):
-            r = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
+            r = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext, g.gauss_frames)
             worst_general = max(worst_general, r)
     assert worst_theorem <= 1e-6
     assert worst_general <= 1e-5
@@ -107,9 +108,8 @@ def test_criterion_05_divergence_curl_ladder():
     for name in WEITZENBOECK_BUILTINS:
         sc = scenes.builtin(name)
         g = scenes.make_grid(sc, 24, 24)
-        ext, gf = g.ext, g.gauss
-        dc = gaussmap.div_curl(g.base, gf)
-        n = gf["n"]
+        ext, n = g.ext, g.gauss["n"]
+        dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
         m = g.interior_mask
         worst = max(
             worst,
@@ -129,15 +129,15 @@ def test_criterion_06_gauss_equation_and_egregium():
         g = scenes.make_grid(sc, 16, 16)
         m = g.interior_mask
         worst_ge = max(worst_ge,
-                       np.max(extrinsic.gauss_equation_residual(g.ext, g.intrinsic_K)[m]))
-        dec = extrinsic.curvature_decomposition(g.ext, g.intrinsic_K)
+                       np.max(extrinsic.gauss_equation_residual(g.ext, g.curvature, g.intrinsic_K)[m]))
+        dec = extrinsic.curvature_decomposition(g.ext, g.curvature, g.intrinsic_K)
         if dec["ambient_flat"]:
             worst_eg = max(worst_eg, np.max(dec["egregium"][m]))
     assert worst_ge <= 1e-5
     assert worst_eg <= 1e-4
     sc = scenes.builtin("cartan_schouten_sphere", lam=0.7)
     g = scenes.make_grid(sc, 16, 16)
-    dec = extrinsic.curvature_decomposition(g.ext, g.intrinsic_K)
+    dec = extrinsic.curvature_decomposition(g.ext, g.curvature, g.intrinsic_K)
     split = np.max(dec["sectional_split"][g.interior_mask])
     assert split <= 1e-4
     _report(6, f"Gauss equation {worst_ge:.2e}, Egregium {worst_eg:.2e}, "

@@ -81,7 +81,9 @@ def test_weingarten_two_paths_agree():
 def test_star_tau_two_paths_agree():
     for name in ("catenoid_frame_plane", "cartan_schouten_sphere", "torus_standard"):
         _, _, ext = grid_ext(name)
-        assert np.max(ext["star_tau_agreement"]) <= 1e-8, name
+        # star_tau from the Weingarten matrix in the orthonormal basis
+        star_tau_w = ext["W_on"][:, 1, 0] - ext["W_on"][:, 0, 1]
+        assert np.max(np.abs(ext["star_tau"] - star_tau_w)) <= 1e-8, name
 
 
 def test_ii_antisymmetric_part_is_torsion_form():
@@ -124,7 +126,7 @@ def test_gauss_equation_residual_small():
                       ("catenoid_frame_plane", 1e-5),
                       ("cartan_schouten_sphere", 1e-5)):
         sc, g, ext = grid_ext(name)
-        res = extrinsic.gauss_equation_residual(ext, g.intrinsic_K)
+        res = extrinsic.gauss_equation_residual(ext, g.curvature, g.intrinsic_K)
         assert np.max(res[g.interior_mask]) <= tol, name
 
 
@@ -132,7 +134,7 @@ def test_egregium_on_flat_ambients():
     for name in ("catenoid_frame_plane", "rotated_frame_plane",
                  "torus_standard", "round_sphere_standard"):
         sc, g, ext = grid_ext(name)
-        dec = extrinsic.curvature_decomposition(ext, g.intrinsic_K)
+        dec = extrinsic.curvature_decomposition(ext, g.curvature, g.intrinsic_K)
         assert dec["ambient_flat"], name
         assert np.max(dec["egregium"][g.interior_mask]) <= 1e-4, name
 
@@ -140,7 +142,7 @@ def test_egregium_on_flat_ambients():
 def test_sectional_split_cartan_schouten():
     lam = 1.0
     sc, g, ext = grid_ext("cartan_schouten_sphere", lam=lam)
-    dec = extrinsic.curvature_decomposition(ext, g.intrinsic_K)
+    dec = extrinsic.curvature_decomposition(ext, g.curvature, g.intrinsic_K)
     assert not dec["ambient_flat"]
     assert np.max(dec["sectional_split"][g.interior_mask]) <= 1e-4
     # sec~ = -lam^2, K = 1, K_e = 1 + lam^2
@@ -170,14 +172,14 @@ def test_l_tensor_vanishes_for_rotated_frame_plane(rng):
     for theta, e in (("x*y", (-1.0, 0.0, 0.0)),
                      ("0.7*sin(x)+0.2*y^2", (0.0, 0.6, 0.8)),
                      ("x + y", (0.36, 0.48, 0.8))):
-        _, _, ext = grid_ext("rotated_frame_plane", theta=theta, e=e)
-        assert np.max(np.abs(extrinsic.l_tensor(ext))) <= 1e-12
+        _, g, ext = grid_ext("rotated_frame_plane", theta=theta, e=e)
+        assert np.max(np.abs(extrinsic.l_tensor(ext, g.curvature))) <= 1e-12
 
 
 def test_l_tensor_vanishes_in_cartan_schouten(rng):
     # the sufficient condition (Ric ~ g, T ~ cross) kills L for any surface
-    _, _, ext = grid_ext("cartan_schouten_sphere", lam=0.8)
-    assert np.max(np.abs(extrinsic.l_tensor(ext))) <= 1e-10
+    _, g, ext = grid_ext("cartan_schouten_sphere", lam=0.8)
+    assert np.max(np.abs(extrinsic.l_tensor(ext, g.curvature))) <= 1e-10
 
 
 def test_l_tensor_nonzero_when_condition_fails(rng):
@@ -188,5 +190,6 @@ def test_l_tensor_nonzero_when_condition_fails(rng):
     surf = Surface(amb, X, ((-0.8, 0.8), (-0.8, 0.8)))
     g_uv = np.linspace(-0.5, 0.5, 5)
     U, V = [a.ravel() for a in np.meshgrid(g_uv, g_uv, indexing="ij")]
-    ext = extrinsic.extrinsic_fields(surf.base_fields(U, V, with_curvature=True))
-    assert np.max(np.abs(extrinsic.l_tensor(ext))) > 1e-3
+    base = surf.base_fields(U, V)
+    ext = extrinsic.extrinsic_fields(base)
+    assert np.max(np.abs(extrinsic.l_tensor(ext, surf.curvature_fields(base)))) > 1e-3

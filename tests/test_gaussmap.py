@@ -13,6 +13,22 @@ def grid_all(name, n=12, m=12, **params):
     return sc, g
 
 
+def weingarten_from_gauss_map(amb, fields, dn):
+    """W = -sum_i dN^i (x) E_i expressed in the (X_u, X_v) basis; agrees
+    with the algebraic Weingarten map on frame-defined ambients."""
+    F = expr.eval_table(amb.frame, amb.bindings(fields["p"]))   # E_i = F[:, :, i]
+    W = np.empty((F.shape[0], 2, 2))
+    for a, d in enumerate((dn["dn_du"], dn["dn_dv"])):
+        vec = -np.einsum("nji,ni->nj", F, d)                  # -sum_i dn^i E_i
+        W[:, :, a] = extrinsic.tangent_components(fields, vec)
+    return W
+
+
+def area_form_pullback_residual(fields, ext, gauss, dn):
+    """|K_e sqrt(det G_S) - degree integrand| pointwise (area-form pullback)."""
+    return np.abs(ext["K_e"] * fields["area"] - gaussmap.degree_integrand(gauss, dn))
+
+
 def test_gauss_map_catenoid_frame_plane():
     sc, g = grid_all("catenoid_frame_plane")
     n = g.gauss["n"]
@@ -20,7 +36,8 @@ def test_gauss_map_catenoid_frame_plane():
                      np.sin(g.U) / np.cosh(g.V),
                      -np.tanh(g.V)], axis=-1)
     assert np.max(np.abs(n - want)) <= 1e-12
-    assert np.max(np.abs(g.gauss["n_exact"] - want)) <= 1e-12
+    n_exact = expr.eval_table(sc.surface.gauss_exprs()["n"], {"u": g.U, "v": g.V})
+    assert np.max(np.abs(n_exact - want)) <= 1e-12
 
 
 def test_gauss_map_trivial_scenes():
@@ -38,20 +55,20 @@ def test_gauss_map_requires_frame_ambient():
 
 def test_gauss_field_invariants():
     sc, g = grid_all("torus_standard")
-    gf = g.gauss
-    assert np.max(np.abs(np.linalg.norm(gf["n"], axis=-1) - 1.0)) <= 1e-10
+    n, e_top = g.gauss["n"], g.gauss_frames["e_top"]
+    assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-10
     base = g.base
     for i in range(3):
-        dot = np.einsum("nab,na,nb->n", base["g"], gf["e_top"][:, :, i], base["N"])
+        dot = np.einsum("nab,na,nb->n", base["g"], e_top[:, :, i], base["N"])
         assert np.max(np.abs(dot)) <= 1e-10
     # sum_i n^i E_i^T = 0
-    s = np.einsum("ni,nci->nc", gf["n"], gf["e_top"])
+    s = np.einsum("ni,nci->nc", n, e_top)
     assert np.max(np.abs(s)) <= 1e-10
 
 
 def test_div_curl_values_rotated_plane():
     sc, g = grid_all("rotated_frame_plane")      # theta = x*y, e = (-1,0,0)
-    dc = gaussmap.div_curl(g.base, g.gauss)
+    dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
     # H = u, *tau = v here
     assert np.max(np.abs(dc["div_top"] + g.U)) <= 1e-12
     assert np.max(np.abs(dc["div_cross"] - g.V)) <= 1e-12
@@ -61,9 +78,8 @@ def test_div_curl_ladder_all_frame_builtins():
     for name in ("euclidean_plane", "rotated_frame_plane", "catenoid_frame_plane",
                  "catenoid_frame_cylinder", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
-        ext, gf = g.ext, g.gauss
-        dc = gaussmap.div_curl(g.base, gf)
-        n = gf["n"]
+        ext, n = g.ext, g.gauss["n"]
+        dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
         m = g.interior_mask
         assert np.max(np.abs(dc["div_top"] + ext["H"])[m]) <= 1e-7, name
         assert np.max(np.abs(dc["div_cross"] - ext["star_tau"])[m]) <= 1e-7, name
@@ -74,15 +90,33 @@ def test_div_curl_ladder_all_frame_builtins():
 def test_weingarten_via_gauss_map():
     for name in ("catenoid_frame_plane", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
-        W_gm = gaussmap.weingarten_from_gauss_map(g.base, g.gauss)
+        W_gm = weingarten_from_gauss_map(sc.ambient, g.base, g.gauss_dn)
         assert np.max(np.abs(W_gm - g.ext["W"])) <= 1e-7, name
 
 
 def test_area_form_pullback_identity():
     for name in ("catenoid_frame_plane", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
-        res = gaussmap.area_form_pullback_residual(g.base, g.ext, g.gauss)
+        res = area_form_pullback_residual(g.base, g.ext, g.gauss, g.gauss_dn)
         assert np.max(res) <= 1e-7, name
+
+
+@pytest.mark.parametrize("name", [n for n in scenes.builtin_names()
+                                  if n != "cartan_schouten_sphere"])
+def test_gauged_mean_curvature_matches_full_path(name):
+    # the gauge suites read H, star_tau, bold_H of the gauged surface
+    # without the rest of the gauged blocks; the full path is the oracle
+    from rcsurf.verify import random_gauge_fields
+    sc, g = grid_all(name)
+    gauges = random_gauge_fields(sc, 1, seed=31, about_normal=False)
+    if sc.normal_axis is not None:
+        gauges += random_gauge_fields(sc, 1, seed=32)
+    for gauge in gauges:
+        got = gaussmap.gauged_mean_curvature(sc.surface, gauge, g.base)
+        gsurf = gaussmap.gauged_surface(sc.surface, gauge)
+        full = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
+        for key in ("H", "star_tau", "bold_H"):
+            assert np.array_equal(got[key], full[key]), (name, key)
 
 
 def test_apply_gauge_zero_angle_is_identity():
@@ -159,7 +193,7 @@ def test_general_gauge_random_fields():
         sc, g = grid_all(name, 8, 8)
         for gauge in random_gauge_fields(sc, 3, seed=7, about_normal=False):
             res = gaussmap.general_gauge_residual(sc.surface, g.base, gauge,
-                                                  g.ext, g.gauss)
+                                                  g.ext, g.gauss_frames)
             assert res <= 1e-5, name
 
 
@@ -167,7 +201,8 @@ def test_general_gauge_specializes_to_theorem():
     sc, g = grid_all("catenoid_frame_plane", 8, 8)
     from rcsurf.verify import random_gauge_fields
     gauge = random_gauge_fields(sc, 1, seed=5)[0]     # axis = Gauss map
-    r_general = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
+    r_general = gaussmap.general_gauge_residual(sc.surface, g.base, gauge, g.ext,
+                                               g.gauss_frames)
     r_theorem = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
     assert abs(r_general - r_theorem) <= 1e-9
 
@@ -186,17 +221,17 @@ def test_same_gauss_map_frames_share_abs_bold_h():
 
 def test_conformality_catenoid_everywhere():
     sc, g = grid_all("catenoid_frame_plane")
-    conf = gaussmap.conformality_test(g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss_dn)
     assert conf["conformal"].all()
     assert np.max(np.abs(conf["k"] - 1 / np.cosh(g.V) ** 2)) <= 1e-7
 
 
 def test_conformality_trivial_cases():
     sc, g = grid_all("euclidean_plane")
-    conf = gaussmap.conformality_test(g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss_dn)
     assert not conf["conformal"].any()          # dn = 0: geodesic plane
     sc, g = grid_all("round_sphere_standard")
-    conf = gaussmap.conformality_test(g.base, g.gauss)
+    conf = gaussmap.conformality_test(g.base, g.gauss_dn)
     assert conf["conformal"].all()              # totally umbilic, never geodesic
 
 

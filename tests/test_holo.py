@@ -133,7 +133,8 @@ def test_hopf_identity_residual_on_isothermal_builtins():
     for name in ISOTHERMAL_BUILTINS:
         sc, g = grid_all(name, 10, 10)
         ext = interior_fields(g, g.ext)
-        res = holo.hopf_identity_residual(sc.surface, ext, ext,
+        res = holo.hopf_identity_residual(sc.surface, ext,
+                                          interior_fields(g, g.curvature), ext,
                                           interior_fields(g, g.holo))
         assert np.max(res) <= 1e-5, name
 
@@ -143,7 +144,7 @@ def test_cor_equivalence_cr_of_h_and_phi():
     # dbar phi = (lam^2 / 4) conj(dbar bold_H) when curvature and torsion
     # terms drop out; a non-harmonic angle makes both defects positive
     sc, g = grid_all("rotated_frame_plane", 10, 10, theta="x^2*y", e=(-1.0, 0.0, 0.0))
-    assert np.max(np.abs(extrinsic.l_tensor(g.ext))) <= 1e-12
+    assert np.max(np.abs(extrinsic.l_tensor(g.ext, g.curvature))) <= 1e-12
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
     cr_phi, cr_h = np.abs(holo.dbar(sc.surface, U, V))
     lam2 = g.holo["lam"][g.interior_mask] ** 2
@@ -164,7 +165,7 @@ def test_conformality_matches_classifier_equivalence():
     for name in ("euclidean_plane", "rotated_frame_plane", "catenoid_frame_plane",
                  "catenoid_frame_cylinder", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
-        conf = gaussmap.conformality_test(g.base, g.gauss)
+        conf = gaussmap.conformality_test(g.base, g.gauss_dn)
         cls = extrinsic.classify(g.ext)
         want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
         m = g.interior_mask

@@ -9,6 +9,7 @@ import pytest
 
 import rcsurf
 from rcsurf import cli, expr, scenes, verify
+from rcsurf.surface import induced_connection
 from rcsurf.errors import (
     IoError, SceneFormatError, SingularFrame, UndefinedField, UnknownScene,
 )
@@ -39,6 +40,7 @@ def test_save_load_round_trip(tmp_path, rng):
         V = rng.uniform(v0 + 0.1, v1 - 0.1, size=100)
         b1 = sc.surface.base_fields(U, V)
         b2 = sc2.surface.base_fields(U, V)
+        b1["gammaS"], b2["gammaS"] = induced_connection(b1), induced_connection(b2)
         for key in ("p", "N", "II", "gammaS"):
             assert np.array_equal(b1[key], b2[key]), (name, key)
 
@@ -247,8 +249,7 @@ class _LookupLog(dict):
 
 def test_scene_validation_compiles_only_grid_programs(monkeypatch):
     # validation reads p from the six-table X..Xvv group and g from the
-    # (Gamma, g, dg) group; of the programs a build compiles, verify reuses
-    # all but the (g, Gamma) group of base_fields without curvature
+    # (Gamma, g, dg) group; verify reuses every program a build compiles
     programs = _LookupLog()
     monkeypatch.setattr(expr, "_programs", programs)
     sc = scenes.builtin("catenoid_frame_cylinder")
@@ -257,18 +258,44 @@ def test_scene_validation_compiles_only_grid_programs(monkeypatch):
     programs.looked_up.clear()
     verify.run_verification(sc, 8, 8)
     unused = built - programs.looked_up
-    assert [shapes for shapes, _ in unused] == [((3, 3), (3, 3, 3))]
+    assert unused == set()
 
 
-@pytest.mark.parametrize("axis", ["0,0,0", "nan,0,0", "1,0"])
-def test_cli_bad_rotation_axis_is_input_error(axis):
-    """A zero, non-finite or wrong-length axis exits 2 naming params.e."""
+@pytest.mark.parametrize("scene, param", [
+    pytest.param("rotated_frame_plane", "e=0,0,0", id="0,0,0"),
+    pytest.param("rotated_frame_plane", "e=nan,0,0", id="nan,0,0"),
+    pytest.param("rotated_frame_plane", "e=1,0", id="1,0"),
+    pytest.param("rotated_frame_plane", "e=1,,0", id="1,,0"),
+    pytest.param("cartan_schouten_sphere", "lambda=nan", id="lambda=nan"),
+    pytest.param("cartan_schouten_sphere", "lambda=abc", id="lambda=abc"),
+    pytest.param("torus_standard", "R=inf", id="R=inf"),
+])
+def test_cli_bad_rotation_axis_is_input_error(scene, param):
+    """A bad --param value (a zero, non-finite or wrong-length axis e, a
+    non-number or non-finite number) exits 2 naming params.<name> with the
+    name as typed."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "rcsurf.cli", "verify", "--builtin",
-         "rotated_frame_plane", "--param", f"e={axis}", "--grid", "8x8"],
+         scene, "--param", param, "--grid", "8x8"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "params.e" in proc.stderr
+    assert f"params.{param.split('=')[0]}" in proc.stderr
+
+
+def test_export_builds_only_the_blocks_it_reads(tmp_path):
+    """export_fields reads base, ext, K, holo and the Gauss map n: no
+    curvature block (nor the symbolic dGamma), no Gauss-map derivatives and
+    no projected frames are built, and base holds none of the fields that
+    moved to their readers."""
+    sc = scenes.builtin("catenoid_frame_plane")
+    g = scenes.make_grid(sc, 8, 8)
+    scenes.export_fields(g, tmp_path / "f.csv")
+    built = set(vars(g))
+    assert {"base", "ext", "intrinsic_K", "holo", "gauss"} <= built
+    assert not built & {"curvature", "gauss_dn", "gauss_frames"}
+    assert "dgamma" not in vars(sc.ambient)
+    assert set(g.gauss) == {"n"}
+    assert not set(g.base) & {"rm", "r4", "gammaS", "JXu", "JXv"}

@@ -152,6 +152,29 @@ def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path)
     assert path in proc.stderr
 
 
+@pytest.mark.parametrize("command, lam, field", [
+    ("verify", "1e308", "base.torsion"),
+    ("fields", "1e308", "base.torsion"),
+    ("verify", "1e160", "curvature.rm"),
+    ("fields", "1e160", "ext.K_e"),
+])
+def test_cli_non_finite_block_is_input_error(tmp_path, command, lam, field):
+    """A parameter that overflows the numeric layers exits 2 naming the
+    block and field; no NaN reaches a report or an export."""
+    out = tmp_path / "out"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsurf.cli", command, "--builtin",
+         "cartan_schouten_sphere", "--param", f"lambda={lam}", "--grid", "8x8",
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {field}: non-finite value" in proc.stderr
+    assert "nan" not in proc.stdout
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_flags(capsys):
     assert cli.main(["verify", "--builtin", "euclidean_plane",
                      "--grid", "4x4"]) == 2
