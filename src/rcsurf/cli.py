@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import scenes, verify
 from .errors import RcsurfError, SceneFormatError
 
@@ -100,7 +102,10 @@ def _grid_shape(text):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # No floating-point warnings: every non-finite block value and
+        # residual stops the run as a NonFiniteValue naming it (exit 2).
+        with np.errstate(all="ignore"):
+            return _run(args)
     except RcsurfError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -82,11 +82,25 @@ class IncompatibleConnection(RcsurfError):
 
 class NonFiniteValue(RcsurfError):
     """A grid block or residual holds inf or NaN (the inputs overflow the
-    numeric layers).  field names it as block.key."""
+    numeric layers).  field names it as block.key; for a block value,
+    sample, u and v locate the first offending sample (at_sample)."""
 
-    def __init__(self, field, message):
+    def __init__(self, field, message, sample=None, u=None, v=None):
         self.field = field
+        self.sample, self.u, self.v = sample, u, v
         super().__init__(f"{field}: {message}")
+
+    @classmethod
+    def at_sample(cls, field, sample, u, v):
+        return cls(field, f"non-finite value at sample {sample} (u={u!r}, v={v!r})",
+                   sample, u, v)
+
+    def shifted(self, offset):
+        """The same error with its sample index moved by offset (from a
+        chunk's index to the grid's)."""
+        if self.sample is None:
+            return self
+        return self.at_sample(self.field, self.sample + offset, self.u, self.v)
 
 
 # --- surface --------------------------------------------------------------

@@ -69,7 +69,8 @@ def gauss_derivatives(surface, fields):
     ge = surface.gauss_exprs()
     dn_du, dn_dv = expr.eval_table((ge["dn_du"], ge["dn_dv"]),
                                    {"u": fields["u"], "v": fields["v"]})
-    return {"dn_du": dn_du, "dn_dv": dn_dv}
+    return require_finite("gauss_dn", {"dn_du": dn_du, "dn_dv": dn_dv},
+                          fields["u"], fields["v"])
 
 
 def projected_frames(surface, fields, gauss):
@@ -150,8 +151,15 @@ def apply_gauge(amb, gauge: GaugeField):
 
 
 def gauged_surface(surf: Surface, gauge: GaugeField) -> Surface:
-    return Surface(apply_gauge(surf.ambient, gauge), surf.X, surf.domain,
-                   surf.periodic, surf.declared_isothermal)
+    """surf seen through the gauged frame.  The symbolic composition runs
+    once per gauge and the result is kept on surf (Surface.gauged), so a
+    grid streamed in chunks does not repeat it."""
+    gsurf = surf.gauged.get(gauge)
+    if gsurf is None:
+        gsurf = surf.gauged[gauge] = Surface(
+            apply_gauge(surf.ambient, gauge), surf.X, surf.domain,
+            surf.periodic, surf.declared_isothermal)
+    return gsurf
 
 
 def _axis_unit_check(gauge, fields):

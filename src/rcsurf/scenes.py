@@ -8,7 +8,7 @@ A scene document is a JSON object (extension .rcscene) with keys::
                              "Gamma": [[[expr x3] x3] x3]}   # Gamma[k][i][j]
       .chart_domain       optional {"x": [lo, hi], ...}, finite lo < hi
     surface               {"X": [expr, expr, expr],
-                           "domain": [[u0, u1], [v0, v1]],
+                           "domain": [[u0, u1], [v0, v1]],  # finite, lo < hi
                            "periodic": [bool, bool],
                            "isothermal": bool}
     gauge                 optional {"theta": expr, "axis": [expr x3]}
@@ -31,8 +31,10 @@ degenerate edges.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +42,8 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    IoError, NotClosed, NotIsothermal, NotWeitzenboeck, RcsurfError,
-    SceneFormatError, UndefinedField, UnknownScene,
+    IoError, NonFiniteValue, NotClosed, NotIsothermal, NotWeitzenboeck,
+    RcsurfError, SceneFormatError, UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
 from .surface import Surface
@@ -49,7 +51,8 @@ from .surface import Surface
 __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
     "builtin_names", "builtin_provenance", "SampleGrid", "make_grid",
-    "integrate", "gauss_degree", "export_fields", "EXPORT_COLUMNS",
+    "integrate", "require_closed", "degree_from", "gauss_degree",
+    "export_fields", "EXPORT_COLUMNS",
 ]
 
 AMBIENT_VARS = {"x", "y", "z"}
@@ -204,6 +207,9 @@ def build_scene(doc) -> Scene:
                   (float(domain[1][0]), float(domain[1][1])))
     except (TypeError, IndexError, ValueError) as err:
         raise SceneFormatError("surface.domain", "expected [[u0,u1],[v0,v1]]") from err
+    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in domain):
+        raise SceneFormatError("surface.domain", "expected finite bounds with lo < hi "
+                               "on both axes")
     periodic = sdoc.get("periodic", [False, False])
     if (not isinstance(periodic, list) or len(periodic) != 2
             or not all(isinstance(p, bool) for p in periodic)):
@@ -546,7 +552,18 @@ def _axis_nodes(lo, hi, n, periodic):
 class SampleGrid:
     """Deterministic tensor grid of surface samples with lazy field caches.
 
-    Each block is built on first read and only then, so a run holds only
+    A grid is read in chunks (chunks, map_chunks): contiguous row-major
+    slices of expr.CHUNK samples, each a SampleGrid of its own.  verify,
+    export_fields, integrate and gauss_degree build the blocks of one chunk,
+    keep what they report (a residual or quadrature term per sample, or a
+    running max) and drop the chunk before the next, so peak memory is set
+    by the chunk and not by the grid.  Every block is pointwise in the
+    samples, so a chunk's block is the matching slice of the whole grid's,
+    bit for bit, and each max, mean or sum runs once over the per-sample
+    values of every chunk in sample order: no report or export depends on
+    the chunk size.
+
+    Each block is built on first read and only then, so a chunk holds only
     what its readers read:
 
         base          first-order geometry (Surface.base_fields); everything
@@ -583,6 +600,40 @@ class SampleGrid:
         self.U, self.V = UU.ravel(), VV.ravel()
         self.weights = np.outer(self.u_weights, self.v_weights).ravel()
         self.requested = (int(nu), int(nv))
+        self.offset = 0                 # index of the first sample in the grid
+
+    # streaming -----------------------------------------------------------------
+
+    def chunks(self):
+        """The grid's samples as SampleGrids over contiguous row-major
+        slices of expr.CHUNK samples, in order.  A chunk keeps this grid's
+        scene, nu, nv, requested shape and axis nodes (so interior_mask is
+        unchanged), and offset is the index of its first sample in the
+        grid.  A grid of at most CHUNK samples is one chunk of itself."""
+        n = self.U.shape[0]
+        if n <= expr.CHUNK:
+            yield self
+            return
+        for lo in range(0, n, expr.CHUNK):
+            sl = slice(lo, lo + expr.CHUNK)
+            part = object.__new__(SampleGrid)
+            for name in ("scene", "surface", "nu", "nv", "requested",
+                         "u_nodes", "u_weights", "v_nodes", "v_weights"):
+                setattr(part, name, getattr(self, name))
+            part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
+            part.offset = self.offset + lo
+            yield part
+
+    def map_chunks(self, work):
+        """work(chunk) for each chunk in order, yielded as soon as it is
+        computed.  A NonFiniteValue raised by work names its sample by the
+        index in this grid, not in the chunk."""
+        for part in self.chunks():
+            try:
+                out = work(part)
+            except NonFiniteValue as err:
+                raise err.shifted(part.offset - self.offset) from None
+            yield out
 
     # lazy heavy blocks --------------------------------------------------------
 
@@ -632,6 +683,16 @@ class SampleGrid:
 
     # named scalar fields -----------------------------------------------------
 
+    def area_terms(self, name):
+        """Quadrature terms weight * f * area density of the named field at
+        these samples: integrate sums them."""
+        return self.weights * self.field(name) * self.base["area"]
+
+    def degree_terms(self):
+        """Quadrature terms weight * degree integrand (against du dv) at
+        these samples: gauss_degree sums them."""
+        return self.weights * self.field("degree_integrand")
+
     def field(self, name):
         if name in ("one", "1"):
             return np.ones_like(self.U)
@@ -657,44 +718,55 @@ def make_grid(scene, nu, nv) -> SampleGrid:
     return SampleGrid(scene, nu, nv)
 
 
+def _concat(parts):
+    return np.concatenate(list(parts))
+
+
 def integrate(grid: SampleGrid, field) -> float:
-    """Integral of the named scalar field against the surface area form."""
-    f = grid.field(field) if isinstance(field, str) else np.asarray(field)
-    vals = grid.weights * f * grid.base["area"]
-    return float(np.sum(vals))
+    """Integral of the named scalar field against the surface area form:
+    one sum over the area terms of every chunk."""
+    return float(np.sum(_concat(grid.map_chunks(lambda part: part.area_terms(field)))))
 
 
-def gauss_degree(grid: SampleGrid):
-    """Mapping degree of the Gauss map on a closed chart.
+def require_closed(scene):
+    """Raise NotClosed unless the scene's chart covers a closed surface:
+    both axes periodic, or the scene declared closed with the area density
+    vanishing at the non-periodic edges (polar charts)."""
+    surf = scene.surface
+    if all(surf.periodic):
+        return
+    if not scene.closed:
+        raise NotClosed("Gauss-map degree needs a closed surface chart")
+    for axis in (0, 1):
+        if surf.periodic[axis]:
+            continue
+        lo, hi = surf.domain[axis]
+        for edge in (lo, hi):
+            uv = [0.5 * sum(surf.domain[0]), 0.5 * sum(surf.domain[1])]
+            uv[axis] = edge + (1e-7 if edge == lo else -1e-7) * surf.extent(axis)
+            probe = surf.base_fields(np.array([uv[0]]), np.array([uv[1]]))
+            if probe["area"][0] > 1e-3:
+                raise NotClosed(
+                    "non-periodic axis without vanishing density at its edge")
 
-    Requires both axes periodic, or the scene declared closed with the
-    area density vanishing at the non-periodic edges (polar charts).
-    Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly.
-    """
-    scene = grid.scene
-    surf = grid.surface
-    if not all(surf.periodic):
-        if not scene.closed:
-            raise NotClosed("Gauss-map degree needs a closed surface chart")
-        for axis in (0, 1):
-            if surf.periodic[axis]:
-                continue
-            lo, hi = surf.domain[axis]
-            for edge in (lo, hi):
-                uv = [0.5 * sum(surf.domain[0]), 0.5 * sum(surf.domain[1])]
-                uv[axis] = edge + (1e-7 if edge == lo else -1e-7) * surf.extent(axis)
-                probe = surf.base_fields(np.array([uv[0]]), np.array([uv[1]]))
-                if probe["area"][0] > 1e-3:
-                    raise NotClosed(
-                        "non-periodic axis without vanishing density at its edge")
-    raw = float(np.sum(grid.weights * gaussmap.degree_integrand(grid.gauss, grid.gauss_dn))
-                / (4.0 * math.pi))
+
+def degree_from(total):
+    """{degree, residual, raw} from the degree integral total, the sum of
+    the degree terms over the grid; residual beyond 1e-3 fails loudly."""
+    raw = float(total / (4.0 * math.pi))
     degree = int(round(raw))
     residual = abs(raw - degree)
     if residual > 1e-3:
         raise NotClosed(
             f"degree integral {raw!r} is not within 1e-3 of an integer")
     return {"degree": degree, "residual": residual, "raw": raw}
+
+
+def gauss_degree(grid: SampleGrid):
+    """Mapping degree of the Gauss map on a closed chart (require_closed).
+    Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly."""
+    require_closed(grid.scene)
+    return degree_from(np.sum(_concat(grid.map_chunks(SampleGrid.degree_terms))))
 
 
 # --- field export --------------------------------------------------------------------
@@ -708,6 +780,31 @@ EXPORT_COLUMNS = [
 _ROW = ",".join(["%.17g"] * 14 + ["%d"]) + "\n"
 
 
+def _export_rows(part, tol, holo):
+    """The export rows of one chunk as text.  holo False leaves abs_phi and
+    abs_psi blank; holo True raises NotIsothermal off isothermal samples."""
+    base, ext = part.base, part.ext
+    n = part.U.shape[0]
+    K = part.intrinsic_K
+    abs_phi = abs_psi = np.full(n, np.nan)
+    if holo:
+        hol = part.holo
+        abs_phi, abs_psi = np.abs(hol["phi"]), np.abs(hol["psi"])
+    try:
+        nf = part.gauss["n"]
+    except NotWeitzenboeck:
+        nf = np.full((n, 3), np.nan)
+    cls = extrinsic.classify(ext, tol=tol)
+    flags = (cls["umbilic"].astype(int)
+             + 2 * cls["minimal_point"].astype(int)
+             + 4 * cls["geodesic_point"].astype(int))
+    p = base["p"]
+    cols = [part.U, part.V, p[:, 0], p[:, 1], p[:, 2],
+            ext["H"], ext["star_tau"], ext["K_e"], K, abs_phi, abs_psi,
+            nf[:, 0], nf[:, 1], nf[:, 2], flags]
+    return "".join(_ROW % row for row in zip(*(c.tolist() for c in cols)))
+
+
 def export_fields(grid: SampleGrid, path):
     """Tabular export: one row per sample, 17 significant digits, LF line
     endings, deterministic row-major ordering.
@@ -716,31 +813,49 @@ def export_fields(grid: SampleGrid, path):
     frame-defined ambients.  flags packs the classifiers as bit 1 =
     umbilic, 2 = minimal, 4 = geodesic, at the scene's "classify"
     tolerance (default 1e-7).
+
+    Each chunk's rows are written as soon as they are ready.  The file is
+    opened once the first chunk's rows are, so an error there leaves no
+    file; an error in a later chunk removes the partial file.  Whether the
+    chart is isothermal is a verdict on the whole grid: when a later chunk
+    is not, the rows already written are written again with abs_phi/abs_psi
+    blank.
     """
     tol = grid.scene.tolerances.get("classify", 1e-7)
-    base, ext = grid.base, grid.ext
-    n = grid.U.shape[0]
-    K = grid.intrinsic_K
+    header = ",".join(EXPORT_COLUMNS) + "\n"
+    holo = True             # until the first chunk that is not isothermal
+
+    def rows(part):
+        nonlocal holo
+        if holo:
+            try:
+                return _export_rows(part, tol, True)
+            except NotIsothermal:
+                holo = False
+        return _export_rows(part, tol, False)
+
+    fh = None
+    filled = 0              # chunks in the file with abs_phi/abs_psi filled
     try:
-        hol = grid.holo
-        abs_phi, abs_psi = np.abs(hol["phi"]), np.abs(hol["psi"])
-    except NotIsothermal:
-        abs_phi = abs_psi = np.full(n, np.nan)
-    try:
-        nf = grid.gauss["n"]
-    except NotWeitzenboeck:
-        nf = np.full((n, 3), np.nan)
-    cls = extrinsic.classify(ext, tol=tol)
-    flags = (cls["umbilic"].astype(int)
-             + 2 * cls["minimal_point"].astype(int)
-             + 4 * cls["geodesic_point"].astype(int))
-    p = base["p"]
-    cols = [grid.U, grid.V, p[:, 0], p[:, 1], p[:, 2],
-            ext["H"], ext["star_tau"], ext["K_e"], K, abs_phi, abs_psi,
-            nf[:, 0], nf[:, 1], nf[:, 2], flags]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(EXPORT_COLUMNS) + "\n")
-            fh.writelines(_ROW % row for row in zip(*(c.tolist() for c in cols)))
-    except OSError as err:
-        raise IoError(f"cannot write field export {path!r}: {err}") from err
+        for text in grid.map_chunks(rows):
+            if fh is None:
+                fh = open(path, "w", encoding="utf-8", newline="\n")
+                fh.write(header)
+            if not holo and filled:
+                fh.seek(0)
+                fh.truncate()
+                fh.write(header)
+                fh.writelines(itertools.islice(grid.map_chunks(
+                    lambda part: _export_rows(part, tol, False)), filled))
+                filled = 0
+            fh.write(text)
+            filled += holo
+        fh.close()
+    except BaseException as err:
+        if fh is not None:
+            fh.close()
+            if os.path.isfile(path):
+                os.remove(path)
+        if isinstance(err, OSError):
+            raise IoError(f"cannot write field export {path!r}: {err}") from err
+        raise

@@ -47,14 +47,14 @@ def cross_metric_batch(g, u, v):
 def require_finite(block, fields, U, V):
     """Return fields (a dict of per-sample arrays at the samples U, V) when
     every value is finite; else raise NonFiniteValue naming block.key and
-    the first offending sample."""
+    the first offending sample by its index in U.  A grid streamed in
+    chunks turns that index into the grid's (SampleGrid.map_chunks)."""
     for key, val in fields.items():
         ok = np.isfinite(val)
         if not ok.all():
             i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-            raise NonFiniteValue(
-                f"{block}.{key}",
-                f"non-finite value at sample {i} (u={float(U[i])!r}, v={float(V[i])!r})")
+            raise NonFiniteValue.at_sample(f"{block}.{key}", i,
+                                           float(U[i]), float(V[i]))
     return fields
 
 
@@ -96,6 +96,7 @@ class Surface:
         self.Xuv = [expr.diff(c, "v") for c in self.Xu]
         self.Xvv = [expr.diff(c, "v") for c in self.Xv]
         self._comp = None
+        self.gauged = {}        # GaugeField -> gauged Surface (gaussmap.gauged_surface)
 
     # --- domain bookkeeping ---------------------------------------------------
 
@@ -183,9 +184,11 @@ class Surface:
         """Ambient curvature at the samples of base (a base_fields dict):
         rm, the lowered r4, and r_uvvu = R(Xu, Xv, Xv, Xu), the one
         contraction the Gauss equation and the sectional split both read.
-        On the grid path only this block evaluates dGamma."""
+        On the grid path only this block evaluates dGamma, straight at the
+        points base_fields already passed through the chart and frame
+        checks."""
         amb = self.ambient
-        dgamma, = amb.fields_at(amb.bindings(base["p"]), ("dgamma",))
+        dgamma = expr.eval_table(amb.dgamma, amb.bindings(base["p"]))
         rm, r4 = amb.curvature_from(base["gamma"], dgamma, base["g"])
         Xu, Xv = base["Xu"], base["Xv"]
         r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)

@@ -53,6 +53,10 @@ TIERS = {
 
 GAUGE_FIELDS = 2        # random gauge fields per gauge suite entry
 
+# suites that report more than the one entry named after them
+_ENTRIES = {"egregium": ("egregium", "sectional_split"),
+            "gauge": ("gauge_theorem", "gauge_general")}
+
 
 class VerificationReport:
     """Per-suite residual statistics, machine-consumable and deterministic."""
@@ -139,18 +143,49 @@ def random_gauge_fields(scene, count, seed=1234, about_normal=True):
     return out
 
 
-def _masked_max(values, mask):
-    sel = values[mask] if mask is not None else values
-    return float(np.max(sel)) if sel.size else 0.0
+def _max(values):
+    return float(np.max(values)) if values.size else 0.0
 
 
-def _masked_mean(values, mask):
-    sel = values[mask] if mask is not None else values
-    return float(np.mean(sel)) if sel.size else 0.0
+def _mean(values):
+    return float(np.mean(values)) if values.size else 0.0
+
+
+def _plan(scene, chosen):
+    """The suites whose chunk work runs, and the reason for each entry that
+    is skipped; both depend on the scene only, so a skipped suite builds
+    nothing."""
+    no_frame = None if scene.ambient.kind == "frame" else "ambient not frame-defined"
+    no_iso = None if scene.surface.declared_isothermal else "chart not isothermal"
+    no_axis = None if scene.normal_axis is not None else "no normal-axis field"
+    not_closed = None if scene.closed else "chart not closed"
+    reasons = {
+        "divcurl": no_frame,
+        "gauge_theorem": no_frame or no_axis,
+        "gauge_general": no_frame,
+        "psi_identity": no_iso,
+        "hopf_identity": no_iso,
+        "conformality": no_frame,
+        "gauss_bonnet": not_closed or (scene.chi is None and "chart not closed"),
+        "degree": not_closed or no_frame,
+    }
+    skips = {name: why for name, why in reasons.items() if why}
+    run = [s for s in dict.fromkeys(chosen) if s not in skips
+           and not (s == "gauge" and "gauge_general" in skips)]
+    return run, skips
 
 
 def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     """Run the selected suites on one scene at the given resolution.
+
+    The grid is streamed (SampleGrid.chunks): every block is built for one
+    chunk of samples and dropped before the next.  An entry keeps only its
+    residual or quadrature term per sample (8 bytes a sample) or, for the
+    gauge entries and the flatness verdict, a running max; each max, mean
+    and quadrature sum runs once over the values of every chunk in sample
+    order, so the report does not depend on the chunk size.  The symbolic setup (gauge
+    fields, whose gauged surfaces gaussmap.gauged_surface keeps) and the
+    closed-chart probe run once per run.
 
     tol is a tier name or one finite positive number (or its text) applied
     to every suite entry; anything else raises ValueError.
@@ -178,8 +213,106 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     report = VerificationReport(scene.name, (grid.nu, grid.nv), tier_name)
     surf, amb = scene.surface, scene.ambient
     is_frame = amb.kind == "frame"
-    mask = grid.interior_mask
     nsamples = int(grid.U.shape[0])
+    run, skips = _plan(scene, chosen)
+
+    gauges = {}
+    if "gauge" in run:
+        if "gauge_theorem" not in skips:
+            gauges["gauge_theorem"] = random_gauge_fields(scene, GAUGE_FIELDS, seed=1234)
+        gauges["gauge_general"] = random_gauge_fields(scene, GAUGE_FIELDS, seed=4321,
+                                                      about_normal=False)
+        if scene.gauge is not None:
+            gauges["gauge_general"].append(scene.gauge)
+    degree_error = None
+    if "degree" in run:
+        try:
+            scenes.require_closed(scene)
+        except RcsurfError as err:
+            degree_error = str(err)
+            run.remove("degree")
+    cls_tol = scene.tolerances.get("classify", 1e-7)
+
+    kept = {}               # entry -> (buffer over the grid's samples, count filled)
+    peak = {}               # entry -> running max over the chunks
+    flat = True             # max |r4| within AMBIENT_FLAT_TOL on every chunk
+
+    def keep(name, values):
+        # one buffer per entry, allocated once: no per-chunk pieces to
+        # concatenate, nor scattered between the chunks' temporaries
+        buf, k = kept.get(name) or (np.empty(nsamples, dtype=values.dtype), 0)
+        buf[k:k + len(values)] = values
+        kept[name] = buf, k + len(values)
+
+    def top(name, value):
+        peak[name] = max(peak.get(name, 0.0), value)
+
+    def chunk(part):
+        nonlocal flat
+        mask = part.interior_mask
+        for suite in run:
+            if suite == "ambient_sanity":
+                base = part.base
+                pb = amb.bindings(base["p"])
+                parts = [amb.metric_compat_residual_at(pb)]
+                T = base["torsion"]
+                parts.append(np.max(np.abs(T + np.swapaxes(T, -2, -1)), axis=(1, 2, 3)))
+                r4 = part.curvature["r4"]
+                parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)))
+                parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4)))
+                if is_frame:
+                    parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
+                    F = expr.eval_table(amb.frame, pb)
+                    gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
+                    parts.append(np.max(np.abs(gram - np.eye(3)), axis=(1, 2)))
+                keep("ambient_sanity", np.max(np.stack(parts), axis=0))
+            elif suite == "gauss_eq":
+                res = extrinsic.gauss_equation_residual(part.ext, part.curvature,
+                                                        part.intrinsic_K)
+                keep("gauss_eq", res[mask])
+            elif suite == "egregium":
+                dec = extrinsic.curvature_decomposition(part.ext, part.curvature,
+                                                        part.intrinsic_K)
+                flat = flat and dec["ambient_flat"]
+                keep("egregium", dec["egregium"][mask])
+                keep("sectional_split", dec["sectional_split"][mask])
+            elif suite == "divcurl":
+                ext, n = part.ext, part.gauss["n"]
+                dc = gaussmap.div_curl(part.gauss, part.gauss_dn, part.gauss_frames)
+                res = np.max(np.stack([
+                    np.abs(dc["div_top"] + ext["H"]),
+                    np.abs(dc["div_cross"] - ext["star_tau"]),
+                    np.max(np.abs(dc["curl_top"] + ext["star_tau"][:, None] * n), axis=-1),
+                    np.max(np.abs(dc["curl_cross"] + ext["H"][:, None] * n), axis=-1),
+                ]), axis=0)
+                keep("divcurl", res[mask])
+            elif suite == "gauge":
+                for gfld in gauges.get("gauge_theorem", []):
+                    top("gauge_theorem", gaussmap.gauge_theorem_residual(
+                        surf, part.base, gfld, part.ext, part.gauss))
+                for gfld in gauges["gauge_general"]:
+                    top("gauge_general", gaussmap.general_gauge_residual(
+                        surf, part.base, gfld, part.ext, part.gauss_frames))
+            elif suite == "psi_identity":
+                keep("psi_identity", part.holo["psi_identity_residual"])
+            elif suite == "hopf_identity":
+                ext, hol = ({k: v[mask] for k, v in block.items()}
+                            for block in (part.ext, part.holo))
+                curv = {"r4": part.curvature["r4"][mask]}   # all the residual reads
+                keep("hopf_identity", holo.hopf_identity_residual(surf, ext, curv, ext, hol))
+            elif suite == "conformality":
+                conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
+                cls = extrinsic.classify(part.ext, tol=cls_tol)
+                want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
+                keep("conformality", conf["conformal"][mask] != want[mask])
+            elif suite == "gauss_bonnet":
+                keep("gauss_bonnet", part.area_terms("K"))
+            elif suite == "degree":
+                keep("degree", part.degree_terms())
+
+    for _ in grid.map_chunks(chunk):
+        pass
+    kept = {name: buf[:k] for name, (buf, k) in kept.items()}
 
     def entry(name, residual, samples=None, mean=None):
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
@@ -189,121 +322,46 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         report.add(name, status, residual, t, samples or nsamples,
                    mean_residual=mean)
 
+    def masked_entry(name):
+        res = kept[name]
+        entry(name, _max(res), res.size, _mean(res))
+
     for suite in chosen:
-        if suite == "ambient_sanity":
-            base = grid.base
-            pb = amb.bindings(base["p"])
-            parts = [amb.metric_compat_residual_at(pb)]
-            T = base["torsion"]
-            parts.append(np.max(np.abs(T + np.swapaxes(T, -2, -1)), axis=(1, 2, 3)))
-            r4 = grid.curvature["r4"]
-            parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)))
-            parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4)))
-            if is_frame:
-                parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
-                F = expr.eval_table(amb.frame, pb)
-                gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
-                parts.append(np.max(np.abs(gram - np.eye(3)), axis=(1, 2)))
-            res = np.max(np.stack(parts), axis=0)
-            entry("ambient_sanity", float(np.max(res)), mean=float(np.mean(res)))
-        elif suite == "gauss_eq":
-            res = extrinsic.gauss_equation_residual(grid.ext, grid.curvature,
-                                                    grid.intrinsic_K)
-            entry("gauss_eq", _masked_max(res, mask), int(mask.sum()),
-                  _masked_mean(res, mask))
-        elif suite == "egregium":
-            dec = extrinsic.curvature_decomposition(grid.ext, grid.curvature,
-                                                    grid.intrinsic_K)
-            if dec["ambient_flat"]:
-                entry("egregium", _masked_max(dec["egregium"], mask),
-                      int(mask.sum()), _masked_mean(dec["egregium"], mask))
-            else:
-                report.add("egregium", "skip", reason="ambient not flat")
-            entry("sectional_split", _masked_max(dec["sectional_split"], mask),
-                  int(mask.sum()), _masked_mean(dec["sectional_split"], mask))
-        elif suite == "divcurl":
-            if not is_frame:
-                report.add("divcurl", "skip", reason="ambient not frame-defined")
-                continue
-            ext, n = grid.ext, grid.gauss["n"]
-            dc = gaussmap.div_curl(grid.gauss, grid.gauss_dn, grid.gauss_frames)
-            res = np.max(np.stack([
-                np.abs(dc["div_top"] + ext["H"]),
-                np.abs(dc["div_cross"] - ext["star_tau"]),
-                np.max(np.abs(dc["curl_top"] + ext["star_tau"][:, None] * n), axis=-1),
-                np.max(np.abs(dc["curl_cross"] + ext["H"][:, None] * n), axis=-1),
-            ]), axis=0)
-            entry("divcurl", _masked_max(res, mask), int(mask.sum()),
-                  _masked_mean(res, mask))
-        elif suite == "gauge":
-            if not is_frame:
-                report.add("gauge_theorem", "skip", reason="ambient not frame-defined")
-                report.add("gauge_general", "skip", reason="ambient not frame-defined")
-                continue
-            if scene.normal_axis is None:
-                report.add("gauge_theorem", "skip", reason="no normal-axis field")
-            else:
-                res = 0.0
-                for gfld in random_gauge_fields(scene, GAUGE_FIELDS, seed=1234):
-                    res = max(res, gaussmap.gauge_theorem_residual(
-                        surf, grid.base, gfld, grid.ext, grid.gauss))
-                entry("gauge_theorem", res)
-            res = 0.0
-            fields = random_gauge_fields(scene, GAUGE_FIELDS, seed=4321,
-                                         about_normal=False)
-            if scene.gauge is not None:
-                fields = fields + [scene.gauge]
-            for gfld in fields:
-                res = max(res, gaussmap.general_gauge_residual(
-                    surf, grid.base, gfld, grid.ext, grid.gauss_frames))
-            entry("gauge_general", res)
-        elif suite == "psi_identity":
-            if not surf.declared_isothermal:
-                report.add("psi_identity", "skip", reason="chart not isothermal")
-                continue
-            res = grid.holo["psi_identity_residual"]
-            entry("psi_identity", float(np.max(res)), mean=float(np.mean(res)))
-        elif suite == "hopf_identity":
-            if not surf.declared_isothermal:
-                report.add("hopf_identity", "skip", reason="chart not isothermal")
-                continue
-            ext, hol = ({k: v[mask] for k, v in block.items()}
-                        for block in (grid.ext, grid.holo))
-            curv = {"r4": grid.curvature["r4"][mask]}       # all the residual reads
-            res = holo.hopf_identity_residual(surf, ext, curv, ext, hol)
-            entry("hopf_identity", float(np.max(res)), int(mask.sum()),
-                  float(np.mean(res)))
-        elif suite == "conformality":
-            if not is_frame:
-                report.add("conformality", "skip", reason="ambient not frame-defined")
-                continue
-            cls_tol = scene.tolerances.get("classify", 1e-7)
-            conf = gaussmap.conformality_test(grid.base, grid.gauss_dn, tol=cls_tol)
-            cls = extrinsic.classify(grid.ext, tol=cls_tol)
-            want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
-            frac = float(np.mean(conf["conformal"][mask] != want[mask]))
-            entry("conformality", frac, int(mask.sum()))
-        elif suite == "gauss_bonnet":
-            if not scene.closed or scene.chi is None:
-                report.add("gauss_bonnet", "skip", reason="chart not closed")
-                continue
-            total = scenes.integrate(grid, "K")
-            res = abs(total - 2.0 * np.pi * scene.chi) / (4.0 * np.pi)
-            entry("gauss_bonnet", res)
-        elif suite == "degree":
-            if not scene.closed:
-                report.add("degree", "skip", reason="chart not closed")
-                continue
-            if not is_frame:
-                report.add("degree", "skip", reason="ambient not frame-defined")
-                continue
-            try:
-                d = scenes.gauss_degree(grid)
-            except RcsurfError as err:
-                report.add("degree", "fail", reason=str(err))
-                continue
-            res = d["residual"]
-            if scene.chi is not None and 2 * d["degree"] != scene.chi:
-                res = 1.0
-            entry("degree", res)
+        for name in _ENTRIES.get(suite, (suite,)):
+            if name in skips:
+                report.add(name, "skip", reason=skips[name])
+            elif name in ("ambient_sanity", "psi_identity"):
+                res = kept[name]
+                entry(name, float(np.max(res)), mean=float(np.mean(res)))
+            elif name in ("gauss_eq", "sectional_split", "divcurl"):
+                masked_entry(name)
+            elif name == "egregium":
+                if flat:
+                    masked_entry(name)
+                else:
+                    report.add(name, "skip", reason="ambient not flat")
+            elif name in ("gauge_theorem", "gauge_general"):
+                entry(name, peak[name])
+            elif name == "hopf_identity":
+                res = kept[name]
+                entry(name, float(np.max(res)), res.size, float(np.mean(res)))
+            elif name == "conformality":
+                res = kept[name]
+                entry(name, float(np.mean(res)), res.size)
+            elif name == "gauss_bonnet":
+                total = float(np.sum(kept[name]))
+                entry(name, abs(total - 2.0 * np.pi * scene.chi) / (4.0 * np.pi))
+            elif name == "degree":
+                if degree_error is None:
+                    try:
+                        d = scenes.degree_from(np.sum(kept[name]))
+                    except RcsurfError as err:
+                        degree_error = str(err)
+                if degree_error is not None:
+                    report.add(name, "fail", reason=degree_error)
+                    continue
+                res = d["residual"]
+                if scene.chi is not None and 2 * d["degree"] != scene.chi:
+                    res = 1.0
+                entry(name, res)
     return report

@@ -1,0 +1,165 @@
+"""The streamed grid: every reader builds its blocks one chunk of
+expr.CHUNK samples at a time, and no report, export or integral depends on
+the chunk size."""
+
+import tracemalloc
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rcsurf import expr, scenes, verify
+from rcsurf.errors import NonFiniteValue
+
+NU = NV = 6
+N = NU * NV
+
+_SCENES = {}
+_REFERENCE = {}
+
+
+def _scene(name):
+    if name not in _SCENES:
+        _SCENES[name] = scenes.builtin(name)
+    return _SCENES[name]
+
+
+def _outputs(sc, path, nu=NU, nv=NV):
+    """verify report JSON, fields CSV bytes and two integrals of one scene."""
+    report = verify.run_verification(sc, nu, nv).to_json()
+    scenes.export_fields(scenes.make_grid(sc, nu, nv), path)
+    integrals = [scenes.integrate(scenes.make_grid(sc, nu, nv), f) for f in ("one", "K")]
+    return report, path.read_bytes(), integrals
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("chunks")
+
+
+@given(st.sampled_from(scenes.builtin_names()),
+       st.one_of(st.sampled_from([1, N - 1, N + 1]), st.integers(2, N - 2)))
+@settings(max_examples=16, deadline=None)
+def test_chunked_outputs_equal_one_chunk(out_dir, name, chunk):
+    """Chunk boundaries after every sample, one sample before the end, past
+    the end (one chunk) and at uneven splits leave the report, the export
+    and the integrals of every built-in byte-identical."""
+    sc = _scene(name)
+    if name not in _REFERENCE:
+        _REFERENCE[name] = _outputs(sc, out_dir / f"{name}-ref.csv")
+    with mock.patch.object(expr, "CHUNK", chunk):
+        got = _outputs(sc, out_dir / f"{name}-{chunk}.csv")
+    assert got == _REFERENCE[name]
+
+
+def test_chunks_cover_the_grid_in_order(monkeypatch):
+    sc = _scene("catenoid_frame_plane")
+    whole = scenes.make_grid(sc, 8, 8)
+    assert list(whole.chunks()) == [whole]
+    monkeypatch.setattr(expr, "CHUNK", 20)
+    grid = scenes.make_grid(sc, 8, 8)
+    parts = list(grid.chunks())
+    assert [p.offset for p in parts] == [0, 20, 40, 60]
+    assert np.array_equal(np.concatenate([p.U for p in parts]), grid.U)
+    assert np.array_equal(np.concatenate([p.V for p in parts]), grid.V)
+    assert np.array_equal(np.concatenate([p.weights for p in parts]), grid.weights)
+    mask = np.concatenate([p.interior_mask for p in parts])
+    assert np.array_equal(mask, whole.interior_mask)
+    assert all(p.requested == grid.requested for p in parts)
+
+
+def _torsion_plane(lam):
+    """The plane z = 0 in flat space with the metric connection
+    Gamma^k_ij = lam(x) eps_ijk (the Cartan-Schouten form with a varying
+    lambda), as a scene."""
+    eps = {(0, 1, 2): "", (1, 2, 0): "", (2, 0, 1): "",
+           (0, 2, 1): "-", (2, 1, 0): "-", (1, 0, 2): "-"}
+    gamma = [[[f"{eps[i, j, k]}({lam})" if (i, j, k) in eps else "0"
+               for j in range(3)] for i in range(3)] for k in range(3)]
+    return scenes.build_scene({
+        "name": "torsion_plane",
+        "ambient": {"type": "coefficients",
+                    "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                    "Gamma": gamma},
+        "surface": {"X": ["u", "v", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
+    })
+
+
+def test_flatness_is_a_whole_grid_verdict(monkeypatch):
+    """The ambient curvature is within AMBIENT_FLAT_TOL on the last rows
+    only: egregium is skipped as on one chunk, though the last chunk alone
+    looks flat."""
+    sc = _torsion_plane("1e-4*(1 - x)^8")
+    want = verify.run_verification(sc, 8, 8)
+    assert {e["name"]: e for e in want.entries}["egregium"]["status"] == "skip"
+    monkeypatch.setattr(expr, "CHUNK", 16)
+    last = list(scenes.make_grid(sc, 8, 8).chunks())[-1]
+    assert np.max(np.abs(last.curvature["r4"])) <= 1e-9
+    assert verify.run_verification(sc, 8, 8).to_json() == want.to_json()
+
+
+def test_partly_isothermal_chart_exports_blank_hopf_columns(tmp_path, monkeypatch):
+    """X = (u, v, 0.001 u^3) is isothermal to 1e-8 only for u < 0.18: the
+    first chunk fills abs_phi/abs_psi, a later one is not isothermal, and
+    every row ends up blank as on one chunk."""
+    sc = scenes.build_scene({
+        "name": "cubic_graph",
+        "ambient": {"type": "frame",
+                    "F": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        "surface": {"X": ["u", "v", "0.001*u^3"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
+    })
+    want, got = tmp_path / "one.csv", tmp_path / "chunked.csv"
+    scenes.export_fields(scenes.make_grid(sc, 8, 8), want)
+    monkeypatch.setattr(expr, "CHUNK", 16)
+    grid = scenes.make_grid(sc, 8, 8)
+    first = next(grid.chunks())
+    assert np.all(np.isfinite(first.holo["phi"]))
+    scenes.export_fields(grid, got)
+    assert got.read_bytes() == want.read_bytes()
+    cols = scenes.EXPORT_COLUMNS
+    for line in got.read_text(encoding="utf-8").splitlines()[1:]:
+        cells = line.split(",")
+        assert cells[cols.index("abs_phi")] == cells[cols.index("abs_psi")] == "nan"
+
+
+def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):
+    """Gamma overflows on the last row only (sample 56 of 64), which lies in
+    the third chunk of 20 samples: every reader names sample 56."""
+    sc = _torsion_plane("exp(40000*(x - 0.95))")
+    runs = {
+        "verify": lambda: verify.run_verification(sc, 8, 8),
+        "fields": lambda: scenes.export_fields(scenes.make_grid(sc, 8, 8),
+                                               tmp_path / "f.csv"),
+        "integrate": lambda: scenes.integrate(scenes.make_grid(sc, 8, 8), "one"),
+    }
+    for chunk in (expr.CHUNK, 20):
+        monkeypatch.setattr(expr, "CHUNK", chunk)
+        for name, run in runs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(NonFiniteValue) as err:
+                    run()
+            assert err.value.field == "base.gamma", name
+            assert err.value.sample == 56, name
+            assert "at sample 56 (u=0.98" in str(err.value), name
+        assert not (tmp_path / "f.csv").exists()
+
+
+def test_verify_memory_is_set_by_the_chunk(monkeypatch):
+    """With 144-sample chunks, four times the samples (48x48 against 24x24)
+    raise the traced peak of a verify run by less than half."""
+    monkeypatch.setattr(expr, "CHUNK", 144)
+    sc = _scene("cartan_schouten_sphere")
+    verify.run_verification(sc, 24, 24)          # compile every program first
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (24, 48):
+            tracemalloc.reset_peak()
+            verify.run_verification(sc, n, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

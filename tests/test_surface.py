@@ -210,3 +210,17 @@ def test_grid_parallel_determinism():
     g2 = scenes.make_grid(sc, 12, 12)
     assert np.array_equal(g1.base["N"], g2.base["N"])
     assert np.array_equal(g1.ext["bold_H"], g2.ext["bold_H"])
+
+
+def test_curvature_block_repeats_no_chart_or_frame_check(monkeypatch):
+    """curvature_fields evaluates dGamma at the points base_fields already
+    checked: building it runs neither the chart nor the frame check."""
+    sc = scenes.builtin("catenoid_frame_cylinder")
+    g = scenes.make_grid(sc, 8, 8)
+    g.base
+    calls = []
+    for name in ("_check_inside", "_check_frame"):
+        monkeypatch.setattr(ambient_mod.Ambient, name,
+                            lambda self, bindings, name=name: calls.append(name))
+    assert np.all(np.isfinite(g.curvature["r4"]))
+    assert calls == []

@@ -135,6 +135,9 @@ def test_cli_missing_scene_is_config_error(capsys):
     (None, "goldens", [1], "goldens"),
     (None, "goldens", {"H": -2}, "goldens.H"),
     ("ambient", "chart_domain", {"x": [-0.5, 0.5]}, "chart_domain.x"),
+    ("surface", "domain", [[1.0, 0.0], [0.0, 6.0]], "surface.domain"),
+    ("surface", "domain", [[0.0, 3.0], [float("nan"), 6.0]], "surface.domain"),
+    ("surface", "domain", [[1.0, 1.0], [0.0, 6.0]], "surface.domain"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -170,6 +173,7 @@ def test_cli_non_finite_block_is_input_error(tmp_path, command, lam, field):
          "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert f"error: {field}: non-finite value" in proc.stderr
     assert "nan" not in proc.stdout
     assert not out.exists()
