@@ -150,21 +150,31 @@ class Ambient:
 
     def curvature_at(self, bindings):
         """Returns dict with rm, r4 (lowered), ric, scal for batched points."""
-        G, D, g = self.fields_at(bindings, ("gamma", "dgamma", "g"))
-        rm, r4 = self.curvature_from(G, D, g)
+        g, G = self.fields_at(bindings, ("g", "gamma"))
+        rm = self.riemann(G, bindings)
         ric = np.einsum("nljli->nij", rm)
         scal = np.einsum("nij,nij->n", np.linalg.inv(g), ric)
-        return {"rm": rm, "r4": r4, "ric": ric, "scal": scal}
+        return {"rm": rm, "r4": self.lower(rm, g), "ric": ric, "scal": scal}
+
+    def riemann(self, G, bindings):
+        """rm at batched points that already passed the chart and frame
+        checks (fields_at), from their stacked Gamma.  dGamma is evaluated
+        here and dropped before the quadratic terms are formed, and the
+        Gamma^l_jm Gamma^m_ik term is the Gamma^l_im Gamma^m_jk term with
+        (i, j) swapped, so at most two arrays of 81 values per sample are
+        alive at once."""
+        D = expr.eval_table(self.dgamma, bindings)
+        rm = D.transpose(0, 2, 4, 1, 3) - D.transpose(0, 2, 4, 3, 1)
+        del D
+        quad = np.einsum("nlim,nmjk->nlkij", G, G)
+        rm += quad
+        rm -= np.swapaxes(quad, -1, -2)
+        return rm
 
     @staticmethod
-    def curvature_from(G, D, g):
-        """(rm, r4) from stacked Gamma, dGamma and g (see curvature_at)."""
-        term1 = D.transpose(0, 2, 4, 1, 3)
-        term2 = D.transpose(0, 2, 4, 3, 1)
-        term3 = np.einsum("nlim,nmjk->nlkij", G, G)
-        term4 = np.einsum("nljm,nmik->nlkij", G, G)
-        rm = term1 - term2 + term3 - term4
-        return rm, np.einsum("nlkij,nlm->nijkm", rm, g)
+    def lower(rm, g):
+        """r4 from rm and the metric g at the same samples."""
+        return np.einsum("nlkij,nlm->nijkm", rm, g)
 
     def metric_compat_residual_at(self, bindings):
         """max |nabla g| per sample."""
@@ -260,9 +270,9 @@ def coefficient_ambient(g, gamma, chart_domain=None) -> Ambient:
 
 def _compat_residual(G, g, dg):
     """max |d_m g_ab - Gamma^l_ma g_lb - Gamma^l_mb g_al| per sample."""
-    t1 = np.einsum("nlma,nlb->nmab", G, g)
-    t2 = np.einsum("nlmb,nal->nmab", G, g)
-    return np.max(np.abs(dg - t1 - t2), axis=(1, 2, 3))
+    res = dg - np.einsum("nlma,nlb->nmab", G, g)
+    res -= np.einsum("nlmb,nal->nmab", G, g)
+    return np.max(np.abs(res, out=res), axis=(1, 2, 3))
 
 
 def _dot3(u, v):

@@ -52,13 +52,9 @@ class EvalDomainError(ExprError):
         super().__init__(f"{function} evaluated outside its domain (argument {argument!r})")
 
 
-# --- linear algebra / kit ------------------------------------------------
+# --- rotations -------------------------------------------------------------
 
 class NonUnitAxis(RcsurfError):
-    pass
-
-
-class SingularMetric(RcsurfError):
     pass
 
 

@@ -112,15 +112,18 @@ def apply_weingarten(fields, comp):
     return np.einsum("nrc,nc->nr", fields["W"], comp)
 
 
-def l_tensor(fields, curv):
+def l_tensor(fields, amb):
     """L(E1bar, E2bar) = R(E1bar, E2bar) N - J W J T_S(E1bar, E2bar), as a
-    chart-coordinate vector, from the extrinsic and curvature blocks of the
-    same samples.  Vanishing of L is the hypothesis tying holomorphicity of
-    bold H to that of the Hopf differential."""
+    chart-coordinate vector, from the extrinsic block fields and the
+    curvature of the ambient amb at the same points (Ambient.curvature_at;
+    the grid's curvature block keeps no rm).  Vanishing of L is the
+    hypothesis tying holomorphicity of bold H to that of the Hopf
+    differential."""
     g = fields["g"]
     e1, e2, N = fields["E1bar"], fields["E2bar"], fields["N"]
+    rm = amb.curvature_at(amb.bindings(fields["p"]))["rm"]
     # R(E1, E2) N: rm[l, k, i, j] with i <- E1, j <- E2, k <- N
-    RN = np.einsum("nlkij,nk,ni,nj->nl", curv["rm"], N, e1, e2)
+    RN = np.einsum("nlkij,nk,ni,nj->nl", rm, N, e1, e2)
     # tangential torsion on the orthonormal pair = T_S(Xu, Xv) / area
     TS = fields["T_S"] / fields["area"][:, None]
     JT = cross_metric_batch(g, N, TS)

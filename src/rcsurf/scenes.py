@@ -19,8 +19,9 @@ A scene document is a JSON object (extension .rcscene) with keys::
     tolerances            optional {suite-entry name: positive number}
     goldens               optional {name: expr in (u, v)}, informational
 
-build_scene rejects a value of the wrong type or range with a
-SceneFormatError that names its JSON path.
+build_scene rejects a key this layout does not define (the names under
+tolerances and goldens are free) and a value of the wrong type or range
+with a SceneFormatError that names its JSON path.
 
 Ambient expressions use variables x, y, z; surface expressions use u, v.
 Grids place uniform nodes on periodic axes (trapezoid weights) and
@@ -89,6 +90,25 @@ class Scene:
 
 
 # --- document handling -----------------------------------------------------------
+
+
+_KEYS = {
+    "": ("name", "ambient", "surface", "gauge", "closed", "euler_characteristic",
+         "normal_axis", "tolerances", "goldens"),
+    "ambient.frame": ("type", "F", "chart_domain"),
+    "ambient.coefficients": ("type", "g", "Gamma", "chart_domain"),
+    "surface": ("X", "domain", "periodic", "isothermal"),
+    "gauge": ("theta", "axis"),
+}
+
+
+def _known_keys(doc, path, kind=None):
+    """Reject the first key of the JSON object doc (at path) that a scene
+    document does not define; kind picks the ambient type's keys."""
+    allowed = _KEYS[f"{path}.{kind}" if kind else path]
+    for key in doc:
+        if key not in allowed:
+            raise SceneFormatError(f"{path}.{key}" if path else key, "unknown key")
 
 
 def _need(doc, field, path, kind=None):
@@ -182,15 +202,18 @@ def _goldens(doc):
 
 def build_scene(doc) -> Scene:
     """Validate a scene document and construct the Scene."""
+    _known_keys(doc, "")
     name = doc.get("name", "unnamed")
     adoc = _need(doc, "ambient", "", dict)
     kind = _need(adoc, "type", "ambient", str)
     chart_domain = _chart_domain(adoc)
     if kind == "frame":
+        _known_keys(adoc, "ambient", kind)
         F = _parse_matrix(_need(adoc, "F", "ambient"), AMBIENT_VARS,
                           "ambient.F", (3, 3))
         amb = frame_ambient(F, chart_domain=chart_domain)
     elif kind == "coefficients":
+        _known_keys(adoc, "ambient", kind)
         g = _parse_matrix(_need(adoc, "g", "ambient"), AMBIENT_VARS,
                           "ambient.g", (3, 3))
         gamma = _parse_matrix(_need(adoc, "Gamma", "ambient"), AMBIENT_VARS,
@@ -200,6 +223,7 @@ def build_scene(doc) -> Scene:
         raise SceneFormatError("ambient.type", f"unknown ambient type {kind!r}")
 
     sdoc = _need(doc, "surface", "", dict)
+    _known_keys(sdoc, "surface")
     X = _parse_matrix(_need(sdoc, "X", "surface"), SURFACE_VARS, "surface.X", (3,))
     domain = _need(sdoc, "domain", "surface", list)
     try:
@@ -219,7 +243,8 @@ def build_scene(doc) -> Scene:
 
     gauge = None
     if doc.get("gauge") is not None:
-        gdoc = doc["gauge"]
+        gdoc = _object(doc, "gauge", "gauge")
+        _known_keys(gdoc, "gauge")
         theta = _parse_field(_need(gdoc, "theta", "gauge"), AMBIENT_VARS, "gauge.theta")
         axis = _parse_matrix(_need(gdoc, "axis", "gauge"), AMBIENT_VARS,
                              "gauge.axis", (3,))

@@ -127,6 +127,13 @@ class Surface:
         E = np.einsum("nab,na,nb->n", g, Xu, Xu)
         F = np.einsum("nab,na,nb->n", g, Xu, Xv)
         G = np.einsum("nab,na,nb->n", g, Xv, Xv)
+        # the fields so far, checked before the frame B is inverted (an
+        # overflowing E makes B singular); the rest are checked on return
+        first = require_finite("base", {
+            "u": U, "v": V, "p": p, "Xu": Xu, "Xv": Xv,
+            "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
+            "g": g, "gamma": gamma, "torsion": tor, "E": E, "F": F, "G": G,
+        }, U, V)
         det2 = E * G - F * F
         if np.any(det2 <= AREA_DENSITY_TOL ** 2):
             raise DegenerateParameterization(
@@ -167,11 +174,8 @@ class Surface:
         tau_uv = np.einsum("nkl,nk,nl->n", g, N, TXuXv)
         T_S = TXuXv - tau_uv[:, None] * N
 
-        return require_finite("base", {
-            "u": U, "v": V, "p": p, "Xu": Xu, "Xv": Xv,
-            "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
-            "g": g, "gamma": gamma, "torsion": tor,
-            "E": E, "F": F, "G": G, "G_S": G_S, "Ginv_S": Ginv,
+        return first | require_finite("base", {
+            "G_S": G_S, "Ginv_S": Ginv,
             "area": area, "N": N, "B": B, "Binv": Binv,
             "E1bar": E1b, "E2bar": E2b,
             "cov": cov, "II": II,
@@ -182,18 +186,21 @@ class Surface:
 
     def curvature_fields(self, base):
         """Ambient curvature at the samples of base (a base_fields dict):
-        rm, the lowered r4, and r_uvvu = R(Xu, Xv, Xv, Xu), the one
-        contraction the Gauss equation and the sectional split both read.
-        On the grid path only this block evaluates dGamma, straight at the
-        points base_fields already passed through the chart and frame
-        checks."""
+        the lowered r4 and r_uvvu = R(Xu, Xv, Xv, Xu), the one contraction
+        the Gauss equation and the sectional split both read.  On the grid
+        path only this block evaluates dGamma, straight at the points
+        base_fields already passed through the chart and frame checks.
+        rm is checked and dropped once lowered: no reader of the block
+        reads it (extrinsic.l_tensor takes it from Ambient.curvature_at)."""
         amb = self.ambient
-        dgamma = expr.eval_table(amb.dgamma, amb.bindings(base["p"]))
-        rm, r4 = amb.curvature_from(base["gamma"], dgamma, base["g"])
+        U, V = base["u"], base["v"]
+        rm = amb.riemann(base["gamma"], amb.bindings(base["p"]))
+        require_finite("curvature", {"rm": rm}, U, V)
+        r4 = amb.lower(rm, base["g"])
+        del rm
         Xu, Xv = base["Xu"], base["Xv"]
         r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
-        return require_finite("curvature", {"rm": rm, "r4": r4, "r_uvvu": r_uvvu},
-                              base["u"], base["v"])
+        return require_finite("curvature", {"r4": r4, "r_uvvu": r_uvvu}, U, V)
 
     # --- intrinsic curvature ----------------------------------------------------
 

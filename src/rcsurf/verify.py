@@ -143,6 +143,16 @@ def random_gauge_fields(scene, count, seed=1234, about_normal=True):
     return out
 
 
+# every key holo.hopf_identity_residual reads from its fields and ext blocks
+_HOPF_BASE = ("u", "v", "Xu", "Xv", "N", "g", "G_S", "T_S", "II")
+
+
+def _abs_max(values):
+    """Per-sample max |values| over the trailing axes; values is a fresh
+    temporary, so abs runs in place and the check allocates one array."""
+    return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
+
+
 def _max(values):
     return float(np.max(values)) if values.size else 0.0
 
@@ -256,15 +266,15 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 pb = amb.bindings(base["p"])
                 parts = [amb.metric_compat_residual_at(pb)]
                 T = base["torsion"]
-                parts.append(np.max(np.abs(T + np.swapaxes(T, -2, -1)), axis=(1, 2, 3)))
+                parts.append(_abs_max(T + np.swapaxes(T, -2, -1)))
                 r4 = part.curvature["r4"]
-                parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)))
-                parts.append(np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4)))
+                parts.append(_abs_max(r4 + np.swapaxes(r4, 1, 2)))
+                parts.append(_abs_max(r4 + np.swapaxes(r4, 3, 4)))
                 if is_frame:
                     parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
                     F = expr.eval_table(amb.frame, pb)
                     gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
-                    parts.append(np.max(np.abs(gram - np.eye(3)), axis=(1, 2)))
+                    parts.append(_abs_max(gram - np.eye(3)))
                 keep("ambient_sanity", np.max(np.stack(parts), axis=0))
             elif suite == "gauss_eq":
                 res = extrinsic.gauss_equation_residual(part.ext, part.curvature,
@@ -296,10 +306,11 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             elif suite == "psi_identity":
                 keep("psi_identity", part.holo["psi_identity_residual"])
             elif suite == "hopf_identity":
-                ext, hol = ({k: v[mask] for k, v in block.items()}
-                            for block in (part.ext, part.holo))
-                curv = {"r4": part.curvature["r4"][mask]}   # all the residual reads
-                keep("hopf_identity", holo.hopf_identity_residual(surf, ext, curv, ext, hol))
+                fields = {k: part.base[k][mask] for k in _HOPF_BASE}
+                curv = {"r4": part.curvature["r4"][mask]}
+                hol = {"lam": part.holo["lam"][mask]}
+                keep("hopf_identity",
+                     holo.hopf_identity_residual(surf, fields, curv, fields, hol))
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
                 cls = extrinsic.classify(part.ext, tol=cls_tol)

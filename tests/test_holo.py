@@ -144,7 +144,7 @@ def test_cor_equivalence_cr_of_h_and_phi():
     # dbar phi = (lam^2 / 4) conj(dbar bold_H) when curvature and torsion
     # terms drop out; a non-harmonic angle makes both defects positive
     sc, g = grid_all("rotated_frame_plane", 10, 10, theta="x^2*y", e=(-1.0, 0.0, 0.0))
-    assert np.max(np.abs(extrinsic.l_tensor(g.ext, g.curvature))) <= 1e-12
+    assert np.max(np.abs(extrinsic.l_tensor(g.ext, sc.ambient))) <= 1e-12
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
     cr_phi, cr_h = np.abs(holo.dbar(sc.surface, U, V))
     lam2 = g.holo["lam"][g.interior_mask] ** 2

@@ -30,7 +30,7 @@ def test_unknown_builtin():
 
 
 def test_save_load_round_trip(tmp_path, rng):
-    for name in ("catenoid_frame_plane", "cartan_schouten_sphere"):
+    for name in scenes.builtin_names():
         sc = scenes.builtin(name)
         path = tmp_path / f"{name}.rcscene"
         scenes.save_scene(sc, path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,54 @@ def test_curvature_block_repeats_no_chart_or_frame_check(monkeypatch):
                             lambda self, bindings, name=name: calls.append(name))
     assert np.all(np.isfinite(g.curvature["r4"]))
     assert calls == []
+
+
+def curvature_from(G, D, g):
+    """(rm, r4) from stacked Gamma, dGamma and g as four einsum terms summed
+    in one expression: the reference the curvature block is checked
+    against."""
+    term1 = D.transpose(0, 2, 4, 1, 3)
+    term2 = D.transpose(0, 2, 4, 3, 1)
+    term3 = np.einsum("nlim,nmjk->nlkij", G, G)
+    term4 = np.einsum("nljm,nmik->nlkij", G, G)
+    rm = term1 - term2 + term3 - term4
+    return rm, np.einsum("nlkij,nlm->nijkm", rm, g)
+
+
+@pytest.mark.parametrize("name", scenes.builtin_names())
+def test_curvature_block_equals_four_term_formula(name):
+    """The block holds r4 and r_uvvu only, bit for bit those of the
+    four-term formula, and Ambient.curvature_at gives its rm at the same
+    points bit for bit."""
+    sc = scenes.builtin(name)
+    g = scenes.make_grid(sc, 12, 12)
+    base, amb = g.base, sc.ambient
+    pb = amb.bindings(base["p"])
+    rm, r4 = curvature_from(base["gamma"], expr.eval_table(amb.dgamma, pb), base["g"])
+    Xu, Xv = base["Xu"], base["Xv"]
+    r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
+    assert sorted(g.curvature) == ["r4", "r_uvvu"]
+    assert np.array_equal(g.curvature["r4"], r4)
+    assert np.array_equal(g.curvature["r_uvvu"], r_uvvu)
+    assert np.array_equal(amb.curvature_at(pb)["rm"], rm)
+
+
+@pytest.mark.parametrize("name", ["cartan_schouten_sphere", "rotated_frame_plane"])
+def test_curvature_block_working_set(name):
+    """Building the curvature block raises the traced memory by at most 2.5
+    arrays of 81 doubles per sample: dGamma is dropped once rm is formed
+    and rm once it is lowered to r4.  (The intermediates of the dGamma
+    program are the expression layer's, bounded by the chunk; on these
+    scenes they are small.)"""
+    sc = scenes.builtin(name)
+    scenes.make_grid(sc, 8, 8).curvature        # compile the programs first
+    g = scenes.make_grid(sc, 48, 48)
+    g.base
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert np.all(np.isfinite(g.curvature["r4"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 2.5 * 81 * 8 * g.U.size, (peak - held) / (81 * 8 * g.U.size)

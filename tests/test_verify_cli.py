@@ -138,6 +138,13 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [[1.0, 0.0], [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, 3.0], [float("nan"), 6.0]], "surface.domain"),
     ("surface", "domain", [[1.0, 1.0], [0.0, 6.0]], "surface.domain"),
+    (None, "bogus", 1, "error: bogus: unknown key"),
+    ("surface", "bogus", 1, "surface.bogus"),
+    ("ambient", "Gamma", [], "ambient.Gamma"),
+    (None, "gauge", {"theta": "x", "axis": ["0", "0", "1"], "angle": 1}, "gauge.angle"),
+    (None, "gauge", 1, "gauge"),
+    (None, "surface", {"X": ["u", "v", "exp(400*u)"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
+     "base.E: non-finite value at sample"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
