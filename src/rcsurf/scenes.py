@@ -16,12 +16,12 @@ A scene document is a JSON object (extension .rcscene) with keys::
     euler_characteristic  optional integer
     normal_axis           optional [expr x3]: Gauss map in frame components,
                           extended off the surface (used by gauge suites)
-    tolerances            optional {suite-entry name: positive number}
+    tolerances            optional {"classify" or verify.ENTRIES name: positive number}
     goldens               optional {name: expr in (u, v)}, informational
 
 build_scene rejects a key this layout does not define (the names under
-tolerances and goldens are free) and a value of the wrong type or range
-with a SceneFormatError that names its JSON path.
+goldens are free) and a value of the wrong type or range with a
+SceneFormatError that names its JSON path.
 
 Ambient expressions use variables x, y, z; surface expressions use u, v.
 Grids place uniform nodes on periodic axes (trapezoid weights) and
@@ -32,7 +32,6 @@ degenerate edges.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -43,8 +42,8 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    IoError, NonFiniteValue, NotClosed, NotIsothermal, NotWeitzenboeck,
-    RcsurfError, SceneFormatError, UndefinedField, UnknownScene,
+    IoError, NonFiniteValue, NotClosed, RcsurfError, SceneFormatError,
+    UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
 from .surface import Surface
@@ -184,8 +183,12 @@ def _chart_domain(adoc):
 
 
 def _tolerances(doc):
+    from .verify import ENTRIES     # verify imports this module
     out = {}
     for key, val in _object(doc, "tolerances", "tolerances").items():
+        if key != "classify" and key not in ENTRIES:
+            raise SceneFormatError(f"tolerances.{key}", "unknown key; expected classify "
+                                   f"or a report entry ({', '.join(ENTRIES)})")
         out[key] = _number(val, f"tolerances.{key}")
         if out[key] <= 0.0:
             raise SceneFormatError(f"tolerances.{key}", "expected a positive number")
@@ -805,20 +808,16 @@ EXPORT_COLUMNS = [
 _ROW = ",".join(["%.17g"] * 14 + ["%d"]) + "\n"
 
 
-def _export_rows(part, tol, holo):
-    """The export rows of one chunk as text.  holo False leaves abs_phi and
-    abs_psi blank; holo True raises NotIsothermal off isothermal samples."""
-    base, ext = part.base, part.ext
+def _export_rows(part, tol):
+    """The export rows of one chunk as text."""
+    scene, base, ext = part.scene, part.base, part.ext
     n = part.U.shape[0]
     K = part.intrinsic_K
     abs_phi = abs_psi = np.full(n, np.nan)
-    if holo:
+    if scene.surface.declared_isothermal:
         hol = part.holo
         abs_phi, abs_psi = np.abs(hol["phi"]), np.abs(hol["psi"])
-    try:
-        nf = part.gauss["n"]
-    except NotWeitzenboeck:
-        nf = np.full((n, 3), np.nan)
+    nf = part.gauss["n"] if scene.ambient.kind == "frame" else np.full((n, 3), np.nan)
     cls = extrinsic.classify(ext, tol=tol)
     flags = (cls["umbilic"].astype(int)
              + 2 * cls["minimal_point"].astype(int)
@@ -834,47 +833,26 @@ def export_fields(grid: SampleGrid, path):
     """Tabular export: one row per sample, 17 significant digits, LF line
     endings, deterministic row-major ordering.
 
-    abs_phi/abs_psi are blank (nan) off isothermal charts, n_i off
-    frame-defined ambients.  flags packs the classifiers as bit 1 =
-    umbilic, 2 = minimal, 4 = geodesic, at the scene's "classify"
-    tolerance (default 1e-7).
+    The optional columns follow the scene's declarations, as verify's
+    suites do: abs_phi/abs_psi are filled if and only if the chart is
+    declared isothermal (surface.isothermal; NotIsothermal where it is not
+    isothermal after all), n_i if and only if the ambient is frame-defined,
+    and are blank (nan) otherwise.  flags packs the classifiers as bit 1 =
+    umbilic, 2 = minimal, 4 = geodesic, at the scene's "classify" tolerance
+    (default 1e-7).
 
     Each chunk's rows are written as soon as they are ready.  The file is
     opened once the first chunk's rows are, so an error there leaves no
-    file; an error in a later chunk removes the partial file.  Whether the
-    chart is isothermal is a verdict on the whole grid: when a later chunk
-    is not, the rows already written are written again with abs_phi/abs_psi
-    blank.
+    file; an error in a later chunk removes the partial file.
     """
     tol = grid.scene.tolerances.get("classify", 1e-7)
-    header = ",".join(EXPORT_COLUMNS) + "\n"
-    holo = True             # until the first chunk that is not isothermal
-
-    def rows(part):
-        nonlocal holo
-        if holo:
-            try:
-                return _export_rows(part, tol, True)
-            except NotIsothermal:
-                holo = False
-        return _export_rows(part, tol, False)
-
     fh = None
-    filled = 0              # chunks in the file with abs_phi/abs_psi filled
     try:
-        for text in grid.map_chunks(rows):
+        for text in grid.map_chunks(lambda part: _export_rows(part, tol)):
             if fh is None:
                 fh = open(path, "w", encoding="utf-8", newline="\n")
-                fh.write(header)
-            if not holo and filled:
-                fh.seek(0)
-                fh.truncate()
-                fh.write(header)
-                fh.writelines(itertools.islice(grid.map_chunks(
-                    lambda part: _export_rows(part, tol, False)), filled))
-                filled = 0
+                fh.write(",".join(EXPORT_COLUMNS) + "\n")
             fh.write(text)
-            filled += holo
         fh.close()
     except BaseException as err:
         if fh is not None:

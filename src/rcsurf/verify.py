@@ -8,9 +8,13 @@ Egregium, sectional split and Hopf-coefficient identity keep budgets of
 1e-5 and 1e-4, wider than their residuals need.  "strict" is ten times
 tighter everywhere.
 
-Suites not applicable to a scene (degree on a non-closed chart, Gauss-map
-suites on coefficient-defined ambients, holomorphic suites off isothermal
-charts) are reported as skipped, never as failures.
+ENTRIES, the one table of report entries, gives each entry's suite and
+analytic budget in report order; SUITES, TIERS and the names allowed under
+a scene's "tolerances" derive from it.  Entries that do not apply (degree
+on a non-closed chart, Gauss-map suites on coefficient-defined ambients,
+holomorphic suites off charts not declared isothermal, egregium in a curved
+ambient, a masked entry whose mask keeps no sample) are reported as
+skipped, never as failures.
 """
 
 from __future__ import annotations
@@ -23,39 +27,33 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo, scenes
 from .errors import NonFiniteValue, RcsurfError
 
-__all__ = ["SUITES", "TIERS", "VerificationReport", "run_verification",
+__all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "random_gauge_fields"]
 
-SUITES = [
-    "ambient_sanity", "gauss_eq", "egregium", "divcurl", "gauge",
-    "psi_identity", "hopf_identity", "conformality", "gauss_bonnet", "degree",
-]
-
-_ANALYTIC = {
-    "ambient_sanity": 1e-7,
-    "gauss_eq": 1e-5,
-    "egregium": 1e-4,
-    "sectional_split": 1e-4,
-    "divcurl": 1e-7,
-    "gauge_theorem": 1e-6,
-    "gauge_general": 1e-5,
-    "psi_identity": 1e-8,
-    "hopf_identity": 1e-5,
-    "conformality": 1e-9,
-    "gauss_bonnet": 1e-3,
-    "degree": 1e-3,
+# entry -> (suite that computes it, analytic budget), in report order
+ENTRIES = {
+    "ambient_sanity": ("ambient_sanity", 1e-7),
+    "gauss_eq": ("gauss_eq", 1e-5),
+    "egregium": ("egregium", 1e-4),
+    "sectional_split": ("egregium", 1e-4),
+    "divcurl": ("divcurl", 1e-7),
+    "gauge_theorem": ("gauge", 1e-6),
+    "gauge_general": ("gauge", 1e-5),
+    "psi_identity": ("psi_identity", 1e-8),
+    "hopf_identity": ("hopf_identity", 1e-5),
+    "conformality": ("conformality", 1e-9),
+    "gauss_bonnet": ("gauss_bonnet", 1e-3),
+    "degree": ("degree", 1e-3),
 }
 
+SUITES = list(dict.fromkeys(suite for suite, _ in ENTRIES.values()))
+
 TIERS = {
-    "analytic": _ANALYTIC,
-    "strict": {k: v / 10.0 for k, v in _ANALYTIC.items()},
+    "analytic": {name: budget for name, (_, budget) in ENTRIES.items()},
+    "strict": {name: budget / 10.0 for name, (_, budget) in ENTRIES.items()},
 }
 
 GAUGE_FIELDS = 2        # random gauge fields per gauge suite entry
-
-# suites that report more than the one entry named after them
-_ENTRIES = {"egregium": ("egregium", "sectional_split"),
-            "gauge": ("gauge_theorem", "gauge_general")}
 
 
 class VerificationReport:
@@ -153,12 +151,8 @@ def _abs_max(values):
     return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
 
 
-def _max(values):
-    return float(np.max(values)) if values.size else 0.0
-
-
-def _mean(values):
-    return float(np.mean(values)) if values.size else 0.0
+def _entries(suite):
+    return [name for name, (owner, _) in ENTRIES.items() if owner == suite]
 
 
 def _plan(scene, chosen):
@@ -169,6 +163,7 @@ def _plan(scene, chosen):
     no_iso = None if scene.surface.declared_isothermal else "chart not isothermal"
     no_axis = None if scene.normal_axis is not None else "no normal-axis field"
     not_closed = None if scene.closed else "chart not closed"
+    no_chi = None if scene.chi is not None else "no euler_characteristic"
     reasons = {
         "divcurl": no_frame,
         "gauge_theorem": no_frame or no_axis,
@@ -176,12 +171,11 @@ def _plan(scene, chosen):
         "psi_identity": no_iso,
         "hopf_identity": no_iso,
         "conformality": no_frame,
-        "gauss_bonnet": not_closed or (scene.chi is None and "chart not closed"),
+        "gauss_bonnet": not_closed or no_chi,
         "degree": not_closed or no_frame,
     }
     skips = {name: why for name, why in reasons.items() if why}
-    run = [s for s in dict.fromkeys(chosen) if s not in skips
-           and not (s == "gauge" and "gauge_general" in skips)]
+    run = [s for s in chosen if any(e not in skips for e in _entries(s))]
     return run, skips
 
 
@@ -211,10 +205,10 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"tolerance must be a tier ({', '.join(TIERS)}) "
                              f"or a finite positive number, got {tol!r}")
-        tols = {k: value for k in _ANALYTIC}
+        tols = {k: value for k in ENTRIES}
         tier_name = repr(value)
     tols.update(scene.tolerances)
-    chosen = SUITES if suites is None else list(suites)
+    chosen = SUITES if suites is None else list(dict.fromkeys(suites))
     for s in chosen:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
@@ -222,7 +216,6 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     grid = scenes.make_grid(scene, nu, nv)
     report = VerificationReport(scene.name, (grid.nu, grid.nv), tier_name)
     surf, amb = scene.surface, scene.ambient
-    is_frame = amb.kind == "frame"
     nsamples = int(grid.U.shape[0])
     run, skips = _plan(scene, chosen)
 
@@ -270,7 +263,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 r4 = part.curvature["r4"]
                 parts.append(_abs_max(r4 + np.swapaxes(r4, 1, 2)))
                 parts.append(_abs_max(r4 + np.swapaxes(r4, 3, 4)))
-                if is_frame:
+                if amb.kind == "frame":
                     parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
                     F = expr.eval_table(amb.frame, pb)
                     gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
@@ -325,40 +318,21 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         pass
     kept = {name: buf[:k] for name, (buf, k) in kept.items()}
 
-    def entry(name, residual, samples=None, mean=None):
+    def entry(name, residual, samples=nsamples, mean=None):
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
             raise NonFiniteValue(f"report.{name}", "non-finite residual")
         t = tols[name]
         status = "pass" if residual <= t else "fail"
-        report.add(name, status, residual, t, samples or nsamples,
-                   mean_residual=mean)
+        report.add(name, status, residual, t, samples, mean_residual=mean)
 
-    def masked_entry(name):
-        res = kept[name]
-        entry(name, _max(res), res.size, _mean(res))
-
+    if not flat:
+        skips["egregium"] = "ambient not flat"
     for suite in chosen:
-        for name in _ENTRIES.get(suite, (suite,)):
+        for name in _entries(suite):
             if name in skips:
                 report.add(name, "skip", reason=skips[name])
-            elif name in ("ambient_sanity", "psi_identity"):
-                res = kept[name]
-                entry(name, float(np.max(res)), mean=float(np.mean(res)))
-            elif name in ("gauss_eq", "sectional_split", "divcurl"):
-                masked_entry(name)
-            elif name == "egregium":
-                if flat:
-                    masked_entry(name)
-                else:
-                    report.add(name, "skip", reason="ambient not flat")
-            elif name in ("gauge_theorem", "gauge_general"):
+            elif name in peak:
                 entry(name, peak[name])
-            elif name == "hopf_identity":
-                res = kept[name]
-                entry(name, float(np.max(res)), res.size, float(np.mean(res)))
-            elif name == "conformality":
-                res = kept[name]
-                entry(name, float(np.mean(res)), res.size)
             elif name == "gauss_bonnet":
                 total = float(np.sum(kept[name]))
                 entry(name, abs(total - 2.0 * np.pi * scene.chi) / (4.0 * np.pi))
@@ -375,4 +349,11 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 if scene.chi is not None and 2 * d["degree"] != scene.chi:
                     res = 1.0
                 entry(name, res)
+            elif not kept[name].size:
+                report.add(name, "skip", reason="no interior sample")
+            elif name == "conformality":        # the share of misclassified samples
+                entry(name, float(np.mean(kept[name])), kept[name].size)
+            else:
+                res = kept[name]
+                entry(name, float(np.max(res)), res.size, float(np.mean(res)))
     return report

@@ -101,9 +101,9 @@ def test_flatness_is_a_whole_grid_verdict(monkeypatch):
 
 
 def test_partly_isothermal_chart_exports_blank_hopf_columns(tmp_path, monkeypatch):
-    """X = (u, v, 0.001 u^3) is isothermal to 1e-8 only for u < 0.18: the
-    first chunk fills abs_phi/abs_psi, a later one is not isothermal, and
-    every row ends up blank as on one chunk."""
+    """X = (u, v, 0.001 u^3) is isothermal to 1e-8 only for u < 0.18 and is
+    not declared isothermal: the first chunk's Hopf block is finite, yet
+    every row is blank, as on one chunk."""
     sc = scenes.build_scene({
         "name": "cubic_graph",
         "ambient": {"type": "frame",

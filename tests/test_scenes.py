@@ -216,6 +216,45 @@ def test_export_nan_columns_where_undefined(tmp_path):
     assert float(line[cols.index("K_intrinsic")]) == pytest.approx(1.0, abs=1e-4)
 
 
+def _plane_doc(X, **surface):
+    """A chart X over the unit square in the identity frame."""
+    return {"name": "graph",
+            "ambient": {"type": "frame",
+                        "F": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            "surface": {"X": X, "domain": [[0.0, 1.0], [0.0, 1.0]], **surface}}
+
+
+def test_export_of_chart_declared_isothermal_that_is_not(tmp_path, capsys):
+    """X = (u, v, 0.001 u^3) declared isothermal: fields exits 2 with the
+    NotIsothermal message verify gives, and leaves no file."""
+    path = tmp_path / "cubic.rcscene"
+    path.write_text(json.dumps(_plane_doc(["u", "v", "0.001*u^3"], isothermal=True)),
+                    encoding="utf-8")
+    assert cli.main(["verify", "--scene", str(path), "--grid", "8x8"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: chart is not isothermal: E=")
+    out = tmp_path / "f.csv"
+    assert cli.main(["fields", "--scene", str(path), "--grid", "8x8",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_export_hopf_columns_follow_the_declaration(tmp_path):
+    """The plane X = (u, v, 0) is isothermal, but abs_phi/abs_psi are filled
+    only when the scene declares it; n_i (a frame ambient) are filled
+    either way."""
+    cols = scenes.EXPORT_COLUMNS
+    for declared, cell in ((False, "nan"), (True, "0")):
+        sc = scenes.build_scene(_plane_doc(["u", "v", "0"], isothermal=declared))
+        out = tmp_path / f"plane-{declared}.csv"
+        scenes.export_fields(scenes.make_grid(sc, 8, 8), out)
+        for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+            row = line.split(",")
+            assert row[cols.index("abs_phi")] == row[cols.index("abs_psi")] == cell
+            assert row[cols.index("n_3")] == "1"
+
+
 def test_golden_expressions_evaluate():
     sc = scenes.builtin("cartan_schouten_sphere", lam=0.25)
     g = scenes.make_grid(sc, 8, 8)

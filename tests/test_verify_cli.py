@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +87,56 @@ def test_failure_detected_on_corrupted_goldens():
     assert not rep.passed
 
 
+def test_repeated_suite_names_report_each_entry_once():
+    sc = scenes.builtin("euclidean_plane")
+    rep = verify.run_verification(sc, 8, 8,
+                                  suites=["divcurl", "divcurl", "gauge", "gauge"])
+    assert [e["name"] for e in rep.entries] == [
+        "divcurl", "gauge_theorem", "gauge_general"]
+    assert rep.to_json() == verify.run_verification(
+        sc, 8, 8, suites=["divcurl", "gauge"]).to_json()
+
+
+def test_gauss_bonnet_without_euler_characteristic_says_so():
+    """A closed chart that declares no euler_characteristic: degree runs,
+    and gauss_bonnet is skipped for the missing characteristic."""
+    doc = scenes.builtin("round_sphere_standard").to_dict()
+    del doc["euler_characteristic"]
+    rep = verify.run_verification(scenes.build_scene(doc), 24, 24,
+                                  suites=["gauss_bonnet", "degree"])
+    gb, deg = rep.entries
+    assert (gb["status"], gb["reason"]) == ("skip", "no euler_characteristic")
+    assert deg["status"] == "pass"
+
+
 # --- command line ------------------------------------------------------------
+
+
+_MASKED = ("gauss_eq", "egregium", "sectional_split", "divcurl", "hopf_identity",
+           "conformality")
+
+
+@pytest.mark.parametrize("suites", [None, "gauss_eq,divcurl,egregium", "conformality"])
+def test_entry_that_checks_no_sample_is_skipped(tmp_path, suites):
+    """X = (1e-4 u, 1e-4 v, 0): the area density 1e-8 is below the mask's
+    1e-6, so every masked entry checks no sample and is skipped; the run
+    passes without a numpy warning."""
+    doc = {"name": "tiny_plane",
+           "ambient": {"type": "frame",
+                       "F": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+           "surface": {"X": ["1e-4*u", "1e-4*v", "0"],
+                       "domain": [[0.0, 1.0], [0.0, 1.0]], "isothermal": True}}
+    path, out = tmp_path / "tiny.rcscene", tmp_path / "r.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["verify", "--scene", str(path), "--grid", "8x8", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + (["--suite", suites] if suites else [])) == 0
+    entries = json.loads(out.read_text(encoding="utf-8"))["suites"]
+    masked = [e for e in entries if e["name"] in _MASKED]
+    assert masked and all(e["status"] == "skip" and e["reason"] == "no interior sample"
+                          for e in masked)
+    assert all(e["samples"] == 64 for e in entries if e["status"] != "skip")
 
 
 def test_cli_list(capsys):
@@ -145,6 +195,7 @@ def test_cli_missing_scene_is_config_error(capsys):
     (None, "gauge", 1, "gauge"),
     (None, "surface", {"X": ["u", "v", "exp(400*u)"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
      "base.E: non-finite value at sample"),
+    (None, "tolerances", {"gauss_eqq": 1e-30}, "tolerances.gauss_eqq"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -216,7 +267,7 @@ def test_cli_fields_export(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 65
 
 
-def test_cli_jobs_does_not_change_report(tmp_path):
+def test_cli_verify_report_bytes_repeat(tmp_path):
     outs = []
     for run in ("1", "4"):
         out = tmp_path / f"r{run}.json"
@@ -226,7 +277,7 @@ def test_cli_jobs_does_not_change_report(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_jobs_does_not_change_export(tmp_path):
+def test_cli_fields_export_bytes_repeat(tmp_path):
     outs = []
     for run in ("1", "3"):
         out = tmp_path / f"f{run}.csv"
