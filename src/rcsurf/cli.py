@@ -3,7 +3,8 @@
 Subcommands: verify (run suites, exit 0 iff all pass), fields (export a
 sample grid), integrate (one named field), list (built-in scenes).
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
-error.  Grid work is vectorized and deterministic, so reports and exports
+error, an output that cannot be written or a grid that does not fit in
+memory.  Grid work is vectorized and deterministic, so reports and exports
 are byte-identical across runs.
 """
 
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import scenes, verify
-from .errors import RcsurfError, SceneFormatError
+from .errors import IoError, RcsurfError, SceneFormatError
 
 __all__ = ["main"]
 
@@ -112,6 +113,10 @@ def main(argv=None):
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: --grid {args.grid}: not enough memory for this grid",
+              file=sys.stderr)
+        return 2
 
 
 def _run(args):
@@ -130,8 +135,11 @@ def _run(args):
         for line in report.summary_lines():
             print(line)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report.to_json())
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(report.to_json())
+            except OSError as err:
+                raise IoError(f"cannot write report {args.out!r}: {err}") from err
         return 0 if report.passed else 1
 
     grid = scenes.make_grid(scene, nu, nv)

@@ -52,7 +52,7 @@ __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
     "builtin_names", "builtin_provenance", "SampleGrid", "make_grid",
     "integrate", "require_closed", "degree_from", "gauss_degree",
-    "export_fields", "EXPORT_COLUMNS",
+    "export_fields", "export_columns", "format_rows", "EXPORT_COLUMNS",
 ]
 
 AMBIENT_VARS = {"x", "y", "z"}
@@ -77,6 +77,12 @@ class Scene:
         self.tolerances = dict(tolerances or {})
         self.goldens = dict(goldens or {})
         self.doc = doc or {}
+
+    @property
+    def closed_chart(self):
+        """The chart claims to cover a closed surface: both axes periodic,
+        or declared closed (require_closed checks the claim)."""
+        return self.closed or all(self.surface.periodic)
 
     def to_dict(self):
         return json.loads(json.dumps(self.doc))
@@ -207,6 +213,8 @@ def build_scene(doc) -> Scene:
     """Validate a scene document and construct the Scene."""
     _known_keys(doc, "")
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise SceneFormatError("name", "expected a JSON string")
     adoc = _need(doc, "ambient", "", dict)
     kind = _need(adoc, "type", "ambient", str)
     chart_domain = _chart_domain(adoc)
@@ -229,12 +237,10 @@ def build_scene(doc) -> Scene:
     _known_keys(sdoc, "surface")
     X = _parse_matrix(_need(sdoc, "X", "surface"), SURFACE_VARS, "surface.X", (3,))
     domain = _need(sdoc, "domain", "surface", list)
-    try:
-        domain = ((float(domain[0][0]), float(domain[0][1])),
-                  (float(domain[1][0]), float(domain[1][1])))
-    except (TypeError, IndexError, ValueError) as err:
-        raise SceneFormatError("surface.domain", "expected [[u0,u1],[v0,v1]]") from err
-    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in domain):
+    if len(domain) != 2 or not all(isinstance(a, list) and len(a) == 2 for a in domain):
+        raise SceneFormatError("surface.domain", "expected [[u0,u1],[v0,v1]]")
+    domain = tuple(tuple(_number(b, "surface.domain") for b in axis) for axis in domain)
+    if not all(lo < hi for lo, hi in domain):
         raise SceneFormatError("surface.domain", "expected finite bounds with lo < hi "
                                "on both axes")
     periodic = sdoc.get("periodic", [False, False])
@@ -761,9 +767,7 @@ def require_closed(scene):
     both axes periodic, or the scene declared closed with the area density
     vanishing at the non-periodic edges (polar charts)."""
     surf = scene.surface
-    if all(surf.periodic):
-        return
-    if not scene.closed:
+    if not scene.closed_chart:
         raise NotClosed("Gauss-map degree needs a closed surface chart")
     for axis in (0, 1):
         if surf.periodic[axis]:
@@ -805,14 +809,33 @@ EXPORT_COLUMNS = [
 ]
 
 
-_ROW = ",".join(["%.17g"] * 14 + ["%d"]) + "\n"
+def _cells(col, fmt):
+    """The cells of one column of 8-byte numbers as an object array of
+    text, fmt applied once to each distinct value.  Values are keyed by
+    their bits, so 0.0 and -0.0 (equal as floats) keep their own text."""
+    distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = [fmt % x for x in distinct.view(col.dtype).tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
-def _export_rows(part, tol):
-    """The export rows of one chunk as text."""
+def format_rows(cols):
+    """Rows of text from the columns of one chunk: each float column of
+    cols[:-1] as "%.17g" and the integer column cols[-1] as "%d", comma
+    separated, one LF-terminated row per sample.  Each distinct value of a
+    column is formatted once; the cells are laid row by row into one flat
+    array and joined once."""
+    cells = np.empty((len(cols[-1]), len(cols)), dtype=object)
+    for j, col in enumerate(cols[:-1]):
+        cells[:, j] = _cells(np.ascontiguousarray(col, dtype=np.float64), "%.17g,")
+    cells[:, -1] = _cells(np.asarray(cols[-1], dtype=np.int64), "%d\n")
+    return "".join(cells.ravel().tolist())
+
+
+def export_columns(part, tol):
+    """The EXPORT_COLUMNS of one chunk as arrays, flags last (an integer
+    array); tol is the classifiers' tolerance."""
     scene, base, ext = part.scene, part.base, part.ext
     n = part.U.shape[0]
-    K = part.intrinsic_K
     abs_phi = abs_psi = np.full(n, np.nan)
     if scene.surface.declared_isothermal:
         hol = part.holo
@@ -823,10 +846,9 @@ def _export_rows(part, tol):
              + 2 * cls["minimal_point"].astype(int)
              + 4 * cls["geodesic_point"].astype(int))
     p = base["p"]
-    cols = [part.U, part.V, p[:, 0], p[:, 1], p[:, 2],
-            ext["H"], ext["star_tau"], ext["K_e"], K, abs_phi, abs_psi,
+    return [part.U, part.V, p[:, 0], p[:, 1], p[:, 2],
+            ext["H"], ext["star_tau"], ext["K_e"], part.intrinsic_K, abs_phi, abs_psi,
             nf[:, 0], nf[:, 1], nf[:, 2], flags]
-    return "".join(_ROW % row for row in zip(*(c.tolist() for c in cols)))
 
 
 def export_fields(grid: SampleGrid, path):
@@ -848,7 +870,8 @@ def export_fields(grid: SampleGrid, path):
     tol = grid.scene.tolerances.get("classify", 1e-7)
     fh = None
     try:
-        for text in grid.map_chunks(lambda part: _export_rows(part, tol)):
+        for text in grid.map_chunks(
+                lambda part: format_rows(export_columns(part, tol))):
             if fh is None:
                 fh = open(path, "w", encoding="utf-8", newline="\n")
                 fh.write(",".join(EXPORT_COLUMNS) + "\n")

@@ -162,7 +162,7 @@ def _plan(scene, chosen):
     no_frame = None if scene.ambient.kind == "frame" else "ambient not frame-defined"
     no_iso = None if scene.surface.declared_isothermal else "chart not isothermal"
     no_axis = None if scene.normal_axis is not None else "no normal-axis field"
-    not_closed = None if scene.closed else "chart not closed"
+    not_closed = None if scene.closed_chart else "chart not closed"
     no_chi = None if scene.chi is not None else "no euler_characteristic"
     reasons = {
         "divcurl": no_frame,

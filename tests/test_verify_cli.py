@@ -188,7 +188,10 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [[1.0, 0.0], [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, 3.0], [float("nan"), 6.0]], "surface.domain"),
     ("surface", "domain", [[1.0, 1.0], [0.0, 6.0]], "surface.domain"),
+    ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
+    ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
     (None, "bogus", 1, "error: bogus: unknown key"),
+    (None, "name", ["sphere"], "error: name: expected a JSON string"),
     ("surface", "bogus", 1, "surface.bogus"),
     ("ambient", "Gamma", [], "ambient.Gamma"),
     (None, "gauge", {"theta": "x", "axis": ["0", "0", "1"], "angle": 1}, "gauge.angle"),
@@ -285,3 +288,46 @@ def test_cli_fields_export_bytes_repeat(tmp_path):
                          "--grid", "8x8", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_doubly_periodic_chart_is_closed_without_the_declaration():
+    """torus_standard without "closed": both axes periodic make the chart
+    closed for verify's plan as for scenes.require_closed, so gauss_bonnet
+    and degree run and pass."""
+    doc = scenes.builtin("torus_standard").to_dict()
+    del doc["closed"]
+    sc = scenes.build_scene(doc)
+    rep = verify.run_verification(sc, 16, 16, suites=["gauss_bonnet", "degree"])
+    assert [(e["name"], e["status"]) for e in rep.entries] == [
+        ("gauss_bonnet", "pass"), ("degree", "pass")]
+    assert scenes.gauss_degree(scenes.make_grid(sc, 16, 16))["degree"] == 0
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_cli_verify_unwritable_report_is_input_error(tmp_path, capsys, where):
+    """A report path that cannot be written exits 2 with one error line, as
+    fields does for its table."""
+    out = tmp_path / "no" / "r.json" if where == "missing_dir" else tmp_path
+    assert cli.main(["verify", "--builtin", "euclidean_plane", "--grid", "8x8",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report {str(out)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "fields", "integrate"])
+def test_cli_grid_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch, command):
+    """A grid too large for memory exits 2 with one line naming the grid.
+    The allocation is simulated: make_grid raises MemoryError."""
+    def no_memory(scene, nu, nv):
+        raise MemoryError(f"cannot allocate {nu * nv * 8} bytes")
+
+    monkeypatch.setattr(scenes, "make_grid", no_memory)
+    extra = {"verify": [], "fields": ["--out", str(tmp_path / "f.csv")],
+             "integrate": ["--field", "one"]}[command]
+    assert cli.main([command, "--builtin", "euclidean_plane",
+                     "--grid", "100000x100000"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "100000x100000" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "f.csv").exists()
