@@ -188,10 +188,7 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [[1.0, 0.0], [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, 3.0], [float("nan"), 6.0]], "surface.domain"),
     ("surface", "domain", [[1.0, 1.0], [0.0, 6.0]], "surface.domain"),
-    ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
-    ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
     (None, "bogus", 1, "error: bogus: unknown key"),
-    (None, "name", ["sphere"], "error: name: expected a JSON string"),
     ("surface", "bogus", 1, "surface.bogus"),
     ("ambient", "Gamma", [], "ambient.Gamma"),
     (None, "gauge", {"theta": "x", "axis": ["0", "0", "1"], "angle": 1}, "gauge.angle"),
@@ -199,6 +196,9 @@ def test_cli_missing_scene_is_config_error(capsys):
     (None, "surface", {"X": ["u", "v", "exp(400*u)"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
      "base.E: non-finite value at sample"),
     (None, "tolerances", {"gauss_eqq": 1e-30}, "tolerances.gauss_eqq"),
+    ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
+    ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
+    (None, "name", ["sphere"], "error: name: expected a JSON string"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
