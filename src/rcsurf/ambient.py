@@ -132,8 +132,10 @@ class Ambient:
             raise SingularFrame("frame is negatively oriented at a sample")
 
     def fields_at(self, bindings, names):
-        """The named tables ('g', 'gamma', 'dgamma', 'dg') at batched
-        points, evaluated as one program after the chart and frame checks."""
+        """The named tables ('g', 'gamma', 'dgamma', 'dg', and in a frame
+        ambient 'frame', 'frame_inv') at batched points, evaluated as one
+        program after the chart and frame checks.  frame and frame_inv
+        are nodes of g and Gamma: adding them to that group adds no op."""
         self._check_inside(bindings)
         self._check_frame(bindings)
         return expr.eval_table(tuple(getattr(self, n) for n in names), bindings)
@@ -158,11 +160,11 @@ class Ambient:
 
     def riemann(self, G, bindings):
         """rm at batched points that already passed the chart and frame
-        checks (fields_at), from their stacked Gamma.  dGamma is evaluated
-        here and dropped before the quadratic terms are formed, and the
-        Gamma^l_jm Gamma^m_ik term is the Gamma^l_im Gamma^m_jk term with
-        (i, j) swapped, so at most two arrays of 81 values per sample are
-        alive at once."""
+        checks (fields_at; a base block's p), from their stacked Gamma.
+        dGamma is evaluated here and dropped before the quadratic terms are
+        formed, and the Gamma^l_jm Gamma^m_ik term is the Gamma^l_im
+        Gamma^m_jk term with (i, j) swapped, so at most two arrays of 81
+        values per sample are alive at once."""
         D = expr.eval_table(self.dgamma, bindings)
         rm = D.transpose(0, 2, 4, 1, 3) - D.transpose(0, 2, 4, 3, 1)
         del D

@@ -11,6 +11,7 @@ are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -19,6 +20,9 @@ from . import scenes, verify
 from .errors import IoError, RcsurfError, SceneFormatError
 
 __all__ = ["main"]
+
+# what each command writes to --out, as its error messages name it
+_OUTPUTS = {"verify": "report", "fields": "field export"}
 
 
 def _add_scene_args(p):
@@ -100,6 +104,19 @@ def _grid_shape(text):
     return nu, nv
 
 
+def _writable(path, what):
+    """Raise the IoError that writing what to path would raise, before any
+    grid work is spent on it.  path is left as it was: an existing file is
+    opened for appending and kept, a probe file is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as err:
+        raise IoError(f"cannot write {what} {path!r}: {err}") from err
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -127,6 +144,8 @@ def _run(args):
 
     scene = _load(args)
     nu, nv = _grid_shape(args.grid)
+    if args.command in _OUTPUTS and args.out:
+        _writable(args.out, _OUTPUTS[args.command])
 
     if args.command == "verify":
         suites = args.suite.split(",") if args.suite else None

@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 AMBIENT_FLAT_TOL = 1e-9
+CLASSIFY_TOL = 1e-7         # default of the pointwise classifiers and conformality
 
 
 def mean_curvature(base):
@@ -80,7 +81,7 @@ def curvature_decomposition(fields, curv, K):
     }
 
 
-def classify(fields, tol=1e-7):
+def classify(fields, tol=CLASSIFY_TOL):
     """Pointwise classifiers: umbilic, minimal_point, geodesic_point.
 
     Umbilic compares W in the oriented orthonormal basis against the matrix

@@ -10,11 +10,13 @@ data come in three blocks, each built only for its readers:
     projected_frames   e_top, e_cross and their (u, v) components
                                                 div/curl, general gauge law
 
-The parameter derivatives come from the surface's exact expression
-pipeline, so the divergence/curl ladder holds to round-off rather than
-stencil accuracy.  All directional derivatives along projected frame
-vectors stay on the surface: tangent vectors are expanded in (X_u, X_v) and
-applied to the (u, v)-dependence through the chain rule.
+The frame and its inverse come from the base block.  The parameter
+derivatives come from the surface's exact expression pipeline, so the
+divergence/curl ladder holds to round-off rather than stencil accuracy.
+One kernel (_div_curl) forms every divergence and curl along a projected
+frame.  All directional derivatives along projected frame vectors stay on
+the surface: tangent vectors are expanded in (X_u, X_v) and applied to the
+(u, v)-dependence through the chain rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .ambient import frame_ambient
+from .ambient import CHART_VARS, frame_ambient
 from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck
 from .so3 import matmul_exprs, rodrigues_exprs
 from .surface import Surface, cross_metric_batch, require_finite
@@ -54,11 +56,10 @@ def _require_frame(surface):
 
 def gauss_field(surface, fields):
     """The Gauss map block {n}: frame components n = F^-1 N of the unit
-    normal at the samples of fields (a base_fields dict)."""
+    normal at the samples of fields (a base_fields dict, which holds
+    frame_inv)."""
     _require_frame(surface)
-    amb = surface.ambient
-    Finv = expr.eval_table(amb.frame_inv, amb.bindings(fields["p"]))
-    n = np.einsum("nij,nj->ni", Finv, fields["N"])
+    n = np.einsum("nij,nj->ni", fields["frame_inv"], fields["N"])
     return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
 
 
@@ -80,8 +81,7 @@ def projected_frames(surface, fields, gauss):
     top_comp, cross_comp (n, 2, 3).  gauss is gauss_field at the samples
     of fields."""
     _require_frame(surface)
-    amb = surface.ambient
-    F = expr.eval_table(amb.frame, amb.bindings(fields["p"]))   # E_i = F[:, :, i]
+    F = fields["frame"]                 # E_i = F[:, :, i]
     N, g, n = fields["N"], fields["g"], gauss["n"]
     e_top = np.empty_like(F)
     e_cross = np.empty_like(F)
@@ -99,43 +99,33 @@ def projected_frames(surface, fields, gauss):
     }, fields["u"], fields["v"])
 
 
-def _directional(dn, comp, j):
-    """Directional derivative of n^j along the tangent vector with
-    (u, v)-components comp: comp_u dn/du + comp_v dn/dv."""
-    return comp[:, 0] * dn["dn_du"][:, j] + comp[:, 1] * dn["dn_dv"][:, j]
+def _div_curl(deriv):
+    """Divergence and curl, along one projected frame E_1, E_2, E_3, of a
+    field e in frame components, from deriv(i, j) = E_i(e^j) per sample:
+    Div = sum_i E_i(e^i) and Curl^k = E_i(e^j) - E_j(e^i) for cyclic
+    (i, j, k)."""
+    D = [[deriv(i, j) for j in range(3)] for i in range(3)]
+    div = D[0][0] + D[1][1] + D[2][2]
+    curl = np.stack([D[1][2] - D[2][1], D[2][0] - D[0][2], D[0][1] - D[1][0]],
+                    axis=-1)
+    return div, curl
 
 
-def div_curl(gauss, dn, frames):
-    """The four divergence/curl scalars of the Gauss map.
+def div_curl(dn, frames):
+    """Divergence and curl of the Gauss map n along each projected frame.
 
     Identities they satisfy: Div_top = -H, Div_cross = *tau,
-    Curl_top = -*tau n, Curl_cross = -H n.  The full curl vectors are
-    returned as well for the ladder checks.  gauss, dn and frames are the
-    gauss_field, gauss_derivatives and projected_frames blocks of the same
-    samples.
+    Curl_top = -*tau n, Curl_cross = -H n.  Returns div_top, div_cross
+    and the curl vectors curl_top, curl_cross.  dn and frames are the
+    gauss_derivatives and projected_frames blocks of the same samples.
     """
-    n = gauss["n"]
-    D = np.empty((n.shape[0], 3, 3, 2))  # D[:, i, j, which]: E_i^top/cross (n^j)
-    for i in range(3):
-        for j in range(3):
-            D[:, i, j, 0] = _directional(dn, frames["top_comp"][:, :, i], j)
-            D[:, i, j, 1] = _directional(dn, frames["cross_comp"][:, :, i], j)
-    div_top = D[:, 0, 0, 0] + D[:, 1, 1, 0] + D[:, 2, 2, 0]
-    div_cross = D[:, 0, 0, 1] + D[:, 1, 1, 1] + D[:, 2, 2, 1]
-    curl_top = np.stack([D[:, 1, 2, 0] - D[:, 2, 1, 0],
-                         D[:, 2, 0, 0] - D[:, 0, 2, 0],
-                         D[:, 0, 1, 0] - D[:, 1, 0, 0]], axis=-1)
-    curl_cross = np.stack([D[:, 1, 2, 1] - D[:, 2, 1, 1],
-                           D[:, 2, 0, 1] - D[:, 0, 2, 1],
-                           D[:, 0, 1, 1] - D[:, 1, 0, 1]], axis=-1)
-    return {
-        "div_top": div_top,
-        "div_cross": div_cross,
-        "curl_top_dot_n": np.einsum("ni,ni->n", curl_top, n),
-        "curl_cross_dot_n": np.einsum("ni,ni->n", curl_cross, n),
-        "curl_top": curl_top,
-        "curl_cross": curl_cross,
-    }
+    du, dv = dn["dn_du"], dn["dn_dv"]
+    out = {}
+    for which in ("top", "cross"):
+        comp = frames[f"{which}_comp"]      # E_i(n^j) = comp_u dn^j/du + comp_v dn^j/dv
+        out[f"div_{which}"], out[f"curl_{which}"] = _div_curl(
+            lambda i, j: comp[:, 0, i] * du[:, j] + comp[:, 1, i] * dv[:, j])
+    return out
 
 
 # --- gauge transformations ---------------------------------------------------
@@ -162,23 +152,28 @@ def gauged_surface(surf: Surface, gauge: GaugeField) -> Surface:
     return gsurf
 
 
-def _axis_unit_check(gauge, fields):
-    p = fields["p"]
-    ax = expr.eval_table(list(gauge.axis),
-                         {"x": p[:, 0], "y": p[:, 1], "z": p[:, 2]})
-    norms = np.linalg.norm(ax, axis=-1)
+def _gauge_at(surf, gauge, fields, gradients=False):
+    """The gauge's axis (n, 3), checked unit, and theta at the samples of
+    fields, with the chart gradients of theta (n, 3 chart) and of the axis
+    components (n, 3 comp, 3 chart) when gradients: one program."""
+    tables = (list(gauge.axis), gauge.theta)
+    if gradients:
+        tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
+                   [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
+    out = expr.eval_table(tables, surf.ambient.bindings(fields["p"]))
+    norms = np.linalg.norm(out[0], axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise NonUnitAxis("gauge axis is not unit on the surface")
-    return ax
+    return out
 
 
 def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields):
     """H, star_tau and bold_H of the surface seen through the gauged frame,
-    at the samples of fields: a recomputation that builds the gauged base
-    block and only the part of the extrinsic block it reads
-    (extrinsic.mean_curvature)."""
+    at the samples of fields (a base_fields dict): a recomputation that
+    builds the gauged base block on the jets of fields and only the part
+    of the extrinsic block it reads (extrinsic.mean_curvature)."""
     gsurf = gauged_surface(surf, gauge)
-    return extrinsic.mean_curvature(gsurf.base_fields(fields["u"], fields["v"]))
+    return extrinsic.mean_curvature(gsurf.base_fields(fields["u"], fields["v"], fields))
 
 
 def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss):
@@ -190,10 +185,9 @@ def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss)
     gauss_field blocks of the samples of fields.
     """
     _require_frame(surf)
-    ax = _axis_unit_check(gauge, fields)
+    ax, theta = _gauge_at(surf, gauge, fields)
     if np.max(np.linalg.norm(ax - gauss["n"], axis=-1)) > 1e-8:
         raise AxisNotNormal("gauge axis differs from the Gauss map on S")
-    theta = expr.eval_table(gauge.theta, surf.ambient.bindings(fields["p"]))
     gauged = gauged_mean_curvature(surf, gauge, fields)
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return float(np.max(np.abs(gauged["bold_H"] - predicted)))
@@ -212,32 +206,16 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
     samples of fields.
     """
     _require_frame(surf)
-    ax = _axis_unit_check(gauge, fields)
-
-    # theta with the chart gradients of theta and of the axis components (exact)
-    vars3 = ("x", "y", "z")
-    theta, dtheta, dax = expr.eval_table(     # dax: (n, 3 comp, 3 chart)
-        (gauge.theta, [expr.diff(gauge.theta, w) for w in vars3],
-         [[expr.diff(c, w) for w in vars3] for c in gauge.axis]),
-        surf.ambient.bindings(fields["p"]))
+    ax, theta, dtheta, dax = _gauge_at(surf, gauge, fields, gradients=True)
 
     def along(vec_coords, grad_chart):
         return np.einsum("nc,nc->n", grad_chart, vec_coords)
 
     out = {}
-    for which, comp_key in (("top", "e_top"), ("cross", "e_cross")):
-        E = frames[comp_key]                  # (n, 3 chart, 3 frame index)
+    for which in ("top", "cross"):
+        E = frames[f"e_{which}"]              # (n, 3 chart, 3 frame index)
         grad_theta = np.stack([along(E[:, :, i], dtheta) for i in range(3)], axis=-1)
-        div_e = np.zeros_like(theta)
-        curl_e = np.zeros((theta.shape[0], 3))
-        De = np.empty((theta.shape[0], 3, 3))     # De[i, j] = E_i^.(e^j)
-        for i in range(3):
-            for j in range(3):
-                De[:, i, j] = along(E[:, :, i], dax[:, j, :])
-        div_e = De[:, 0, 0] + De[:, 1, 1] + De[:, 2, 2]
-        curl_e = np.stack([De[:, 1, 2] - De[:, 2, 1],
-                           De[:, 2, 0] - De[:, 0, 2],
-                           De[:, 0, 1] - De[:, 1, 0]], axis=-1)
+        div_e, curl_e = _div_curl(lambda i, j: along(E[:, :, i], dax[:, j, :]))
         out[which] = (
             np.einsum("ni,ni->n", ax, grad_theta)
             + np.sin(theta) * div_e
@@ -255,7 +233,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
 # --- conformality and degree ---------------------------------------------------
 
 
-def conformality_test(fields, dn, tol=1e-7):
+def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
     """Pullback-metric conformality of the Gauss map at each sample.
 
     G_n is the Gram matrix of (dn/du, dn/dv) in the round-sphere (ambient

@@ -26,15 +26,11 @@ def holo_fields(surface, fields, ext):
     II, III = ext["II"], ext["III"]
     phi = 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))
     psi = 0.25 * ((III[:, 0, 0] - III[:, 1, 1]) - 2j * III[:, 0, 1])
-    lam2 = lam * lam
-    bold_h_iso = ((II[:, 0, 0] + II[:, 1, 1]) + 1j * (II[:, 0, 1] - II[:, 1, 0])) / lam2
     return require_finite("holo", {
         "lam": lam,
         "phi": phi,
         "psi": psi,
         "psi_identity_residual": np.abs(psi - ext["bold_H"] * phi),
-        "bold_h_isothermal": bold_h_iso,
-        "bold_h_agreement": np.abs(bold_h_iso - ext["bold_H"]),
     }, fields["u"], fields["v"])
 
 

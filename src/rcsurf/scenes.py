@@ -288,11 +288,9 @@ def _validate_scene(scene):
     vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     surf = scene.surface
-    # the six-table group base_fields evaluates, so no program of its own
-    pts = expr.eval_table((surf.X, surf.Xu, surf.Xv, surf.Xuu, surf.Xuv, surf.Xvv),
-                          {"u": U, "v": V})[0]
-    scene.ambient.validate(pts)
-    surf.base_fields(U, V)
+    jets = surf.jets(U, V)          # evaluated once, for both checks
+    scene.ambient.validate(jets["p"])
+    surf.base_fields(U, V, jets)
 
 
 def load_scene(path) -> Scene:
@@ -600,7 +598,8 @@ class SampleGrid:
     Each block is built on first read and only then, so a chunk holds only
     what its readers read:
 
-        base          first-order geometry (Surface.base_fields); everything
+        base          first-order geometry, jets and frame (Surface.base_fields);
+                      everything
         curvature     rm, r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
                       ambient_sanity, gauss_eq, egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e, III: most
@@ -609,10 +608,11 @@ class SampleGrid:
                       Gauss-Bonnet, export
         holo          Hopf data on isothermal charts: psi/hopf identities,
                       export
-        gauss         Gauss map n: gauge theorem, degree, gauss_frames,
-                      export
+        gauss         Gauss map n, from base's frame_inv: gauge theorem,
+                      degree, gauss_frames, export
         gauss_dn      its exact derivatives: divcurl, conformality, degree
-        gauss_frames  projected frames: divcurl, gauge_general
+        gauss_frames  projected frames, from base's frame: divcurl,
+                      gauge_general
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -861,13 +861,13 @@ def export_fields(grid: SampleGrid, path):
     isothermal after all), n_i if and only if the ambient is frame-defined,
     and are blank (nan) otherwise.  flags packs the classifiers as bit 1 =
     umbilic, 2 = minimal, 4 = geodesic, at the scene's "classify" tolerance
-    (default 1e-7).
+    (default extrinsic.CLASSIFY_TOL).
 
     Each chunk's rows are written as soon as they are ready.  The file is
     opened once the first chunk's rows are, so an error there leaves no
     file; an error in a later chunk removes the partial file.
     """
-    tol = grid.scene.tolerances.get("classify", 1e-7)
+    tol = grid.scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
     fh = None
     try:
         for text in grid.map_chunks(

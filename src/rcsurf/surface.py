@@ -5,9 +5,10 @@ batch entry point base_fields evaluates the first-order geometry at arrays
 of parameter points: tangents, oriented unit normal, induced metric and
 orthonormal tangent frame, the ambient covariant derivatives of the
 tangents, the second fundamental form and the torsion 2-form on the
-tangent pair.  Every other block is built from it only where a reader
-asks: the induced connection inside intrinsic_curvature, the ambient
-curvature in curvature_fields.
+tangent pair; in a frame ambient also the frame and its inverse.  No
+later reader evaluates its tables again.  Every other block is built
+from it only where a reader asks: the induced connection inside
+intrinsic_curvature, the ambient curvature in curvature_fields.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -35,6 +36,7 @@ __all__ = ["Surface", "cross_metric_batch", "induced_connection", "require_finit
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
+JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 
 
 def cross_metric_batch(g, u, v):
@@ -106,22 +108,34 @@ class Surface:
 
     # --- pointwise batch fields -------------------------------------------------
 
-    def base_fields(self, U, V):
+    def jets(self, U, V):
+        """X and its first and second partial derivatives at flat arrays U,
+        V, keyed by JETS, each (n, 3): the one program that evaluates the
+        surface's own tables."""
+        return dict(zip(JETS, expr.eval_table(
+            (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
+            {"u": U, "v": V})))
+
+    def base_fields(self, U, V, jets=None):
         """Evaluate the first-order geometry at flat arrays U, V.
 
         Returns a dict of stacked arrays keyed by field name.  Everything
         downstream (extrinsic forms, curvature, Gauss map, holomorphic
-        layer) starts from this dict.
+        layer) starts from this dict.  In a frame ambient it holds frame
+        and frame_inv, from the program that evaluates g and Gamma.  jets
+        holds the JETS of these samples (any base block of the same X) or
+        is None to evaluate them here.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
-        p, Xu, Xv, Xuu, Xuv, Xvv = expr.eval_table(      # each (n, 3)
-            (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
-            {"u": U, "v": V})
+        if jets is None:
+            jets = self.jets(U, V)
+        p, Xu, Xv, Xuu, Xuv, Xvv = (jets[k] for k in JETS)
 
         amb = self.ambient
-        pb = amb.bindings(p)
-        g, gamma = amb.fields_at(pb, ("g", "gamma"))
+        names = ("g", "gamma") + (("frame", "frame_inv") if amb.kind == "frame" else ())
+        tables = dict(zip(names, amb.fields_at(amb.bindings(p), names)))
+        g, gamma = tables["g"], tables["gamma"]
         tor = gamma - np.swapaxes(gamma, -2, -1)
 
         E = np.einsum("nab,na,nb->n", g, Xu, Xu)
@@ -132,7 +146,7 @@ class Surface:
         first = require_finite("base", {
             "u": U, "v": V, "p": p, "Xu": Xu, "Xv": Xv,
             "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
-            "g": g, "gamma": gamma, "torsion": tor, "E": E, "F": F, "G": G,
+            **tables, "torsion": tor, "E": E, "F": F, "G": G,
         }, U, V)
         det2 = E * G - F * F
         if np.any(det2 <= AREA_DENSITY_TOL ** 2):

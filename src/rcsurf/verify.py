@@ -234,7 +234,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         except RcsurfError as err:
             degree_error = str(err)
             run.remove("degree")
-    cls_tol = scene.tolerances.get("classify", 1e-7)
+    cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
 
     kept = {}               # entry -> (buffer over the grid's samples, count filled)
     peak = {}               # entry -> running max over the chunks
@@ -256,8 +256,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         for suite in run:
             if suite == "ambient_sanity":
                 base = part.base
-                pb = amb.bindings(base["p"])
-                parts = [amb.metric_compat_residual_at(pb)]
+                parts = [amb.metric_compat_residual_at(amb.bindings(base["p"]))]
                 T = base["torsion"]
                 parts.append(_abs_max(T + np.swapaxes(T, -2, -1)))
                 r4 = part.curvature["r4"]
@@ -265,7 +264,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 parts.append(_abs_max(r4 + np.swapaxes(r4, 3, 4)))
                 if amb.kind == "frame":
                     parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
-                    F = expr.eval_table(amb.frame, pb)
+                    F = base["frame"]
                     gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
                     parts.append(_abs_max(gram - np.eye(3)))
                 keep("ambient_sanity", np.max(np.stack(parts), axis=0))
@@ -281,7 +280,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 keep("sectional_split", dec["sectional_split"][mask])
             elif suite == "divcurl":
                 ext, n = part.ext, part.gauss["n"]
-                dc = gaussmap.div_curl(part.gauss, part.gauss_dn, part.gauss_frames)
+                dc = gaussmap.div_curl(part.gauss_dn, part.gauss_frames)
                 res = np.max(np.stack([
                     np.abs(dc["div_top"] + ext["H"]),
                     np.abs(dc["div_cross"] - ext["star_tau"]),

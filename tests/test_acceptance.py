@@ -111,7 +111,7 @@ def test_criterion_05_divergence_curl_ladder():
         sc = scenes.builtin(name)
         g = scenes.make_grid(sc, 24, 24)
         ext, n = g.ext, g.gauss["n"]
-        dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
+        dc = gaussmap.div_curl(g.gauss_dn, g.gauss_frames)
         m = g.interior_mask
         worst = max(
             worst,

@@ -54,6 +54,50 @@ def test_chunked_outputs_equal_one_chunk(out_dir, name, chunk):
     assert got == _REFERENCE[name]
 
 
+def _leaf_ids(table):
+    if isinstance(table, (list, tuple)):
+        return set().union(*map(_leaf_ids, table))
+    return {id(table)}
+
+
+def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
+    """A verify of three chunks evaluates the surface jets and the frame
+    tables in one program per chunk (the base block's), and each gauge
+    field's axis and theta in one program per residual call; programs are
+    told apart by the identity of their table leaves."""
+    sc = _scene("catenoid_frame_cylinder")
+    surf, amb = sc.surface, sc.ambient
+    monkeypatch.setattr(expr, "CHUNK", 100)          # 16x16 = 256 samples
+    programs = []
+    evaluate = expr.eval_table
+
+    def record(table, bindings):
+        programs.append(_leaf_ids(table))
+        return evaluate(table, bindings)
+
+    monkeypatch.setattr(expr, "eval_table", record)
+    verify.run_verification(sc, 16, 16)
+    chunks = 3
+
+    def holding(leaves):
+        return sum(leaves <= prog for prog in programs)
+
+    jets = _leaf_ids((surf.X, surf.Xu, surf.Xv, surf.Xuu, surf.Xuv, surf.Xvv))
+    assert holding(jets) == chunks
+    assert holding(_leaf_ids(amb.frame)) == chunks
+    assert holding(_leaf_ids(amb.frame_inv)) == chunks
+    gauges = (verify.random_gauge_fields(sc, verify.GAUGE_FIELDS, seed=1234)
+              + verify.random_gauge_fields(sc, verify.GAUGE_FIELDS, seed=4321,
+                                           about_normal=False))
+    axes = set()
+    for gauge in gauges:
+        theta, axis = _leaf_ids(gauge.theta), _leaf_ids(gauge.axis)
+        assert holding(theta) == holding(theta | axis) == chunks
+        axes |= axis
+    # the gauge_theorem fields share the scene's normal axis
+    assert sum(bool(axes & prog) for prog in programs) == len(gauges) * chunks
+
+
 def test_chunks_cover_the_grid_in_order(monkeypatch):
     sc = _scene("catenoid_frame_plane")
     whole = scenes.make_grid(sc, 8, 8)

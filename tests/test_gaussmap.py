@@ -68,7 +68,7 @@ def test_gauss_field_invariants():
 
 def test_div_curl_values_rotated_plane():
     sc, g = grid_all("rotated_frame_plane")      # theta = x*y, e = (-1,0,0)
-    dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
+    dc = gaussmap.div_curl(g.gauss_dn, g.gauss_frames)
     # H = u, *tau = v here
     assert np.max(np.abs(dc["div_top"] + g.U)) <= 1e-12
     assert np.max(np.abs(dc["div_cross"] - g.V)) <= 1e-12
@@ -79,7 +79,7 @@ def test_div_curl_ladder_all_frame_builtins():
                  "catenoid_frame_cylinder", "round_sphere_standard", "torus_standard"):
         sc, g = grid_all(name)
         ext, n = g.ext, g.gauss["n"]
-        dc = gaussmap.div_curl(g.gauss, g.gauss_dn, g.gauss_frames)
+        dc = gaussmap.div_curl(g.gauss_dn, g.gauss_frames)
         m = g.interior_mask
         assert np.max(np.abs(dc["div_top"] + ext["H"])[m]) <= 1e-7, name
         assert np.max(np.abs(dc["div_cross"] - ext["star_tau"])[m]) <= 1e-7, name

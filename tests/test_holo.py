@@ -79,9 +79,12 @@ def test_minimal_or_umbilic_dichotomy_on_connected_scene():
 
 
 def test_bold_h_isothermal_matches_extrinsic():
+    # on an isothermal chart bold_H = (II_uu + II_vv + i (II_uv - II_vu)) / lam^2
     for name in ("rotated_frame_plane", "catenoid_frame_cylinder"):
         sc, g = grid_all(name)
-        assert np.max(g.holo["bold_h_agreement"]) <= 1e-9, name
+        II, lam = g.ext["II"], g.holo["lam"]
+        iso = ((II[:, 0, 0] + II[:, 1, 1]) + 1j * (II[:, 0, 1] - II[:, 1, 0])) / lam ** 2
+        assert np.max(np.abs(iso - g.ext["bold_H"])) <= 1e-9, name
 
 
 def test_not_isothermal_raises():

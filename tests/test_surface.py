@@ -258,6 +258,22 @@ def test_curvature_block_equals_four_term_formula(name):
     assert np.array_equal(amb.curvature_at(pb)["rm"], rm)
 
 
+@pytest.mark.parametrize("name", scenes.builtin_names())
+def test_base_carries_the_frame(name):
+    """In a frame ambient the base block holds the frame and its inverse,
+    bit for bit those of a program of their own at the block's points; a
+    coefficient ambient's block holds neither."""
+    sc = scenes.builtin(name)
+    base, amb = scenes.make_grid(sc, 12, 12).base, sc.ambient
+    if amb.kind != "frame":
+        assert "frame" not in base and "frame_inv" not in base
+        return
+    pb = amb.bindings(base["p"])
+    for key in ("frame", "frame_inv"):
+        want = expr.eval_table(getattr(amb, key), pb)
+        assert base[key].shape == want.shape and base[key].tobytes() == want.tobytes(), key
+
+
 @pytest.mark.parametrize("name", ["cartan_schouten_sphere", "rotated_frame_plane"])
 def test_curvature_block_working_set(name):
     """Building the curvature block raises the traced memory by at most 2.5

@@ -9,6 +9,7 @@ import pytest
 
 import rcsurf
 from rcsurf import cli, scenes, verify
+from rcsurf.errors import NonFiniteValue
 
 
 def test_report_structure_and_pass():
@@ -313,6 +314,43 @@ def test_cli_verify_unwritable_report_is_input_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write report {str(out)!r}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, what", [("verify", "report"), ("fields", "field export")])
+def test_cli_unwritable_out_fails_before_grid_work(tmp_path, capsys, monkeypatch,
+                                                    command, what):
+    """An --out that cannot be written exits 2 with its one error line
+    before any chunk is computed (map_chunks raises if it is reached) and
+    prints nothing on stdout."""
+    def no_grid_work(self, work):
+        raise AssertionError("grid work before the --out check")
+
+    monkeypatch.setattr(scenes.SampleGrid, "map_chunks", no_grid_work)
+    out = tmp_path / "no" / "out"
+    assert cli.main([command, "--builtin", "euclidean_plane", "--grid", "8x8",
+                     "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: cannot write {what} {str(out)!r}: ")
+    assert printed.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "fields"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_run_failing_after_the_out_check_leaves_out_as_it_was(
+        tmp_path, monkeypatch, command, existing):
+    """The --out check creates no file and keeps an existing one as it
+    was, when the run then fails."""
+    def fail(self, work):
+        raise NonFiniteValue("base.p", "non-finite value")
+
+    monkeypatch.setattr(scenes.SampleGrid, "map_chunks", fail)
+    out = tmp_path / "out"
+    if existing:
+        out.write_bytes(b"kept\n")
+    assert cli.main([command, "--builtin", "euclidean_plane", "--grid", "8x8",
+                     "--out", str(out)]) == 2
+    assert (out.read_bytes() == b"kept\n") if existing else not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "fields", "integrate"])
