@@ -29,7 +29,8 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegeneratePlane, IncompatibleConnection, OutsideChart, SingularFrame,
+    DegeneratePlane, EvalDomainError, IncompatibleConnection, OutsideChart,
+    SingularFrame,
 )
 
 __all__ = ["Ambient", "frame_ambient", "coefficient_ambient", "CHART_VARS"]
@@ -70,7 +71,8 @@ class Ambient:
 
     Use frame_ambient or coefficient_ambient to construct.  Evaluation
     bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings);
-    every *_at method checks the chart domain and the frame first.
+    every *_at method checks the chart domain first, and the frame on the
+    determinant its own program evaluates.
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -82,6 +84,9 @@ class Ambient:
         self.frame_inv = frame_inv
         self.frame_det = frame_det
         self.chart_domain = chart_domain  # optional {var: (lo, hi)}
+        # the tables of a base block (Surface.base_fields), one program
+        self.base_names = ("g", "gamma") + (
+            ("frame", "frame_inv") if kind == "frame" else ())
 
     # --- symbolic lazies ---------------------------------------------------
 
@@ -118,27 +123,43 @@ class Ambient:
                     f"ambient.chart_domain.{name}: sample at {name} = {val!r} "
                     f"outside [{lo}, {hi}]")
 
-    def _check_frame(self, bindings):
-        """Raise SingularFrame where a frame ambient's determinant is near
-        zero or negative.  Everything built from the inverse frame divides
-        by it, so this runs before any such table is evaluated."""
-        if self.kind != "frame":
-            return
-        det = expr.eval_table(self.frame_det, bindings)
+    def _check_frame(self, det):
+        """Raise SingularFrame where det, a frame ambient's determinant at
+        some samples, is near zero or negative."""
         if np.any(np.abs(det) < FRAME_DET_TOL):
             raise SingularFrame(
                 f"frame determinant within {FRAME_DET_TOL} of zero at a sample")
         if np.any(det < 0.0):
             raise SingularFrame("frame is negatively oriented at a sample")
 
+    def tables_at(self, bindings, tables):
+        """The group tables (Exprs over x, y, z) at batched points, as one
+        program after the chart check.  In a frame ambient the program
+        also evaluates frame_det, a node of g and Gamma, and returns it
+        last for _check_frame.  Every table built from the inverse frame
+        divides by the determinant, so where the program meets a domain
+        error a singular frame is reported first."""
+        self._check_inside(bindings)
+        if self.kind != "frame":
+            return expr.eval_table(tables, bindings)
+        try:
+            return expr.eval_table(tables + (self.frame_det,), bindings)
+        except EvalDomainError:
+            self._check_frame(expr.eval_table(self.frame_det, bindings))
+            raise
+
     def fields_at(self, bindings, names):
         """The named tables ('g', 'gamma', 'dgamma', 'dg', and in a frame
         ambient 'frame', 'frame_inv') at batched points, evaluated as one
-        program after the chart and frame checks.  frame and frame_inv
-        are nodes of g and Gamma: adding them to that group adds no op."""
-        self._check_inside(bindings)
-        self._check_frame(bindings)
-        return expr.eval_table(tuple(getattr(self, n) for n in names), bindings)
+        program after the chart check, with the frame checked on its
+        determinant from the same program (tables_at).  frame and
+        frame_inv are nodes of g and Gamma: adding them to that group
+        adds no op."""
+        out = self.tables_at(bindings, tuple(getattr(self, n) for n in names))
+        if self.kind == "frame":
+            self._check_frame(out[-1])
+            out = out[:-1]
+        return out
 
     def metric_at(self, bindings):
         return self.fields_at(bindings, ("g",))[0]
@@ -178,9 +199,14 @@ class Ambient:
         """r4 from rm and the metric g at the same samples."""
         return np.einsum("nlkij,nlm->nijkm", rm, g)
 
-    def metric_compat_residual_at(self, bindings):
-        """max |nabla g| per sample."""
-        return _compat_residual(*self.fields_at(bindings, ("gamma", "g", "dg")))
+    def metric_compat_residual_at(self, bindings, g=None, gamma=None):
+        """max |nabla g| per sample.  g and gamma are the metric and the
+        connection at these points when a base block already holds them
+        (its points passed the chart and frame checks); else they come
+        from the base group (base_names).  Only dg is evaluated here."""
+        if g is None:
+            g, gamma = self.fields_at(bindings, self.base_names)[:2]
+        return _compat_residual(gamma, g, expr.eval_table(self.dg, bindings))
 
     def sectional_at(self, bindings, u, v):
         """Sectional curvature of span{u, v} at batched points:
@@ -227,16 +253,19 @@ class Ambient:
     def validate(self, points):
         """Run the construction-time guards at the given sample points.
 
-        One (Gamma, g, dg) group, the program metric_compat_residual_at
-        uses, feeds every guard."""
-        G, g, dg = self.fields_at(self.bindings(points), ("gamma", "g", "dg"))
+        The base group (base_names, the program of a base block) and the
+        dg program of metric_compat_residual_at feed every guard, so a
+        scene build compiles no program that verify does not run again."""
+        bindings = self.bindings(points)
+        g, G = self.fields_at(bindings, self.base_names)[:2]
+        compat = self.metric_compat_residual_at(bindings, g, G)
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
         if sym > 1e-12:
             raise IncompatibleConnection(f"metric not symmetric (deviation {sym:.3e})")
         eig = np.linalg.eigvalsh(g)
         if np.any(eig <= 0.0):
             raise IncompatibleConnection("metric not positive definite at a sample")
-        worst = float(np.max(_compat_residual(G, g, dg)))
+        worst = float(np.max(compat))
         if worst > COMPAT_HARD_TOL:
             raise IncompatibleConnection(
                 f"metric compatibility residual {worst:.3e} exceeds {COMPAT_HARD_TOL}")

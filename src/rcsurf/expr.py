@@ -320,8 +320,10 @@ def _compile(leaves, shapes):
     Returns (ops, variable names).  The ops list every distinct node once,
     children before parents.  Op i is (kind, a, b, arg, dest, frees): a and
     b index the ops of its operands, arg is the constant, variable or
-    function name, dest lists the (table, column) output slots it fills and
-    frees the ops whose values are dead once op i has run (their last use).
+    function name (for a division: True on the first division by its
+    denominator, the one that checks it for zeros), dest lists the
+    (table, column) output slots it fills and frees the ops whose values
+    are dead once op i has run (their last use).
     """
     index, order, last = {}, [], []
     for root in leaves:
@@ -356,11 +358,21 @@ def _compile(leaves, shapes):
     for j, i in enumerate(last):
         frees[i].append(j)
 
+    checked = set()         # denominators a division already checks
+
+    def arg(e):
+        if e.kind == _CONST:
+            return e.value
+        if e.kind == _DIV:
+            first = id(e.b) not in checked
+            checked.add(id(e.b))
+            return first
+        return e.name
+
     ops = [(e.kind,
             None if e.a is None else index[id(e.a)],
             None if e.b is None else index[id(e.b)],
-            e.value if e.kind == _CONST else e.name,
-            tuple(d), tuple(f))
+            arg(e), tuple(d), tuple(f))
            for e, d, f in zip(order, dest, frees)]
     return ops, [e.name for e in order if e.kind == _VAR]
 
@@ -387,7 +399,7 @@ def _run(ops, bindings, outs, sl):
             elif k == _MUL:
                 v = av * bv
             elif k == _DIV:
-                if np.any(np.asarray(bv) == 0.0):
+                if arg and np.any(np.asarray(bv) == 0.0):
                     raise EvalDomainError("/", 0.0)
                 v = av / bv
             else:

@@ -23,15 +23,16 @@ AMBIENT_FLAT_TOL = 1e-9
 CLASSIFY_TOL = 1e-7         # default of the pointwise classifiers and conformality
 
 
-def mean_curvature(base):
+def mean_curvature(base, block="ext"):
     """W, H, star_tau and bold_H = H + i*star_tau at the samples of base
-    (a base_fields dict): the part of extrinsic_fields a gauged
-    recomputation reads.  star_tau is the torsion 2-form on the oriented
-    orthonormal pair."""
+    (a base_fields dict, or a block that holds u, v, II, Ginv_S, tau_uv
+    and area), checked finite under block: the part of extrinsic_fields
+    a gauged recomputation reads.  star_tau is the torsion 2-form on the
+    oriented orthonormal pair."""
     W = np.swapaxes(base["II"] @ base["Ginv_S"], -2, -1)  # W[r, c]: W(X_c) = W[r,c] X_r
     H = np.trace(W, axis1=-2, axis2=-1)
     star_tau = base["tau_uv"] / base["area"]
-    return require_finite("ext", {
+    return require_finite(block, {
         "W": W, "H": H, "star_tau": star_tau, "bold_H": H + 1j * star_tau,
     }, base["u"], base["v"])
 

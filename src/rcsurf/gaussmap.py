@@ -11,12 +11,21 @@ data come in three blocks, each built only for its readers:
                                                 div/curl, general gauge law
 
 The frame and its inverse come from the base block.  The parameter
-derivatives come from the surface's exact expression pipeline, so the
-divergence/curl ladder holds to round-off rather than stencil accuracy.
+derivatives are tables of the surface composition (read with the other
+composition tables of a chunk, SampleGrid.comp), so the divergence/curl
+ladder holds to round-off rather than stencil accuracy.
 One kernel (_div_curl) forms every divergence and curl along a projected
 frame.  All directional derivatives along projected frame vectors stay on
 the surface: tangent vectors are expanded in (X_u, X_v) and applied to the
 (u, v)-dependence through the chain rule.
+
+A gauge residual evaluates its gauge field (axis, angle and, for the
+general law, their gradients) and the gauged ambient's g, Gamma and frame
+determinant in one program (_gauge_at), and recomputes H, star_tau and
+bold_H from a lean gauged block: the first-order core of a base block
+(surface.first_order) on the base block's jets.  An axis that is not unit
+or not finite raises NonUnitAxis; other non-finite gauge values are named
+gauge.<field>.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from . import expr
 from .ambient import CHART_VARS, frame_ambient
 from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck
 from .so3 import matmul_exprs, rodrigues_exprs
-from .surface import Surface, cross_metric_batch, require_finite
+from .surface import Surface, cross_metric_batch, first_order, require_finite
 from . import extrinsic
 
 __all__ = [
@@ -63,13 +72,14 @@ def gauss_field(surface, fields):
     return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
 
 
-def gauss_derivatives(surface, fields):
+def gauss_derivatives(surface, fields, comp=None):
     """The block {dn_du, dn_dv}: exact parameter derivatives of the Gauss
-    map at the samples of fields, from the surface composition."""
+    map at the samples of fields, the surface composition's tables of
+    those names, from comp (tables already evaluated there,
+    SampleGrid.comp) or evaluated here."""
     _require_frame(surface)
-    ge = surface.gauss_exprs()
-    dn_du, dn_dv = expr.eval_table((ge["dn_du"], ge["dn_dv"]),
-                                   {"u": fields["u"], "v": fields["v"]})
+    comp = surface.composition_at(fields["u"], fields["v"], ("dn_du", "dn_dv"), comp)
+    dn_du, dn_dv = comp["dn_du"], comp["dn_dv"]
     return require_finite("gauss_dn", {"dn_du": dn_du, "dn_dv": dn_dv},
                           fields["u"], fields["v"])
 
@@ -153,27 +163,42 @@ def gauged_surface(surf: Surface, gauge: GaugeField) -> Surface:
 
 
 def _gauge_at(surf, gauge, fields, gradients=False):
-    """The gauge's axis (n, 3), checked unit, and theta at the samples of
-    fields, with the chart gradients of theta (n, 3 chart) and of the axis
-    components (n, 3 comp, 3 chart) when gradients: one program."""
+    """The gauge at the samples of fields, in one program: its axis (n, 3),
+    checked unit, and theta, with the chart gradients of theta (n, 3
+    chart) and of the axis components (n, 3 comp, 3 chart) when gradients,
+    then the gauged ambient's tables for gauged_mean_curvature (g, Gamma
+    and frame_det, unchecked)."""
+    gamb = gauged_surface(surf, gauge).ambient
     tables = (list(gauge.axis), gauge.theta)
     if gradients:
         tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
                    [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
-    out = expr.eval_table(tables, surf.ambient.bindings(fields["p"]))
+    *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
+                                         tables + (gamb.g, gamb.gamma))
     norms = np.linalg.norm(out[0], axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):       # a NaN norm fails too
         raise NonUnitAxis("gauge axis is not unit on the surface")
-    return out
+    require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])),
+                   fields["u"], fields["v"])
+    return out, (g, gamma, det)
 
 
-def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields):
+def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields, tables=None):
     """H, star_tau and bold_H of the surface seen through the gauged frame,
-    at the samples of fields (a base_fields dict): a recomputation that
-    builds the gauged base block on the jets of fields and only the part
-    of the extrinsic block it reads (extrinsic.mean_curvature)."""
-    gsurf = gauged_surface(surf, gauge)
-    return extrinsic.mean_curvature(gsurf.base_fields(fields["u"], fields["v"], fields))
+    at the samples of fields (a base_fields dict): a recomputation from a
+    lean gauged block, the first-order core (surface.first_order) of the
+    gauged ambient on the jets of fields, and only the part of the
+    extrinsic block it reads (extrinsic.mean_curvature).  tables holds the
+    gauged g, Gamma and frame determinant at these samples (_gauge_at), or
+    is None to evaluate them here."""
+    gamb = gauged_surface(surf, gauge).ambient
+    if tables is None:
+        tables = gamb.tables_at(gamb.bindings(fields["p"]), (gamb.g, gamb.gamma))
+    g, gamma, det = tables
+    gamb._check_frame(det)
+    block = first_order("gauge", fields["u"], fields["v"], fields,
+                        {"g": g, "gamma": gamma})
+    return extrinsic.mean_curvature(block, "gauge")
 
 
 def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss):
@@ -185,10 +210,10 @@ def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss)
     gauss_field blocks of the samples of fields.
     """
     _require_frame(surf)
-    ax, theta = _gauge_at(surf, gauge, fields)
+    (ax, theta), tables = _gauge_at(surf, gauge, fields)
     if np.max(np.linalg.norm(ax - gauss["n"], axis=-1)) > 1e-8:
         raise AxisNotNormal("gauge axis differs from the Gauss map on S")
-    gauged = gauged_mean_curvature(surf, gauge, fields)
+    gauged = gauged_mean_curvature(surf, gauge, fields, tables)
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return float(np.max(np.abs(gauged["bold_H"] - predicted)))
 
@@ -206,7 +231,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
     samples of fields.
     """
     _require_frame(surf)
-    ax, theta, dtheta, dax = _gauge_at(surf, gauge, fields, gradients=True)
+    (ax, theta, dtheta, dax), tables = _gauge_at(surf, gauge, fields, gradients=True)
 
     def along(vec_coords, grad_chart):
         return np.einsum("nc,nc->n", grad_chart, vec_coords)
@@ -224,7 +249,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
 
     H_pred = ext["H"] - out["cross"]
     st_pred = ext["star_tau"] - out["top"]
-    gauged = gauged_mean_curvature(surf, gauge, fields)
+    gauged = gauged_mean_curvature(surf, gauge, fields, tables)
     res_h = np.max(np.abs(gauged["H"] - H_pred))
     res_t = np.max(np.abs(gauged["star_tau"] - st_pred))
     return float(max(res_h, res_t))

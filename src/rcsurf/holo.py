@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import expr, extrinsic
+from . import extrinsic
 from .surface import cross_metric_batch, require_finite
 
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
@@ -34,19 +34,20 @@ def holo_fields(surface, fields, ext):
     }, fields["u"], fields["v"])
 
 
-def dbar(surface, U, V):
+def dbar(surface, U, V, comp=None):
     """(dbar phi, dbar bold_H) at flat arrays U, V, with
     d/dzbar = (d/du + i d/dv) / 2, from the exact (u, v) derivatives of the
-    surface composition (Surface.gauss_exprs)."""
+    surface composition (Surface.gauss_exprs): its table d_hopf at U, V,
+    from comp (tables already evaluated there) or evaluated here."""
     U = np.atleast_1d(np.asarray(U, dtype=float))
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    d = expr.eval_table(surface.gauss_exprs()["d_hopf"], {"u": U, "v": V})
-    d = d[..., 0] + 1j * d[..., 1]          # d[:, q, axis]: q = phi, bold_H
+    d_hopf = surface.composition_at(U, V, ("d_hopf",), comp)["d_hopf"]
+    d = d_hopf[..., 0] + 1j * d_hopf[..., 1]    # d[:, q, axis]: q = phi, bold_H
     out = 0.5 * (d[:, :, 0] + 1j * d[:, :, 1])
     return out[:, 0], out[:, 1]
 
 
-def hopf_identity_residual(surface, fields, curv, ext, holo):
+def hopf_identity_residual(surface, fields, curv, ext, holo, comp=None):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
@@ -57,9 +58,10 @@ def hopf_identity_residual(surface, fields, curv, ext, holo):
     everything else is assembled pointwise from the same samples, so the
     residual is round-off.  fields, curv, ext and holo are the base,
     curvature, extrinsic and holomorphic blocks of the same samples; only
-    r4, II and lam are read from the latter three.
+    r4, II and lam are read from the latter three.  comp is passed on to
+    dbar.
     """
-    lhs, dbar_H = dbar(surface, fields["u"], fields["v"])
+    lhs, dbar_H = dbar(surface, fields["u"], fields["v"], comp)
     lam2 = holo["lam"] ** 2
 
     r4, Xu, Xv, N = curv["r4"], fields["Xu"], fields["Xv"], fields["N"]

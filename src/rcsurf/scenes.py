@@ -600,19 +600,28 @@ class SampleGrid:
 
         base          first-order geometry, jets and frame (Surface.base_fields);
                       everything
+        comp          the surface-composition tables named in composition
+                      (d_gammaS, dn_du, dn_dv, d_hopf) in one (u, v)
+                      program, after base, each until its reader takes it:
+                      intrinsic_K, gauss_dn, hopf_identity
         curvature     rm, r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
                       ambient_sanity, gauss_eq, egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e, III: most
                       suites, holo, export
-        intrinsic_K   K of the induced connection: gauss_eq, egregium,
-                      Gauss-Bonnet, export
+        intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
+                      egregium, Gauss-Bonnet, export
         holo          Hopf data on isothermal charts: psi/hopf identities,
                       export
         gauss         Gauss map n, from base's frame_inv: gauge theorem,
                       degree, gauss_frames, export
-        gauss_dn      its exact derivatives: divcurl, conformality, degree
+        gauss_dn      its exact derivatives dn_du, dn_dv: divcurl,
+                      conformality, degree
         gauss_frames  projected frames, from base's frame: divcurl,
                       gauge_general
+
+    verify sets composition to the tables its planned suites read; it is
+    empty by default, and a reader whose table comp lacks evaluates it
+    itself, so export and integrate evaluate d_gammaS alone.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -635,6 +644,7 @@ class SampleGrid:
         self.weights = np.outer(self.u_weights, self.v_weights).ravel()
         self.requested = (int(nu), int(nv))
         self.offset = 0                 # index of the first sample in the grid
+        self.composition = ()           # the tables of comp (verify sets them)
 
     # streaming -----------------------------------------------------------------
 
@@ -651,7 +661,7 @@ class SampleGrid:
         for lo in range(0, n, expr.CHUNK):
             sl = slice(lo, lo + expr.CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "requested",
+            for name in ("scene", "surface", "nu", "nv", "requested", "composition",
                          "u_nodes", "u_weights", "v_nodes", "v_weights"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
@@ -689,7 +699,8 @@ class SampleGrid:
 
     @cached_property
     def gauss_dn(self):
-        return gaussmap.gauss_derivatives(self.surface, self.base)
+        return gaussmap.gauss_derivatives(self.surface, self.base,
+                                          self.take("dn_du", "dn_dv"))
 
     @cached_property
     def gauss_frames(self):
@@ -713,7 +724,19 @@ class SampleGrid:
 
     @cached_property
     def intrinsic_K(self):
-        return self.surface.intrinsic_curvature(self.base)
+        return self.surface.intrinsic_curvature(self.base, self.take("d_gammaS"))
+
+    @cached_property
+    def comp(self):
+        if not self.composition:
+            return {}
+        self.base                       # built and checked first
+        return self.surface.composition_at(self.U, self.V, self.composition)
+
+    def take(self, *names):
+        """The named comp tables that comp holds, removed from it: each has
+        one reader per chunk, and none outlives it."""
+        return {k: self.comp.pop(k) for k in names if k in self.comp}
 
     # named scalar fields -----------------------------------------------------
 

@@ -5,15 +5,22 @@ batch entry point base_fields evaluates the first-order geometry at arrays
 of parameter points: tangents, oriented unit normal, induced metric and
 orthonormal tangent frame, the ambient covariant derivatives of the
 tangents, the second fundamental form and the torsion 2-form on the
-tangent pair; in a frame ambient also the frame and its inverse.  No
-later reader evaluates its tables again.  Every other block is built
-from it only where a reader asks: the induced connection inside
+tangent pair; in a frame ambient also the frame and its inverse.  Its
+ambient tables (g, Gamma and the frame, with the frame determinant they
+divide by) are one program, and no later reader evaluates them again.
+The first-order core (first_order: E, F, G, area, N, Ginv_S, the
+covariant derivatives, II and tau_uv) is written once; base_fields adds
+the orthonormal frame B, its inverse, E1bar, E2bar and T_S on top, and
+the gauge suites build a lean gauged block from the core alone
+(gaussmap.gauged_mean_curvature).  Every other block is built from base
+only where a reader asks: the induced connection inside
 intrinsic_curvature, the ambient curvature in curvature_fields.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
 composition of the ambient onto X(u, v), built once per surface by
-gauss_exprs and differentiated exactly.
+gauss_exprs and differentiated exactly; composition_at evaluates any
+group of its tables as one (u, v) program.
 
 Every block is checked for inf and NaN as it is built (require_finite), so
 an input that overflows the numeric layers stops with NonFiniteValue
@@ -32,11 +39,15 @@ from . import expr
 from .ambient import _det3, _inv3, _sum3
 from .errors import DegenerateParameterization, NonFiniteValue, NotIsothermal
 
-__all__ = ["Surface", "cross_metric_batch", "induced_connection", "require_finite"]
+__all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
+           "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
 JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
+# the base fields checked finite on return, in the order they are checked
+_CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "B", "Binv", "E1bar", "E2bar",
+                 "cov", "II", "tau_uv", "T_S")
 
 
 def cross_metric_batch(g, u, v):
@@ -58,6 +69,61 @@ def require_finite(block, fields, U, V):
             raise NonFiniteValue.at_sample(f"{block}.{key}", i,
                                            float(U[i]), float(V[i]))
     return fields
+
+
+def first_order(block, U, V, jets, tables):
+    """The first-order core of a base block at the samples U, V, from the
+    JETS in jets (a JETS dict or any block that holds them) and the
+    ambient tables (g, gamma, ...): the torsion, E, F, G, area, N, G_S,
+    Ginv_S, cov, II and tau_uv, with det2 = E G - F^2 and TXuXv =
+    T(Xu, Xv) for the frame and T_S that Surface.base_fields adds.
+
+    u, v, the jets, the tables, torsion, E, F and G are checked finite
+    under block first, so that an overflow is named as one and not met as
+    a degenerate chart (or, in base_fields, a singular frame B); the rest
+    is returned unchecked."""
+    jets = {k: jets[k] for k in JETS}
+    Xu, Xv = jets["Xu"], jets["Xv"]
+    g, gamma = tables["g"], tables["gamma"]
+    tor = gamma - np.swapaxes(gamma, -2, -1)
+
+    E = np.einsum("nab,na,nb->n", g, Xu, Xu)
+    F = np.einsum("nab,na,nb->n", g, Xu, Xv)
+    G = np.einsum("nab,na,nb->n", g, Xv, Xv)
+    first = require_finite(block, {
+        "u": U, "v": V, **jets, **tables, "torsion": tor, "E": E, "F": F, "G": G,
+    }, U, V)
+    det2 = E * G - F * F
+    if np.any(det2 <= AREA_DENSITY_TOL ** 2):
+        raise DegenerateParameterization(
+            "tangents linearly dependent (area density below 1e-9)")
+    area = np.sqrt(det2)
+    N = cross_metric_batch(g, Xu, Xv) / area[:, None]
+
+    # induced metric and its inverse
+    G_S = np.empty(E.shape + (2, 2))
+    G_S[:, 0, 0], G_S[:, 0, 1] = E, F
+    G_S[:, 1, 0], G_S[:, 1, 1] = F, G
+    Ginv = np.empty_like(G_S)
+    Ginv[:, 0, 0] = G / det2
+    Ginv[:, 0, 1] = Ginv[:, 1, 0] = -F / det2
+    Ginv[:, 1, 1] = E / det2
+
+    # ambient covariant derivatives of the tangent fields, and II
+    tang = np.stack([Xu, Xv], axis=1)            # (n, 2, 3)
+    second = np.empty(E.shape + (2, 2, 3))
+    second[:, 0, 0] = jets["Xuu"]
+    second[:, 0, 1] = jets["Xuv"]
+    second[:, 1, 0] = jets["Xuv"]
+    second[:, 1, 1] = jets["Xvv"]
+    cov = second + np.einsum("nkij,nai,nbj->nabk", gamma, tang, tang)
+    II = np.einsum("nkl,nabk,nl->nab", g, cov, N)
+
+    # torsion 2-form on the tangent pair
+    TXuXv = np.einsum("nkij,ni,nj->nk", tor, Xu, Xv)
+    tau_uv = np.einsum("nkl,nk,nl->n", g, N, TXuXv)
+    return first | {"det2": det2, "G_S": G_S, "Ginv_S": Ginv, "area": area,
+                    "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
 
 
 def induced_connection(base):
@@ -130,71 +196,29 @@ class Surface:
         V = np.atleast_1d(np.asarray(V, dtype=float))
         if jets is None:
             jets = self.jets(U, V)
-        p, Xu, Xv, Xuu, Xuv, Xvv = (jets[k] for k in JETS)
-
         amb = self.ambient
-        names = ("g", "gamma") + (("frame", "frame_inv") if amb.kind == "frame" else ())
-        tables = dict(zip(names, amb.fields_at(amb.bindings(p), names)))
-        g, gamma = tables["g"], tables["gamma"]
-        tor = gamma - np.swapaxes(gamma, -2, -1)
+        names = amb.base_names
+        tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
+        out = first_order("base", U, V, jets, tables)
+        det2, TXuXv = out.pop("det2"), out.pop("TXuXv")
+        Xu, Xv, E, F, N = out["Xu"], out["Xv"], out["E"], out["F"], out["N"]
 
-        E = np.einsum("nab,na,nb->n", g, Xu, Xu)
-        F = np.einsum("nab,na,nb->n", g, Xu, Xv)
-        G = np.einsum("nab,na,nb->n", g, Xv, Xv)
-        # the fields so far, checked before the frame B is inverted (an
-        # overflowing E makes B singular); the rest are checked on return
-        first = require_finite("base", {
-            "u": U, "v": V, "p": p, "Xu": Xu, "Xv": Xv,
-            "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
-            **tables, "torsion": tor, "E": E, "F": F, "G": G,
-        }, U, V)
-        det2 = E * G - F * F
-        if np.any(det2 <= AREA_DENSITY_TOL ** 2):
-            raise DegenerateParameterization(
-                "tangents linearly dependent (area density below 1e-9)")
-        area = np.sqrt(det2)
-        N = cross_metric_batch(g, Xu, Xv) / area[:, None]
-
-        # induced metric, its inverse and the orthonormal tangent frame
-        G_S = np.empty(p.shape[:1] + (2, 2))
-        G_S[:, 0, 0], G_S[:, 0, 1] = E, F
-        G_S[:, 1, 0], G_S[:, 1, 1] = F, G
-        Ginv = np.empty_like(G_S)
-        Ginv[:, 0, 0] = G / det2
-        Ginv[:, 0, 1] = Ginv[:, 1, 0] = -F / det2
-        Ginv[:, 1, 1] = E / det2
+        # the orthonormal tangent frame
         sqrtE = np.sqrt(E)
         s = np.sqrt(det2 / E)
-        B = np.zeros_like(G_S)              # columns: E1bar, E2bar in (Xu, Xv)
+        B = np.zeros_like(out["G_S"])       # columns: E1bar, E2bar in (Xu, Xv)
         B[:, 0, 0] = 1.0 / sqrtE
         B[:, 0, 1] = -F / (E * s)
         B[:, 1, 1] = 1.0 / s
-        Binv = np.linalg.inv(B)
-        E1b = B[:, 0, 0, None] * Xu
-        E2b = B[:, 0, 1, None] * Xu + B[:, 1, 1, None] * Xv
+        out["B"] = B
+        out["Binv"] = np.linalg.inv(B)
+        out["E1bar"] = B[:, 0, 0, None] * Xu
+        out["E2bar"] = B[:, 0, 1, None] * Xu + B[:, 1, 1, None] * Xv
 
-        # ambient covariant derivatives of the tangent fields, and II
-        tang = np.stack([Xu, Xv], axis=1)            # (n, 2, 3)
-        second = np.empty(p.shape[:1] + (2, 2, 3))
-        second[:, 0, 0] = Xuu
-        second[:, 0, 1] = Xuv
-        second[:, 1, 0] = Xuv
-        second[:, 1, 1] = Xvv
-        cov = second + np.einsum("nkij,nai,nbj->nabk", gamma, tang, tang)
-        II = np.einsum("nkl,nabk,nl->nab", g, cov, N)
-
-        # torsion 2-form on the tangent pair and tangential torsion
-        TXuXv = np.einsum("nkij,ni,nj->nk", tor, Xu, Xv)
-        tau_uv = np.einsum("nkl,nk,nl->n", g, N, TXuXv)
-        T_S = TXuXv - tau_uv[:, None] * N
-
-        return first | require_finite("base", {
-            "G_S": G_S, "Ginv_S": Ginv,
-            "area": area, "N": N, "B": B, "Binv": Binv,
-            "E1bar": E1b, "E2bar": E2b,
-            "cov": cov, "II": II,
-            "tau_uv": tau_uv, "T_S": T_S,
-        }, U, V)
+        # tangential torsion
+        out["T_S"] = TXuXv - out["tau_uv"][:, None] * N
+        require_finite("base", {k: out[k] for k in _CHECKED_LAST}, U, V)
+        return out
 
     # --- ambient curvature on the surface -----------------------------------------
 
@@ -218,20 +242,22 @@ class Surface:
 
     # --- intrinsic curvature ----------------------------------------------------
 
-    def intrinsic_curvature(self, base):
+    def intrinsic_curvature(self, base, comp=None):
         """Gaussian curvature of the induced connection, K = Scal_S / 2, at
         the samples of base (a base_fields dict).
 
         The (u, v) derivatives of the induced coefficients it needs,
-        d_u gammaS^c_vv and d_v gammaS^c_uv, are evaluated from their exact
-        expressions (see gauss_exprs); the induced connection itself is
-        built here from base (induced_connection), its only library reader.
+        d_u gammaS^c_vv and d_v gammaS^c_uv, are the composition table
+        d_gammaS (see gauss_exprs) at these samples, from comp (tables
+        already evaluated there, SampleGrid.comp) or evaluated here; the
+        induced connection itself is built here from base
+        (induced_connection), its only library reader.
         """
-        dG = expr.eval_table(self.gauss_exprs()["d_gammaS"],
-                             {"u": base["u"], "v": base["v"]})
+        d_gammaS = self.composition_at(base["u"], base["v"], ("d_gammaS",),
+                                       comp)["d_gammaS"]
         gS = induced_connection(base)
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
-        vec = (dG[:, 0] - dG[:, 1]
+        vec = (d_gammaS[:, 0] - d_gammaS[:, 1]
                + np.einsum("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
                - np.einsum("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
         lowered = np.einsum("nd,nd->n", vec, base["G_S"][:, :, 0])
@@ -253,6 +279,19 @@ class Surface:
         return np.sqrt(E)
 
     # --- the surface composition ---------------------------------------------------
+
+    def composition_at(self, U, V, names, known=None):
+        """The named tables of the surface composition (gauss_exprs) at
+        flat arrays U, V, as a dict: those that known (tables already
+        evaluated at these samples) holds as they are, the rest as one
+        (u, v) program."""
+        out = {k: known[k] for k in names if known and k in known}
+        rest = [k for k in names if k not in out]
+        if rest:
+            comp = self.gauss_exprs()
+            out.update(zip(rest, expr.eval_table(tuple(comp[k] for k in rest),
+                                                 {"u": U, "v": V})))
+        return out
 
     def gauss_exprs(self):
         """The surface composition: exact (u, v)-expressions built once by

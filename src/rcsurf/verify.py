@@ -141,6 +141,18 @@ def random_gauge_fields(scene, count, seed=1234, about_normal=True):
     return out
 
 
+# the surface-composition tables each suite reads (SampleGrid.comp); a chunk
+# evaluates those of every suite that runs in one (u, v) program
+_COMPOSITION = {
+    "gauss_eq": ("d_gammaS",),
+    "egregium": ("d_gammaS",),
+    "divcurl": ("dn_du", "dn_dv"),
+    "hopf_identity": ("d_hopf",),
+    "conformality": ("dn_du", "dn_dv"),
+    "gauss_bonnet": ("d_gammaS",),
+    "degree": ("dn_du", "dn_dv"),
+}
+
 # every key holo.hopf_identity_residual reads from its fields and ext blocks
 _HOPF_BASE = ("u", "v", "Xu", "Xv", "N", "g", "G_S", "T_S", "II")
 
@@ -234,6 +246,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         except RcsurfError as err:
             degree_error = str(err)
             run.remove("degree")
+    grid.composition = tuple(dict.fromkeys(
+        k for suite in run for k in _COMPOSITION.get(suite, ())))
     cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
 
     kept = {}               # entry -> (buffer over the grid's samples, count filled)
@@ -256,7 +270,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         for suite in run:
             if suite == "ambient_sanity":
                 base = part.base
-                parts = [amb.metric_compat_residual_at(amb.bindings(base["p"]))]
+                parts = [amb.metric_compat_residual_at(amb.bindings(base["p"]),
+                                                       base["g"], base["gamma"])]
                 T = base["torsion"]
                 parts.append(_abs_max(T + np.swapaxes(T, -2, -1)))
                 r4 = part.curvature["r4"]
@@ -301,8 +316,9 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 fields = {k: part.base[k][mask] for k in _HOPF_BASE}
                 curv = {"r4": part.curvature["r4"][mask]}
                 hol = {"lam": part.holo["lam"][mask]}
-                keep("hopf_identity",
-                     holo.hopf_identity_residual(surf, fields, curv, fields, hol))
+                comp = {"d_hopf": part.take("d_hopf")["d_hopf"][mask]}
+                keep("hopf_identity", holo.hopf_identity_residual(
+                    surf, fields, curv, fields, hol, comp))
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
                 cls = extrinsic.classify(part.ext, tol=cls_tol)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcsurf import expr, scenes, verify
+from rcsurf import expr, gaussmap, scenes, verify
 from rcsurf.errors import NonFiniteValue
 
 NU = NV = 6
@@ -60,11 +60,22 @@ def _leaf_ids(table):
     return {id(table)}
 
 
+def _variable_leaf_ids(table):
+    """_leaf_ids without the constant leaves, which tables share freely."""
+    if isinstance(table, (list, tuple)):
+        return set().union(*map(_variable_leaf_ids, table))
+    return set() if table.kind == expr._CONST else {id(table)}
+
+
 def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     """A verify of three chunks evaluates the surface jets and the frame
-    tables in one program per chunk (the base block's), and each gauge
-    field's axis and theta in one program per residual call; programs are
-    told apart by the identity of their table leaves."""
+    tables in one program per chunk (the base block's), dg in one, the
+    surface-composition tables in one, and each gauge field's axis, theta
+    and gauged (g, Gamma, frame_det) in one program per residual call; no
+    program holds only a frame determinant.  Programs are told apart by
+    the identity of their table leaves.  A one-chunk 24x24 verify runs 9
+    programs (21 before the gauged tables, dg and the composition were
+    merged)."""
     sc = _scene("catenoid_frame_cylinder")
     surf, amb = sc.surface, sc.ambient
     monkeypatch.setattr(expr, "CHUNK", 100)          # 16x16 = 256 samples
@@ -96,6 +107,24 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
         axes |= axis
     # the gauge_theorem fields share the scene's normal axis
     assert sum(bool(axes & prog) for prog in programs) == len(gauges) * chunks
+
+    dets = [_leaf_ids(amb.frame_det)]
+    for gauge in gauges:
+        gamb = gaussmap.gauged_surface(surf, gauge).ambient
+        det = _leaf_ids(gamb.frame_det)
+        dets.append(det)
+        assert holding(det | _leaf_ids((gamb.g, gamb.gamma, gauge.theta))) == chunks
+    assert not any(prog in dets for prog in programs)
+    assert holding(_leaf_ids(amb.dg)) == chunks
+    comp = surf.gauss_exprs()
+    uv = _variable_leaf_ids([comp[k] for k in ("d_gammaS", "dn_du", "dn_dv", "d_hopf")])
+    assert holding(uv) == chunks
+    assert sum(bool(uv & prog) for prog in programs) == chunks
+
+    monkeypatch.setattr(expr, "CHUNK", 24 * 24)
+    programs.clear()
+    verify.run_verification(sc, 24, 24)
+    assert len(programs) == 9
 
 
 def test_chunks_cover_the_grid_in_order(monkeypatch):

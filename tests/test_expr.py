@@ -241,6 +241,25 @@ def test_domain_error_in_last_chunk_only(fn, text):
     assert np.all(np.isfinite(expr.eval_table([e], {"x": x})))
 
 
+@pytest.mark.parametrize("bad", [0, expr.CHUNK + 5])
+def test_shared_denominator_is_checked_once_and_still_raises(bad):
+    """Two numerators over one denominator node: only the first division
+    checks it for zeros, and a zero still raises, whether it lies in the
+    first chunk or in a later one; without it the values are unchanged."""
+    table = [expr.parse(text, {"x", "y"}) for text in ("x/(y - 1)", "sin(x)/(y - 1)")]
+    ops, _ = expr._compile(table, [(2,)])
+    divisions = [op[3] for op in ops if op[0] == expr._DIV]
+    assert divisions == [True, False]
+    n = 2 * expr.CHUNK + 3
+    b = {"x": np.linspace(-1.0, 1.0, n), "y": np.linspace(2.0, 3.0, n)}
+    want = eval_oracle.eval_table(table, b)
+    assert expr.eval_table(table, b).tobytes() == want.tobytes()
+    b["y"][bad] = 1.0
+    with pytest.raises(EvalDomainError) as err:
+        expr.eval_table(table, b)
+    assert err.value.function == "/"
+
+
 def test_unknown_variable_raises_on_arrays():
     e = expr.parse("x + y", {"x", "y"})
     with pytest.raises(UnknownVariable):

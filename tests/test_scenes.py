@@ -287,13 +287,14 @@ class _LookupLog(dict):
 
 
 def test_scene_validation_compiles_only_grid_programs(monkeypatch):
-    # validation reads p from the six-table X..Xvv group and g from the
-    # (Gamma, g, dg) group; verify reuses every program a build compiles
+    # validation reads p from the six-table X..Xvv group, g and Gamma from
+    # the base group (with the frame and its determinant) and dg alone;
+    # verify reuses every program a build compiles
     programs = _LookupLog()
     monkeypatch.setattr(expr, "_programs", programs)
     sc = scenes.builtin("catenoid_frame_cylinder")
     built = set(programs)
-    assert len(built) == 4
+    assert len(built) == 3
     programs.looked_up.clear()
     verify.run_verification(sc, 8, 8)
     unused = built - programs.looked_up

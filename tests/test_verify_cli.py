@@ -200,6 +200,10 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
     (None, "name", ["sphere"], "error: name: expected a JSON string"),
+    (None, "gauge", {"theta": "0.3*x", "axis": ["0*exp(1000)", "0", "1"]},
+     "error: gauge axis is not unit on the surface"),
+    (None, "gauge", {"theta": "0*exp(1000)*x", "axis": ["0", "0", "1"]},
+     "error: gauge.theta: non-finite value at sample 0"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
