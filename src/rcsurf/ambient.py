@@ -13,12 +13,9 @@ Index conventions, fixed here once for the whole package:
     R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik
               + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
     R4[i,j,k,m] = <R(d_i,d_j) d_k, d_m>         lowered curvature
-    Ric_ij  = sum_l R^l_jli                     trace over the first slot
-    Scal    = g^ij Ric_ij
 
-Ric need not be symmetric when torsion is present.  All connection
-derivatives are exact (symbolic differentiation of the coefficient
-expressions); finite differences appear only in test oracles.
+All connection derivatives are exact (symbolic differentiation of the
+coefficient expressions); finite differences appear only in test oracles.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegeneratePlane, EvalDomainError, IncompatibleConnection, OutsideChart,
-    SingularFrame,
+    EvalDomainError, IncompatibleConnection, OutsideChart, SingularFrame,
 )
 
 __all__ = ["Ambient", "frame_ambient", "coefficient_ambient", "CHART_VARS"]
@@ -70,9 +66,11 @@ class Ambient:
     """Immutable chart-level Riemann-Cartan structure.
 
     Use frame_ambient or coefficient_ambient to construct.  Evaluation
-    bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings);
-    every *_at method checks the chart domain first, and the frame on the
-    determinant its own program evaluates.
+    bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings).
+    fields_at and the methods built on it (christoffel_at, curvature_at)
+    check the chart domain first, and the frame on the determinant their
+    own program evaluates; riemann and metric_compat_residual_at take
+    points that a base block already checked.
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -161,23 +159,16 @@ class Ambient:
             out = out[:-1]
         return out
 
-    def metric_at(self, bindings):
-        return self.fields_at(bindings, ("g",))[0]
-
+    # no library code reads christoffel_at or curvature_at; bench/spans.py
+    # wraps both by name for its layer trace
     def christoffel_at(self, bindings):
         return self.fields_at(bindings, ("gamma",))[0]
 
-    def torsion_at(self, bindings):
-        G = self.christoffel_at(bindings)
-        return G - np.swapaxes(G, -2, -1)
-
     def curvature_at(self, bindings):
-        """Returns dict with rm, r4 (lowered), ric, scal for batched points."""
+        """rm and r4 (lowered) at batched points, as a dict."""
         g, G = self.fields_at(bindings, ("g", "gamma"))
         rm = self.riemann(G, bindings)
-        ric = np.einsum("nljli->nij", rm)
-        scal = np.einsum("nij,nij->n", np.linalg.inv(g), ric)
-        return {"rm": rm, "r4": self.lower(rm, g), "ric": ric, "scal": scal}
+        return {"rm": rm, "r4": self.lower(rm, g)}
 
     def riemann(self, G, bindings):
         """rm at batched points that already passed the chart and frame
@@ -199,54 +190,11 @@ class Ambient:
         """r4 from rm and the metric g at the same samples."""
         return np.einsum("nlkij,nlm->nijkm", rm, g)
 
-    def metric_compat_residual_at(self, bindings, g=None, gamma=None):
-        """max |nabla g| per sample.  g and gamma are the metric and the
-        connection at these points when a base block already holds them
-        (its points passed the chart and frame checks); else they come
-        from the base group (base_names).  Only dg is evaluated here."""
-        if g is None:
-            g, gamma = self.fields_at(bindings, self.base_names)[:2]
+    def metric_compat_residual_at(self, bindings, g, gamma):
+        """max |nabla g| per sample, from the metric g and the connection
+        gamma at points that already passed the chart and frame checks (a
+        base block's, or validate's).  Only dg is evaluated here."""
         return _compat_residual(gamma, g, expr.eval_table(self.dg, bindings))
-
-    def sectional_at(self, bindings, u, v):
-        """Sectional curvature of span{u, v} at batched points:
-        R(u,v,v,u) / gram determinant, with u, v of shape (3,) or (n, 3)."""
-        u, v = (np.broadcast_to(np.asarray(w, dtype=float), (len(bindings["x"]), 3))
-                for w in (u, v))
-        r4 = self.curvature_at(bindings)["r4"]
-        g = self.metric_at(bindings)
-        guu, gvv, guv = (np.einsum("na,nab,nb->n", a, g, b)
-                         for a, b in ((u, u), (v, v), (u, v)))
-        den = guu * gvv - guv ** 2
-        if np.any(den < 1e-12):
-            raise DegeneratePlane(f"gram determinant {np.min(den)!r} below 1e-12")
-        return np.einsum("nijkm,ni,nj,nk,nm->n", r4, u, v, v, u) / den
-
-    def sufficient_condition_at(self, bindings, tol=1e-8):
-        """Tests, per sample, Ric proportional to g and torsion proportional
-        to the metric cross product, the hypothesis making the L tensor
-        vanish.  Returns arrays over the batch."""
-        cur = self.curvature_at(bindings)
-        g = self.metric_at(bindings)
-        T = self.torsion_at(bindings)
-        ric_dev = np.max(np.abs(cur["ric"] - (cur["scal"] / 3.0)[:, None, None] * g),
-                         axis=(1, 2))
-        # cross tensor C^k_ij = sqrt(det g) g^kl eps_lij
-        eps = np.zeros((3, 3, 3))
-        eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-        eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-        C = (np.sqrt(np.linalg.det(g))[:, None, None, None]
-             * np.einsum("nkl,lij->nkij", np.linalg.inv(g), eps))
-        cc = np.sum(C * C, axis=(1, 2, 3))
-        kappa = np.sum(T * C, axis=(1, 2, 3)) / np.where(cc > 0, cc, 1.0)
-        tor_dev = np.max(np.abs(T - kappa[:, None, None, None] * C), axis=(1, 2, 3))
-        return {
-            "ricci_proportional": ric_dev <= tol,
-            "torsion_proportional": tor_dev <= tol,
-            "ricci_deviation": ric_dev,
-            "torsion_deviation": tor_dev,
-            "kappa": kappa,
-        }
 
     # --- validation ---------------------------------------------------------------
 

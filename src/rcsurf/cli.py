@@ -55,7 +55,8 @@ def _build_parser():
     i = sub.add_parser("integrate", help="integrate a named field")
     _add_scene_args(i)
     i.add_argument("--field", required=True,
-                   help="field name (one, K, K_e, H, star_tau, abs_H, ...)")
+                   help="field name: one (or 1), K, K_e, H, star_tau, abs_H, "
+                        "area_density, abs_phi, abs_psi")
 
     sub.add_parser("list", help="list built-in scenes")
     return ap

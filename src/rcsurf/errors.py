@@ -68,10 +68,6 @@ class OutsideChart(RcsurfError):
     pass
 
 
-class DegeneratePlane(RcsurfError):
-    pass
-
-
 class IncompatibleConnection(RcsurfError):
     """Connection coefficients fail metric compatibility beyond tolerance."""
 

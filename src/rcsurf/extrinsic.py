@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .surface import cross_metric_batch, require_finite
+from .surface import require_finite
 
 __all__ = [
     "mean_curvature", "extrinsic_fields", "gauss_equation_residual",
-    "curvature_decomposition", "classify", "l_tensor",
+    "curvature_decomposition", "classify",
 ]
 
 AMBIENT_FLAT_TOL = 1e-9
@@ -107,29 +107,3 @@ def tangent_components(fields, vec):
         np.einsum("nkl,nk,nl->n", g, vec, fields["Xv"]),
     ], axis=-1)
     return np.linalg.solve(fields["G_S"], rhs[..., None])[..., 0]
-
-
-def apply_weingarten(fields, comp):
-    """Apply W to tangent vectors given by (u, v)-components (n, 2)."""
-    return np.einsum("nrc,nc->nr", fields["W"], comp)
-
-
-def l_tensor(fields, amb):
-    """L(E1bar, E2bar) = R(E1bar, E2bar) N - J W J T_S(E1bar, E2bar), as a
-    chart-coordinate vector, from the extrinsic block fields and the
-    curvature of the ambient amb at the same points (Ambient.curvature_at;
-    the grid's curvature block keeps no rm).  Vanishing of L is the
-    hypothesis tying holomorphicity of bold H to that of the Hopf
-    differential."""
-    g = fields["g"]
-    e1, e2, N = fields["E1bar"], fields["E2bar"], fields["N"]
-    rm = amb.curvature_at(amb.bindings(fields["p"]))["rm"]
-    # R(E1, E2) N: rm[l, k, i, j] with i <- E1, j <- E2, k <- N
-    RN = np.einsum("nlkij,nk,ni,nj->nl", rm, N, e1, e2)
-    # tangential torsion on the orthonormal pair = T_S(Xu, Xv) / area
-    TS = fields["T_S"] / fields["area"][:, None]
-    JT = cross_metric_batch(g, N, TS)
-    WJT_comp = apply_weingarten(fields, tangent_components(fields, JT))
-    WJT = WJT_comp[:, 0, None] * fields["Xu"] + WJT_comp[:, 1, None] * fields["Xv"]
-    JWJT = cross_metric_batch(g, N, WJT)
-    return RN - JWJT

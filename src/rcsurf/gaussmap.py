@@ -11,8 +11,8 @@ data come in three blocks, each built only for its readers:
                                                 div/curl, general gauge law
 
 The frame and its inverse come from the base block.  The parameter
-derivatives are tables of the surface composition (read with the other
-composition tables of a chunk, SampleGrid.comp), so the divergence/curl
+derivatives are tables of the surface composition, passed in as arrays
+(scenes.SampleGrid.take), so the divergence/curl
 ladder holds to round-off rather than stencil accuracy.
 One kernel (_div_curl) forms every divergence and curl along a projected
 frame.  All directional derivatives along projected frame vectors stay on
@@ -72,14 +72,11 @@ def gauss_field(surface, fields):
     return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
 
 
-def gauss_derivatives(surface, fields, comp=None):
+def gauss_derivatives(surface, fields, dn_du, dn_dv):
     """The block {dn_du, dn_dv}: exact parameter derivatives of the Gauss
     map at the samples of fields, the surface composition's tables of
-    those names, from comp (tables already evaluated there,
-    SampleGrid.comp) or evaluated here."""
+    those names at these samples."""
     _require_frame(surface)
-    comp = surface.composition_at(fields["u"], fields["v"], ("dn_du", "dn_dv"), comp)
-    dn_du, dn_dv = comp["dn_du"], comp["dn_dv"]
     return require_finite("gauss_dn", {"dn_du": dn_du, "dn_dv": dn_dv},
                           fields["u"], fields["v"])
 
@@ -183,19 +180,15 @@ def _gauge_at(surf, gauge, fields, gradients=False):
     return out, (g, gamma, det)
 
 
-def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields, tables=None):
+def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields, tables):
     """H, star_tau and bold_H of the surface seen through the gauged frame,
     at the samples of fields (a base_fields dict): a recomputation from a
     lean gauged block, the first-order core (surface.first_order) of the
     gauged ambient on the jets of fields, and only the part of the
     extrinsic block it reads (extrinsic.mean_curvature).  tables holds the
-    gauged g, Gamma and frame determinant at these samples (_gauge_at), or
-    is None to evaluate them here."""
-    gamb = gauged_surface(surf, gauge).ambient
-    if tables is None:
-        tables = gamb.tables_at(gamb.bindings(fields["p"]), (gamb.g, gamb.gamma))
+    gauged g, Gamma and frame determinant at these samples (_gauge_at)."""
     g, gamma, det = tables
-    gamb._check_frame(det)
+    gauged_surface(surf, gauge).ambient._check_frame(det)
     block = first_order("gauge", fields["u"], fields["v"], fields,
                         {"g": g, "gamma": gamma})
     return extrinsic.mean_curvature(block, "gauge")

@@ -34,34 +34,29 @@ def holo_fields(surface, fields, ext):
     }, fields["u"], fields["v"])
 
 
-def dbar(surface, U, V, comp=None):
-    """(dbar phi, dbar bold_H) at flat arrays U, V, with
-    d/dzbar = (d/du + i d/dv) / 2, from the exact (u, v) derivatives of the
-    surface composition (Surface.gauss_exprs): its table d_hopf at U, V,
-    from comp (tables already evaluated there) or evaluated here."""
-    U = np.atleast_1d(np.asarray(U, dtype=float))
-    V = np.atleast_1d(np.asarray(V, dtype=float))
-    d_hopf = surface.composition_at(U, V, ("d_hopf",), comp)["d_hopf"]
+def dbar(d_hopf):
+    """(dbar phi, dbar bold_H) with d/dzbar = (d/du + i d/dv) / 2, from the
+    exact (u, v) derivatives of the surface composition
+    (Surface.gauss_exprs): its table d_hopf at the samples."""
     d = d_hopf[..., 0] + 1j * d_hopf[..., 1]    # d[:, q, axis]: q = phi, bold_H
     out = 0.5 * (d[:, :, 0] + 1j * d[:, :, 1])
     return out[:, 0], out[:, 1]
 
 
-def hopf_identity_residual(surface, fields, curv, ext, holo, comp=None):
+def hopf_identity_residual(fields, curv, ext, holo, d_hopf):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
                           - (i/2) R(Xu, Xv, dz, N) - (1/2) II(J T_S(Xu,Xv), dz)
 
     with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Both d/dzbar
-    terms come from dbar (exact derivatives of the surface composition);
-    everything else is assembled pointwise from the same samples, so the
-    residual is round-off.  fields, curv, ext and holo are the base,
-    curvature, extrinsic and holomorphic blocks of the same samples; only
-    r4, II and lam are read from the latter three.  comp is passed on to
-    dbar.
+    terms come from dbar of d_hopf (exact derivatives of the surface
+    composition); everything else is assembled pointwise from the same
+    samples, so the residual is round-off.  fields, curv, ext and holo are
+    the base, curvature, extrinsic and holomorphic blocks of the same
+    samples; only r4, II and lam are read from the latter three.
     """
-    lhs, dbar_H = dbar(surface, fields["u"], fields["v"], comp)
+    lhs, dbar_H = dbar(d_hopf)
     lam2 = holo["lam"] ** 2
 
     r4, Xu, Xv, N = curv["r4"], fields["Xu"], fields["Xv"], fields["N"]

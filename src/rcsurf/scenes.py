@@ -604,7 +604,7 @@ class SampleGrid:
                       (d_gammaS, dn_du, dn_dv, d_hopf) in one (u, v)
                       program, after base, each until its reader takes it:
                       intrinsic_K, gauss_dn, hopf_identity
-        curvature     rm, r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
+        curvature     r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
                       ambient_sanity, gauss_eq, egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e, III: most
                       suites, holo, export
@@ -620,8 +620,8 @@ class SampleGrid:
                       gauge_general
 
     verify sets composition to the tables its planned suites read; it is
-    empty by default, and a reader whose table comp lacks evaluates it
-    itself, so export and integrate evaluate d_gammaS alone.
+    empty by default, and take evaluates a table that comp lacks on its
+    own, so export and integrate evaluate d_gammaS alone.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -700,7 +700,7 @@ class SampleGrid:
     @cached_property
     def gauss_dn(self):
         return gaussmap.gauss_derivatives(self.surface, self.base,
-                                          self.take("dn_du", "dn_dv"))
+                                          **self.take("dn_du", "dn_dv"))
 
     @cached_property
     def gauss_frames(self):
@@ -724,19 +724,27 @@ class SampleGrid:
 
     @cached_property
     def intrinsic_K(self):
-        return self.surface.intrinsic_curvature(self.base, self.take("d_gammaS"))
+        return self.surface.intrinsic_curvature(self.base, **self.take("d_gammaS"))
 
     @cached_property
     def comp(self):
         if not self.composition:
             return {}
-        self.base                       # built and checked first
         return self.surface.composition_at(self.U, self.V, self.composition)
 
     def take(self, *names):
-        """The named comp tables that comp holds, removed from it: each has
-        one reader per chunk, and none outlives it."""
-        return {k: self.comp.pop(k) for k in names if k in self.comp}
+        """The named surface-composition tables at these samples, as a
+        dict, after base is built and checked: those that comp holds are
+        removed from it (each has one reader per chunk, and none outlives
+        it), and the rest are evaluated here as one (u, v) program.  This
+        is the one place where a reader's composition tables are
+        evaluated."""
+        self.base                       # built and checked first
+        out = {k: self.comp.pop(k) for k in names if k in self.comp}
+        rest = tuple(k for k in names if k not in out)
+        if rest:
+            out.update(self.surface.composition_at(self.U, self.V, rest))
+        return out
 
     # named scalar fields -----------------------------------------------------
 
@@ -748,7 +756,7 @@ class SampleGrid:
     def degree_terms(self):
         """Quadrature terms weight * degree integrand (against du dv) at
         these samples: gauss_degree sums them."""
-        return self.weights * self.field("degree_integrand")
+        return self.weights * gaussmap.degree_integrand(self.gauss, self.gauss_dn)
 
     def field(self, name):
         if name in ("one", "1"):
@@ -763,8 +771,6 @@ class SampleGrid:
             "area_density": lambda: self.base["area"],
             "abs_phi": lambda: np.abs(self.holo["phi"]),
             "abs_psi": lambda: np.abs(self.holo["psi"]),
-            "degree_integrand": lambda: gaussmap.degree_integrand(self.gauss,
-                                                                  self.gauss_dn),
         }
         if name not in simple:
             raise UndefinedField(f"no field named {name!r}")

@@ -20,7 +20,8 @@ Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
 composition of the ambient onto X(u, v), built once per surface by
 gauss_exprs and differentiated exactly; composition_at evaluates any
-group of its tables as one (u, v) program.
+group of its tables as one (u, v) program.  The readers take these tables
+as arrays: a sample grid evaluates them (scenes.SampleGrid.take).
 
 Every block is checked for inf and NaN as it is built (require_finite), so
 an input that overflows the numeric layers stops with NonFiniteValue
@@ -37,7 +38,9 @@ import numpy as np
 
 from . import expr
 from .ambient import _det3, _inv3, _sum3
-from .errors import DegenerateParameterization, NonFiniteValue, NotIsothermal
+from .errors import (
+    DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck,
+)
 
 __all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
            "require_finite"]
@@ -229,7 +232,7 @@ class Surface:
         path only this block evaluates dGamma, straight at the points
         base_fields already passed through the chart and frame checks.
         rm is checked and dropped once lowered: no reader of the block
-        reads it (extrinsic.l_tensor takes it from Ambient.curvature_at)."""
+        reads it."""
         amb = self.ambient
         U, V = base["u"], base["v"]
         rm = amb.riemann(base["gamma"], amb.bindings(base["p"]))
@@ -242,19 +245,16 @@ class Surface:
 
     # --- intrinsic curvature ----------------------------------------------------
 
-    def intrinsic_curvature(self, base, comp=None):
+    def intrinsic_curvature(self, base, d_gammaS):
         """Gaussian curvature of the induced connection, K = Scal_S / 2, at
         the samples of base (a base_fields dict).
 
-        The (u, v) derivatives of the induced coefficients it needs,
-        d_u gammaS^c_vv and d_v gammaS^c_uv, are the composition table
-        d_gammaS (see gauss_exprs) at these samples, from comp (tables
-        already evaluated there, SampleGrid.comp) or evaluated here; the
-        induced connection itself is built here from base
-        (induced_connection), its only library reader.
+        d_gammaS holds the (u, v) derivatives of the induced coefficients
+        it needs, d_u gammaS^c_vv and d_v gammaS^c_uv: the composition
+        table of that name (see gauss_exprs) at these samples.  The induced
+        connection itself is built here from base (induced_connection), its
+        only library reader.
         """
-        d_gammaS = self.composition_at(base["u"], base["v"], ("d_gammaS",),
-                                       comp)["d_gammaS"]
         gS = induced_connection(base)
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
         vec = (d_gammaS[:, 0] - d_gammaS[:, 1]
@@ -280,18 +280,14 @@ class Surface:
 
     # --- the surface composition ---------------------------------------------------
 
-    def composition_at(self, U, V, names, known=None):
+    def composition_at(self, U, V, names):
         """The named tables of the surface composition (gauss_exprs) at
-        flat arrays U, V, as a dict: those that known (tables already
-        evaluated at these samples) holds as they are, the rest as one
-        (u, v) program."""
-        out = {k: known[k] for k in names if known and k in known}
-        rest = [k for k in names if k not in out]
-        if rest:
-            comp = self.gauss_exprs()
-            out.update(zip(rest, expr.eval_table(tuple(comp[k] for k in rest),
-                                                 {"u": U, "v": V})))
-        return out
+        flat arrays U, V, as a dict, evaluated as one (u, v) program."""
+        comp = self.gauss_exprs()
+        if not comp.keys() >= set(names):       # n, dn_du, dn_dv
+            raise NotWeitzenboeck("operation needs a frame-defined ambient")
+        return dict(zip(names, expr.eval_table(tuple(comp[k] for k in names),
+                                               {"u": U, "v": V})))
 
     def gauss_exprs(self):
         """The surface composition: exact (u, v)-expressions built once by

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import expr, extrinsic, gaussmap, holo, scenes
-from .errors import NonFiniteValue, RcsurfError
+from .errors import AxisNotNormal, NonFiniteValue, NonUnitAxis, RcsurfError
 
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "random_gauge_fields"]
@@ -154,13 +155,26 @@ _COMPOSITION = {
 }
 
 # every key holo.hopf_identity_residual reads from its fields and ext blocks
-_HOPF_BASE = ("u", "v", "Xu", "Xv", "N", "g", "G_S", "T_S", "II")
+_HOPF_BASE = ("Xu", "Xv", "N", "g", "G_S", "T_S", "II")
 
 
 def _abs_max(values):
     """Per-sample max |values| over the trailing axes; values is a fresh
     temporary, so abs runs in place and the check allocates one array."""
     return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
+
+
+@contextmanager
+def _axis_named(path):
+    """Name an axis error (NonUnitAxis, AxisNotNormal) of the gauge field
+    in the block by path, the scene entry its axis comes from; a random
+    axis (path None) keeps the message as it is."""
+    try:
+        yield
+    except (NonUnitAxis, AxisNotNormal) as err:
+        if path is None:
+            raise
+        raise type(err)(f"{path}: {err}") from err
 
 
 def _entries(suite):
@@ -304,21 +318,24 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 ]), axis=0)
                 keep("divcurl", res[mask])
             elif suite == "gauge":
+                # the gauge_theorem fields rotate about the scene's normal_axis
                 for gfld in gauges.get("gauge_theorem", []):
-                    top("gauge_theorem", gaussmap.gauge_theorem_residual(
-                        surf, part.base, gfld, part.ext, part.gauss))
+                    with _axis_named("normal_axis"):
+                        top("gauge_theorem", gaussmap.gauge_theorem_residual(
+                            surf, part.base, gfld, part.ext, part.gauss))
                 for gfld in gauges["gauge_general"]:
-                    top("gauge_general", gaussmap.general_gauge_residual(
-                        surf, part.base, gfld, part.ext, part.gauss_frames))
+                    with _axis_named("gauge.axis" if gfld is scene.gauge else None):
+                        top("gauge_general", gaussmap.general_gauge_residual(
+                            surf, part.base, gfld, part.ext, part.gauss_frames))
             elif suite == "psi_identity":
                 keep("psi_identity", part.holo["psi_identity_residual"])
             elif suite == "hopf_identity":
                 fields = {k: part.base[k][mask] for k in _HOPF_BASE}
                 curv = {"r4": part.curvature["r4"][mask]}
                 hol = {"lam": part.holo["lam"][mask]}
-                comp = {"d_hopf": part.take("d_hopf")["d_hopf"][mask]}
+                d_hopf = part.take("d_hopf")["d_hopf"][mask]
                 keep("hopf_identity", holo.hopf_identity_residual(
-                    surf, fields, curv, fields, hol, comp))
+                    fields, curv, fields, hol, d_hopf))
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
                 cls = extrinsic.classify(part.ext, tol=cls_tol)

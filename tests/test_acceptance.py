@@ -11,6 +11,8 @@ import pytest
 from rcsurf import cli, expr, extrinsic, gaussmap, holo, scenes, verify
 
 import so3_numeric as so3
+from ambient_oracle import l_tensor
+from test_holo import dbar_at
 
 WEITZENBOECK_BUILTINS = [
     "euclidean_plane", "rotated_frame_plane", "catenoid_frame_plane",
@@ -75,13 +77,13 @@ def test_criterion_03_rotated_frame_plane():
     z = g.U + 1j * g.V
     assert np.max(np.abs(ext["bold_H"] - z)) <= 1e-8
     m = g.interior_mask
-    _, dbar_h = holo.dbar(sc.surface, g.U[m], g.V[m])
+    _, dbar_h = dbar_at(sc.surface, g.U[m], g.V[m])
     assert np.max(np.abs(dbar_h)) <= 1e-6
     assert np.max(np.abs(g.holo["phi"] + z / 4.0)) <= 1e-8
-    assert np.max(np.abs(extrinsic.l_tensor(g.ext, sc.ambient))) <= 1e-8
+    assert np.max(np.abs(l_tensor(g.ext, sc.ambient))) <= 1e-8
     curv, sub, hol = ({k: v[m] for k, v in block.items()}
                       for block in (g.curvature, g.ext, g.holo))
-    res = holo.hopf_identity_residual(sc.surface, sub, curv, sub, hol)
+    res = holo.hopf_identity_residual(sub, curv, sub, hol, g.take("d_hopf")["d_hopf"][m])
     assert np.max(res) <= 1e-5
     _report(3, "rotated-frame plane theta=xy (bold_H=u+iv, CR, phi, L=0, "
                "Hopf-coefficient identity)")

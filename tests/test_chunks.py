@@ -127,6 +127,37 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     assert len(programs) == 9
 
 
+@pytest.mark.parametrize("name, run, want", [
+    # two chunks of 8192 samples, each: jets, base group, d_gammaS
+    ("catenoid_frame_plane",
+     lambda sc, path: scenes.export_fields(scenes.make_grid(sc, 128, 128), path), 6),
+    # one chunk: jets, base group, d_gammaS
+    ("round_sphere_standard",
+     lambda sc, path: scenes.integrate(scenes.make_grid(sc, 24, 24), "K"), 3),
+    # require_closed's two edge probes (jets and base group each), then one
+    # chunk: jets, base group, (dn_du, dn_dv)
+    ("round_sphere_standard",
+     lambda sc, path: scenes.gauss_degree(scenes.make_grid(sc, 24, 24)), 7),
+], ids=["fields", "integrate", "gauss_degree"])
+def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path,
+                                                           name, run, want):
+    """fields, integrate K and gauss_degree, which evaluate their
+    composition tables through SampleGrid.take alone, run one program per
+    group of tables and chunk."""
+    sc = _scene(name)
+    monkeypatch.setattr(expr, "CHUNK", 8192)
+    programs = []
+    evaluate = expr.eval_table
+
+    def record(table, bindings):
+        programs.append(table)
+        return evaluate(table, bindings)
+
+    monkeypatch.setattr(expr, "eval_table", record)
+    run(sc, tmp_path / "f.csv")
+    assert len(programs) == want
+
+
 def test_chunks_cover_the_grid_in_order(monkeypatch):
     sc = _scene("catenoid_frame_plane")
     whole = scenes.make_grid(sc, 8, 8)

@@ -4,6 +4,7 @@ from rcsurf import expr, extrinsic, scenes
 from rcsurf.surface import Surface
 
 import fd_oracles
+from ambient_oracle import l_tensor, sufficient_condition_at
 from test_ambient import random_metric_compatible_ambient
 
 
@@ -173,18 +174,18 @@ def test_l_tensor_vanishes_for_rotated_frame_plane(rng):
                      ("0.7*sin(x)+0.2*y^2", (0.0, 0.6, 0.8)),
                      ("x + y", (0.36, 0.48, 0.8))):
         _, g, ext = grid_ext("rotated_frame_plane", theta=theta, e=e)
-        assert np.max(np.abs(extrinsic.l_tensor(ext, g.scene.ambient))) <= 1e-12
+        assert np.max(np.abs(l_tensor(ext, g.scene.ambient))) <= 1e-12
 
 
 def test_l_tensor_vanishes_in_cartan_schouten(rng):
     # the sufficient condition (Ric ~ g, T ~ cross) kills L for any surface
     _, g, ext = grid_ext("cartan_schouten_sphere", lam=0.8)
-    assert np.max(np.abs(extrinsic.l_tensor(ext, g.scene.ambient))) <= 1e-10
+    assert np.max(np.abs(l_tensor(ext, g.scene.ambient))) <= 1e-10
 
 
 def test_l_tensor_nonzero_when_condition_fails(rng):
     amb = random_metric_compatible_ambient()
-    chk = amb.sufficient_condition_at(amb.bindings((0.3, 0.2, 0.1)), tol=1e-6)
+    chk = sufficient_condition_at(amb, amb.bindings((0.3, 0.2, 0.1)), tol=1e-6)
     assert not (chk["ricci_proportional"][0] and chk["torsion_proportional"][0])
     X = [expr.parse(t, {"u", "v"}) for t in ("u", "v", "0.3*sin(u+v)")]
     surf = Surface(amb, X, ((-0.8, 0.8), (-0.8, 0.8)))
@@ -192,4 +193,4 @@ def test_l_tensor_nonzero_when_condition_fails(rng):
     U, V = [a.ravel() for a in np.meshgrid(g_uv, g_uv, indexing="ij")]
     base = surf.base_fields(U, V)
     ext = extrinsic.extrinsic_fields(base)
-    assert np.max(np.abs(extrinsic.l_tensor(ext, amb))) > 1e-3
+    assert np.max(np.abs(l_tensor(ext, amb))) > 1e-3

@@ -5,6 +5,7 @@ from rcsurf import extrinsic, holo, scenes
 from rcsurf.errors import NotIsothermal
 
 import fd_oracles
+from ambient_oracle import l_tensor
 
 ISOTHERMAL_BUILTINS = ["euclidean_plane", "rotated_frame_plane",
                        "catenoid_frame_plane", "catenoid_frame_cylinder"]
@@ -19,6 +20,12 @@ def grid_all(name, n=12, m=12, **params):
 def interior_fields(g, block):
     sel = g.interior_mask
     return {k: v[sel] for k, v in block.items()}
+
+
+def dbar_at(surf, U, V):
+    """holo.dbar at flat arrays U, V, from the composition table d_hopf
+    evaluated there."""
+    return holo.dbar(surf.composition_at(U, V, ("d_hopf",))["d_hopf"])
 
 
 def test_phi_rotated_frame_plane_closed_form():
@@ -108,7 +115,7 @@ def test_cr_residual_constant_and_antiholomorphic():
 def test_cr_residual_of_holomorphic_bold_h():
     sc, g = grid_all("rotated_frame_plane", 10, 10)   # bold_H = z
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    _, dbar_h = holo.dbar(sc.surface, U, V)
+    _, dbar_h = dbar_at(sc.surface, U, V)
     assert np.max(np.abs(dbar_h)) <= 1e-7
 
 
@@ -116,7 +123,7 @@ def test_dbar_at_boundary_sample():
     # u = -2 is the edge of a non-periodic axis: the exact derivatives need
     # no stencil; bold_H = z and phi = -z/4 are holomorphic
     sc, g = grid_all("rotated_frame_plane", 8, 8)
-    dbar_phi, dbar_h = holo.dbar(sc.surface, np.array([-2.0]), np.array([0.0]))
+    dbar_phi, dbar_h = dbar_at(sc.surface, np.array([-2.0]), np.array([0.0]))
     assert abs(dbar_phi[0]) <= 1e-15 and abs(dbar_h[0]) <= 1e-15
 
 
@@ -125,7 +132,7 @@ def test_dbar_matches_fd_oracle(name):
     sc, g = grid_all(name)
     surf = sc.surface
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    dbar_phi, dbar_h = holo.dbar(surf, U, V)
+    dbar_phi, dbar_h = dbar_at(surf, U, V)
     fd_phi = fd_oracles.dbar(surf, U, V, lambda u, v: fd_oracles.phi_at(surf, u, v))
     fd_h = fd_oracles.dbar(surf, U, V, lambda u, v: fd_oracles.bold_h_at(surf, u, v))
     assert np.max(np.abs(dbar_phi - fd_phi)) <= 1e-6
@@ -136,9 +143,9 @@ def test_hopf_identity_residual_on_isothermal_builtins():
     for name in ISOTHERMAL_BUILTINS:
         sc, g = grid_all(name, 10, 10)
         ext = interior_fields(g, g.ext)
-        res = holo.hopf_identity_residual(sc.surface, ext,
-                                          interior_fields(g, g.curvature), ext,
-                                          interior_fields(g, g.holo))
+        res = holo.hopf_identity_residual(
+            ext, interior_fields(g, g.curvature), ext, interior_fields(g, g.holo),
+            g.take("d_hopf")["d_hopf"][g.interior_mask])
         assert np.max(res) <= 1e-5, name
 
 
@@ -147,9 +154,9 @@ def test_cor_equivalence_cr_of_h_and_phi():
     # dbar phi = (lam^2 / 4) conj(dbar bold_H) when curvature and torsion
     # terms drop out; a non-harmonic angle makes both defects positive
     sc, g = grid_all("rotated_frame_plane", 10, 10, theta="x^2*y", e=(-1.0, 0.0, 0.0))
-    assert np.max(np.abs(extrinsic.l_tensor(g.ext, sc.ambient))) <= 1e-12
+    assert np.max(np.abs(l_tensor(g.ext, sc.ambient))) <= 1e-12
     U, V = g.U[g.interior_mask], g.V[g.interior_mask]
-    cr_phi, cr_h = np.abs(holo.dbar(sc.surface, U, V))
+    cr_phi, cr_h = np.abs(dbar_at(sc.surface, U, V))
     lam2 = g.holo["lam"][g.interior_mask] ** 2
     assert np.max(np.abs(cr_phi - 0.25 * lam2 * cr_h)) <= 1e-6
     generic = np.abs(V) > 0.3
@@ -158,7 +165,7 @@ def test_cor_equivalence_cr_of_h_and_phi():
     # harmonic angle: both defects vanish
     sc2, g2 = grid_all("rotated_frame_plane", 10, 10, theta="x*y", e=(-1.0, 0.0, 0.0))
     U2, V2 = g2.U[g2.interior_mask], g2.V[g2.interior_mask]
-    cr_phi2, cr_h2 = np.abs(holo.dbar(sc2.surface, U2, V2))
+    cr_phi2, cr_h2 = np.abs(dbar_at(sc2.surface, U2, V2))
     assert np.max(cr_h2) <= 1e-7 and np.max(cr_phi2) <= 1e-7
 
 

@@ -16,6 +16,14 @@ def euclidean_ambient():
     return ambient_mod.frame_ambient(identity_frame())
 
 
+def exact_K(surf, U, V):
+    """Surface.intrinsic_curvature at U, V, with the composition table
+    d_gammaS evaluated there."""
+    base = surf.base_fields(U, V)
+    d_gammaS = surf.composition_at(base["u"], base["v"], ("d_gammaS",))["d_gammaS"]
+    return surf.intrinsic_curvature(base, d_gammaS)
+
+
 def sample(surf, u, v):
     """base_fields at one (u, v): a batch of one."""
     return {k: a[0] for k, a in surf.base_fields([u], [v]).items()}
@@ -153,15 +161,14 @@ def test_isothermal_rejects_round_sphere():
 
 def test_intrinsic_curvature_plane_zero():
     sc = scenes.builtin("euclidean_plane")
-    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.4], [0.5]))
+    K = exact_K(sc.surface, [0.4], [0.5])
     assert abs(K[0]) <= 1e-12
 
 
 def test_intrinsic_curvature_cartan_schouten_sphere():
     sc = scenes.builtin("cartan_schouten_sphere", lam=1.0)
     g = scenes.make_grid(sc, 12, 12)
-    K = sc.surface.intrinsic_curvature(
-        sc.surface.base_fields(g.U[g.interior_mask], g.V[g.interior_mask]))
+    K = exact_K(sc.surface, g.U[g.interior_mask], g.V[g.interior_mask])
     assert np.max(np.abs(K - 1.0)) <= 1e-4
 
 
@@ -186,7 +193,7 @@ def test_base_fields_outside_chart_raises():
 def test_exact_curvature_at_boundary_sample():
     # u = 0 is the edge of a non-periodic axis: exact K needs no stencil
     sc = scenes.builtin("euclidean_plane")
-    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.0], [0.5]))
+    K = exact_K(sc.surface, [0.0], [0.5])
     assert K[0] == 0.0
 
 
@@ -202,7 +209,7 @@ def test_exact_curvature_matches_fd_oracle(name):
 def test_periodic_axis_wraps_stencils():
     # u = 0 sits on the periodic seam of the catenoid-frame plane; fine
     sc = scenes.builtin("catenoid_frame_plane")
-    K = sc.surface.intrinsic_curvature(sc.surface.base_fields([0.0], [0.3]))
+    K = exact_K(sc.surface, [0.0], [0.3])
     assert abs(K[0] + 1 / np.cosh(0.3) ** 2) <= 1e-5
 
 

@@ -201,9 +201,15 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
     (None, "name", ["sphere"], "error: name: expected a JSON string"),
     (None, "gauge", {"theta": "0.3*x", "axis": ["0*exp(1000)", "0", "1"]},
-     "error: gauge axis is not unit on the surface"),
+     "error: gauge.axis: gauge axis is not unit on the surface"),
     (None, "gauge", {"theta": "0*exp(1000)*x", "axis": ["0", "0", "1"]},
      "error: gauge.theta: non-finite value at sample 0"),
+    (None, "gauge", {"theta": "0.3*x", "axis": ["2", "0", "0"]},
+     "error: gauge.axis: gauge axis is not unit on the surface"),
+    (None, "normal_axis", ["0", "0", "2"],
+     "error: normal_axis: gauge axis is not unit on the surface"),
+    (None, "normal_axis", ["1", "0", "0"],
+     "error: normal_axis: gauge axis differs from the Gauss map on S"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -264,6 +270,18 @@ def test_cli_integrate_prints_value(capsys):
     assert code == 0
     val = float(capsys.readouterr().out.strip())
     assert abs(val - 4 * np.pi) <= 1e-3 * 4 * np.pi
+
+
+def test_cli_integrate_rejects_the_degree_integrand(capsys):
+    """The degree integrand is a density against du dv, and integrate
+    multiplies by the area density, so it is no integrate field (the sphere
+    read pi^2 for it); gauss_degree still sums it to the degree."""
+    assert cli.main(["integrate", "--builtin", "round_sphere_standard",
+                     "--grid", "24x24", "--field", "degree_integrand"]) == 2
+    assert "no field named 'degree_integrand'" in capsys.readouterr().err
+    for name, degree in (("round_sphere_standard", 1), ("torus_standard", 0)):
+        grid = scenes.make_grid(scenes.builtin(name), 24, 24)
+        assert scenes.gauss_degree(grid)["degree"] == degree, name
 
 
 def test_cli_fields_export(tmp_path, capsys):
