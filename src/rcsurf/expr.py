@@ -35,8 +35,7 @@ from .errors import EvalDomainError, ExprSyntaxError, UnknownFunction, UnknownVa
 
 __all__ = [
     "Expr", "parse", "con", "var", "add", "sub", "mul", "div", "pow_", "neg",
-    "call", "diff", "compose", "evaluate", "evaluate_many", "free_vars",
-    "eval_table", "FUNCTIONS", "PI",
+    "call", "diff", "compose", "evaluate", "eval_table", "FUNCTIONS", "PI",
 ]
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
@@ -244,15 +243,10 @@ _programs: dict = {}
 
 
 def evaluate(e: Expr, bindings):
-    """Evaluate one expression: a batch of one in evaluate_many."""
-    return evaluate_many([e], bindings)[0]
-
-
-def evaluate_many(exprs, bindings):
-    """Evaluate several expressions under the same bindings with one
-    program (see eval_table).  Returns one value per expression, with the
-    batch shape of the bindings (a numpy scalar for scalar bindings)."""
-    return [v[()] for v in eval_table(tuple(exprs), bindings)]
+    """Evaluate one expression as a group of one table (see eval_table),
+    with the batch shape of the bindings (a numpy scalar for scalar
+    bindings)."""
+    return eval_table((e,), bindings)[0][()]
 
 
 def eval_table(table, bindings):
@@ -466,29 +460,6 @@ def diff(e: Expr, name: str) -> Expr:
         d = mul(_FN_DERIV[e.name](e.a), diff(e.a, name))
     _diff_cache[key] = d
     return d
-
-
-def free_vars(e: Expr) -> frozenset:
-    seen = {}
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        if n.kind == _VAR:
-            seen[id(n)] = frozenset((n.name,))
-        else:
-            kids = [c for c in (n.a, n.b) if c is not None]
-            pending = [c for c in kids if id(c) not in seen]
-            if pending:
-                stack.append(n)
-                stack.extend(pending)
-                continue
-            acc = frozenset()
-            for c in kids:
-                acc |= seen[id(c)]
-            seen[id(n)] = acc
-    return seen[id(e)]
 
 
 def compose(e: Expr, mapping, memo=None) -> Expr:

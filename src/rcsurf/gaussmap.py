@@ -6,13 +6,13 @@ The Gauss map n collects the frame components of the unit normal.  Its
 data come in three blocks, each built only for its readers:
 
     gauss_field        n                        export, gauge theorem, degree
-    gauss_derivatives  dn_du, dn_dv (exact)     div/curl, conformality, degree
+    dn_du, dn_dv       exact derivatives of n   div/curl, conformality, degree
     projected_frames   e_top, e_cross and their (u, v) components
                                                 div/curl, general gauge law
 
 The frame and its inverse come from the base block.  The parameter
 derivatives are tables of the surface composition, passed in as arrays
-(scenes.SampleGrid.take), so the divergence/curl
+(scenes.SampleGrid.gauss_dn), so the divergence/curl
 ladder holds to round-off rather than stencil accuracy.
 One kernel (_div_curl) forms every divergence and curl along a projected
 frame.  All directional derivatives along projected frame vectors stay on
@@ -24,12 +24,14 @@ general law, their gradients) and the gauged ambient's g, Gamma and frame
 determinant in one program (_gauge_at), and recomputes H, star_tau and
 bold_H from a lean gauged block: the first-order core of a base block
 (surface.first_order) on the base block's jets.  An axis that is not unit
-or not finite raises NonUnitAxis; other non-finite gauge values are named
+or not finite raises NonUnitAxis (check_axis, which a scene build runs on
+the scene's own axes too); other non-finite gauge values are named
 gauge.<field>.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,10 @@ from .surface import Surface, cross_metric_batch, first_order, require_finite
 from . import extrinsic
 
 __all__ = [
-    "GaugeField", "gauss_field", "gauss_derivatives", "projected_frames",
-    "div_curl", "apply_gauge", "gauged_surface", "gauged_mean_curvature",
-    "gauge_theorem_residual", "general_gauge_residual", "conformality_test",
-    "degree_integrand",
+    "GaugeField", "gauss_field", "projected_frames", "div_curl",
+    "apply_gauge", "gauged_ambient", "check_axis", "axis_named",
+    "gauged_mean_curvature", "gauge_theorem_residual", "general_gauge_residual",
+    "conformality_test", "degree_integrand",
 ]
 
 
@@ -58,36 +60,22 @@ class GaugeField:
     axis: tuple
 
 
-def _require_frame(surface):
-    if surface.ambient.kind != "frame":
-        raise NotWeitzenboeck("operation needs a frame-defined ambient")
-
-
 def gauss_field(surface, fields):
     """The Gauss map block {n}: frame components n = F^-1 N of the unit
     normal at the samples of fields (a base_fields dict, which holds
     frame_inv)."""
-    _require_frame(surface)
+    if surface.ambient.kind != "frame":
+        raise NotWeitzenboeck("operation needs a frame-defined ambient")
     n = np.einsum("nij,nj->ni", fields["frame_inv"], fields["N"])
     return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
 
 
-def gauss_derivatives(surface, fields, dn_du, dn_dv):
-    """The block {dn_du, dn_dv}: exact parameter derivatives of the Gauss
-    map at the samples of fields, the surface composition's tables of
-    those names at these samples."""
-    _require_frame(surface)
-    return require_finite("gauss_dn", {"dn_du": dn_du, "dn_dv": dn_dv},
-                          fields["u"], fields["v"])
-
-
-def projected_frames(surface, fields, gauss):
+def projected_frames(fields, gauss):
     """The projected frame directions E_i^T = E_i - n^i N (tangential part)
     and E_i^x = N x E_i (normal cross frame vector), as chart vectors
     e_top, e_cross (n, 3 chart, 3 frame index) and as (u, v)-components
     top_comp, cross_comp (n, 2, 3).  gauss is gauss_field at the samples
     of fields."""
-    _require_frame(surface)
     F = fields["frame"]                 # E_i = F[:, :, i]
     N, g, n = fields["N"], fields["g"], gauss["n"]
     e_top = np.empty_like(F)
@@ -124,7 +112,7 @@ def div_curl(dn, frames):
     Identities they satisfy: Div_top = -H, Div_cross = *tau,
     Curl_top = -*tau n, Curl_cross = -H n.  Returns div_top, div_cross
     and the curl vectors curl_top, curl_cross.  dn and frames are the
-    gauss_derivatives and projected_frames blocks of the same samples.
+    gauss_dn and gauss_frames blocks of the same samples.
     """
     du, dv = dn["dn_du"], dn["dn_dv"]
     out = {}
@@ -147,50 +135,69 @@ def apply_gauge(amb, gauge: GaugeField):
     return frame_ambient(matmul_exprs(amb.frame, R), chart_domain=amb.chart_domain)
 
 
-def gauged_surface(surf: Surface, gauge: GaugeField) -> Surface:
-    """surf seen through the gauged frame.  The symbolic composition runs
-    once per gauge and the result is kept on surf (Surface.gauged), so a
-    grid streamed in chunks does not repeat it."""
-    gsurf = surf.gauged.get(gauge)
-    if gsurf is None:
-        gsurf = surf.gauged[gauge] = Surface(
-            apply_gauge(surf.ambient, gauge), surf.X, surf.domain,
-            surf.periodic, surf.declared_isothermal)
-    return gsurf
+def gauged_ambient(surf: Surface, gauge: GaugeField):
+    """surf's ambient with the gauged frame (apply_gauge), composed once per
+    gauge and kept on surf (Surface.gauged), so a grid streamed in chunks
+    does not repeat it."""
+    gamb = surf.gauged.get(gauge)
+    if gamb is None:
+        gamb = surf.gauged[gauge] = apply_gauge(surf.ambient, gauge)
+    return gamb
 
 
-def _gauge_at(surf, gauge, fields, gradients=False):
+def check_axis(ax, normal=None):
+    """Raise NonUnitAxis unless ax (n, 3), a gauge axis at some samples, is
+    unit to 1e-9, and AxisNotNormal when normal, the Gauss map at the same
+    samples, is given and ax differs from it beyond 1e-8."""
+    norms = np.linalg.norm(ax, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):       # a NaN norm fails too
+        raise NonUnitAxis("gauge axis is not unit on the surface")
+    if normal is not None and np.max(np.linalg.norm(ax - normal, axis=-1)) > 1e-8:
+        raise AxisNotNormal("gauge axis differs from the Gauss map on S")
+
+
+@contextmanager
+def axis_named(path):
+    """Name an axis error (NonUnitAxis, AxisNotNormal) of the gauge field
+    in the block by path, the scene entry its axis comes from; a random
+    axis (path None) keeps the message as it is."""
+    try:
+        yield
+    except (NonUnitAxis, AxisNotNormal) as err:
+        if path is None:
+            raise
+        raise type(err)(f"{path}: {err}") from err
+
+
+def _gauge_at(surf, gauge, fields, normal=None, gradients=False):
     """The gauge at the samples of fields, in one program: its axis (n, 3),
-    checked unit, and theta, with the chart gradients of theta (n, 3
-    chart) and of the axis components (n, 3 comp, 3 chart) when gradients,
-    then the gauged ambient's tables for gauged_mean_curvature (g, Gamma
-    and frame_det, unchecked)."""
-    gamb = gauged_surface(surf, gauge).ambient
+    checked (check_axis, against the Gauss map normal when given), and
+    theta, with the chart gradients of theta (n, 3 chart) and of the axis
+    components (n, 3 comp, 3 chart) when gradients; then the gauged
+    ambient's g and Gamma for gauged_mean_curvature, with the gauged frame
+    checked on its determinant from the same program."""
+    gamb = gauged_ambient(surf, gauge)
     tables = (list(gauge.axis), gauge.theta)
     if gradients:
         tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
                    [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
     *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
                                          tables + (gamb.g, gamb.gamma))
-    norms = np.linalg.norm(out[0], axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):       # a NaN norm fails too
-        raise NonUnitAxis("gauge axis is not unit on the surface")
+    check_axis(out[0], normal)
     require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])),
                    fields["u"], fields["v"])
-    return out, (g, gamma, det)
+    gamb._check_frame(det)
+    return out, {"g": g, "gamma": gamma}
 
 
-def gauged_mean_curvature(surf: Surface, gauge: GaugeField, fields, tables):
-    """H, star_tau and bold_H of the surface seen through the gauged frame,
+def gauged_mean_curvature(fields, tables):
+    """H, star_tau and bold_H of the surface seen through a gauged frame,
     at the samples of fields (a base_fields dict): a recomputation from a
     lean gauged block, the first-order core (surface.first_order) of the
     gauged ambient on the jets of fields, and only the part of the
     extrinsic block it reads (extrinsic.mean_curvature).  tables holds the
-    gauged g, Gamma and frame determinant at these samples (_gauge_at)."""
-    g, gamma, det = tables
-    gauged_surface(surf, gauge).ambient._check_frame(det)
-    block = first_order("gauge", fields["u"], fields["v"], fields,
-                        {"g": g, "gamma": gamma})
+    gauged g and Gamma at these samples (_gauge_at)."""
+    block = first_order("gauge", fields["u"], fields["v"], fields, tables)
     return extrinsic.mean_curvature(block, "gauge")
 
 
@@ -202,11 +209,8 @@ def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss)
     the surface beyond 1e-8.  ext and gauss are the extrinsic and
     gauss_field blocks of the samples of fields.
     """
-    _require_frame(surf)
-    (ax, theta), tables = _gauge_at(surf, gauge, fields)
-    if np.max(np.linalg.norm(ax - gauss["n"], axis=-1)) > 1e-8:
-        raise AxisNotNormal("gauge axis differs from the Gauss map on S")
-    gauged = gauged_mean_curvature(surf, gauge, fields, tables)
+    (_, theta), tables = _gauge_at(surf, gauge, fields, normal=gauss["n"])
+    gauged = gauged_mean_curvature(fields, tables)
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return float(np.max(np.abs(gauged["bold_H"] - predicted)))
 
@@ -223,7 +227,6 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
     ext and frames are the extrinsic and projected_frames blocks of the
     samples of fields.
     """
-    _require_frame(surf)
     (ax, theta, dtheta, dax), tables = _gauge_at(surf, gauge, fields, gradients=True)
 
     def along(vec_coords, grad_chart):
@@ -242,7 +245,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
 
     H_pred = ext["H"] - out["cross"]
     st_pred = ext["star_tau"] - out["top"]
-    gauged = gauged_mean_curvature(surf, gauge, fields, tables)
+    gauged = gauged_mean_curvature(fields, tables)
     res_h = np.max(np.abs(gauged["H"] - H_pred))
     res_t = np.max(np.abs(gauged["star_tau"] - st_pred))
     return float(max(res_h, res_t))
@@ -257,7 +260,7 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
     G_n is the Gram matrix of (dn/du, dn/dv) in the round-sphere (ambient
     R^3) inner product; the verdict is |G_n - k G_S| <= tol |G_n| with
     k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  dn is
-    gauss_derivatives at the samples of fields.
+    the gauss_dn block at the samples of fields.
     """
     du, dv = dn["dn_du"], dn["dn_dv"]
     G_n = np.empty(fields["G_S"].shape)
@@ -274,8 +277,8 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
 def degree_integrand(gauss, dn):
     """Pullback of the unit-sphere area form through the Gauss map, as a
     density against du dv: sum_cyc n^i (d_u n^j d_v n^k - d_v n^j d_u n^k).
-    gauss and dn are the gauss_field and gauss_derivatives blocks of the
-    same samples."""
+    gauss and dn are the gauss_field and gauss_dn blocks of the same
+    samples."""
     n, du, dv = gauss["n"], dn["dn_du"], dn["dn_dv"]
     out = np.zeros(n.shape[0])
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -32,6 +32,7 @@ degenerate edges.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .errors import (
     UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
-from .surface import Surface
+from .surface import Surface, require_finite
 
 __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
@@ -282,15 +283,33 @@ def build_scene(doc) -> Scene:
 
 
 def _validate_scene(scene):
-    """Cheap structural validation at 5x5 interior surface samples."""
+    """Cheap structural validation at 5x5 interior surface samples: the
+    ambient's guards, the base block and, in a frame ambient, the scene's
+    gauge axis and normal_axis (gaussmap.check_axis, as the gauge suite
+    checks them on the grid; normal_axis against the Gauss map), both
+    axes in one program."""
     (u0, u1), (v0, v1) = scene.surface.domain
     us = np.linspace(u0, u1, 7)[1:-1]
     vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
-    surf = scene.surface
+    surf, amb = scene.surface, scene.ambient
     jets = surf.jets(U, V)          # evaluated once, for both checks
-    scene.ambient.validate(jets["p"])
-    surf.base_fields(U, V, jets)
+    amb.validate(jets["p"])
+    base = surf.base_fields(U, V, jets)
+    if amb.kind != "frame":
+        return
+    axes = {}           # path -> (axis, the Gauss map it must match or None)
+    if scene.gauge is not None:
+        axes["gauge.axis"] = (scene.gauge.axis, None)
+    if scene.normal_axis is not None:
+        axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(surf, base)["n"])
+    if not axes:
+        return
+    values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
+                             amb.bindings(base["p"]))
+    for (path, (_, normal)), value in zip(axes.items(), values):
+        with gaussmap.axis_named(path):
+            gaussmap.check_axis(value, normal)
 
 
 def load_scene(path) -> Scene:
@@ -642,7 +661,6 @@ class SampleGrid:
         UU, VV = np.meshgrid(self.u_nodes, self.v_nodes, indexing="ij")
         self.U, self.V = UU.ravel(), VV.ravel()
         self.weights = np.outer(self.u_weights, self.v_weights).ravel()
-        self.requested = (int(nu), int(nv))
         self.offset = 0                 # index of the first sample in the grid
         self.composition = ()           # the tables of comp (verify sets them)
 
@@ -651,9 +669,9 @@ class SampleGrid:
     def chunks(self):
         """The grid's samples as SampleGrids over contiguous row-major
         slices of expr.CHUNK samples, in order.  A chunk keeps this grid's
-        scene, nu, nv, requested shape and axis nodes (so interior_mask is
-        unchanged), and offset is the index of its first sample in the
-        grid.  A grid of at most CHUNK samples is one chunk of itself."""
+        scene, nu, nv and axis nodes (so interior_mask is unchanged), and
+        offset is the index of its first sample in the grid.  A grid of at
+        most CHUNK samples is one chunk of itself."""
         n = self.U.shape[0]
         if n <= expr.CHUNK:
             yield self
@@ -661,7 +679,7 @@ class SampleGrid:
         for lo in range(0, n, expr.CHUNK):
             sl = slice(lo, lo + expr.CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "requested", "composition",
+            for name in ("scene", "surface", "nu", "nv", "composition",
                          "u_nodes", "u_weights", "v_nodes", "v_weights"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
@@ -699,12 +717,11 @@ class SampleGrid:
 
     @cached_property
     def gauss_dn(self):
-        return gaussmap.gauss_derivatives(self.surface, self.base,
-                                          **self.take("dn_du", "dn_dv"))
+        return require_finite("gauss_dn", self.take("dn_du", "dn_dv"), self.U, self.V)
 
     @cached_property
     def gauss_frames(self):
-        return gaussmap.projected_frames(self.surface, self.base, self.gauss)
+        return gaussmap.projected_frames(self.base, self.gauss)
 
     @cached_property
     def holo(self):
@@ -713,12 +730,11 @@ class SampleGrid:
     @cached_property
     def interior_mask(self):
         mask = self.base["area"] >= DENSITY_MASK_TOL
-        for axis, (nodes, req) in enumerate(
-                ((self.U, self.requested[0]), (self.V, self.requested[1]))):
+        for axis, (nodes, count) in enumerate(((self.U, self.nu), (self.V, self.nv))):
             if self.surface.periodic[axis]:
                 continue
             lo, hi = self.surface.domain[axis]
-            margin = 2.0 * (hi - lo) / req
+            margin = 2.0 * (hi - lo) / count
             mask &= (nodes - lo >= margin) & (hi - nodes >= margin)
         return mask
 
@@ -781,23 +797,22 @@ def make_grid(scene, nu, nv) -> SampleGrid:
     return SampleGrid(scene, nu, nv)
 
 
-def _concat(parts):
-    return np.concatenate(list(parts))
-
-
 def integrate(grid: SampleGrid, field) -> float:
     """Integral of the named scalar field against the surface area form:
     one sum over the area terms of every chunk."""
-    return float(np.sum(_concat(grid.map_chunks(lambda part: part.area_terms(field)))))
+    return float(np.sum(np.concatenate(
+        list(grid.map_chunks(lambda part: part.area_terms(field))))))
 
 
 def require_closed(scene):
     """Raise NotClosed unless the scene's chart covers a closed surface:
     both axes periodic, or the scene declared closed with the area density
-    vanishing at the non-periodic edges (polar charts)."""
+    vanishing at the non-periodic edges (polar charts), all probed in one
+    base_fields call."""
     surf = scene.surface
     if not scene.closed_chart:
         raise NotClosed("Gauss-map degree needs a closed surface chart")
+    probes = []
     for axis in (0, 1):
         if surf.periodic[axis]:
             continue
@@ -805,10 +820,9 @@ def require_closed(scene):
         for edge in (lo, hi):
             uv = [0.5 * sum(surf.domain[0]), 0.5 * sum(surf.domain[1])]
             uv[axis] = edge + (1e-7 if edge == lo else -1e-7) * surf.extent(axis)
-            probe = surf.base_fields(np.array([uv[0]]), np.array([uv[1]]))
-            if probe["area"][0] > 1e-3:
-                raise NotClosed(
-                    "non-periodic axis without vanishing density at its edge")
+            probes.append(uv)
+    if probes and np.any(surf.base_fields(*np.array(probes).T)["area"] > 1e-3):
+        raise NotClosed("non-periodic axis without vanishing density at its edge")
 
 
 def degree_from(total):
@@ -827,7 +841,8 @@ def gauss_degree(grid: SampleGrid):
     """Mapping degree of the Gauss map on a closed chart (require_closed).
     Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly."""
     require_closed(grid.scene)
-    return degree_from(np.sum(_concat(grid.map_chunks(SampleGrid.degree_terms))))
+    terms = grid.map_chunks(SampleGrid.degree_terms)
+    return degree_from(np.sum(np.concatenate(list(terms))))
 
 
 # --- field export --------------------------------------------------------------------
@@ -908,7 +923,8 @@ def export_fields(grid: SampleGrid, path):
         fh.close()
     except BaseException as err:
         if fh is not None:
-            fh.close()
+            with contextlib.suppress(OSError):  # a full disk fails the close again
+                fh.close()
             if os.path.isfile(path):
                 os.remove(path)
         if isinstance(err, OSError):

@@ -167,7 +167,7 @@ class Surface:
         self.Xuv = [expr.diff(c, "v") for c in self.Xu]
         self.Xvv = [expr.diff(c, "v") for c in self.Xv]
         self._comp = None
-        self.gauged = {}        # GaugeField -> gauged Surface (gaussmap.gauged_surface)
+        self.gauged = {}        # GaugeField -> gauged Ambient (gaussmap.gauged_ambient)
 
     # --- domain bookkeeping ---------------------------------------------------
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import expr, extrinsic, gaussmap, holo, scenes
-from .errors import AxisNotNormal, NonFiniteValue, NonUnitAxis, RcsurfError
+from .errors import NonFiniteValue, RcsurfError
 
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "random_gauge_fields"]
@@ -154,27 +153,11 @@ _COMPOSITION = {
     "degree": ("dn_du", "dn_dv"),
 }
 
-# every key holo.hopf_identity_residual reads from its fields and ext blocks
-_HOPF_BASE = ("Xu", "Xv", "N", "g", "G_S", "T_S", "II")
-
 
 def _abs_max(values):
     """Per-sample max |values| over the trailing axes; values is a fresh
     temporary, so abs runs in place and the check allocates one array."""
     return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
-
-
-@contextmanager
-def _axis_named(path):
-    """Name an axis error (NonUnitAxis, AxisNotNormal) of the gauge field
-    in the block by path, the scene entry its axis comes from; a random
-    axis (path None) keeps the message as it is."""
-    try:
-        yield
-    except (NonUnitAxis, AxisNotNormal) as err:
-        if path is None:
-            raise
-        raise type(err)(f"{path}: {err}") from err
 
 
 def _entries(suite):
@@ -214,7 +197,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     gauge entries and the flatness verdict, a running max; each max, mean
     and quadrature sum runs once over the values of every chunk in sample
     order, so the report does not depend on the chunk size.  The symbolic setup (gauge
-    fields, whose gauged surfaces gaussmap.gauged_surface keeps) and the
+    fields, whose gauged ambients gaussmap.gauged_ambient keeps) and the
     closed-chart probe run once per run.
 
     tol is a tier name or one finite positive number (or its text) applied
@@ -320,22 +303,19 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             elif suite == "gauge":
                 # the gauge_theorem fields rotate about the scene's normal_axis
                 for gfld in gauges.get("gauge_theorem", []):
-                    with _axis_named("normal_axis"):
+                    with gaussmap.axis_named("normal_axis"):
                         top("gauge_theorem", gaussmap.gauge_theorem_residual(
                             surf, part.base, gfld, part.ext, part.gauss))
                 for gfld in gauges["gauge_general"]:
-                    with _axis_named("gauge.axis" if gfld is scene.gauge else None):
+                    with gaussmap.axis_named("gauge.axis" if gfld is scene.gauge else None):
                         top("gauge_general", gaussmap.general_gauge_residual(
                             surf, part.base, gfld, part.ext, part.gauss_frames))
             elif suite == "psi_identity":
                 keep("psi_identity", part.holo["psi_identity_residual"])
             elif suite == "hopf_identity":
-                fields = {k: part.base[k][mask] for k in _HOPF_BASE}
-                curv = {"r4": part.curvature["r4"][mask]}
-                hol = {"lam": part.holo["lam"][mask]}
-                d_hopf = part.take("d_hopf")["d_hopf"][mask]
-                keep("hopf_identity", holo.hopf_identity_residual(
-                    fields, curv, fields, hol, d_hopf))
+                res = holo.hopf_identity_residual(part.base, part.curvature, part.ext,
+                                                  part.holo, part.take("d_hopf")["d_hopf"])
+                keep("hopf_identity", res[mask])
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
                 cls = extrinsic.classify(part.ext, tol=cls_tol)

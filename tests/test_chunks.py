@@ -110,7 +110,7 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
 
     dets = [_leaf_ids(amb.frame_det)]
     for gauge in gauges:
-        gamb = gaussmap.gauged_surface(surf, gauge).ambient
+        gamb = gaussmap.gauged_ambient(surf, gauge)
         det = _leaf_ids(gamb.frame_det)
         dets.append(det)
         assert holding(det | _leaf_ids((gamb.g, gamb.gamma, gauge.theta))) == chunks
@@ -134,16 +134,20 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     # one chunk: jets, base group, d_gammaS
     ("round_sphere_standard",
      lambda sc, path: scenes.integrate(scenes.make_grid(sc, 24, 24), "K"), 3),
-    # require_closed's two edge probes (jets and base group each), then one
-    # chunk: jets, base group, (dn_du, dn_dv)
+    # require_closed's probe of both edges in one base block (jets, base
+    # group), then one chunk: jets, base group, (dn_du, dn_dv)
     ("round_sphere_standard",
-     lambda sc, path: scenes.gauss_degree(scenes.make_grid(sc, 24, 24)), 7),
-], ids=["fields", "integrate", "gauss_degree"])
+     lambda sc, path: scenes.gauss_degree(scenes.make_grid(sc, 24, 24)), 5),
+    # the same edge probe, then one chunk: jets, base group, dg, the
+    # composition tables and one program per gauge field (four)
+    ("round_sphere_standard",
+     lambda sc, path: verify.run_verification(sc, 24, 24), 11),
+], ids=["fields", "integrate", "gauss_degree", "verify"])
 def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path,
                                                            name, run, want):
     """fields, integrate K and gauss_degree, which evaluate their
-    composition tables through SampleGrid.take alone, run one program per
-    group of tables and chunk."""
+    composition tables through SampleGrid.take alone, and a verify of a
+    closed polar chart run one program per group of tables and chunk."""
     sc = _scene(name)
     monkeypatch.setattr(expr, "CHUNK", 8192)
     programs = []
@@ -171,7 +175,7 @@ def test_chunks_cover_the_grid_in_order(monkeypatch):
     assert np.array_equal(np.concatenate([p.weights for p in parts]), grid.weights)
     mask = np.concatenate([p.interior_mask for p in parts])
     assert np.array_equal(mask, whole.interior_mask)
-    assert all(p.requested == grid.requested for p in parts)
+    assert all((p.nu, p.nv) == (grid.nu, grid.nv) for p in parts)
 
 
 def _torsion_plane(lam):

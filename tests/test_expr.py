@@ -156,10 +156,10 @@ def test_array_evaluation_matches_scalar(rng):
         assert arr[i] == expr.evaluate(e, {"u": us[i], "v": vs[i]})
 
 
-def test_evaluate_many_shares_memo():
+def test_eval_table_group_shares_memo():
     e = expr.parse("sin(x) + cos(x)", {"x"})
     d = expr.diff(e, "x")
-    vals = expr.evaluate_many([e, d], {"x": 0.3})
+    vals = expr.eval_table((e, d), {"x": 0.3})
     assert vals[0] == pytest.approx(math.sin(0.3) + math.cos(0.3))
     assert vals[1] == pytest.approx(math.cos(0.3) - math.sin(0.3))
 
@@ -167,7 +167,6 @@ def test_evaluate_many_shares_memo():
 def test_compose_substitution():
     e = expr.parse("sech(y)*cos(x)", {"x", "y"})
     s = expr.compose(e, {"x": expr.var("u"), "y": expr.con(0.0)})
-    assert expr.free_vars(s) == {"u"}
     assert expr.evaluate(s, {"u": 0.25}) == pytest.approx(math.cos(0.25))
 
 

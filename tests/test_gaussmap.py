@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from rcsurf import expr, extrinsic, gaussmap, scenes
+from rcsurf import expr, extrinsic, gaussmap, scenes, verify
 from rcsurf.errors import AxisNotNormal, NotClosed, NotWeitzenboeck
+from rcsurf.surface import Surface
 
 V3 = {"x", "y", "z"}
 
@@ -11,6 +14,12 @@ def grid_all(name, n=12, m=12, **params):
     sc = scenes.builtin(name, **params)
     g = scenes.make_grid(sc, n, m)
     return sc, g
+
+
+def gauged_surface(surf, gauge):
+    """The oracle for a gauged block: surf's X and domain in the gauged
+    ambient, whose base_fields evaluates the full gauged base block."""
+    return Surface(gaussmap.gauged_ambient(surf, gauge), surf.X, surf.domain)
 
 
 def weingarten_from_gauss_map(amb, fields, dn):
@@ -116,10 +125,10 @@ def test_gauged_mean_curvature_matches_full_path(name):
     if sc.normal_axis is not None:
         gauges += random_gauge_fields(sc, GAUGE_FIELDS, seed=32)
     for gauge in gauges:
-        gsurf = gaussmap.gauged_surface(sc.surface, gauge)
+        gsurf = gauged_surface(sc.surface, gauge)
         full = extrinsic.mean_curvature(gsurf.base_fields(g.U, g.V))
         _, tables = gaussmap._gauge_at(sc.surface, gauge, g.base, gradients=True)
-        got = gaussmap.gauged_mean_curvature(sc.surface, gauge, g.base, tables)
+        got = gaussmap.gauged_mean_curvature(g.base, tables)
         for key in ("H", "star_tau", "bold_H"):
             assert got[key].tobytes() == full[key].tobytes(), (name, key)
 
@@ -139,7 +148,7 @@ def test_constant_gauge_preserves_extrinsic_scalars():
     sc, g = grid_all("catenoid_frame_cylinder", 8, 8)
     axis = tuple(expr.con(c) for c in (0.0, 0.6, 0.8))
     gauge = gaussmap.GaugeField(expr.con(0.9), axis)
-    gsurf = gaussmap.gauged_surface(sc.surface, gauge)
+    gsurf = gauged_surface(sc.surface, gauge)
     e1 = g.ext
     e2 = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
     for key in ("H", "star_tau", "K_e"):
@@ -152,7 +161,7 @@ def test_gauging_standard_frame_reproduces_rotated_plane():
     plane = scenes.builtin("euclidean_plane")
     gauge = gaussmap.GaugeField(expr.parse(theta_text, V3),
                                 tuple(expr.con(c) for c in e))
-    gsurf = gaussmap.gauged_surface(plane.surface, gauge)
+    gsurf = gauged_surface(plane.surface, gauge)
     U = np.linspace(0.05, 0.95, 7)
     UU, VV = [a.ravel() for a in np.meshgrid(U, U, indexing="ij")]
     ext = extrinsic.extrinsic_fields(gsurf.base_fields(UU, VV))
@@ -170,7 +179,7 @@ def test_gauge_theorem_quarter_turn_multiplies_by_i():
     gauge = gaussmap.GaugeField(expr.con(np.pi / 2), sc.normal_axis)
     res = gaussmap.gauge_theorem_residual(sc.surface, g.base, gauge, g.ext, g.gauss)
     assert res <= 1e-7
-    gsurf = gaussmap.gauged_surface(sc.surface, gauge)
+    gsurf = gauged_surface(sc.surface, gauge)
     ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
     assert np.max(np.abs(ext_g["bold_H"] - 1j * g.ext["bold_H"])) <= 1e-12
 
@@ -217,7 +226,7 @@ def test_same_gauss_map_frames_share_abs_bold_h():
     sc, g = grid_all("torus_standard", 8, 8)
     from rcsurf.verify import random_gauge_fields
     gauge = random_gauge_fields(sc, 1, seed=11)[0]
-    gsurf = gaussmap.gauged_surface(sc.surface, gauge)
+    gsurf = gauged_surface(sc.surface, gauge)
     ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
     gf_g = gaussmap.gauss_field(gsurf, gsurf.base_fields(g.U, g.V))
     assert np.max(np.abs(gf_g["n"] - g.gauss["n"])) <= 1e-8
@@ -254,3 +263,19 @@ def test_degree_requires_closed_chart():
     sc, g = grid_all("catenoid_frame_plane")
     with pytest.raises(NotClosed):
         scenes.gauss_degree(g)
+
+
+def test_degree_requires_vanishing_density_at_every_edge():
+    """The upper hemisphere declared closed: its density vanishes at the
+    pole u = 0 only, so the one probe of both edges finds the open edge at
+    u = pi/2."""
+    doc = scenes.builtin("round_sphere_standard").to_dict()
+    doc["surface"]["domain"][0] = [0.0, math.pi / 2]
+    del doc["euler_characteristic"]
+    sc = scenes.build_scene(doc)
+    why = "non-periodic axis without vanishing density at its edge"
+    with pytest.raises(NotClosed, match=why):
+        scenes.gauss_degree(scenes.make_grid(sc, 12, 12))
+    report = verify.run_verification(sc, 12, 12)
+    degree = {e["name"]: e for e in report.entries}["degree"]
+    assert (degree["status"], degree["reason"]) == ("fail", why)

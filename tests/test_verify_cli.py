@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -214,6 +215,8 @@ def test_cli_missing_scene_is_config_error(capsys):
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
     doc = scenes.builtin("round_sphere_standard").to_dict()
+    if key == "surface":        # the sphere's Gauss map goes with its surface
+        del doc["normal_axis"]
     (doc[section] if section else doc)[key] = value
     scene_path = tmp_path / "bad.rcscene"
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -225,6 +228,33 @@ def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert path in proc.stderr
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("gauge", {"theta": "0.3*x", "axis": ["2", "0", "0"]},
+     "error: gauge.axis: gauge axis is not unit on the surface"),
+    ("normal_axis", ["0", "0", "2"],
+     "error: normal_axis: gauge axis is not unit on the surface"),
+    ("normal_axis", ["1", "0", "0"],
+     "error: normal_axis: gauge axis differs from the Gauss map on S"),
+], ids=["gauge-axis-not-unit", "normal-axis-not-unit", "normal-axis-not-normal"])
+@pytest.mark.parametrize("command", ["fields", "integrate", "verify"])
+def test_cli_scene_axes_are_checked_when_the_scene_is_built(tmp_path, capsys, key, value,
+                                                            path, command):
+    """A bad gauge axis or normal_axis exits 2 naming its path in commands
+    that run no gauge suite too, before any grid work or output."""
+    doc = scenes.builtin("round_sphere_standard").to_dict()
+    doc[key] = value
+    scene_path = tmp_path / "bad.rcscene"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "f.csv"
+    extra = {"fields": ["--out", str(out)], "integrate": ["--field", "K"],
+             "verify": ["--suite", "gauss_eq"]}[command]
+    assert cli.main([command, "--scene", str(scene_path), "--grid", "8x8"] + extra) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == path + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, lam, field", [
@@ -291,6 +321,33 @@ def test_cli_fields_export(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert len(out.read_text(encoding="utf-8").splitlines()) == 65
+
+
+def test_cli_fields_on_a_full_disk_is_input_error(tmp_path, capsys, monkeypatch):
+    """A table whose writes and close all fail with ENOSPC, as on a full
+    disk (where the close flushes and fails again), exits 2 with one error
+    line and removes the partial file."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, path, *args, **kwargs):
+            self.fh = real_open(path, *args, **kwargs)      # the partial file
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def close(self):
+            self.fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(scenes, "open", FullDisk, raising=False)
+    out = tmp_path / "f.csv"
+    assert cli.main(["fields", "--builtin", "euclidean_plane", "--grid", "8x8",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write field export {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_verify_report_bytes_repeat(tmp_path):
