@@ -19,11 +19,12 @@ frame.  All directional derivatives along projected frame vectors stay on
 the surface: tangent vectors are expanded in (X_u, X_v) and applied to the
 (u, v)-dependence through the chain rule.
 
-A gauge residual evaluates its gauge field (axis, angle and, for the
-general law, their gradients) and the gauged ambient's g, Gamma and frame
+A gauge residual takes its gauged ambient (apply_gauge; verify builds one
+per gauge field and run), evaluates the gauge field (axis, angle and, for
+the general law, their gradients) and that ambient's g, Gamma and frame
 determinant in one program (_gauge_at), and recomputes H, star_tau and
 bold_H from a lean gauged block: the first-order core of a base block
-(surface.first_order) on the base block's jets.  An axis that is not unit
+(surface.first_order) on the jets in ext.  An axis that is not unit
 or not finite raises NonUnitAxis (check_axis, which a scene build runs on
 the scene's own axes too); other non-finite gauge values are named
 gauge.<field>.
@@ -40,12 +41,12 @@ from . import expr
 from .ambient import CHART_VARS, frame_ambient
 from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck
 from .so3 import matmul_exprs, rodrigues_exprs
-from .surface import Surface, cross_metric_batch, first_order, require_finite
+from .surface import cross_metric_batch, first_order, require_finite
 from . import extrinsic
 
 __all__ = [
     "GaugeField", "gauss_field", "projected_frames", "div_curl",
-    "apply_gauge", "gauged_ambient", "check_axis", "axis_named",
+    "apply_gauge", "check_axis", "axis_named",
     "gauged_mean_curvature", "gauge_theorem_residual", "general_gauge_residual",
     "conformality_test", "degree_integrand",
 ]
@@ -60,14 +61,14 @@ class GaugeField:
     axis: tuple
 
 
-def gauss_field(surface, fields):
+def gauss_field(base):
     """The Gauss map block {n}: frame components n = F^-1 N of the unit
-    normal at the samples of fields (a base_fields dict, which holds
-    frame_inv)."""
-    if surface.ambient.kind != "frame":
+    normal at the samples of base (a base_fields dict, which holds
+    frame_inv exactly when the ambient is frame-defined)."""
+    if "frame_inv" not in base:
         raise NotWeitzenboeck("operation needs a frame-defined ambient")
-    n = np.einsum("nij,nj->ni", fields["frame_inv"], fields["N"])
-    return require_finite("gauss", {"n": n}, fields["u"], fields["v"])
+    n = np.einsum("nij,nj->ni", base["frame_inv"], base["N"])
+    return require_finite("gauss", {"n": n}, base["u"], base["v"])
 
 
 def projected_frames(fields, gauss):
@@ -135,16 +136,6 @@ def apply_gauge(amb, gauge: GaugeField):
     return frame_ambient(matmul_exprs(amb.frame, R), chart_domain=amb.chart_domain)
 
 
-def gauged_ambient(surf: Surface, gauge: GaugeField):
-    """surf's ambient with the gauged frame (apply_gauge), composed once per
-    gauge and kept on surf (Surface.gauged), so a grid streamed in chunks
-    does not repeat it."""
-    gamb = surf.gauged.get(gauge)
-    if gamb is None:
-        gamb = surf.gauged[gauge] = apply_gauge(surf.ambient, gauge)
-    return gamb
-
-
 def check_axis(ax, normal=None):
     """Raise NonUnitAxis unless ax (n, 3), a gauge axis at some samples, is
     unit to 1e-9, and AxisNotNormal when normal, the Gauss map at the same
@@ -169,14 +160,13 @@ def axis_named(path):
         raise type(err)(f"{path}: {err}") from err
 
 
-def _gauge_at(surf, gauge, fields, normal=None, gradients=False):
+def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
     """The gauge at the samples of fields, in one program: its axis (n, 3),
     checked (check_axis, against the Gauss map normal when given), and
     theta, with the chart gradients of theta (n, 3 chart) and of the axis
     components (n, 3 comp, 3 chart) when gradients; then the gauged
-    ambient's g and Gamma for gauged_mean_curvature, with the gauged frame
-    checked on its determinant from the same program."""
-    gamb = gauged_ambient(surf, gauge)
+    ambient gamb's g and Gamma for gauged_mean_curvature, with the gauged
+    frame checked on its determinant from the same program."""
     tables = (list(gauge.axis), gauge.theta)
     if gradients:
         tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
@@ -192,30 +182,30 @@ def _gauge_at(surf, gauge, fields, normal=None, gradients=False):
 
 def gauged_mean_curvature(fields, tables):
     """H, star_tau and bold_H of the surface seen through a gauged frame,
-    at the samples of fields (a base_fields dict): a recomputation from a
-    lean gauged block, the first-order core (surface.first_order) of the
-    gauged ambient on the jets of fields, and only the part of the
+    at the samples of fields (a base or extrinsic block): a recomputation
+    from a lean gauged block, the first-order core (surface.first_order) of
+    the gauged ambient on the jets of fields, and only the part of the
     extrinsic block it reads (extrinsic.mean_curvature).  tables holds the
     gauged g and Gamma at these samples (_gauge_at)."""
     block = first_order("gauge", fields["u"], fields["v"], fields, tables)
     return extrinsic.mean_curvature(block, "gauge")
 
 
-def gauge_theorem_residual(surf: Surface, fields, gauge: GaugeField, ext, gauss):
+def gauge_theorem_residual(gamb, gauge: GaugeField, ext, gauss):
     """max |bold_H(s.g) - bold_H(s) e^{i theta}| over the samples, for a
-    gauge rotating about the Gauss-map axis.
+    gauge rotating about the Gauss-map axis (gamb: apply_gauge of it).
 
     Raises AxisNotNormal when the gauge axis differs from the Gauss map on
     the surface beyond 1e-8.  ext and gauss are the extrinsic and
-    gauss_field blocks of the samples of fields.
+    gauss_field blocks of the same samples.
     """
-    (_, theta), tables = _gauge_at(surf, gauge, fields, normal=gauss["n"])
-    gauged = gauged_mean_curvature(fields, tables)
+    (_, theta), tables = _gauge_at(gamb, gauge, ext, normal=gauss["n"])
+    gauged = gauged_mean_curvature(ext, tables)
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return float(np.max(np.abs(gauged["bold_H"] - predicted)))
 
 
-def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames):
+def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
     """Residual of the arbitrary-rotation gauge formulas.
 
     H'  = H  - e.Grad_x(theta) - sin(theta) Div_x(e) + (1-cos) Curl_x(e).e
@@ -223,11 +213,11 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
 
     with Grad/Div/Curl taken along the projected frames and e given in
     frame components.  Both predicted scalars are compared against a full
-    recomputation in the gauged frame; the max of the two sups is returned.
-    ext and frames are the extrinsic and projected_frames blocks of the
-    samples of fields.
+    recomputation in the gauged frame gamb (apply_gauge of the gauge); the
+    max of the two sups is returned.  ext and frames are the extrinsic and
+    projected_frames blocks of the same samples.
     """
-    (ax, theta, dtheta, dax), tables = _gauge_at(surf, gauge, fields, gradients=True)
+    (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True)
 
     def along(vec_coords, grad_chart):
         return np.einsum("nc,nc->n", grad_chart, vec_coords)
@@ -245,7 +235,7 @@ def general_gauge_residual(surf: Surface, fields, gauge: GaugeField, ext, frames
 
     H_pred = ext["H"] - out["cross"]
     st_pred = ext["star_tau"] - out["top"]
-    gauged = gauged_mean_curvature(fields, tables)
+    gauged = gauged_mean_curvature(ext, tables)
     res_h = np.max(np.abs(gauged["H"] - H_pred))
     res_t = np.max(np.abs(gauged["star_tau"] - st_pred))
     return float(max(res_h, res_t))

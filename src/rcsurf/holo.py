@@ -13,16 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import extrinsic
-from .surface import cross_metric_batch, require_finite
+from .surface import cross_metric_batch, isothermal_factor, require_finite
 
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 
 
-def holo_fields(surface, fields, ext):
+def holo_fields(ext):
     """phi and psi coefficients, the isothermal factor, and the residual of
-    psi = bold_H * phi at each sample, from the base and extrinsic blocks of
-    the same samples.  Raises NotIsothermal off isothermal charts."""
-    lam = surface.isothermal_factor(fields)
+    psi = bold_H * phi at each sample, from the extrinsic block of the
+    samples.  Raises NotIsothermal off isothermal charts."""
+    lam = isothermal_factor(ext)
     II, III = ext["II"], ext["III"]
     phi = 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))
     psi = 0.25 * ((III[:, 0, 0] - III[:, 1, 1]) - 2j * III[:, 0, 1])
@@ -31,7 +31,7 @@ def holo_fields(surface, fields, ext):
         "phi": phi,
         "psi": psi,
         "psi_identity_residual": np.abs(psi - ext["bold_H"] * phi),
-    }, fields["u"], fields["v"])
+    }, ext["u"], ext["v"])
 
 
 def dbar(d_hopf):
@@ -43,7 +43,7 @@ def dbar(d_hopf):
     return out[:, 0], out[:, 1]
 
 
-def hopf_identity_residual(fields, curv, ext, holo, d_hopf):
+def hopf_identity_residual(base, curv, holo, d_hopf):
     """Residual of the curvature identity for the Hopf coefficient:
 
         dbar II(dz, dz) = (lam^2/4) conj(dbar bold_H)
@@ -52,22 +52,22 @@ def hopf_identity_residual(fields, curv, ext, holo, d_hopf):
     with dz = (Xu - i Xv)/2 extended complex-bilinearly.  Both d/dzbar
     terms come from dbar of d_hopf (exact derivatives of the surface
     composition); everything else is assembled pointwise from the same
-    samples, so the residual is round-off.  fields, curv, ext and holo are
-    the base, curvature, extrinsic and holomorphic blocks of the same
-    samples; only r4, II and lam are read from the latter three.
+    samples, so the residual is round-off.  base, curv and holo are the
+    base, curvature and holomorphic blocks of the same samples; only r4
+    and lam are read from the latter two.
     """
     lhs, dbar_H = dbar(d_hopf)
     lam2 = holo["lam"] ** 2
 
-    r4, Xu, Xv, N = curv["r4"], fields["Xu"], fields["Xv"], fields["N"]
+    r4, Xu, Xv, N = curv["r4"], base["Xu"], base["Xv"], base["N"]
     r_u = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
     r_v = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
     r_term = 0.5 * (r_u - 1j * r_v)
 
-    II = ext["II"]
+    II = base["II"]
     # J T_S(Xu, Xv): tangential torsion rotated by the complex structure
-    JT = cross_metric_batch(fields["g"], fields["N"], fields["T_S"])
-    comp = extrinsic.tangent_components(fields, JT)
+    JT = cross_metric_batch(base["g"], N, base["T_S"])
+    comp = extrinsic.tangent_components(base, JT)
     ii_u = comp[:, 0] * II[:, 0, 0] + comp[:, 1] * II[:, 1, 0]
     ii_v = comp[:, 0] * II[:, 0, 1] + comp[:, 1] * II[:, 1, 1]
     ii_term = 0.5 * (ii_u - 1j * ii_v)

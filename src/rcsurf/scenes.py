@@ -302,7 +302,7 @@ def _validate_scene(scene):
     if scene.gauge is not None:
         axes["gauge.axis"] = (scene.gauge.axis, None)
     if scene.normal_axis is not None:
-        axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(surf, base)["n"])
+        axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(base)["n"])
     if not axes:
         return
     values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
@@ -713,7 +713,7 @@ class SampleGrid:
 
     @cached_property
     def gauss(self):
-        return gaussmap.gauss_field(self.surface, self.base)
+        return gaussmap.gauss_field(self.base)
 
     @cached_property
     def gauss_dn(self):
@@ -725,7 +725,7 @@ class SampleGrid:
 
     @cached_property
     def holo(self):
-        return holo.holo_fields(self.surface, self.base, self.ext)
+        return holo.holo_fields(self.ext)
 
     @cached_property
     def interior_mask(self):

@@ -12,9 +12,10 @@ The first-order core (first_order: E, F, G, area, N, Ginv_S, the
 covariant derivatives, II and tau_uv) is written once; base_fields adds
 the orthonormal frame B, its inverse, E1bar, E2bar and T_S on top, and
 the gauge suites build a lean gauged block from the core alone
-(gaussmap.gauged_mean_curvature).  Every other block is built from base
-only where a reader asks: the induced connection inside
-intrinsic_curvature, the ambient curvature in curvature_fields.
+(gaussmap.gauged_mean_curvature) in the gauged ambient that verify
+builds once per run.  Every other block is built from base only where a
+reader asks: the induced connection inside intrinsic_curvature, the
+ambient curvature in curvature_fields.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -43,7 +44,7 @@ from .errors import (
 )
 
 __all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
-           "require_finite"]
+           "isothermal_factor", "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
@@ -129,6 +130,18 @@ def first_order(block, U, V, jets, tables):
                     "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
 
 
+def isothermal_factor(base):
+    """sqrt(E) at the samples of base when the chart is isothermal there
+    (E = G and F = 0 to ISOTHERMAL_TOL relative), else raises."""
+    E, F, G = base["E"], base["F"], base["G"]
+    scale = np.maximum(np.abs(E), np.abs(G))
+    tol = ISOTHERMAL_TOL * scale
+    if np.any(np.abs(E - G) > tol) or np.any(np.abs(F) > tol):
+        i = int(np.argmax(np.abs(E - G) / scale + np.abs(F) / scale))
+        raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]))
+    return np.sqrt(E)
+
+
 def induced_connection(base):
     """gammaS[c][a][b] at the samples of base (a base_fields dict): the
     tangential part of nabla_a X_b expanded in (X_u, X_v), so that
@@ -167,7 +180,6 @@ class Surface:
         self.Xuv = [expr.diff(c, "v") for c in self.Xu]
         self.Xvv = [expr.diff(c, "v") for c in self.Xv]
         self._comp = None
-        self.gauged = {}        # GaugeField -> gauged Ambient (gaussmap.gauged_ambient)
 
     # --- domain bookkeeping ---------------------------------------------------
 
@@ -264,19 +276,6 @@ class Surface:
         det2 = base["area"] ** 2
         return require_finite("intrinsic", {"K": lowered / det2},
                               base["u"], base["v"])["K"]
-
-    # --- isothermal charts --------------------------------------------------------
-
-    def isothermal_factor(self, base):
-        """sqrt(E) at the samples of base when the chart is isothermal there
-        (E = G and F = 0 to ISOTHERMAL_TOL relative), else raises."""
-        E, F, G = base["E"], base["F"], base["G"]
-        scale = np.maximum(np.abs(E), np.abs(G))
-        tol = ISOTHERMAL_TOL * scale
-        if np.any(np.abs(E - G) > tol) or np.any(np.abs(F) > tol):
-            i = int(np.argmax(np.abs(E - G) / scale + np.abs(F) / scale))
-            raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]))
-        return np.sqrt(E)
 
     # --- the surface composition ---------------------------------------------------
 

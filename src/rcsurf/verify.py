@@ -196,9 +196,9 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     residual or quadrature term per sample (8 bytes a sample) or, for the
     gauge entries and the flatness verdict, a running max; each max, mean
     and quadrature sum runs once over the values of every chunk in sample
-    order, so the report does not depend on the chunk size.  The symbolic setup (gauge
-    fields, whose gauged ambients gaussmap.gauged_ambient keeps) and the
-    closed-chart probe run once per run.
+    order, so the report does not depend on the chunk size.  The symbolic
+    setup (the gauge fields, each with its gauged ambient from
+    gaussmap.apply_gauge) and the closed-chart probe run once per run.
 
     tol is a tier name or one finite positive number (or its text) applied
     to every suite entry; anything else raises ValueError.
@@ -224,11 +224,11 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
 
     grid = scenes.make_grid(scene, nu, nv)
     report = VerificationReport(scene.name, (grid.nu, grid.nv), tier_name)
-    surf, amb = scene.surface, scene.ambient
+    amb = scene.ambient
     nsamples = int(grid.U.shape[0])
     run, skips = _plan(scene, chosen)
 
-    gauges = {}
+    gauges = {}             # entry -> [(gauge field, its gauged ambient)]
     if "gauge" in run:
         if "gauge_theorem" not in skips:
             gauges["gauge_theorem"] = random_gauge_fields(scene, GAUGE_FIELDS, seed=1234)
@@ -236,6 +236,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                                                       about_normal=False)
         if scene.gauge is not None:
             gauges["gauge_general"].append(scene.gauge)
+        gauges = {name: [(gfld, gaussmap.apply_gauge(amb, gfld)) for gfld in gflds]
+                  for name, gflds in gauges.items()}
     degree_error = None
     if "degree" in run:
         try:
@@ -302,19 +304,19 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 keep("divcurl", res[mask])
             elif suite == "gauge":
                 # the gauge_theorem fields rotate about the scene's normal_axis
-                for gfld in gauges.get("gauge_theorem", []):
+                for gfld, gamb in gauges.get("gauge_theorem", []):
                     with gaussmap.axis_named("normal_axis"):
                         top("gauge_theorem", gaussmap.gauge_theorem_residual(
-                            surf, part.base, gfld, part.ext, part.gauss))
-                for gfld in gauges["gauge_general"]:
+                            gamb, gfld, part.ext, part.gauss))
+                for gfld, gamb in gauges["gauge_general"]:
                     with gaussmap.axis_named("gauge.axis" if gfld is scene.gauge else None):
                         top("gauge_general", gaussmap.general_gauge_residual(
-                            surf, part.base, gfld, part.ext, part.gauss_frames))
+                            gamb, gfld, part.ext, part.gauss_frames))
             elif suite == "psi_identity":
                 keep("psi_identity", part.holo["psi_identity_residual"])
             elif suite == "hopf_identity":
-                res = holo.hopf_identity_residual(part.base, part.curvature, part.ext,
-                                                  part.holo, part.take("d_hopf")["d_hopf"])
+                res = holo.hopf_identity_residual(part.base, part.curvature, part.holo,
+                                                  part.take("d_hopf")["d_hopf"])
                 keep("hopf_identity", res[mask])
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)

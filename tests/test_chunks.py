@@ -110,7 +110,7 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
 
     dets = [_leaf_ids(amb.frame_det)]
     for gauge in gauges:
-        gamb = gaussmap.gauged_ambient(surf, gauge)
+        gamb = gaussmap.apply_gauge(amb, gauge)
         det = _leaf_ids(gamb.frame_det)
         dets.append(det)
         assert holding(det | _leaf_ids((gamb.g, gamb.gamma, gauge.theta))) == chunks

@@ -97,7 +97,7 @@ def test_bold_h_isothermal_matches_extrinsic():
 def test_not_isothermal_raises():
     sc, g = grid_all("round_sphere_standard")
     with pytest.raises(NotIsothermal):
-        holo.holo_fields(sc.surface, g.base, g.ext)
+        holo.holo_fields(g.ext)
 
 
 def test_cr_residual_constant_and_antiholomorphic():
@@ -144,7 +144,7 @@ def test_hopf_identity_residual_on_isothermal_builtins():
         sc, g = grid_all(name, 10, 10)
         ext = interior_fields(g, g.ext)
         res = holo.hopf_identity_residual(
-            ext, interior_fields(g, g.curvature), ext, interior_fields(g, g.holo),
+            ext, interior_fields(g, g.curvature), interior_fields(g, g.holo),
             g.take("d_hopf")["d_hopf"][g.interior_mask])
         assert np.max(res) <= 1e-5, name
 

@@ -5,7 +5,7 @@ import pytest
 
 from rcsurf import expr, scenes
 from rcsurf.errors import DegenerateParameterization, NotIsothermal, OutsideChart
-from rcsurf.surface import Surface, cross_metric_batch, induced_connection
+from rcsurf.surface import Surface, cross_metric_batch, induced_connection, isothermal_factor
 
 import fd_oracles
 from test_ambient import identity_frame
@@ -137,7 +137,7 @@ def test_induced_torsion_is_tangential_ambient_torsion():
 
 def test_isothermal_factor_euclidean_plane():
     sc = scenes.builtin("euclidean_plane")
-    lam = sc.surface.isothermal_factor(sc.surface.base_fields([0.5], [0.5]))
+    lam = isothermal_factor(sc.surface.base_fields([0.5], [0.5]))
     assert lam[0] == pytest.approx(1.0)
 
 
@@ -148,14 +148,14 @@ def test_isothermal_factor_actual_catenoid():
          ("cosh(v)*cos(u)", "cosh(v)*sin(u)", "v")]
     surf = Surface(amb, X, ((0.0, 2 * np.pi), (-1.5, 1.5)), (True, False), True)
     for (u, v) in [(0.3, 0.2), (2.0, -1.0)]:
-        lam = surf.isothermal_factor(surf.base_fields([u], [v]))
+        lam = isothermal_factor(surf.base_fields([u], [v]))
         assert lam[0] == pytest.approx(np.cosh(v), rel=1e-12)
 
 
 def test_isothermal_rejects_round_sphere():
     sc = scenes.builtin("round_sphere_standard")
     with pytest.raises(NotIsothermal) as err:
-        sc.surface.isothermal_factor(sc.surface.base_fields([1.0], [2.0]))
+        isothermal_factor(sc.surface.base_fields([1.0], [2.0]))
     assert err.value.E == pytest.approx(1.0)
 
 
