@@ -22,6 +22,10 @@ Functions: sin cos tan sinh cosh tanh sech exp log sqrt abs sign.
 Differentiation is exact; the only simplification applied is constant
 folding and 0/1 absorption.  abs differentiates to sign with sign(0) = 0,
 so sampled domains must avoid kinks.
+
+diff, compose, to_string and compiling walk an expression on an explicit
+stack, so its depth (a sum is as deep as it has terms) costs no recursion.
+The parser recurses; text nested over MAX_DEPTH levels is an ExprError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import re
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError, UnknownFunction, UnknownVariable
+from .errors import EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction, UnknownVariable
 
 __all__ = [
     "Expr", "parse", "con", "var", "add", "sub", "mul", "div", "pow_", "neg",
@@ -407,7 +411,7 @@ def _run(ops, bindings, outs, sl):
 
 # --- differentiation -------------------------------------------------------
 
-_diff_cache: dict = {}
+_diff_cache: dict = {}      # variable name -> {node id: derivative}
 
 _FN_DERIV = {
     "sin": lambda u: call("cos", u),
@@ -424,86 +428,78 @@ _FN_DERIV = {
     "sign": lambda u: ZERO,
 }
 
-
-def diff(e: Expr, name: str) -> Expr:
-    """Exact symbolic derivative of e with respect to the named variable."""
-    key = (id(e), name)
-    d = _diff_cache.get(key)
-    if d is not None:
-        return d
-    k = e.kind
-    if k == _CONST:
-        d = ZERO
-    elif k == _VAR:
-        d = ONE if e.name == name else ZERO
-    elif k == _NEG:
-        d = neg(diff(e.a, name))
-    elif k == _ADD:
-        d = add(diff(e.a, name), diff(e.b, name))
-    elif k == _SUB:
-        d = sub(diff(e.a, name), diff(e.b, name))
-    elif k == _MUL:
-        d = add(mul(diff(e.a, name), e.b), mul(e.a, diff(e.b, name)))
-    elif k == _DIV:
-        da, db = diff(e.a, name), diff(e.b, name)
-        d = sub(div(da, e.b), div(mul(e.a, db), mul(e.b, e.b)))
-    elif k == _POW:
-        da, db = diff(e.a, name), diff(e.b, name)
-        if _is_const(e.b):
-            # c * f^(c-1) * f'
-            d = mul(mul(e.b, pow_(e.a, con(e.b.value - 1.0))), da)
-        else:
-            # f^g * (g' log f + g f'/f)
-            inner = add(mul(db, call("log", e.a)), mul(e.b, div(da, e.a)))
-            d = mul(e, inner)
-    else:  # _CALL
-        d = mul(_FN_DERIV[e.name](e.a), diff(e.a, name))
-    _diff_cache[key] = d
-    return d
+_BINARY = {_ADD: add, _SUB: sub, _MUL: mul, _DIV: div, _POW: pow_}
 
 
-def compose(e: Expr, mapping, memo=None) -> Expr:
-    """Substitute expressions for variables: mapping is name -> Expr."""
-    if memo is None:
-        memo = {}
+def _children_first(e, memo, build):
+    """memo[id(n)] = build(n) for e and each node below it that memo lacks,
+    children first, on an explicit stack; returns memo[id(e)]."""
     stack = [e]
     while stack:
         n = stack[-1]
         if id(n) in memo:
             stack.pop()
             continue
+        pending = [c for c in (n.a, n.b) if c is not None and id(c) not in memo]
+        if pending:
+            stack.extend(pending)
+        else:
+            memo[id(stack.pop())] = build(n)
+    return memo[id(e)]
+
+
+def diff(e: Expr, name: str) -> Expr:
+    """Exact symbolic derivative of e with respect to the named variable,
+    memoised per variable by node id (_diff_cache)."""
+    memo = _diff_cache.setdefault(name, {})
+
+    def build(n):
         k = n.kind
         if k == _CONST:
-            memo[id(n)] = n
-            stack.pop()
-        elif k == _VAR:
-            memo[id(n)] = mapping.get(n.name, n)
-            stack.pop()
-        else:
-            kids = [c for c in (n.a, n.b) if c is not None]
-            pending = [c for c in kids if id(c) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            a = memo[id(n.a)]
-            b = memo[id(n.b)] if n.b is not None else None
-            if k == _NEG:
-                r = neg(a)
-            elif k == _ADD:
-                r = add(a, b)
-            elif k == _SUB:
-                r = sub(a, b)
-            elif k == _MUL:
-                r = mul(a, b)
-            elif k == _DIV:
-                r = div(a, b)
-            elif k == _POW:
-                r = pow_(a, b)
-            else:
-                r = call(n.name, a)
-            memo[id(n)] = r
-            stack.pop()
-    return memo[id(e)]
+            return ZERO
+        if k == _VAR:
+            return ONE if n.name == name else ZERO
+        da = memo[id(n.a)]
+        if k == _NEG:
+            return neg(da)
+        if k == _CALL:
+            return mul(_FN_DERIV[n.name](n.a), da)
+        db = memo[id(n.b)]
+        if k == _ADD:
+            return add(da, db)
+        if k == _SUB:
+            return sub(da, db)
+        if k == _MUL:
+            return add(mul(da, n.b), mul(n.a, db))
+        if k == _DIV:
+            return sub(div(da, n.b), div(mul(n.a, db), mul(n.b, n.b)))
+        if _is_const(n.b):      # c * f^(c-1) * f'
+            return mul(mul(n.b, pow_(n.a, con(n.b.value - 1.0))), da)
+        # f^g * (g' log f + g f'/f)
+        return mul(n, add(mul(db, call("log", n.a)), mul(n.b, div(da, n.a))))
+
+    return _children_first(e, memo, build)
+
+
+def compose(e: Expr, mapping, memo=None) -> Expr:
+    """Substitute expressions for variables: mapping is name -> Expr.  memo
+    (node id -> result) may be shared by calls with the same mapping."""
+    memo = {} if memo is None else memo
+
+    def build(n):
+        k = n.kind
+        if k == _CONST:
+            return n
+        if k == _VAR:
+            return mapping.get(n.name, n)
+        a = memo[id(n.a)]
+        if k == _NEG:
+            return neg(a)
+        if k == _CALL:
+            return call(n.name, a)
+        return _BINARY[k](a, memo[id(n.b)])
+
+    return _children_first(e, memo, build)
 
 
 # --- printing --------------------------------------------------------------
@@ -513,31 +509,35 @@ _PREC = {_ADD: 1, _SUB: 1, _MUL: 2, _DIV: 2, _NEG: 3, _POW: 4,
 
 
 def to_string(e: Expr) -> str:
-    """Render to text that parses back to an identically-evaluating Expr."""
-    k = e.kind
-    if k == _CONST:
-        v = e.value
-        if v == math.pi:
-            return "pi"
-        if v < 0:
-            return f"(-{-v!r})" if -v != int(-v) else f"(-{int(-v)})"
-        return repr(v) if v != int(v) else str(int(v))
-    if k == _VAR:
-        return e.name
-    if k == _CALL:
-        return f"{e.name}({to_string(e.a)})"
-    if k == _NEG:
-        return f"-{_wrap(e.a, _PREC[_NEG] + 1)}"
-    if k == _POW:
-        return f"{_wrap(e.a, _PREC[_POW] + 1)}^{_wrap(e.b, _PREC[_POW])}"
-    sa = _wrap(e.a, _PREC[k])
-    sb = _wrap(e.b, _PREC[k] + 1)
-    return f"{sa} {_OP_NAMES[k]} {sb}"
+    """Render to text that parses back to an identically-evaluating Expr.
 
-
-def _wrap(e, need):
-    s = to_string(e)
-    return s if _PREC[e.kind] >= need else f"({s})"
+    The text is emitted left to right from an explicit stack of text pieces
+    and (node, precedence its context needs) pairs."""
+    out, stack = [], [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        n, need = item
+        k = n.kind
+        if _PREC[k] < need:
+            stack += [")", (n, 0), "("]
+        elif k == _CONST:
+            v = abs(n.value)
+            text = repr(v) if v != int(v) else str(int(v))
+            out.append("pi" if n.value == math.pi else f"(-{text})" if n.value < 0 else text)
+        elif k == _VAR:
+            out.append(n.name)
+        elif k == _CALL:
+            stack += [")", (n.a, 0), f"{n.name}("]
+        elif k == _NEG:
+            stack += [(n.a, _PREC[_NEG] + 1), "-"]
+        elif k == _POW:
+            stack += [(n.b, _PREC[_POW]), "^", (n.a, _PREC[_POW] + 1)]
+        else:
+            stack += [(n.b, _PREC[k] + 1), f" {_OP_NAMES[k]} ", (n.a, _PREC[k])]
+    return "".join(out)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -548,7 +548,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_RESERVED = frozenset(FUNCTIONS) | {"pi"}
+MAX_DEPTH = 100         # nesting levels of text that parse accepts
 
 
 class _Parser:
@@ -556,6 +556,7 @@ class _Parser:
         self.text = text
         self.allowed = frozenset(allowed)
         self.pos = 0
+        self.depth = 0        # nesting level of the unary being parsed
         self.tok = None       # (kind, value, offset)
         self._advance()
 
@@ -612,10 +613,17 @@ class _Parser:
         return e
 
     def unary(self):
+        self.depth += 1         # each parenthesis, call, minus and exponent
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nested too deeply (over {MAX_DEPTH} "
+                            f"levels) at offset {self.tok[2]}")
         if self.tok[0] == "op" and self.tok[1] == "-":
             self._advance()
-            return neg(self.unary())
-        return self.power()
+            e = neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         base = self.atom()

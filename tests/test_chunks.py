@@ -271,3 +271,17 @@ def test_verify_memory_is_set_by_the_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_a_repeated_run_compiles_no_program():
+    """A second verify of the same scene, and a verify of a freshly built
+    copy, compile no new program: expressions are interned, so the gauged
+    ambients that each run composes anew hold the same nodes, and their
+    programs are found in expr._programs."""
+    name = "catenoid_frame_cylinder"
+    verify.run_verification(_scene(name), 8, 8)
+    compiled = len(expr._programs)
+    verify.run_verification(_scene(name), 8, 8)
+    assert len(expr._programs) == compiled
+    verify.run_verification(scenes.builtin(name), 8, 8)
+    assert len(expr._programs) == compiled

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcsurf import expr, scenes
-from rcsurf.errors import EvalDomainError, ExprSyntaxError, UnknownFunction, UnknownVariable
+from rcsurf.errors import (
+    EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction, UnknownVariable,
+)
 
 import eval_oracle
 from conftest import random_expr
@@ -286,3 +288,31 @@ def test_table_memory_is_bounded_by_the_chunk():
     extra(16)                                  # compile outside the measurement
     small, large = extra(2 * expr.CHUNK), extra(4 * expr.CHUNK)
     assert large <= 1.05 * small, (small, large)
+
+
+def test_deep_chain_needs_no_recursion():
+    """diff, compose, eval_table and to_string walk a 5,000-term sum (an
+    expression 5,000 levels deep) without recursing, and the text parses
+    back to the same interned nodes."""
+    u, v = expr.var("u"), expr.var("v")
+    uv = expr.mul(u, v)
+    coef = [1.0 + i / 4096.0 for i in range(5000)]
+    e = uv
+    for c in coef[1:]:
+        e = expr.add(e, expr.mul(expr.con(c), uv))
+    du = expr.diff(e, "u")
+    swapped = expr.compose(e, {"u": v, "v": u})
+    U, V = np.linspace(0.1, 1.0, 7), np.linspace(-1.0, 0.5, 7)
+    got = expr.eval_table((e, du, swapped), {"u": U, "v": V})
+    total = math.fsum(coef)
+    for value, want in zip(got, (total * U * V, total * V, total * U * V)):
+        assert np.allclose(value, want, rtol=1e-12, atol=0.0)
+    for node in (e, du):
+        assert expr.parse(expr.to_string(node), {"u", "v"}) is node
+
+
+def test_deep_parser_nesting_is_an_input_error():
+    text = "(" * 400 + "x" + ")" * 400
+    with pytest.raises(ExprError, match="nested too deeply"):
+        expr.parse(text, {"x"})
+    assert expr.parse("(" * 50 + "x" + ")" * 50, {"x"}) is expr.var("x")

@@ -310,6 +310,8 @@ def test_scene_validation_compiles_only_grid_programs(monkeypatch):
     pytest.param("cartan_schouten_sphere", "lambda=nan", id="lambda=nan"),
     pytest.param("cartan_schouten_sphere", "lambda=abc", id="lambda=abc"),
     pytest.param("torus_standard", "R=inf", id="R=inf"),
+    pytest.param("rotated_frame_plane", "theta=" + "(" * 400 + "x" + ")" * 400,
+                 id="theta-nested"),
 ])
 def test_cli_bad_rotation_axis_is_input_error(scene, param):
     """A bad --param value (a zero, non-finite or wrong-length axis e, a

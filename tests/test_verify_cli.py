@@ -211,6 +211,8 @@ def test_cli_missing_scene_is_config_error(capsys):
      "error: normal_axis: gauge axis is not unit on the surface"),
     (None, "normal_axis", ["1", "0", "0"],
      "error: normal_axis: gauge axis differs from the Gauss map on S"),
+    ("surface", "X", ["u", "v", "(" * 400 + "u" + ")" * 400],
+     "error: surface.X[2]: expression nested too deeply"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -448,3 +450,26 @@ def test_cli_grid_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch, co
     assert err.startswith("error: ") and "100000x100000" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["fields", "--out", "deep.csv"],
+                                     ["integrate", "--field", "one"], ["verify"]],
+                         ids=["fields", "integrate", "verify"])
+def test_cli_deep_surface_expression_runs(tmp_path, command):
+    """A surface.X component that sums 1,500 terms (an expression 1,500
+    levels deep) is differentiated, compiled and printed without
+    recursion: every command exits 0 with no traceback."""
+    doc = scenes.builtin("euclidean_plane").to_dict()
+    del doc["normal_axis"]
+    doc["surface"]["isothermal"] = False
+    doc["surface"]["X"][2] = " + ".join(["0.0001*u*v"] * 1500)
+    scene_path = tmp_path / "deep.rcscene"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsurf.cli", command[0], "--scene", str(scene_path),
+         "--grid", "8x8"] + command[1:], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
