@@ -5,10 +5,9 @@ subtrees are shared.  Sharing is what keeps the derived expression DAGs
 (metric inverses, connection coefficients, normal fields and their
 derivatives) small enough to evaluate quickly.  A table of expressions is
 compiled once into a program that lists every distinct node once, children
-first, and frees each intermediate after its last use.  Over a sample grid
-the program runs in chunks of CHUNK samples, so the memory for
-intermediates is bounded by the chunk, not by the grid.  Scalar bindings
-are a batch of one.
+first, and frees each intermediate after its last use, and each
+evaluation runs it once over the batch it is given.  Scalar bindings are a
+batch of one.
 
 Grammar (whitespace-insensitive)::
 
@@ -88,7 +87,10 @@ def _intern(kind, a=None, b=None, value=None, name=None):
 
 
 def con(value) -> Expr:
-    return _intern(_CONST, value=float(value))
+    """A constant node; no expression holds a non-finite one (1e999, exp(1000))."""
+    if not math.isfinite(value := float(value)):
+        raise ExprError(f"constant {value!r} is not finite")
+    return _intern(_CONST, value=value)
 
 
 def var(name) -> Expr:
@@ -238,9 +240,6 @@ def _apply_scalar(fn, x):
 
 # --- evaluation ------------------------------------------------------------
 
-CHUNK = 8192
-"""Samples per chunk when a table is evaluated over arrays."""
-
 # Compiled programs keyed by table shapes and leaf ids.  The ids stay unique
 # because _interned keeps every node alive for the life of the process.
 _programs: dict = {}
@@ -265,11 +264,10 @@ def eval_table(table, bindings):
     a tuple holding one such array per table.  The group compiles into one
     program, so a subexpression shared between its tables is computed once.
 
-    The program is compiled once per process (see _compile) and run over
-    CHUNK samples at a time, each chunk written straight into the output,
-    so the memory for intermediates is bounded by the chunk, not by the
-    batch.  An unbound variable raises before any evaluation; a domain
-    error raises in whichever chunk holds the offending sample.
+    The program is compiled once per process (see _compile) and runs once
+    over the batch: a sample grid bounds the memory by passing one chunk at
+    a time (scenes.SampleGrid.chunks).  An unbound variable raises before
+    any evaluation.
     """
     group = isinstance(table, tuple)
     tables = table if group else (table,)
@@ -293,9 +291,7 @@ def eval_table(table, bindings):
     for k in names:
         v = bindings[k]
         flat[k] = np.broadcast_to(v, batch).reshape(-1) if np.shape(v) else v
-    for lo in range(0, n, CHUNK):
-        sl = slice(lo, min(lo + CHUNK, n))
-        _run(ops, {k: v[sl] if np.shape(v) else v for k, v in flat.items()}, outs, sl)
+    _run(ops, flat, outs)
     res = tuple(o.reshape(batch + s) for o, s in zip(outs, shapes))
     return res if group else res[0]
 
@@ -375,9 +371,9 @@ def _compile(leaves, shapes):
     return ops, [e.name for e in order if e.kind == _VAR]
 
 
-def _run(ops, bindings, outs, sl):
-    """Run a compiled program on one chunk of samples, writing the table
-    leaves into rows sl of the output arrays."""
+def _run(ops, bindings, outs):
+    """Run a compiled program on flat bindings, writing the table leaves
+    into the columns of the output arrays."""
     vals = [None] * len(ops)
     for i, (k, a, b, arg, dest, frees) in enumerate(ops):
         if k == _CONST:
@@ -403,7 +399,7 @@ def _run(ops, bindings, outs, sl):
             else:
                 v = _checked_pow(av, bv)
         for t, col in dest:
-            outs[t][sl, col] = v
+            outs[t][:, col] = v
         vals[i] = v
         for j in frees:
             vals[j] = None

@@ -60,6 +60,7 @@ AMBIENT_VARS = {"x", "y", "z"}
 SURFACE_VARS = {"u", "v"}
 
 GL_PANEL = 16
+CHUNK = 8192            # samples per chunk of a streamed grid (SampleGrid.chunks)
 DENSITY_MASK_TOL = 1e-6
 
 
@@ -413,33 +414,34 @@ def _rotated_frame_plane(theta="x*y", e=(-1.0, 0.0, 0.0)):
                                "expected a finite non-zero axis of three numbers")
     if abs(norm - 1.0) > 1e-12:
         e = tuple(c / norm for c in e)
-    try:
-        theta_e = expr.parse(str(theta), AMBIENT_VARS)
+    try:            # every symbolic step can fail on theta, and names it
+        theta_e = (expr.con(theta) if isinstance(theta, (int, float))
+                   else expr.parse(str(theta), AMBIENT_VARS))
+        F = gaussmap.rodrigues_exprs(theta_e, tuple(expr.con(c) for c in e))
+        on_surface = {"x": expr.var("u"), "y": expr.var("v"), "z": expr.con(0.0)}
+        th_x = expr.compose(expr.diff(theta_e, "x"), on_surface)
+        th_y = expr.compose(expr.diff(theta_e, "y"), on_surface)
+        e1, e2 = expr.con(e[0]), expr.con(e[1])
+        golden_H = expr.sub(expr.mul(th_x, e2), expr.mul(th_y, e1))
+        golden_st = expr.neg(expr.add(expr.mul(th_x, e1), expr.mul(th_y, e2)))
+        golden_phi_re = expr.mul(expr.con(0.25),
+                                 expr.add(expr.mul(th_y, e1), expr.mul(th_x, e2)))
+        golden_phi_im = expr.mul(expr.con(0.25),
+                                 expr.sub(expr.mul(th_x, e1), expr.mul(th_y, e2)))
+        return {
+            "name": "rotated_frame_plane",
+            "ambient": {"type": "frame", "F": [[str(c) for c in row] for row in F]},
+            "surface": {"X": ["u", "v", "0"], "domain": [[-2.0, 2.0], [-2.0, 2.0]],
+                        "periodic": [False, False], "isothermal": True},
+            "normal_axis": [str(F[2][0]), str(F[2][1]), str(F[2][2])],
+            "goldens": {
+                "H": str(golden_H), "star_tau": str(golden_st),
+                "phi_re": str(golden_phi_re), "phi_im": str(golden_phi_im),
+                "K_e": "0",
+            },
+        }
     except RcsurfError as err:
         raise SceneFormatError("params.theta", str(err)) from None
-    F = gaussmap.rodrigues_exprs(theta_e, tuple(expr.con(c) for c in e))
-    on_surface = {"x": expr.var("u"), "y": expr.var("v"), "z": expr.con(0.0)}
-    th_x = expr.compose(expr.diff(theta_e, "x"), on_surface)
-    th_y = expr.compose(expr.diff(theta_e, "y"), on_surface)
-    e1, e2 = expr.con(e[0]), expr.con(e[1])
-    golden_H = expr.sub(expr.mul(th_x, e2), expr.mul(th_y, e1))
-    golden_st = expr.neg(expr.add(expr.mul(th_x, e1), expr.mul(th_y, e2)))
-    golden_phi_re = expr.mul(expr.con(0.25),
-                             expr.add(expr.mul(th_y, e1), expr.mul(th_x, e2)))
-    golden_phi_im = expr.mul(expr.con(0.25),
-                             expr.sub(expr.mul(th_x, e1), expr.mul(th_y, e2)))
-    return {
-        "name": "rotated_frame_plane",
-        "ambient": {"type": "frame", "F": [[str(c) for c in row] for row in F]},
-        "surface": {"X": ["u", "v", "0"], "domain": [[-2.0, 2.0], [-2.0, 2.0]],
-                    "periodic": [False, False], "isothermal": True},
-        "normal_axis": [str(F[2][0]), str(F[2][1]), str(F[2][2])],
-        "goldens": {
-            "H": str(golden_H), "star_tau": str(golden_st),
-            "phi_re": str(golden_phi_re), "phi_im": str(golden_phi_im),
-            "K_e": "0",
-        },
-    }
 
 
 _CATENOID_G_ROWS = [
@@ -549,6 +551,10 @@ def _round_sphere_standard():
            "torus of revolution in the standard Euclidean frame")
 def _torus_standard(R=2.0, r=0.5):
     R, r = _param_number(R, "R"), _param_number(r, "r")
+    if r == 0.0:
+        raise SceneFormatError("params.r", "expected a non-zero tube radius r")
+    if not R > abs(r):
+        raise SceneFormatError("params.R", f"expected R > |r| = {abs(r)!r}, got {R!r}")
     Rs, rs = repr(R), repr(r)
     rho = "sqrt(x^2 + y^2)"
     d = f"sqrt(({rho} - {Rs})^2 + z^2)"
@@ -603,8 +609,8 @@ def _axis_nodes(lo, hi, n, periodic):
 class SampleGrid:
     """Deterministic tensor grid of surface samples with lazy field caches.
 
-    A grid is read in chunks (chunks, map_chunks): contiguous row-major
-    slices of expr.CHUNK samples, each a SampleGrid of its own.  verify,
+    A grid is read in chunks (chunks, map_chunks), the one layer that
+    streams: row-major slices of CHUNK samples, each a SampleGrid.  verify,
     export_fields, integrate and gauss_degree build the blocks of one chunk,
     keep what they report (a residual or quadrature term per sample, or a
     running max) and drop the chunk before the next, so peak memory is set
@@ -667,17 +673,13 @@ class SampleGrid:
     # streaming -----------------------------------------------------------------
 
     def chunks(self):
-        """The grid's samples as SampleGrids over contiguous row-major
-        slices of expr.CHUNK samples, in order.  A chunk keeps this grid's
-        scene, nu, nv and axis nodes (so interior_mask is unchanged), and
-        offset is the index of its first sample in the grid.  A grid of at
-        most CHUNK samples is one chunk of itself."""
-        n = self.U.shape[0]
-        if n <= expr.CHUNK:
-            yield self
-            return
-        for lo in range(0, n, expr.CHUNK):
-            sl = slice(lo, lo + expr.CHUNK)
+        """The grid's samples as new SampleGrids over contiguous row-major
+        slices of CHUNK samples, in order, one for a grid of at most CHUNK.
+        A chunk keeps this grid's scene, nu, nv, composition and axis nodes
+        (so interior_mask is unchanged) and builds its blocks for its own
+        samples; offset is the index of its first sample in the grid."""
+        for lo in range(0, self.U.shape[0], CHUNK):
+            sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
             for name in ("scene", "surface", "nu", "nv", "composition",
                          "u_nodes", "u_weights", "v_nodes", "v_weights"):

@@ -10,12 +10,12 @@ ambient tables (g, Gamma and the frame, with the frame determinant they
 divide by) are one program, and no later reader evaluates them again.
 The first-order core (first_order: E, F, G, area, N, Ginv_S, the
 covariant derivatives, II and tau_uv) is written once; base_fields adds
-the orthonormal frame B, its inverse, E1bar, E2bar and T_S on top, and
-the gauge suites build a lean gauged block from the core alone
-(gaussmap.gauged_mean_curvature) in the gauged ambient that verify
-builds once per run.  Every other block is built from base only where a
-reader asks: the induced connection inside intrinsic_curvature, the
-ambient curvature in curvature_fields.
+the orthonormal frame B, its inverse and T_S on top, and the gauge suites
+build a lean gauged block from the core alone
+(gaussmap.gauged_mean_curvature) in the gauged ambient that verify builds
+once per run.  Every other block is built from base only where a reader
+asks: the induced connection inside intrinsic_curvature, the ambient
+curvature in curvature_fields.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -50,8 +50,8 @@ AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
 JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 # the base fields checked finite on return, in the order they are checked
-_CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "B", "Binv", "E1bar", "E2bar",
-                 "cov", "II", "tau_uv", "T_S")
+_CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "B", "Binv", "cov", "II",
+                 "tau_uv", "T_S")
 
 
 def cross_metric_batch(g, u, v):
@@ -216,7 +216,7 @@ class Surface:
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
         out = first_order("base", U, V, jets, tables)
         det2, TXuXv = out.pop("det2"), out.pop("TXuXv")
-        Xu, Xv, E, F, N = out["Xu"], out["Xv"], out["E"], out["F"], out["N"]
+        E, F = out["E"], out["F"]
 
         # the orthonormal tangent frame
         sqrtE = np.sqrt(E)
@@ -227,11 +227,9 @@ class Surface:
         B[:, 1, 1] = 1.0 / s
         out["B"] = B
         out["Binv"] = np.linalg.inv(B)
-        out["E1bar"] = B[:, 0, 0, None] * Xu
-        out["E2bar"] = B[:, 0, 1, None] * Xu + B[:, 1, 1, None] * Xv
 
         # tangential torsion
-        out["T_S"] = TXuXv - out["tau_uv"][:, None] * N
+        out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]
         require_finite("base", {k: out[k] for k in _CHECKED_LAST}, U, V)
         return out
 

@@ -1,8 +1,8 @@
 """Pointwise ambient tensors and the L tensor, built on the library's
 batched fields: the metric, torsion, Ricci and scalar curvature, sectional
-curvature, the sufficient condition for L = 0, and L itself.  No report or
-export reads them; the tests check the ambient and the paper's hypothesis
-on them.
+curvature, the sufficient condition for L = 0, L itself and the
+orthonormal tangent pair it is taken on.  No report or export reads them;
+the tests check the ambient and the paper's hypothesis on them.
 
 Conventions, on top of those of rcsurf.ambient:
 
@@ -95,6 +95,14 @@ def apply_weingarten(fields, comp):
     return np.einsum("nrc,nc->nr", fields["W"], comp)
 
 
+def tangent_frame(fields):
+    """The orthonormal tangent pair (E1bar, E2bar) as chart-coordinate
+    vectors, from a base block: the columns of B hold their components in
+    (Xu, Xv)."""
+    B, Xu, Xv = fields["B"], fields["Xu"], fields["Xv"]
+    return B[:, 0, 0, None] * Xu, B[:, 0, 1, None] * Xu + B[:, 1, 1, None] * Xv
+
+
 def l_tensor(fields, amb):
     """L(E1bar, E2bar) = R(E1bar, E2bar) N - J W J T_S(E1bar, E2bar), as a
     chart-coordinate vector, from the extrinsic block fields and the
@@ -103,7 +111,7 @@ def l_tensor(fields, amb):
     hypothesis tying holomorphicity of bold H to that of the Hopf
     differential."""
     g = fields["g"]
-    e1, e2, N = fields["E1bar"], fields["E2bar"], fields["N"]
+    (e1, e2), N = tangent_frame(fields), fields["N"]
     rm = amb.curvature_at(amb.bindings(fields["p"]))["rm"]
     # R(E1, E2) N: rm[l, k, i, j] with i <- E1, j <- E2, k <- N
     RN = np.einsum("nlkij,nk,ni,nj->nl", rm, N, e1, e2)

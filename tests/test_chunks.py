@@ -1,6 +1,6 @@
 """The streamed grid: every reader builds its blocks one chunk of
-expr.CHUNK samples at a time, and no report, export or integral depends on
-the chunk size."""
+scenes.CHUNK samples at a time, and no report, export or integral depends
+on the chunk size."""
 
 import tracemalloc
 import warnings
@@ -49,7 +49,7 @@ def test_chunked_outputs_equal_one_chunk(out_dir, name, chunk):
     sc = _scene(name)
     if name not in _REFERENCE:
         _REFERENCE[name] = _outputs(sc, out_dir / f"{name}-ref.csv")
-    with mock.patch.object(expr, "CHUNK", chunk):
+    with mock.patch.object(scenes, "CHUNK", chunk):
         got = _outputs(sc, out_dir / f"{name}-{chunk}.csv")
     assert got == _REFERENCE[name]
 
@@ -78,7 +78,7 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     merged)."""
     sc = _scene("catenoid_frame_cylinder")
     surf, amb = sc.surface, sc.ambient
-    monkeypatch.setattr(expr, "CHUNK", 100)          # 16x16 = 256 samples
+    monkeypatch.setattr(scenes, "CHUNK", 100)          # 16x16 = 256 samples
     programs = []
     evaluate = expr.eval_table
 
@@ -121,7 +121,7 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     assert holding(uv) == chunks
     assert sum(bool(uv & prog) for prog in programs) == chunks
 
-    monkeypatch.setattr(expr, "CHUNK", 24 * 24)
+    monkeypatch.setattr(scenes, "CHUNK", 24 * 24)
     programs.clear()
     verify.run_verification(sc, 24, 24)
     assert len(programs) == 9
@@ -149,7 +149,7 @@ def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path
     composition tables through SampleGrid.take alone, and a verify of a
     closed polar chart run one program per group of tables and chunk."""
     sc = _scene(name)
-    monkeypatch.setattr(expr, "CHUNK", 8192)
+    monkeypatch.setattr(scenes, "CHUNK", 8192)
     programs = []
     evaluate = expr.eval_table
 
@@ -165,8 +165,11 @@ def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path
 def test_chunks_cover_the_grid_in_order(monkeypatch):
     sc = _scene("catenoid_frame_plane")
     whole = scenes.make_grid(sc, 8, 8)
-    assert list(whole.chunks()) == [whole]
-    monkeypatch.setattr(expr, "CHUNK", 20)
+    (one,) = whole.chunks()
+    assert one.offset == 0
+    for name in ("U", "V", "weights"):
+        assert np.array_equal(getattr(one, name), getattr(whole, name))
+    monkeypatch.setattr(scenes, "CHUNK", 20)
     grid = scenes.make_grid(sc, 8, 8)
     parts = list(grid.chunks())
     assert [p.offset for p in parts] == [0, 20, 40, 60]
@@ -202,7 +205,7 @@ def test_flatness_is_a_whole_grid_verdict(monkeypatch):
     sc = _torsion_plane("1e-4*(1 - x)^8")
     want = verify.run_verification(sc, 8, 8)
     assert {e["name"]: e for e in want.entries}["egregium"]["status"] == "skip"
-    monkeypatch.setattr(expr, "CHUNK", 16)
+    monkeypatch.setattr(scenes, "CHUNK", 16)
     last = list(scenes.make_grid(sc, 8, 8).chunks())[-1]
     assert np.max(np.abs(last.curvature["r4"])) <= 1e-9
     assert verify.run_verification(sc, 8, 8).to_json() == want.to_json()
@@ -220,7 +223,7 @@ def test_partly_isothermal_chart_exports_blank_hopf_columns(tmp_path, monkeypatc
     })
     want, got = tmp_path / "one.csv", tmp_path / "chunked.csv"
     scenes.export_fields(scenes.make_grid(sc, 8, 8), want)
-    monkeypatch.setattr(expr, "CHUNK", 16)
+    monkeypatch.setattr(scenes, "CHUNK", 16)
     grid = scenes.make_grid(sc, 8, 8)
     first = next(grid.chunks())
     assert np.all(np.isfinite(first.holo["phi"]))
@@ -242,8 +245,8 @@ def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):
                                                tmp_path / "f.csv"),
         "integrate": lambda: scenes.integrate(scenes.make_grid(sc, 8, 8), "one"),
     }
-    for chunk in (expr.CHUNK, 20):
-        monkeypatch.setattr(expr, "CHUNK", chunk)
+    for chunk in (scenes.CHUNK, 20):
+        monkeypatch.setattr(scenes, "CHUNK", chunk)
         for name, run in runs.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -255,22 +258,57 @@ def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):
         assert not (tmp_path / "f.csv").exists()
 
 
-def test_verify_memory_is_set_by_the_chunk(monkeypatch):
+def test_verify_memory_is_set_by_the_chunk(monkeypatch, tmp_path):
     """With 144-sample chunks, four times the samples (48x48 against 24x24)
-    raise the traced peak of a verify run by less than half."""
-    monkeypatch.setattr(expr, "CHUNK", 144)
+    raise the traced peak of a verify, a fields and an integrate run by
+    less than half: the grid's chunks bound the memory, and no layer below
+    them streams."""
+    monkeypatch.setattr(scenes, "CHUNK", 144)
     sc = _scene("cartan_schouten_sphere")
-    verify.run_verification(sc, 24, 24)          # compile every program first
-    peaks = []
-    tracemalloc.start()
-    try:
-        for n in (24, 48):
-            tracemalloc.reset_peak()
-            verify.run_verification(sc, n, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert peaks[1] < 1.5 * peaks[0], peaks
+    runs = {
+        "verify": lambda n: verify.run_verification(sc, n, n),
+        "fields": lambda n: scenes.export_fields(scenes.make_grid(sc, n, n),
+                                                 tmp_path / "f.csv"),
+        "integrate": lambda n: scenes.integrate(scenes.make_grid(sc, n, n), "K"),
+    }
+    for name, run in runs.items():
+        run(24)                                  # compile every program first
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (24, 48):
+                tracemalloc.reset_peak()
+                run(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], (name, peaks)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sc, path: verify.run_verification(sc, 8, 8),
+    lambda sc, path: scenes.export_fields(scenes.make_grid(sc, 8, 8), path),
+    lambda sc, path: scenes.integrate(scenes.make_grid(sc, 8, 8), "K"),
+    lambda sc, path: scenes.gauss_degree(scenes.make_grid(sc, 8, 8)),
+], ids=["verify", "fields", "integrate", "gauss_degree"])
+def test_no_program_sees_more_than_a_chunk(monkeypatch, tmp_path, run):
+    """On a grid of three chunks (64 samples in chunks of 24), no
+    expression program that verify, fields, integrate or gauss_degree runs
+    sees more than one chunk of samples: the grid is the only layer that
+    streams, and eval_table runs each program once over what it is given."""
+    monkeypatch.setattr(scenes, "CHUNK", 24)
+    sc = _scene("round_sphere_standard")
+    assert len(list(scenes.make_grid(sc, 8, 8).chunks())) == 3
+    sizes = []
+    evaluate = expr.eval_table
+
+    def record(table, bindings):
+        sizes.append(max(np.size(v) for v in bindings.values()))
+        return evaluate(table, bindings)
+
+    monkeypatch.setattr(expr, "eval_table", record)
+    run(sc, tmp_path / "f.csv")
+    assert sizes and max(sizes) <= scenes.CHUNK, sizes
 
 
 def test_a_repeated_run_compiles_no_program():

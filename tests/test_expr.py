@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,15 +200,17 @@ def test_sech_is_reciprocal_cosh(x):
 
 # --- compiled programs against the tree-walk oracle ---------------------------
 
-_LENGTHS = [None, 1, expr.CHUNK - 1, expr.CHUNK + 1, 2 * expr.CHUNK + 3]
+# batch lengths around one and two grid chunks: eval_table runs its program
+# once over any batch, however long
+_LENGTHS = [None, 1, scenes.CHUNK - 1, scenes.CHUNK + 1, 2 * scenes.CHUNK + 3]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(_LENGTHS))
 @settings(max_examples=40, deadline=None)
 def test_compiled_program_matches_tree_walk(seed, n):
     """Bit-identical to the memoised tree walk on scalar bindings and on
-    arrays of one sample, just under one chunk, just over one chunk and
-    over two chunks."""
+    arrays of one sample, just under one grid chunk, just over one and
+    over two."""
     rng = np.random.default_rng(seed)
     names = ["u", "v"]
     table = [[random_expr(rng, names) for _ in range(3)] for _ in range(2)]
@@ -232,7 +233,9 @@ def test_compiled_program_matches_tree_walk(seed, n):
     ("^", "(3 - x)^0.5"),
 ])
 def test_domain_error_in_last_chunk_only(fn, text):
-    x = np.linspace(0.0, 1.0, 2 * expr.CHUNK + 3)
+    """One bad sample, the last of a batch longer than two grid chunks,
+    raises; without it every value is finite."""
+    x = np.linspace(0.0, 1.0, 2 * scenes.CHUNK + 3)
     x[-1] = 3.5 if fn != "/" else 3.0      # the only bad sample
     e = expr.parse(text, {"x"})
     with pytest.raises(EvalDomainError) as err:
@@ -242,16 +245,17 @@ def test_domain_error_in_last_chunk_only(fn, text):
     assert np.all(np.isfinite(expr.eval_table([e], {"x": x})))
 
 
-@pytest.mark.parametrize("bad", [0, expr.CHUNK + 5])
+@pytest.mark.parametrize("bad", [0, scenes.CHUNK + 5])
 def test_shared_denominator_is_checked_once_and_still_raises(bad):
     """Two numerators over one denominator node: only the first division
-    checks it for zeros, and a zero still raises, whether it lies in the
-    first chunk or in a later one; without it the values are unchanged."""
+    checks it for zeros, and a zero still raises, whether it is the first
+    sample of a long batch or one past the first grid chunk; without it the
+    values are unchanged."""
     table = [expr.parse(text, {"x", "y"}) for text in ("x/(y - 1)", "sin(x)/(y - 1)")]
     ops, _ = expr._compile(table, [(2,)])
     divisions = [op[3] for op in ops if op[0] == expr._DIV]
     assert divisions == [True, False]
-    n = 2 * expr.CHUNK + 3
+    n = 2 * scenes.CHUNK + 3
     b = {"x": np.linspace(-1.0, 1.0, n), "y": np.linspace(2.0, 3.0, n)}
     want = eval_oracle.eval_table(table, b)
     assert expr.eval_table(table, b).tobytes() == want.tobytes()
@@ -264,30 +268,7 @@ def test_shared_denominator_is_checked_once_and_still_raises(bad):
 def test_unknown_variable_raises_on_arrays():
     e = expr.parse("x + y", {"x", "y"})
     with pytest.raises(UnknownVariable):
-        expr.eval_table([e], {"x": np.zeros(expr.CHUNK + 1)})
-
-
-def test_table_memory_is_bounded_by_the_chunk():
-    """Peak traced memory beyond the outputs does not grow with the batch."""
-    amb = scenes.builtin("catenoid_frame_cylinder").ambient
-    tables = (amb.g, amb.gamma, amb.dgamma)
-
-    def extra(n):
-        t = np.linspace(0.0, 6.0, n)
-        b = {"x": np.cos(t), "y": np.sin(t), "z": t / 3.0 - 1.0}
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = expr.eval_table(tables, b)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        return peak - sum(o.nbytes for o in out)
-
-    extra(16)                                  # compile outside the measurement
-    small, large = extra(2 * expr.CHUNK), extra(4 * expr.CHUNK)
-    assert large <= 1.05 * small, (small, large)
+        expr.eval_table([e], {"x": np.zeros(scenes.CHUNK + 1)})
 
 
 def test_deep_chain_needs_no_recursion():

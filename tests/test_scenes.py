@@ -138,6 +138,14 @@ def test_integrate_torus_area():
     assert scenes.integrate(g, "one") == pytest.approx(4 * math.pi ** 2, rel=1e-10)
 
 
+def test_torus_takes_a_negative_tube_radius():
+    """R > |r| > 0 is the torus range (test_cli_bad_rotation_axis_is_input_error
+    has the cases outside it): r = -0.5 is the same torus with the opposite
+    orientation, and every suite passes on it."""
+    sc = scenes.builtin("torus_standard", r=-0.5)
+    assert verify.run_verification(sc, 8, 8).passed
+
+
 def test_gauss_bonnet_cartan_schouten():
     sc = scenes.builtin("cartan_schouten_sphere", lam=0.5)
     g = scenes.make_grid(sc, 48, 96)
@@ -312,11 +320,15 @@ def test_scene_validation_compiles_only_grid_programs(monkeypatch):
     pytest.param("torus_standard", "R=inf", id="R=inf"),
     pytest.param("rotated_frame_plane", "theta=" + "(" * 400 + "x" + ")" * 400,
                  id="theta-nested"),
+    *(pytest.param("rotated_frame_plane", f"theta={theta}", id=f"theta={theta}")
+      for theta in ("exp(1000)*x", "1e999*x", "0*exp(1000)", "1e999", "log(0)*x")),
+    *(pytest.param("torus_standard", param, id=param) for param in ("R=0.2", "R=0.5", "r=0")),
 ])
 def test_cli_bad_rotation_axis_is_input_error(scene, param):
     """A bad --param value (a zero, non-finite or wrong-length axis e, a
-    non-number or non-finite number) exits 2 naming params.<name> with the
-    name as typed."""
+    non-number or non-finite number, a theta that overflows to a constant
+    or fails in its symbolic build, a torus outside R > |r| > 0) exits 2
+    naming params.<name> with the name as typed."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
     proc = subprocess.run(
@@ -328,17 +340,25 @@ def test_cli_bad_rotation_axis_is_input_error(scene, param):
     assert f"params.{param.split('=')[0]}" in proc.stderr
 
 
-def test_export_builds_only_the_blocks_it_reads(tmp_path):
-    """export_fields reads base, ext, K, holo and the Gauss map n: no
-    curvature block (nor the symbolic dGamma), no Gauss-map derivatives and
-    no projected frames are built, and base holds none of the fields that
-    moved to their readers."""
+def test_export_builds_only_the_blocks_it_reads(tmp_path, monkeypatch):
+    """export_fields reads base, ext, K, holo and the Gauss map n of the one
+    chunk of an 8x8 grid: no curvature block (nor the symbolic dGamma), no
+    Gauss-map derivatives and no projected frames are built, and base holds
+    none of the fields that moved to their readers."""
     sc = scenes.builtin("catenoid_frame_plane")
-    g = scenes.make_grid(sc, 8, 8)
-    scenes.export_fields(g, tmp_path / "f.csv")
-    built = set(vars(g))
+    read = []
+    columns = scenes.export_columns
+
+    def record(part, tol):
+        read.append(part)
+        return columns(part, tol)
+
+    monkeypatch.setattr(scenes, "export_columns", record)
+    scenes.export_fields(scenes.make_grid(sc, 8, 8), tmp_path / "f.csv")
+    (part,) = read
+    built = set(vars(part))
     assert {"base", "ext", "intrinsic_K", "holo", "gauss"} <= built
     assert not built & {"curvature", "gauss_dn", "gauss_frames"}
     assert "dgamma" not in vars(sc.ambient)
-    assert set(g.gauss) == {"n"}
-    assert not set(g.base) & {"rm", "r4", "gammaS", "JXu", "JXv"}
+    assert set(part.gauss) == {"n"}
+    assert not set(part.base) & {"rm", "r4", "gammaS", "JXu", "JXv"}

@@ -201,9 +201,11 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
     (None, "name", ["sphere"], "error: name: expected a JSON string"),
-    (None, "gauge", {"theta": "0.3*x", "axis": ["0*exp(1000)", "0", "1"]},
+    # inf - inf: NaN at every sample (a folded non-finite constant is a
+    # parse error, the surface.X case last)
+    (None, "gauge", {"theta": "0.3*x", "axis": ["exp(1000 + x) - exp(1000 + y)", "0", "1"]},
      "error: gauge.axis: gauge axis is not unit on the surface"),
-    (None, "gauge", {"theta": "0*exp(1000)*x", "axis": ["0", "0", "1"]},
+    (None, "gauge", {"theta": "exp(1000 + x) - exp(1000 + y)", "axis": ["0", "0", "1"]},
      "error: gauge.theta: non-finite value at sample 0"),
     (None, "gauge", {"theta": "0.3*x", "axis": ["2", "0", "0"]},
      "error: gauge.axis: gauge axis is not unit on the surface"),
@@ -213,6 +215,7 @@ def test_cli_missing_scene_is_config_error(capsys):
      "error: normal_axis: gauge axis differs from the Gauss map on S"),
     ("surface", "X", ["u", "v", "(" * 400 + "u" + ")" * 400],
      "error: surface.X[2]: expression nested too deeply"),
+    ("surface", "X", ["u", "v", "1e999*u"], "error: surface.X[2]: constant inf is not finite"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
