@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
+from .so3 import det_exprs, inv_exprs, matmul_exprs
 from .errors import (
     EvalDomainError, IncompatibleConnection, OutsideChart, SingularFrame,
 )
@@ -35,31 +36,6 @@ CHART_VARS = ("x", "y", "z")
 
 FRAME_DET_TOL = 1e-9
 COMPAT_HARD_TOL = 1e-6
-
-
-def _det3(M):
-    """Symbolic determinant of a 3x3 nested list of Exprs."""
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    t1 = expr.mul(a, expr.sub(expr.mul(e, i), expr.mul(f, h)))
-    t2 = expr.mul(b, expr.sub(expr.mul(d, i), expr.mul(f, g)))
-    t3 = expr.mul(c, expr.sub(expr.mul(d, h), expr.mul(e, g)))
-    return expr.add(expr.sub(t1, t2), t3)
-
-
-def _inv3(M, det):
-    """Symbolic inverse via adjugate / determinant."""
-    def cof(r, c):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != c]
-        minor = expr.sub(
-            expr.mul(M[rows[0]][cols[0]], M[rows[1]][cols[1]]),
-            expr.mul(M[rows[0]][cols[1]], M[rows[1]][cols[0]]))
-        return minor if (r + c) % 2 == 0 else expr.neg(minor)
-
-    # adj = cofactor transpose
-    return [[expr.div(cof(j, i), det) for j in range(3)] for i in range(3)]
 
 
 class Ambient:
@@ -121,7 +97,7 @@ class Ambient:
                     f"ambient.chart_domain.{name}: sample at {name} = {val!r} "
                     f"outside [{lo}, {hi}]")
 
-    def _check_frame(self, det):
+    def check_frame(self, det):
         """Raise SingularFrame where det, a frame ambient's determinant at
         some samples, is near zero or negative."""
         if np.any(np.abs(det) < FRAME_DET_TOL):
@@ -134,7 +110,7 @@ class Ambient:
         """The group tables (Exprs over x, y, z) at batched points, as one
         program after the chart check.  In a frame ambient the program
         also evaluates frame_det, a node of g and Gamma, and returns it
-        last for _check_frame.  Every table built from the inverse frame
+        last for check_frame.  Every table built from the inverse frame
         divides by the determinant, so where the program meets a domain
         error a singular frame is reported first."""
         self._check_inside(bindings)
@@ -143,7 +119,7 @@ class Ambient:
         try:
             return expr.eval_table(tables + (self.frame_det,), bindings)
         except EvalDomainError:
-            self._check_frame(expr.eval_table(self.frame_det, bindings))
+            self.check_frame(expr.eval_table(self.frame_det, bindings))
             raise
 
     def fields_at(self, bindings, names):
@@ -155,7 +131,7 @@ class Ambient:
         adds no op."""
         out = self.tables_at(bindings, tuple(getattr(self, n) for n in names))
         if self.kind == "frame":
-            self._check_frame(out[-1])
+            self.check_frame(out[-1])
             out = out[:-1]
         return out
 
@@ -199,14 +175,17 @@ class Ambient:
     # --- validation ---------------------------------------------------------------
 
     def validate(self, points):
-        """Run the construction-time guards at the given sample points.
+        """Run the construction-time guards at the given sample points, and
+        return the base tables they read, a dict keyed by base_names.
 
         The base group (base_names, the program of a base block) and the
         dg program of metric_compat_residual_at feed every guard, so a
-        scene build compiles no program that verify does not run again."""
+        scene build compiles no program that verify does not run again,
+        and builds its base core from the returned tables."""
         bindings = self.bindings(points)
-        g, G = self.fields_at(bindings, self.base_names)[:2]
-        compat = self.metric_compat_residual_at(bindings, g, G)
+        tables = dict(zip(self.base_names, self.fields_at(bindings, self.base_names)))
+        g = tables["g"]
+        compat = self.metric_compat_residual_at(bindings, g, tables["gamma"])
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
         if sym > 1e-12:
             raise IncompatibleConnection(f"metric not symmetric (deviation {sym:.3e})")
@@ -217,7 +196,7 @@ class Ambient:
         if worst > COMPAT_HARD_TOL:
             raise IncompatibleConnection(
                 f"metric compatibility residual {worst:.3e} exceeds {COMPAT_HARD_TOL}")
-        return worst
+        return tables
 
 
 def frame_ambient(F, chart_domain=None) -> Ambient:
@@ -229,14 +208,13 @@ def frame_ambient(F, chart_domain=None) -> Ambient:
     Gamma^k_ij = sum_m F[k][m] d_i (F^-1)[m][j], the flat connection whose
     parallel fields have constant frame components.
     """
-    det = _det3(F)
-    Finv = _inv3(F, det)
-    cols = [[Finv[i][a] for i in range(3)] for a in range(3)]
-    g = [[_dot3(cols[a], cols[b]) for b in range(3)] for a in range(3)]
-    gamma = [
-        [[_sum3([expr.mul(F[k][m], expr.diff(Finv[m][j], CHART_VARS[i]))
-                 for m in range(3)]) for j in range(3)] for i in range(3)]
-        for k in range(3)]
+    det = det_exprs(F)
+    Finv = inv_exprs(F, det)
+    g = matmul_exprs(list(zip(*Finv)), Finv)
+    # dgam[i] = F d_i(F^-1), the matrix Gamma^k_ij of (k, j)
+    dgam = [matmul_exprs(F, [[expr.diff(c, w) for c in row] for row in Finv])
+            for w in CHART_VARS]
+    gamma = [[dgam[i][k] for i in range(3)] for k in range(3)]
     return Ambient("frame", g, gamma, frame=F, frame_inv=Finv,
                    frame_det=det, chart_domain=chart_domain)
 
@@ -253,13 +231,3 @@ def _compat_residual(G, g, dg):
     res -= np.einsum("nlmb,nal->nmab", G, g)
     return np.max(np.abs(res, out=res), axis=(1, 2, 3))
 
-
-def _dot3(u, v):
-    return _sum3([expr.mul(u[i], v[i]) for i in range(3)])
-
-
-def _sum3(terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = expr.add(out, t)
-    return out

@@ -24,7 +24,8 @@ per gauge field and run), evaluates the gauge field (axis, angle and, for
 the general law, their gradients) and that ambient's g, Gamma and frame
 determinant in one program (_gauge_at), and recomputes H, star_tau and
 bold_H from a lean gauged block: the first-order core of a base block
-(surface.first_order) on the jets in ext.  An axis that is not unit
+(surface.first_order) on the jets in ext.  It returns its error at each
+sample, as every other residual does.  An axis that is not unit
 or not finite raises NonUnitAxis (check_axis, which a scene build runs on
 the scene's own axes too); other non-finite gauge values are named
 gauge.<field>.
@@ -176,7 +177,7 @@ def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
     check_axis(out[0], normal)
     require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])),
                    fields["u"], fields["v"])
-    gamb._check_frame(det)
+    gamb.check_frame(det)
     return out, {"g": g, "gamma": gamma}
 
 
@@ -192,8 +193,8 @@ def gauged_mean_curvature(fields, tables):
 
 
 def gauge_theorem_residual(gamb, gauge: GaugeField, ext, gauss):
-    """max |bold_H(s.g) - bold_H(s) e^{i theta}| over the samples, for a
-    gauge rotating about the Gauss-map axis (gamb: apply_gauge of it).
+    """|bold_H(s.g) - bold_H(s) e^{i theta}| at each sample, for a gauge
+    rotating about the Gauss-map axis (gamb: apply_gauge of it).
 
     Raises AxisNotNormal when the gauge axis differs from the Gauss map on
     the surface beyond 1e-8.  ext and gauss are the extrinsic and
@@ -202,7 +203,7 @@ def gauge_theorem_residual(gamb, gauge: GaugeField, ext, gauss):
     (_, theta), tables = _gauge_at(gamb, gauge, ext, normal=gauss["n"])
     gauged = gauged_mean_curvature(ext, tables)
     predicted = ext["bold_H"] * np.exp(1j * theta)
-    return float(np.max(np.abs(gauged["bold_H"] - predicted)))
+    return np.abs(gauged["bold_H"] - predicted)
 
 
 def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
@@ -213,9 +214,10 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
 
     with Grad/Div/Curl taken along the projected frames and e given in
     frame components.  Both predicted scalars are compared against a full
-    recomputation in the gauged frame gamb (apply_gauge of the gauge); the
-    max of the two sups is returned.  ext and frames are the extrinsic and
-    projected_frames blocks of the same samples.
+    recomputation in the gauged frame gamb (apply_gauge of the gauge), and
+    the larger of the two errors is returned at each sample.  ext and
+    frames are the extrinsic and projected_frames blocks of the same
+    samples.
     """
     (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True)
 
@@ -236,9 +238,8 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
     H_pred = ext["H"] - out["cross"]
     st_pred = ext["star_tau"] - out["top"]
     gauged = gauged_mean_curvature(ext, tables)
-    res_h = np.max(np.abs(gauged["H"] - H_pred))
-    res_t = np.max(np.abs(gauged["star_tau"] - st_pred))
-    return float(max(res_h, res_t))
+    return np.maximum(np.abs(gauged["H"] - H_pred),
+                      np.abs(gauged["star_tau"] - st_pred))
 
 
 # --- conformality and degree ---------------------------------------------------

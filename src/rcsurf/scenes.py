@@ -43,11 +43,11 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    IoError, NonFiniteValue, NotClosed, RcsurfError, SceneFormatError,
+    ExprError, IoError, NonFiniteValue, NotClosed, RcsurfError, SceneFormatError,
     UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
-from .surface import Surface, require_finite
+from .surface import Surface, first_order, require_finite
 
 __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
@@ -224,7 +224,10 @@ def build_scene(doc) -> Scene:
         _known_keys(adoc, "ambient", kind)
         F = _parse_matrix(_need(adoc, "F", "ambient"), AMBIENT_VARS,
                           "ambient.F", (3, 3))
-        amb = frame_ambient(F, chart_domain=chart_domain)
+        try:        # the symbolic build names its errors as parsing does
+            amb = frame_ambient(F, chart_domain=chart_domain)
+        except ExprError as err:
+            raise SceneFormatError("ambient.F", str(err)) from err
     elif kind == "coefficients":
         _known_keys(adoc, "ambient", kind)
         g = _parse_matrix(_need(adoc, "g", "ambient"), AMBIENT_VARS,
@@ -249,8 +252,11 @@ def build_scene(doc) -> Scene:
     if (not isinstance(periodic, list) or len(periodic) != 2
             or not all(isinstance(p, bool) for p in periodic)):
         raise SceneFormatError("surface.periodic", "expected [bool, bool]")
-    surf = Surface(amb, X, domain, periodic,
-                   _flag(sdoc, "isothermal", "surface.isothermal"))
+    isothermal = _flag(sdoc, "isothermal", "surface.isothermal")
+    try:
+        surf = Surface(amb, X, domain, periodic, isothermal)
+    except ExprError as err:
+        raise SceneFormatError("surface.X", str(err)) from err
 
     gauge = None
     if doc.get("gauge") is not None:
@@ -285,18 +291,17 @@ def build_scene(doc) -> Scene:
 
 def _validate_scene(scene):
     """Cheap structural validation at 5x5 interior surface samples: the
-    ambient's guards, the base block and, in a frame ambient, the scene's
-    gauge axis and normal_axis (gaussmap.check_axis, as the gauge suite
-    checks them on the grid; normal_axis against the Gauss map), both
-    axes in one program."""
+    ambient's guards, a base core (surface.first_order) from the tables
+    they read and, in a frame ambient, the scene's gauge axis and
+    normal_axis (gaussmap.check_axis, as the gauge suite checks them on the
+    grid; normal_axis against the Gauss map), both axes in one program."""
     (u0, u1), (v0, v1) = scene.surface.domain
     us = np.linspace(u0, u1, 7)[1:-1]
     vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     surf, amb = scene.surface, scene.ambient
-    jets = surf.jets(U, V)          # evaluated once, for both checks
-    amb.validate(jets["p"])
-    base = surf.base_fields(U, V, jets)
+    jets = surf.jets(U, V)
+    base = first_order("base", U, V, jets, amb.validate(jets["p"]))
     if amb.kind != "frame":
         return
     axes = {}           # path -> (axis, the Gauss map it must match or None)
@@ -612,13 +617,13 @@ class SampleGrid:
     A grid is read in chunks (chunks, map_chunks), the one layer that
     streams: row-major slices of CHUNK samples, each a SampleGrid.  verify,
     export_fields, integrate and gauss_degree build the blocks of one chunk,
-    keep what they report (a residual or quadrature term per sample, or a
-    running max) and drop the chunk before the next, so peak memory is set
-    by the chunk and not by the grid.  Every block is pointwise in the
-    samples, so a chunk's block is the matching slice of the whole grid's,
-    bit for bit, and each max, mean or sum runs once over the per-sample
-    values of every chunk in sample order: no report or export depends on
-    the chunk size.
+    keep what they report (a residual or quadrature term per sample,
+    gathered by collect; export_fields writes its rows) and drop the chunk
+    before the next, so peak memory is set by the chunk and not by the
+    grid.  Every block is pointwise in the samples, so a chunk's block is
+    the matching slice of the whole grid's, bit for bit, and each max, mean
+    or sum runs once over the per-sample values of every chunk in sample
+    order: no report or export depends on the chunk size.
 
     Each block is built on first read and only then, so a chunk holds only
     what its readers read:
@@ -698,6 +703,21 @@ class SampleGrid:
             except NonFiniteValue as err:
                 raise err.shifted(part.offset - self.offset) from None
             yield out
+
+    def collect(self, work):
+        """{name: values} gathered over the chunks in order, where
+        work(chunk) returns {name: values at some of the chunk's samples}.
+        Each name fills one buffer of the grid's sample count, allocated
+        once, and its result is the part filled: the one place where
+        per-sample values cross chunks."""
+        kept = {}               # name -> (buffer, count filled)
+        for out in self.map_chunks(work):
+            for name, values in out.items():
+                buf, k = kept.get(name) or (
+                    np.empty(self.U.shape[0], dtype=values.dtype), 0)
+                buf[k:k + len(values)] = values
+                kept[name] = buf, k + len(values)
+        return {name: buf[:k] for name, (buf, k) in kept.items()}
 
     # lazy heavy blocks --------------------------------------------------------
 
@@ -802,8 +822,8 @@ def make_grid(scene, nu, nv) -> SampleGrid:
 def integrate(grid: SampleGrid, field) -> float:
     """Integral of the named scalar field against the surface area form:
     one sum over the area terms of every chunk."""
-    return float(np.sum(np.concatenate(
-        list(grid.map_chunks(lambda part: part.area_terms(field))))))
+    terms = grid.collect(lambda part: {field: part.area_terms(field)})
+    return float(np.sum(terms[field]))
 
 
 def require_closed(scene):
@@ -843,8 +863,8 @@ def gauss_degree(grid: SampleGrid):
     """Mapping degree of the Gauss map on a closed chart (require_closed).
     Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly."""
     require_closed(grid.scene)
-    terms = grid.map_chunks(SampleGrid.degree_terms)
-    return degree_from(np.sum(np.concatenate(list(terms))))
+    terms = grid.collect(lambda part: {"degree": part.degree_terms()})
+    return degree_from(np.sum(terms["degree"]))
 
 
 # --- field export --------------------------------------------------------------------

@@ -1,14 +1,66 @@
-"""Symbolic 3x3 kit: the hat map, the matrix product and the Rodrigues
-rotation of Expr triples and matrices, which frame-defined ambients and
-gauge fields are built from.  Matrices are 3x3 nested lists of Exprs with
-entry A[i][j] meaning row i, column j.
+"""Symbolic 3x3 kit of Expr vectors (lists) and matrices (3x3 nested
+lists, A[i][j] row i, column j): every symbolic sum over an index in the
+package (a dot product, a matrix product, a contraction) is sum_exprs, a
+left fold ((t0 + t1) + t2) + ..., so one rule fixes the shape of each
+expression DAG and with it each compiled program and its bits.  The
+products, the determinant and the adjugate inverse are built on it, and
+the hat map and the Rodrigues rotation build frame-defined ambients and
+gauge fields.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import expr
 
-__all__ = ["hat_exprs", "rodrigues_exprs", "matmul_exprs"]
+__all__ = ["sum_exprs", "dot_exprs", "matvec_exprs", "matmul_exprs",
+           "det_exprs", "inv_exprs", "hat_exprs", "rodrigues_exprs"]
+
+
+def sum_exprs(terms):
+    """t0 + t1 + ..., folded from the left."""
+    return functools.reduce(expr.add, terms)
+
+
+def dot_exprs(u, v):
+    """sum_i u[i] v[i]."""
+    return sum_exprs([expr.mul(a, b) for a, b in zip(u, v)])
+
+
+def matvec_exprs(A, v):
+    """A v, row by row."""
+    return [dot_exprs(row, v) for row in A]
+
+
+def matmul_exprs(A, B):
+    """Product of two 3x3 matrices."""
+    return [[dot_exprs(row, col) for col in zip(*B)] for row in A]
+
+
+def det_exprs(M):
+    """Determinant of a 3x3 matrix, expanded along the first row."""
+    a, b, c = M[0]
+    d, e, f = M[1]
+    g, h, i = M[2]
+    t1 = expr.mul(a, expr.sub(expr.mul(e, i), expr.mul(f, h)))
+    t2 = expr.mul(b, expr.sub(expr.mul(d, i), expr.mul(f, g)))
+    t3 = expr.mul(c, expr.sub(expr.mul(d, h), expr.mul(e, g)))
+    return expr.add(expr.sub(t1, t2), t3)
+
+
+def inv_exprs(M, det):
+    """Inverse of a 3x3 matrix as adjugate / det, det its determinant."""
+    def cof(r, c):
+        rows = [i for i in range(3) if i != r]
+        cols = [j for j in range(3) if j != c]
+        minor = expr.sub(
+            expr.mul(M[rows[0]][cols[0]], M[rows[1]][cols[1]]),
+            expr.mul(M[rows[0]][cols[1]], M[rows[1]][cols[0]]))
+        return minor if (r + c) % 2 == 0 else expr.neg(minor)
+
+    # adj = cofactor transpose
+    return [[expr.div(cof(j, i), det) for j in range(3)] for i in range(3)]
 
 
 def hat_exprs(e):
@@ -20,20 +72,6 @@ def hat_exprs(e):
             [expr.neg(e2), e1, z]]
 
 
-def matmul_exprs(A, B):
-    """Product of two 3x3 nested lists of Exprs."""
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = expr.mul(A[i][0], B[0][j])
-            acc = expr.add(acc, expr.mul(A[i][1], B[1][j]))
-            acc = expr.add(acc, expr.mul(A[i][2], B[2][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def rodrigues_exprs(theta, e):
     """Symbolic Rodrigues rotation: I + sin(theta) hat(e) + (1-cos(theta)) hat(e)^2,
     with theta an Expr and e a triple of Exprs (unit wherever evaluated)."""
@@ -41,13 +79,6 @@ def rodrigues_exprs(theta, e):
     KK = matmul_exprs(K, K)
     s = expr.call("sin", theta)
     c = expr.sub(expr.con(1.0), expr.call("cos", theta))
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            entry = expr.add(expr.mul(s, K[i][j]), expr.mul(c, KK[i][j]))
-            if i == j:
-                entry = expr.add(expr.con(1.0), entry)
-            row.append(entry)
-        out.append(row)
-    return out
+    return [[expr.add(expr.con(float(i == j)),
+                      expr.add(expr.mul(s, K[i][j]), expr.mul(c, KK[i][j])))
+             for j in range(3)] for i in range(3)]

@@ -38,10 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .ambient import _det3, _inv3, _sum3
 from .errors import (
     DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck,
 )
+from .so3 import det_exprs, inv_exprs, matvec_exprs, sum_exprs
 
 __all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
            "isothermal_factor", "require_finite"]
@@ -197,20 +197,17 @@ class Surface:
             (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
             {"u": U, "v": V})))
 
-    def base_fields(self, U, V, jets=None):
+    def base_fields(self, U, V):
         """Evaluate the first-order geometry at flat arrays U, V.
 
         Returns a dict of stacked arrays keyed by field name.  Everything
         downstream (extrinsic forms, curvature, Gauss map, holomorphic
         layer) starts from this dict.  In a frame ambient it holds frame
-        and frame_inv, from the program that evaluates g and Gamma.  jets
-        holds the JETS of these samples (any base block of the same X) or
-        is None to evaluate them here.
+        and frame_inv, from the program that evaluates g and Gamma.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
-        if jets is None:
-            jets = self.jets(U, V)
+        jets = self.jets(U, V)
         amb = self.ambient
         names = amb.base_names
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
@@ -315,11 +312,8 @@ class Surface:
         Xu, Xv = self.Xu, self.Xv
 
         def dot(vec_a, vec_b):
-            acc = expr.con(0.0)
-            for a in range(3):
-                for b in range(3):
-                    acc = expr.add(acc, expr.mul(g_uv[a][b], expr.mul(vec_a[a], vec_b[b])))
-            return acc
+            return sum_exprs([expr.mul(g_uv[a][b], expr.mul(vec_a[a], vec_b[b]))
+                              for a in range(3) for b in range(3)])
 
         E = dot(Xu, Xu)
         F = dot(Xu, Xv)
@@ -332,33 +326,29 @@ class Surface:
         # covariant derivatives nabla_a X_b and the induced connection
         tang = (Xu, Xv)
         second = ((self.Xuu, self.Xuv), (self.Xuv, self.Xvv))
-        cov = [[[expr.add(second[a][b][k], _sum3([
+        cov = [[[expr.add(second[a][b][k], sum_exprs([
                     expr.mul(gamma_uv[k][i][j], expr.mul(tang[a][i], tang[b][j]))
                     for i in range(3) for j in range(3)])) for k in range(3)]
                 for b in range(2)] for a in range(2)]
 
         def gammaS(c, a, b):
-            return _sum3([expr.mul(Ginv[c][d], dot(cov[a][b], tang[d])) for d in range(2)])
+            return sum_exprs([expr.mul(Ginv[c][d], dot(cov[a][b], tang[d]))
+                              for d in range(2)])
 
         # unit normal N = (X_u x_g X_v) / area
-        detg = _det3(g_uv)
-        ginv = _inv3(g_uv, detg)
+        detg = det_exprs(g_uv)
+        ginv = inv_exprs(g_uv, detg)
         sq = expr.call("sqrt", detg)
         lowered = []
         for l in range(3):
             i, j = (l + 1) % 3, (l + 2) % 3
             lowered.append(expr.mul(sq, expr.sub(expr.mul(Xu[i], Xv[j]),
                                                  expr.mul(Xu[j], Xv[i]))))
-        raised = []
-        for j in range(3):
-            raised_j = expr.con(0.0)
-            for l in range(3):
-                raised_j = expr.add(raised_j, expr.mul(ginv[j][l], lowered[l]))
-            raised.append(raised_j)
+        raised = matvec_exprs(ginv, lowered)
         N = [expr.div(r, area) for r in raised]
 
         II = [[dot(cov[a][b], N) for b in range(2)] for a in range(2)]
-        H = _sum3([expr.mul(II[c][d], Ginv[d][c]) for c in range(2) for d in range(2)])
+        H = sum_exprs([expr.mul(II[c][d], Ginv[d][c]) for c in range(2) for d in range(2)])
         star_tau = expr.div(expr.sub(II[0][1], II[1][0]), area)
         phi_re = expr.mul(expr.con(0.25), expr.sub(II[0][0], II[1][1]))
         phi_im = expr.mul(expr.con(-0.25), expr.add(II[0][1], II[1][0]))
@@ -372,12 +362,7 @@ class Surface:
         if amb.kind == "frame":
             finv_uv = [[expr.compose(amb.frame_inv[i][j], sub, cmemo) for j in range(3)]
                        for i in range(3)]
-            n = []
-            for i in range(3):
-                acc = expr.con(0.0)
-                for j in range(3):
-                    acc = expr.add(acc, expr.mul(finv_uv[i][j], raised[j]))
-                n.append(expr.div(acc, area))
+            n = [expr.div(c, area) for c in matvec_exprs(finv_uv, raised)]
             self._comp.update({
                 "n": n,
                 "dn_du": [expr.diff(c, "u") for c in n],

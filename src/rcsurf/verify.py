@@ -26,6 +26,7 @@ import numpy as np
 
 from . import expr, extrinsic, gaussmap, holo, scenes
 from .errors import NonFiniteValue, RcsurfError
+from .so3 import dot_exprs
 
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "random_gauge_fields"]
@@ -133,9 +134,7 @@ def random_gauge_fields(scene, count, seed=1234, about_normal=True):
             s, f = (round(float(x), 3) for x in rng.uniform(-0.8, 0.8, size=2))
             base = "2.0" if k == 0 else "0.0"
             comps.append(expr.parse(f"{base} + ({s})*sin({abs(f) + 0.3}*{w})", vars3))
-        norm = expr.call("sqrt", expr.add(
-            expr.add(expr.mul(comps[0], comps[0]), expr.mul(comps[1], comps[1])),
-            expr.mul(comps[2], comps[2])))
+        norm = expr.call("sqrt", dot_exprs(comps, comps))
         axis = tuple(expr.div(cc, norm) for cc in comps)
         out.append(gaussmap.GaugeField(theta, axis))
     return out
@@ -193,10 +192,12 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
 
     The grid is streamed (SampleGrid.chunks): every block is built for one
     chunk of samples and dropped before the next.  An entry keeps only its
-    residual or quadrature term per sample (8 bytes a sample) or, for the
-    gauge entries and the flatness verdict, a running max; each max, mean
-    and quadrature sum runs once over the values of every chunk in sample
-    order, so the report does not depend on the chunk size.  The symbolic
+    residual or quadrature term per sample (8 bytes a sample, gathered by
+    SampleGrid.collect); a gauge entry's residual at a sample is the max
+    over its gauge fields, and only the flatness verdict is carried from
+    chunk to chunk.  Each max, mean and quadrature sum runs once over the
+    values of every chunk in sample order, so the report does not depend
+    on the chunk size.  The symbolic
     setup (the gauge fields, each with its gauged ambient from
     gaussmap.apply_gauge) and the closed-chart probe run once per run.
 
@@ -249,23 +250,12 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         k for suite in run for k in _COMPOSITION.get(suite, ())))
     cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
 
-    kept = {}               # entry -> (buffer over the grid's samples, count filled)
-    peak = {}               # entry -> running max over the chunks
     flat = True             # max |r4| within AMBIENT_FLAT_TOL on every chunk
-
-    def keep(name, values):
-        # one buffer per entry, allocated once: no per-chunk pieces to
-        # concatenate, nor scattered between the chunks' temporaries
-        buf, k = kept.get(name) or (np.empty(nsamples, dtype=values.dtype), 0)
-        buf[k:k + len(values)] = values
-        kept[name] = buf, k + len(values)
-
-    def top(name, value):
-        peak[name] = max(peak.get(name, 0.0), value)
 
     def chunk(part):
         nonlocal flat
         mask = part.interior_mask
+        out = {}            # entry -> its values at the samples it checks
         for suite in run:
             if suite == "ambient_sanity":
                 base = part.base
@@ -281,17 +271,17 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                     F = base["frame"]
                     gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
                     parts.append(_abs_max(gram - np.eye(3)))
-                keep("ambient_sanity", np.max(np.stack(parts), axis=0))
+                out["ambient_sanity"] = np.max(np.stack(parts), axis=0)
             elif suite == "gauss_eq":
                 res = extrinsic.gauss_equation_residual(part.ext, part.curvature,
                                                         part.intrinsic_K)
-                keep("gauss_eq", res[mask])
+                out["gauss_eq"] = res[mask]
             elif suite == "egregium":
                 dec = extrinsic.curvature_decomposition(part.ext, part.curvature,
                                                         part.intrinsic_K)
                 flat = flat and dec["ambient_flat"]
-                keep("egregium", dec["egregium"][mask])
-                keep("sectional_split", dec["sectional_split"][mask])
+                out["egregium"] = dec["egregium"][mask]
+                out["sectional_split"] = dec["sectional_split"][mask]
             elif suite == "divcurl":
                 ext, n = part.ext, part.gauss["n"]
                 dc = gaussmap.div_curl(part.gauss_dn, part.gauss_frames)
@@ -301,36 +291,38 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                     np.max(np.abs(dc["curl_top"] + ext["star_tau"][:, None] * n), axis=-1),
                     np.max(np.abs(dc["curl_cross"] + ext["H"][:, None] * n), axis=-1),
                 ]), axis=0)
-                keep("divcurl", res[mask])
+                out["divcurl"] = res[mask]
             elif suite == "gauge":
-                # the gauge_theorem fields rotate about the scene's normal_axis
+                # at each sample, the max over the entry's gauge fields; the
+                # gauge_theorem fields rotate about the scene's normal_axis
+                res = {name: [] for name in gauges}
                 for gfld, gamb in gauges.get("gauge_theorem", []):
                     with gaussmap.axis_named("normal_axis"):
-                        top("gauge_theorem", gaussmap.gauge_theorem_residual(
+                        res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
                             gamb, gfld, part.ext, part.gauss))
                 for gfld, gamb in gauges["gauge_general"]:
                     with gaussmap.axis_named("gauge.axis" if gfld is scene.gauge else None):
-                        top("gauge_general", gaussmap.general_gauge_residual(
+                        res["gauge_general"].append(gaussmap.general_gauge_residual(
                             gamb, gfld, part.ext, part.gauss_frames))
+                out.update({name: np.max(r, axis=0) for name, r in res.items()})
             elif suite == "psi_identity":
-                keep("psi_identity", part.holo["psi_identity_residual"])
+                out["psi_identity"] = part.holo["psi_identity_residual"]
             elif suite == "hopf_identity":
                 res = holo.hopf_identity_residual(part.base, part.curvature, part.holo,
                                                   part.take("d_hopf")["d_hopf"])
-                keep("hopf_identity", res[mask])
+                out["hopf_identity"] = res[mask]
             elif suite == "conformality":
                 conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
                 cls = extrinsic.classify(part.ext, tol=cls_tol)
                 want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
-                keep("conformality", conf["conformal"][mask] != want[mask])
+                out["conformality"] = conf["conformal"][mask] != want[mask]
             elif suite == "gauss_bonnet":
-                keep("gauss_bonnet", part.area_terms("K"))
+                out["gauss_bonnet"] = part.area_terms("K")
             elif suite == "degree":
-                keep("degree", part.degree_terms())
+                out["degree"] = part.degree_terms()
+        return out
 
-    for _ in grid.map_chunks(chunk):
-        pass
-    kept = {name: buf[:k] for name, (buf, k) in kept.items()}
+    kept = grid.collect(chunk)
 
     def entry(name, residual, samples=nsamples, mean=None):
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
@@ -345,8 +337,6 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         for name in _entries(suite):
             if name in skips:
                 report.add(name, "skip", reason=skips[name])
-            elif name in peak:
-                entry(name, peak[name])
             elif name == "gauss_bonnet":
                 total = float(np.sum(kept[name]))
                 entry(name, abs(total - 2.0 * np.pi * scene.chi) / (4.0 * np.pi))

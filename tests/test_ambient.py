@@ -191,8 +191,8 @@ def test_metric_compat_detects_corruption(rng):
 
 def levi_civita_gamma(g):
     """Symbolic Levi-Civita coefficients of a symbolic metric (test oracle)."""
-    det = ambient._det3(g)
-    ginv = ambient._inv3(g, det)
+    det = so3.det_exprs(g)
+    ginv = so3.inv_exprs(g, det)
     vars3 = ("x", "y", "z")
     half = expr.con(0.5)
     gamma = [[[None] * 3 for _ in range(3)] for _ in range(3)]
@@ -223,8 +223,8 @@ def random_metric_compatible_ambient(seed=7):
                 g[i][j] = E(f"0.1*sin({'xyz'[i]})*cos({'xyz'[j]})")
                 g[j][i] = g[i][j]
     lc = levi_civita_gamma(g)
-    det = ambient._det3(g)
-    ginv = ambient._inv3(g, det)
+    det = so3.det_exprs(g)
+    ginv = so3.inv_exprs(g, det)
     # contortion: A[i][j][k] antisymmetric in (j,k); delta Gamma^l_ij = g^lk A_ijk
     texts = ["0.3*sin(x)", "0.2*cos(y)", "0.25*sin(z)*cos(x)"]
     A = [[[expr.con(0.0)] * 3 for _ in range(3)] for _ in range(3)]

@@ -142,12 +142,17 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     # composition tables and one program per gauge field (four)
     ("round_sphere_standard",
      lambda sc, path: verify.run_verification(sc, 24, 24), 11),
-], ids=["fields", "integrate", "gauss_degree", "verify"])
+    # a scene build: jets, base group, dg, then the gauge and normal axes;
+    # the base core is built from the base group that the guards read
+    ("catenoid_frame_cylinder",
+     lambda sc, path: scenes.builtin("catenoid_frame_cylinder"), 4),
+], ids=["fields", "integrate", "gauss_degree", "verify", "build"])
 def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path,
                                                            name, run, want):
     """fields, integrate K and gauss_degree, which evaluate their
-    composition tables through SampleGrid.take alone, and a verify of a
-    closed polar chart run one program per group of tables and chunk."""
+    composition tables through SampleGrid.take alone, a verify of a
+    closed polar chart and a scene build run one program per group of
+    tables and chunk."""
     sc = _scene(name)
     monkeypatch.setattr(scenes, "CHUNK", 8192)
     programs = []
@@ -160,6 +165,35 @@ def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path
     monkeypatch.setattr(expr, "eval_table", record)
     run(sc, tmp_path / "f.csv")
     assert len(programs) == want
+
+
+@pytest.mark.parametrize("name, programs, ops", [
+    ("cartan_schouten_sphere", 5, 252),
+    ("catenoid_frame_cylinder", 9, 15253),
+    ("catenoid_frame_plane", 9, 8163),
+    ("euclidean_plane", 9, 2201),
+    ("rotated_frame_plane", 9, 4820),
+    ("round_sphere_standard", 11, 4106),
+    ("torus_standard", 9, 4172),
+])
+def test_verify_runs_pinned_programs_and_ops(monkeypatch, name, programs, ops):
+    """A one-chunk 24x24 verify of each built-in runs exactly these
+    compiled programs and ops (the ops of every program run, counted as
+    expr._run receives them).  The expression DAGs are built in pure
+    Python, so the counts do not depend on the platform: an op that the
+    symbolic kit (so3) or a block adds or drops changes them."""
+    sc = _scene(name)
+    monkeypatch.setattr(scenes, "CHUNK", 8192)
+    sizes = []
+    run = expr._run
+
+    def record(prog, bindings, outs):
+        sizes.append(len(prog))
+        return run(prog, bindings, outs)
+
+    monkeypatch.setattr(expr, "_run", record)
+    verify.run_verification(sc, 24, 24)
+    assert (len(sizes), sum(sizes)) == (programs, ops)
 
 
 def test_chunks_cover_the_grid_in_order(monkeypatch):

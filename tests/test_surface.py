@@ -230,7 +230,7 @@ def test_curvature_block_repeats_no_chart_or_frame_check(monkeypatch):
     g = scenes.make_grid(sc, 8, 8)
     g.base
     calls = []
-    for name in ("_check_inside", "_check_frame"):
+    for name in ("_check_inside", "check_frame"):
         monkeypatch.setattr(ambient_mod.Ambient, name,
                             lambda self, bindings, name=name: calls.append(name))
     assert np.all(np.isfinite(g.curvature["r4"]))

@@ -216,6 +216,11 @@ def test_cli_missing_scene_is_config_error(capsys):
     ("surface", "X", ["u", "v", "(" * 400 + "u" + ")" * 400],
      "error: surface.X[2]: expression nested too deeply"),
     ("surface", "X", ["u", "v", "1e999*u"], "error: surface.X[2]: constant inf is not finite"),
+    # constants that overflow only in a symbolic derivative
+    ("surface", "X", ["u", "v", "1e200*u*1e200*u"],
+     "error: surface.X: constant inf is not finite"),
+    ("ambient", "F", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1 + 1e200*z*1e200*z"]],
+     "error: ambient.F: constant inf is not finite"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
