@@ -152,11 +152,13 @@ class Ambient:
         dGamma is evaluated here and dropped before the quadratic terms are
         formed, and the Gamma^l_jm Gamma^m_ik term is the Gamma^l_im
         Gamma^m_jk term with (i, j) swapped, so at most two arrays of 81
-        values per sample are alive at once."""
+        values per sample are alive at once.  rm is stored samples-last,
+        as expr.contract lays it out, so lower reads it without a copy."""
         D = expr.eval_table(self.dgamma, bindings)
-        rm = D.transpose(0, 2, 4, 1, 3) - D.transpose(0, 2, 4, 3, 1)
+        rm = np.moveaxis(np.empty(D.shape[1:] + D.shape[:1]), -1, 0)
+        np.subtract(D.transpose(0, 2, 4, 1, 3), D.transpose(0, 2, 4, 3, 1), out=rm)
         del D
-        quad = np.einsum("nlim,nmjk->nlkij", G, G)
+        quad = expr.contract("nlim,nmjk->nlkij", G, G)
         rm += quad
         rm -= np.swapaxes(quad, -1, -2)
         return rm
@@ -164,7 +166,7 @@ class Ambient:
     @staticmethod
     def lower(rm, g):
         """r4 from rm and the metric g at the same samples."""
-        return np.einsum("nlkij,nlm->nijkm", rm, g)
+        return expr.contract("nlkij,nlm->nijkm", rm, g)
 
     def metric_compat_residual_at(self, bindings, g, gamma):
         """max |nabla g| per sample, from the metric g and the connection
@@ -227,7 +229,7 @@ def coefficient_ambient(g, gamma, chart_domain=None) -> Ambient:
 
 def _compat_residual(G, g, dg):
     """max |d_m g_ab - Gamma^l_ma g_lb - Gamma^l_mb g_al| per sample."""
-    res = dg - np.einsum("nlma,nlb->nmab", G, g)
-    res -= np.einsum("nlmb,nal->nmab", G, g)
+    res = dg - expr.contract("nlma,nlb->nmab", G, g)
+    res -= expr.contract("nlmb,nal->nmab", G, g)
     return np.max(np.abs(res, out=res), axis=(1, 2, 3))
 

@@ -98,13 +98,25 @@ class NonFiniteValue(RcsurfError):
 # --- surface --------------------------------------------------------------
 
 class DegenerateParameterization(RcsurfError):
-    pass
+    """The tangents of surface.X are linearly dependent at the sample (u, v),
+    the first such sample in sample order."""
+
+    def __init__(self, u, v):
+        self.u, self.v = u, v
+        super().__init__(f"surface.X: tangents linearly dependent (area density "
+                         f"below 1e-9) at u={u!r}, v={v!r}")
 
 
 class NotIsothermal(RcsurfError):
-    def __init__(self, E, F, G):
+    """A chart declared isothermal (surface.isothermal) is not at the sample
+    (u, v), the first such sample in sample order, where the induced
+    metric is E, F, G."""
+
+    def __init__(self, E, F, G, u, v):
         self.E, self.F, self.G = E, F, G
-        super().__init__(f"chart is not isothermal: E={E!r} F={F!r} G={G!r}")
+        self.u, self.v = u, v
+        super().__init__(f"surface.isothermal: chart is not isothermal at "
+                         f"u={u!r}, v={v!r}: E={E!r} F={F!r} G={G!r}")
 
 
 # --- Gauss map ------------------------------------------------------------

@@ -38,7 +38,7 @@ from .errors import EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction
 
 __all__ = [
     "Expr", "parse", "con", "var", "add", "sub", "mul", "div", "pow_", "neg",
-    "call", "diff", "compose", "evaluate", "eval_table", "FUNCTIONS", "PI",
+    "call", "diff", "compose", "evaluate", "eval_table", "contract", "FUNCTIONS", "PI",
 ]
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
@@ -258,7 +258,9 @@ def eval_table(table, bindings):
     Bindings map variable names to floats or numpy arrays of one shape.
     The result has shape batch_shape + nest_shape where batch_shape comes
     from the first array binding (scalar bindings give batch_shape = ()).
-    Constant subexpressions broadcast.
+    Constant subexpressions broadcast.  Each table is stored samples-last,
+    one row of the batch per leaf, and returned as the samples-first view
+    of that array: the layout contract reads without a copy.
 
     A tuple at the top level is a group of tables, and the result is then
     a tuple holding one such array per table.  The group compiles into one
@@ -286,14 +288,41 @@ def eval_table(table, bindings):
 
     batch = next((np.shape(v) for v in bindings.values() if np.shape(v)), ())
     n = math.prod(batch)
-    outs = [np.empty((n, math.prod(s)), dtype=float) for s in shapes]
+    outs = [np.empty((math.prod(s), n), dtype=float) for s in shapes]
     flat = {}
     for k in names:
         v = bindings[k]
         flat[k] = np.broadcast_to(v, batch).reshape(-1) if np.shape(v) else v
     _run(ops, flat, outs)
-    res = tuple(o.reshape(batch + s) for o, s in zip(outs, shapes))
+    res = tuple(np.moveaxis(o.reshape(s + (n,)), -1, 0).reshape(batch + s)
+                for o, s in zip(outs, shapes))
     return res if group else res[0]
+
+
+def contract(subscripts, *operands):
+    """np.einsum(subscripts, *operands) for per-sample blocks, run with the
+    sample axis innermost.
+
+    The layout rule of the per-sample blocks:
+
+    - blocks are samples-first: every operand and the result lead with
+      the sample axis, which subscripts names n ("nkl,nk,nl->n");
+    - contractions run samples-last, here: each operand is laid out
+      samples-last (C-contiguous; no copy when it already is, as
+      eval_table's tables and contract's results are) and einsum runs with
+      n last, so its inner loop runs over the samples and not over the 2
+      to 81 values of one sample.  The result is the samples-first view
+      of that samples-last array.  For every contraction routed here it
+      has the bits einsum gives on samples-first C-contiguous copies of
+      the operands (a test checks each call of verify and fields);
+    - the sites that stay on np.einsum (the Gauss-map dots and III) are
+      those whose bits, and so the report's, depend on einsum's
+      samples-first loop order; each says so where it is.
+    """
+    ins, out = subscripts.split("->")
+    moved = ",".join(s[1:] + "n" for s in ins.split(",")) + "->" + out[1:] + "n"
+    last = [np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in operands]
+    return np.moveaxis(np.einsum(moved, *last), -1, 0)
 
 
 def _nest_shape(t):
@@ -399,7 +428,7 @@ def _run(ops, bindings, outs):
             else:
                 v = _checked_pow(av, bv)
         for t, col in dest:
-            outs[t][:, col] = v
+            outs[t][col] = v
         vals[i] = v
         for j in frees:
             vals[j] = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import expr
 from .surface import require_finite
 
 __all__ = [
@@ -46,6 +47,7 @@ def extrinsic_fields(base):
     out = dict(base)
     out.update(mean_curvature(base))
     W = out["W"]
+    # III on np.einsum, not expr.contract: the report bits follow its loop order
     out.update(require_finite("ext", {
         "W_on": base["Binv"] @ W @ base["B"],
         "K_e": W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0],
@@ -103,7 +105,7 @@ def tangent_components(fields, vec):
     """(u, v)-components of tangent coordinate vectors vec (n, 3)."""
     g = fields["g"]
     rhs = np.stack([
-        np.einsum("nkl,nk,nl->n", g, vec, fields["Xu"]),
-        np.einsum("nkl,nk,nl->n", g, vec, fields["Xv"]),
+        expr.contract("nkl,nk,nl->n", g, vec, fields["Xu"]),
+        expr.contract("nkl,nk,nl->n", g, vec, fields["Xv"]),
     ], axis=-1)
     return np.linalg.solve(fields["G_S"], rhs[..., None])[..., 0]

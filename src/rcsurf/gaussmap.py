@@ -68,7 +68,8 @@ def gauss_field(base):
     frame_inv exactly when the ambient is frame-defined)."""
     if "frame_inv" not in base:
         raise NotWeitzenboeck("operation needs a frame-defined ambient")
-    n = np.einsum("nij,nj->ni", base["frame_inv"], base["N"])
+    # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
+    n = np.einsum("nij,nj->ni", np.ascontiguousarray(base["frame_inv"]), base["N"])
     return require_finite("gauss", {"n": n}, base["u"], base["v"])
 
 
@@ -80,8 +81,8 @@ def projected_frames(fields, gauss):
     of fields."""
     F = fields["frame"]                 # E_i = F[:, :, i]
     N, g, n = fields["N"], fields["g"], gauss["n"]
-    e_top = np.empty_like(F)
-    e_cross = np.empty_like(F)
+    e_top = np.empty(F.shape)           # C-contiguous: general_gauge_residual's
+    e_cross = np.empty(F.shape)         # np.einsum reads their columns
     for i in range(3):
         Ei = F[:, :, i]
         e_top[:, :, i] = Ei - n[:, i, None] * N
@@ -220,8 +221,10 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
     samples.
     """
     (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True)
+    ax, dtheta, dax = (np.ascontiguousarray(a) for a in (ax, dtheta, dax))
 
     def along(vec_coords, grad_chart):
+        # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
         return np.einsum("nc,nc->n", grad_chart, vec_coords)
 
     out = {}
@@ -229,6 +232,7 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
         E = frames[f"e_{which}"]              # (n, 3 chart, 3 frame index)
         grad_theta = np.stack([along(E[:, :, i], dtheta) for i in range(3)], axis=-1)
         div_e, curl_e = _div_curl(lambda i, j: along(E[:, :, i], dax[:, j, :]))
+        # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
         out[which] = (
             np.einsum("ni,ni->n", ax, grad_theta)
             + np.sin(theta) * div_e
@@ -253,8 +257,9 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
     k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  dn is
     the gauss_dn block at the samples of fields.
     """
-    du, dv = dn["dn_du"], dn["dn_dv"]
+    du, dv = (np.ascontiguousarray(dn[k]) for k in ("dn_du", "dn_dv"))
     G_n = np.empty(fields["G_S"].shape)
+    # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
     G_n[:, 0, 0] = np.einsum("ni,ni->n", du, du)
     G_n[:, 0, 1] = G_n[:, 1, 0] = np.einsum("ni,ni->n", du, dv)
     G_n[:, 1, 1] = np.einsum("ni,ni->n", dv, dv)

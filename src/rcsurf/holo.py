@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import extrinsic
+from . import expr, extrinsic
 from .surface import cross_metric_batch, isothermal_factor, require_finite
 
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
@@ -60,8 +60,8 @@ def hopf_identity_residual(base, curv, holo, d_hopf):
     lam2 = holo["lam"] ** 2
 
     r4, Xu, Xv, N = curv["r4"], base["Xu"], base["Xv"], base["N"]
-    r_u = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
-    r_v = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
+    r_u = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
+    r_v = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
     r_term = 0.5 * (r_u - 1j * r_v)
 
     II = base["II"]

@@ -91,16 +91,17 @@ def first_order(block, U, V, jets, tables):
     g, gamma = tables["g"], tables["gamma"]
     tor = gamma - np.swapaxes(gamma, -2, -1)
 
-    E = np.einsum("nab,na,nb->n", g, Xu, Xu)
-    F = np.einsum("nab,na,nb->n", g, Xu, Xv)
-    G = np.einsum("nab,na,nb->n", g, Xv, Xv)
+    E = expr.contract("nab,na,nb->n", g, Xu, Xu)
+    F = expr.contract("nab,na,nb->n", g, Xu, Xv)
+    G = expr.contract("nab,na,nb->n", g, Xv, Xv)
     first = require_finite(block, {
         "u": U, "v": V, **jets, **tables, "torsion": tor, "E": E, "F": F, "G": G,
     }, U, V)
     det2 = E * G - F * F
-    if np.any(det2 <= AREA_DENSITY_TOL ** 2):
-        raise DegenerateParameterization(
-            "tangents linearly dependent (area density below 1e-9)")
+    flat = det2 <= AREA_DENSITY_TOL ** 2
+    if np.any(flat):
+        i = int(np.argmax(flat))
+        raise DegenerateParameterization(float(U[i]), float(V[i]))
     area = np.sqrt(det2)
     N = cross_metric_batch(g, Xu, Xv) / area[:, None]
 
@@ -120,25 +121,27 @@ def first_order(block, U, V, jets, tables):
     second[:, 0, 1] = jets["Xuv"]
     second[:, 1, 0] = jets["Xuv"]
     second[:, 1, 1] = jets["Xvv"]
-    cov = second + np.einsum("nkij,nai,nbj->nabk", gamma, tang, tang)
-    II = np.einsum("nkl,nabk,nl->nab", g, cov, N)
+    cov = second + expr.contract("nkij,nai,nbj->nabk", gamma, tang, tang)
+    II = expr.contract("nkl,nabk,nl->nab", g, cov, N)
 
     # torsion 2-form on the tangent pair
-    TXuXv = np.einsum("nkij,ni,nj->nk", tor, Xu, Xv)
-    tau_uv = np.einsum("nkl,nk,nl->n", g, N, TXuXv)
+    TXuXv = expr.contract("nkij,ni,nj->nk", tor, Xu, Xv)
+    tau_uv = expr.contract("nkl,nk,nl->n", g, N, TXuXv)
     return first | {"det2": det2, "G_S": G_S, "Ginv_S": Ginv, "area": area,
                     "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
 
 
 def isothermal_factor(base):
     """sqrt(E) at the samples of base when the chart is isothermal there
-    (E = G and F = 0 to ISOTHERMAL_TOL relative), else raises."""
+    (E = G and F = 0 to ISOTHERMAL_TOL relative), else raises
+    NotIsothermal at the first sample where it is not."""
     E, F, G = base["E"], base["F"], base["G"]
-    scale = np.maximum(np.abs(E), np.abs(G))
-    tol = ISOTHERMAL_TOL * scale
-    if np.any(np.abs(E - G) > tol) or np.any(np.abs(F) > tol):
-        i = int(np.argmax(np.abs(E - G) / scale + np.abs(F) / scale))
-        raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]))
+    tol = ISOTHERMAL_TOL * np.maximum(np.abs(E), np.abs(G))
+    off = (np.abs(E - G) > tol) | (np.abs(F) > tol)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]),
+                            float(base["u"][i]), float(base["v"][i]))
     return np.sqrt(E)
 
 
@@ -149,10 +152,10 @@ def induced_connection(base):
     tang = np.stack([base["Xu"], base["Xv"]], axis=1)            # (n, 2, 3)
     N = base["N"]
     tangential = base["cov"] - base["II"][..., None] * N[:, None, None, :]
-    rhs = np.einsum("nkl,nabk,ncl->nabc", base["g"], tangential, tang)  # last = (Xu,Xv)
+    rhs = expr.contract("nkl,nabk,ncl->nabc", base["g"], tangential, tang)  # last = (Xu,Xv)
     gammaS = np.linalg.solve(base["G_S"][:, None, None, :, :],
                              rhs[..., None])[..., 0]            # coords in (Xu, Xv)
-    return np.einsum("nabc->ncab", gammaS)                      # gammaS[c][a][b]
+    return expr.contract("nabc->ncab", gammaS)                  # gammaS[c][a][b]
 
 
 class Surface:
@@ -247,7 +250,7 @@ class Surface:
         r4 = amb.lower(rm, base["g"])
         del rm
         Xu, Xv = base["Xu"], base["Xv"]
-        r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
+        r_uvvu = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
         return require_finite("curvature", {"r4": r4, "r_uvvu": r_uvvu}, U, V)
 
     # --- intrinsic curvature ----------------------------------------------------
@@ -265,9 +268,9 @@ class Surface:
         gS = induced_connection(base)
         # R_S(d_u, d_v) d_v = (d_u G^d_vv - d_v G^d_uv + G^d_um G^m_vv - G^d_vm G^m_uv) d_d
         vec = (d_gammaS[:, 0] - d_gammaS[:, 1]
-               + np.einsum("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
-               - np.einsum("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
-        lowered = np.einsum("nd,nd->n", vec, base["G_S"][:, :, 0])
+               + expr.contract("ndm,nm->nd", gS[:, :, 0, :], gS[:, :, 1, 1])
+               - expr.contract("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
+        lowered = expr.contract("nd,nd->n", vec, base["G_S"][:, :, 0])
         det2 = base["area"] ** 2
         return require_finite("intrinsic", {"K": lowered / det2},
                               base["u"], base["v"])["K"]

@@ -29,7 +29,7 @@ from .errors import NonFiniteValue, RcsurfError
 from .so3 import dot_exprs
 
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
-           "random_gauge_fields"]
+           "gauge_fields"]
 
 # entry -> (suite that computes it, analytic budget), in report order
 ENTRIES = {
@@ -54,7 +54,22 @@ TIERS = {
     "strict": {name: budget / 10.0 for name, (_, budget) in ENTRIES.items()},
 }
 
-GAUGE_FIELDS = 2        # random gauge fields per gauge suite entry
+# The gauge fields of the gauge entries, as expression text: the angles of
+# gauge_theorem, each about the scene's normal_axis, and the angles and
+# unnormalized axes of gauge_general.  They are fixed pseudo-random draws
+# (tests/gauge_fields.py draws them again, from seeds 1234 and 4321).
+GAUGE_THEOREM = (
+    "(0.8581)*sin(0.662*x) + (-0.2156)*cos(0.719*y) + (0.7618)*sin(x + y)",
+    "(-0.6874)*sin(1.364*x) + (-0.4648)*cos(0.664*y) + (-0.3266)*sin(x + y)",
+)
+GAUGE_GENERAL = (
+    ("(-0.8945)*sin(0.523*x) + (0.5552)*cos(0.492*y) + (0.0594)*sin(x + y)",
+     ("2.0 + (0.599)*sin(1.015*x)", "0.0 + (0.601)*sin(0.309*y)",
+      "0.0 + (-0.38)*sin(0.389*z)")),
+    ("(-0.1558)*sin(1.256*x) + (0.5205)*cos(0.565*y) + (-0.4768)*sin(x + y)",
+     ("2.0 + (0.136)*sin(0.8320000000000001*x)", "0.0 + (0.594)*sin(0.704*y)",
+      "0.0 + (-0.159)*sin(1.026*z)")),
+)
 
 
 class VerificationReport:
@@ -109,34 +124,20 @@ class VerificationReport:
         return lines
 
 
-def random_gauge_fields(scene, count, seed=1234, about_normal=True):
-    """Deterministic pseudo-random gauge fields for a scene.
-
-    about_normal=True rotates about the scene's Gauss-map axis (needs the
-    scene to carry normal_axis expressions); otherwise both the angle and a
-    normalized random smooth axis field are generated.
-    """
-    rng = np.random.default_rng(seed)
+def gauge_fields(scene, entry):
+    """The gauge fields of a gauge entry on a scene: GAUGE_THEOREM's angles
+    about the scene's normal_axis, or GAUGE_GENERAL's angles about their
+    axes normalized."""
     vars3 = scenes.AMBIENT_VARS
+    if entry == "gauge_theorem":
+        return [gaussmap.GaugeField(expr.parse(theta, vars3), scene.normal_axis)
+                for theta in GAUGE_THEOREM]
     out = []
-    for _ in range(count):
-        a, b, c = (round(float(x), 4) for x in rng.uniform(-0.9, 0.9, size=3))
-        fa, fb = (round(float(x), 3) for x in rng.uniform(0.4, 1.4, size=2))
-        theta = expr.parse(
-            f"({a})*sin({fa}*x) + ({b})*cos({fb}*y) + ({c})*sin(x + y)", vars3)
-        if about_normal:
-            if scene.normal_axis is None:
-                raise RcsurfError(f"scene {scene.name} has no normal-axis field")
-            out.append(gaussmap.GaugeField(theta, scene.normal_axis))
-            continue
-        comps = []
-        for k, w in enumerate("xyz"):
-            s, f = (round(float(x), 3) for x in rng.uniform(-0.8, 0.8, size=2))
-            base = "2.0" if k == 0 else "0.0"
-            comps.append(expr.parse(f"{base} + ({s})*sin({abs(f) + 0.3}*{w})", vars3))
+    for theta, axis in GAUGE_GENERAL:
+        comps = [expr.parse(c, vars3) for c in axis]
         norm = expr.call("sqrt", dot_exprs(comps, comps))
-        axis = tuple(expr.div(cc, norm) for cc in comps)
-        out.append(gaussmap.GaugeField(theta, axis))
+        out.append(gaussmap.GaugeField(expr.parse(theta, vars3),
+                                       tuple(expr.div(c, norm) for c in comps)))
     return out
 
 
@@ -232,9 +233,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     gauges = {}             # entry -> [(gauge field, its gauged ambient)]
     if "gauge" in run:
         if "gauge_theorem" not in skips:
-            gauges["gauge_theorem"] = random_gauge_fields(scene, GAUGE_FIELDS, seed=1234)
-        gauges["gauge_general"] = random_gauge_fields(scene, GAUGE_FIELDS, seed=4321,
-                                                      about_normal=False)
+            gauges["gauge_theorem"] = gauge_fields(scene, "gauge_theorem")
+        gauges["gauge_general"] = gauge_fields(scene, "gauge_general")
         if scene.gauge is not None:
             gauges["gauge_general"].append(scene.gauge)
         gauges = {name: [(gfld, gaussmap.apply_gauge(amb, gfld)) for gfld in gflds]
@@ -269,7 +269,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 if amb.kind == "frame":
                     parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
                     F = base["frame"]
-                    gram = np.einsum("nai,nab,nbj->nij", F, base["g"], F)
+                    gram = expr.contract("nai,nab,nbj->nij", F, base["g"], F)
                     parts.append(_abs_max(gram - np.eye(3)))
                 out["ambient_sanity"] = np.max(np.stack(parts), axis=0)
             elif suite == "gauss_eq":

@@ -12,6 +12,7 @@ from rcsurf import cli, expr, extrinsic, gaussmap, holo, scenes, verify
 
 import so3_numeric as so3
 from ambient_oracle import l_tensor
+from gauge_fields import random_gauge_fields
 from test_holo import dbar_at
 
 WEITZENBOECK_BUILTINS = [
@@ -95,11 +96,11 @@ def test_criterion_04_gauge_theorem_all_weitzenboeck_builtins():
     for name in WEITZENBOECK_BUILTINS:
         sc = scenes.builtin(name)
         g = scenes.make_grid(sc, 10, 10)
-        for gauge in verify.random_gauge_fields(sc, 5, seed=2024):
+        for gauge in random_gauge_fields(sc, 5, seed=2024):
             gamb = gaussmap.apply_gauge(sc.ambient, gauge)
             r = np.max(gaussmap.gauge_theorem_residual(gamb, gauge, g.ext, g.gauss))
             worst_theorem = max(worst_theorem, r)
-        for gauge in verify.random_gauge_fields(sc, 5, seed=4048, about_normal=False):
+        for gauge in random_gauge_fields(sc, 5, seed=4048, about_normal=False):
             gamb = gaussmap.apply_gauge(sc.ambient, gauge)
             r = np.max(gaussmap.general_gauge_residual(gamb, gauge, g.ext,
                                                        g.gauss_frames))

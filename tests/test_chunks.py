@@ -2,6 +2,7 @@
 scenes.CHUNK samples at a time, and no report, export or integral depends
 on the chunk size."""
 
+import hashlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcsurf import expr, gaussmap, scenes, verify
-from rcsurf.errors import NonFiniteValue
+from rcsurf.errors import NonFiniteValue, NotIsothermal
 
 NU = NV = 6
 N = NU * NV
@@ -97,9 +98,8 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     assert holding(jets) == chunks
     assert holding(_leaf_ids(amb.frame)) == chunks
     assert holding(_leaf_ids(amb.frame_inv)) == chunks
-    gauges = (verify.random_gauge_fields(sc, verify.GAUGE_FIELDS, seed=1234)
-              + verify.random_gauge_fields(sc, verify.GAUGE_FIELDS, seed=4321,
-                                           about_normal=False))
+    gauges = (verify.gauge_fields(sc, "gauge_theorem")
+              + verify.gauge_fields(sc, "gauge_general"))
     axes = set()
     for gauge in gauges:
         theta, axis = _leaf_ids(gauge.theta), _leaf_ids(gauge.axis)
@@ -196,6 +196,55 @@ def test_verify_runs_pinned_programs_and_ops(monkeypatch, name, programs, ops):
     assert (len(sizes), sum(sizes)) == (programs, ops)
 
 
+def _program_digest(programs):
+    """SHA-256 of the structure of a sequence of compiled programs: each
+    op's kind, operand indices, output slots and variable or function name
+    (a division's flag too), but not the values of constants, which the
+    symbolic layer folds with libm and which could differ by platform."""
+    h = hashlib.sha256()
+    for prog in programs:
+        for kind, a, b, arg, dest, _ in prog:
+            h.update(repr((kind, a, b, None if kind == expr._CONST else arg,
+                           dest)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("cartan_schouten_sphere",
+     "be731e72ab6d2da972007f44f7ec5c6217d0ea7e22aef8a3b2cb83f9059f6cc4"),
+    ("catenoid_frame_cylinder",
+     "d464c871412710cf85bede24893d95c0cf17a948864e0f8574c82479f1d91ea9"),
+    ("catenoid_frame_plane",
+     "d1ff421beab2f8a6bc9eb3bce5aa9af989ba3846a5ad25d09a74e2ad2f7f263e"),
+    ("euclidean_plane",
+     "7f9b262c7def96c2680dec7295db4cd18846cd8e0592c2074e1e0abb5b596a76"),
+    ("rotated_frame_plane",
+     "c312cd72a84d686bf803459139024321ae4b8b66bdc7f29cb31951e17f1bf8f3"),
+    ("round_sphere_standard",
+     "691de5ad4f90b4bf1cd6a7464d57800f7a709561bc006b607c88f92822666086"),
+    ("torus_standard",
+     "ffb7e8573c2c2663942e23f9a87cae1528af7beefa683dfd5819e0fbf1967f11"),
+])
+def test_verify_runs_pinned_program_structure(monkeypatch, name, digest):
+    """The programs a one-chunk 24x24 verify of each built-in runs, as
+    expr._run receives them, have this structure: the op counts pinned
+    above do not see how a symbolic sum associates (so3.sum_exprs folding
+    from the right keeps every count), the digest does."""
+    sc = _scene(name)
+    monkeypatch.setattr(scenes, "CHUNK", 8192)
+    programs = []
+    run = expr._run
+
+    def record(prog, bindings, outs):
+        programs.append(prog)
+        return run(prog, bindings, outs)
+
+    monkeypatch.setattr(expr, "_run", record)
+    verify.run_verification(sc, 24, 24)
+    assert _program_digest(programs) == digest
+
+
 def test_chunks_cover_the_grid_in_order(monkeypatch):
     sc = _scene("catenoid_frame_plane")
     whole = scenes.make_grid(sc, 8, 8)
@@ -267,6 +316,37 @@ def test_partly_isothermal_chart_exports_blank_hopf_columns(tmp_path, monkeypatc
     for line in got.read_text(encoding="utf-8").splitlines()[1:]:
         cells = line.split(",")
         assert cells[cols.index("abs_phi")] == cells[cols.index("abs_psi")] == "nan"
+
+
+def test_not_isothermal_names_the_first_bad_sample(tmp_path, monkeypatch):
+    """X = (u, v, 0.001 u^3) declared isothermal fails from u > 0.18 on,
+    past the first chunk of 16 samples: verify and fields name the first
+    such sample in grid order by its (u, v), whatever the chunk size."""
+    doc = {"name": "cubic_graph",
+           "ambient": {"type": "frame",
+                       "F": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+           "surface": {"X": ["u", "v", "0.001*u^3"], "domain": [[0.0, 1.0], [0.0, 1.0]],
+                       "isothermal": True}}
+    sc = scenes.build_scene(doc)
+    grid = scenes.make_grid(sc, 8, 8)
+    E = 1.0 + (0.003 * grid.U ** 2) ** 2
+    first = int(np.argmax(np.abs(E - 1.0) > 1e-8 * E))
+    assert first >= 16
+    runs = {
+        "verify": lambda: verify.run_verification(sc, 8, 8),
+        "fields": lambda: scenes.export_fields(scenes.make_grid(sc, 8, 8),
+                                               tmp_path / "f.csv"),
+    }
+    for chunk in (scenes.CHUNK, 16):
+        monkeypatch.setattr(scenes, "CHUNK", chunk)
+        for name, run in runs.items():
+            with pytest.raises(NotIsothermal) as err:
+                run()
+            assert (err.value.u, err.value.v) == (grid.U[first], grid.V[first]), name
+            assert str(err.value).startswith(
+                f"surface.isothermal: chart is not isothermal at "
+                f"u={float(grid.U[first])!r}, v={float(grid.V[first])!r}: E="), name
+        assert not (tmp_path / "f.csv").exists()
 
 
 def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcsurf import expr, scenes
+from rcsurf import expr, scenes, verify
 from rcsurf.errors import (
     EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction, UnknownVariable,
 )
@@ -297,3 +297,31 @@ def test_deep_parser_nesting_is_an_input_error():
     with pytest.raises(ExprError, match="nested too deeply"):
         expr.parse(text, {"x"})
     assert expr.parse("(" * 50 + "x" + ")" * 50, {"x"}) is expr.var("x")
+
+
+@pytest.mark.parametrize("name", scenes.builtin_names())
+def test_contract_is_einsum_bit_for_bit(monkeypatch, tmp_path, name):
+    """Every contraction that verify and fields run on a built-in at 12x12,
+    and the same on the first sample alone (a batch of one), gives the bits
+    of np.einsum on samples-first C-contiguous copies of its operands."""
+    sc = scenes.builtin(name)
+    calls = []
+    contract = expr.contract
+
+    def record(subscripts, *operands):
+        out = contract(subscripts, *operands)
+        copies = [np.array(a, order="C") for a in operands]
+        calls.append((subscripts, copies, out.copy()))
+        return out
+
+    monkeypatch.setattr(expr, "contract", record)
+    verify.run_verification(sc, 12, 12)
+    scenes.export_fields(scenes.make_grid(sc, 12, 12), tmp_path / "f.csv")
+    assert calls
+    for subscripts, operands, got in calls:
+        want = np.einsum(subscripts, *operands)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), subscripts
+        one = [a[:1] for a in operands]
+        got = contract(subscripts, *one)
+        want = np.einsum(subscripts, *one)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), subscripts

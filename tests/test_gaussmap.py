@@ -7,6 +7,8 @@ from rcsurf import expr, extrinsic, gaussmap, scenes, verify
 from rcsurf.errors import AxisNotNormal, NotClosed, NotWeitzenboeck
 from rcsurf.surface import Surface
 
+from gauge_fields import random_gauge_fields
+
 V3 = {"x", "y", "z"}
 
 
@@ -119,11 +121,10 @@ def test_gauged_mean_curvature_matches_full_path(name):
     # a lean gauged block (the first-order core, no frame, B or T_S), with
     # the gauged tables from the residuals' one gauge program; the full
     # gauged base block is the oracle, bit for bit
-    from rcsurf.verify import GAUGE_FIELDS, random_gauge_fields
     sc, g = grid_all(name)
-    gauges = random_gauge_fields(sc, GAUGE_FIELDS, seed=31, about_normal=False)
+    gauges = random_gauge_fields(sc, 2, seed=31, about_normal=False)
     if sc.normal_axis is not None:
-        gauges += random_gauge_fields(sc, GAUGE_FIELDS, seed=32)
+        gauges += random_gauge_fields(sc, 2, seed=32)
     for gauge in gauges:
         gsurf = gauged_surface(sc.surface, gauge)
         full = extrinsic.mean_curvature(gsurf.base_fields(g.U, g.V))
@@ -186,7 +187,6 @@ def test_gauge_theorem_quarter_turn_multiplies_by_i():
 
 
 def test_gauge_theorem_random_fields():
-    from rcsurf.verify import random_gauge_fields
     for name in ("catenoid_frame_plane", "torus_standard"):
         sc, g = grid_all(name, 8, 8)
         for gauge in random_gauge_fields(sc, 3, seed=99):
@@ -204,7 +204,6 @@ def test_gauge_theorem_rejects_wrong_axis():
 
 
 def test_general_gauge_random_fields():
-    from rcsurf.verify import random_gauge_fields
     for name in ("rotated_frame_plane", "catenoid_frame_cylinder"):
         sc, g = grid_all(name, 8, 8)
         for gauge in random_gauge_fields(sc, 3, seed=7, about_normal=False):
@@ -216,7 +215,6 @@ def test_general_gauge_random_fields():
 
 def test_general_gauge_specializes_to_theorem():
     sc, g = grid_all("catenoid_frame_plane", 8, 8)
-    from rcsurf.verify import random_gauge_fields
     gauge = random_gauge_fields(sc, 1, seed=5)[0]     # axis = Gauss map
     gamb = gaussmap.apply_gauge(sc.ambient, gauge)
     r_general = np.max(gaussmap.general_gauge_residual(gamb, gauge, g.ext, g.gauss_frames))
@@ -227,7 +225,6 @@ def test_general_gauge_specializes_to_theorem():
 def test_same_gauss_map_frames_share_abs_bold_h():
     # normal-axis gauges keep the Gauss map, so |bold_H| must match
     sc, g = grid_all("torus_standard", 8, 8)
-    from rcsurf.verify import random_gauge_fields
     gauge = random_gauge_fields(sc, 1, seed=11)[0]
     gsurf = gauged_surface(sc.surface, gauge)
     ext_g = extrinsic.extrinsic_fields(gsurf.base_fields(g.U, g.V))
@@ -282,3 +279,22 @@ def test_degree_requires_vanishing_density_at_every_edge():
     report = verify.run_verification(sc, 12, 12)
     degree = {e["name"]: e for e in report.entries}["degree"]
     assert (degree["status"], degree["reason"]) == ("fail", why)
+
+
+@pytest.mark.parametrize("name", [n for n in scenes.builtin_names()
+                                  if scenes.builtin(n).ambient.kind == "frame"])
+def test_verify_gauge_fields_are_the_seeded_draws(name):
+    """verify's gauge fields, written out as expression text, are the
+    generator's draws (seeds 1234 and 4321, two each): the same interned
+    expressions, so the same programs and report bytes."""
+    sc = scenes.builtin(name)
+    draws = {"gauge_general": random_gauge_fields(sc, 2, seed=4321, about_normal=False)}
+    if sc.normal_axis is not None:
+        draws["gauge_theorem"] = random_gauge_fields(sc, 2, seed=1234)
+    for entry, want in draws.items():
+        got = verify.gauge_fields(sc, entry)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.theta is b.theta
+            assert len(a.axis) == len(b.axis) == 3
+            assert all(x is y for x, y in zip(a.axis, b.axis))

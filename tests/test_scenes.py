@@ -240,7 +240,7 @@ def test_export_of_chart_declared_isothermal_that_is_not(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["verify", "--scene", str(path), "--grid", "8x8"]) == 2
     want = capsys.readouterr().err
-    assert want.startswith("error: chart is not isothermal: E=")
+    assert want.startswith("error: surface.isothermal: chart is not isothermal at u=")
     out = tmp_path / "f.csv"
     assert cli.main(["fields", "--scene", str(path), "--grid", "8x8",
                      "--out", str(out)]) == 2

@@ -221,6 +221,12 @@ def test_cli_missing_scene_is_config_error(capsys):
      "error: surface.X: constant inf is not finite"),
     ("ambient", "F", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1 + 1e200*z*1e200*z"]],
      "error: ambient.F: constant inf is not finite"),
+    # chart errors name their path and the (u, v) of the first bad sample
+    (None, "surface", {"X": ["2*u", "v", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]],
+                       "isothermal": True},
+     "error: surface.isothermal: chart is not isothermal at u=0.0198"),
+    (None, "surface", {"X": ["u", "u", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
+     "error: surface.X: tangents linearly dependent (area density below 1e-9) at u=0.1666"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
@@ -481,3 +487,19 @@ def test_cli_deep_surface_expression_runs(tmp_path, command):
         cwd=tmp_path, timeout=120)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_does_not_load_numpy_random():
+    """A frame-ambient verify, whose gauge entries both run, never imports
+    numpy.random: its gauge fields are expression text (verify.GAUGE_THEOREM,
+    verify.GAUGE_GENERAL), not draws."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    code = ("import sys; from rcsurf import cli; "
+            "code = cli.main(['verify', '--builtin', 'round_sphere_standard', "
+            "'--grid', '8x8']); "
+            "sys.exit(code or 3 * ('numpy.random' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert "gauge_theorem      pass" in proc.stdout
