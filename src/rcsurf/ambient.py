@@ -183,21 +183,27 @@ class Ambient:
         The base group (base_names, the program of a base block) and the
         dg program of metric_compat_residual_at feed every guard, so a
         scene build compiles no program that verify does not run again,
-        and builds its base core from the returned tables."""
+        and builds its base core from the returned tables.  A guard names
+        ambient.g or ambient.Gamma, or ambient.F in a frame ambient."""
         bindings = self.bindings(points)
         tables = dict(zip(self.base_names, self.fields_at(bindings, self.base_names)))
         g = tables["g"]
         compat = self.metric_compat_residual_at(bindings, g, tables["gamma"])
+        g_path, gamma_path = (("ambient.F",) * 2 if self.kind == "frame"
+                              else ("ambient.g", "ambient.Gamma"))
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
         if sym > 1e-12:
-            raise IncompatibleConnection(f"metric not symmetric (deviation {sym:.3e})")
+            raise IncompatibleConnection(
+                f"{g_path}: metric not symmetric (deviation {sym:.3e})")
         eig = np.linalg.eigvalsh(g)
         if np.any(eig <= 0.0):
-            raise IncompatibleConnection("metric not positive definite at a sample")
+            raise IncompatibleConnection(
+                f"{g_path}: metric not positive definite at a sample")
         worst = float(np.max(compat))
         if worst > COMPAT_HARD_TOL:
             raise IncompatibleConnection(
-                f"metric compatibility residual {worst:.3e} exceeds {COMPAT_HARD_TOL}")
+                f"{gamma_path}: metric compatibility residual {worst:.3e} exceeds "
+                f"{COMPAT_HARD_TOL}")
         return tables
 
 

@@ -315,9 +315,10 @@ def contract(subscripts, *operands):
       of that samples-last array.  For every contraction routed here it
       has the bits einsum gives on samples-first C-contiguous copies of
       the operands (a test checks each call of verify and fields);
-    - the sites that stay on np.einsum (the Gauss-map dots and III) are
-      those whose bits, and so the report's, depend on einsum's
-      samples-first loop order; each says so where it is.
+    - the sites that stay on np.einsum (the Gauss map n, the gauge law's
+      contractions and dots, and III) are those whose bits, and so the
+      report's, depend on einsum's samples-first loop order; each says so
+      where it is.
     """
     ins, out = subscripts.split("->")
     moved = ",".join(s[1:] + "n" for s in ins.split(",")) + "->" + out[1:] + "n"

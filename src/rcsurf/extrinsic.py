@@ -102,10 +102,12 @@ def classify(fields, tol=CLASSIFY_TOL):
 
 
 def tangent_components(fields, vec):
-    """(u, v)-components of tangent coordinate vectors vec (n, 3)."""
+    """(u, v)-components (n, ..., 2) of tangent coordinate vectors vec
+    (n, ..., 3), any number of them per sample."""
     g = fields["g"]
     rhs = np.stack([
-        expr.contract("nkl,nk,nl->n", g, vec, fields["Xu"]),
-        expr.contract("nkl,nk,nl->n", g, vec, fields["Xv"]),
+        expr.contract("nkl,n...k,nl->n...", g, vec, fields["Xu"]),
+        expr.contract("nkl,n...k,nl->n...", g, vec, fields["Xv"]),
     ], axis=-1)
-    return np.linalg.solve(fields["G_S"], rhs[..., None])[..., 0]
+    G_S = np.expand_dims(fields["G_S"], tuple(range(1, vec.ndim - 1)))
+    return np.linalg.solve(G_S, rhs[..., None])[..., 0]

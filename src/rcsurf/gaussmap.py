@@ -15,9 +15,10 @@ derivatives are tables of the surface composition, passed in as arrays
 (scenes.SampleGrid.gauss_dn), so the divergence/curl
 ladder holds to round-off rather than stencil accuracy.
 One kernel (_div_curl) forms every divergence and curl along a projected
-frame.  All directional derivatives along projected frame vectors stay on
-the surface: tangent vectors are expanded in (X_u, X_v) and applied to the
-(u, v)-dependence through the chain rule.
+frame from the whole array D[:, i, j] = E_i(e^j); no kernel loops over a
+frame or component index.  The derivatives of n stay on the surface: the
+frame vectors are expanded in (X_u, X_v) and applied to the (u, v)-dependence
+through the chain rule.
 
 A gauge residual takes its gauged ambient (apply_gauge; verify builds one
 per gauge field and run), evaluates the gauge field (axis, angle and, for
@@ -77,36 +78,32 @@ def projected_frames(fields, gauss):
     """The projected frame directions E_i^T = E_i - n^i N (tangential part)
     and E_i^x = N x E_i (normal cross frame vector), as chart vectors
     e_top, e_cross (n, 3 chart, 3 frame index) and as (u, v)-components
-    top_comp, cross_comp (n, 2, 3).  gauss is gauss_field at the samples
-    of fields."""
+    top_comp, cross_comp (n, 2, 3), all six vectors at once.  gauss is
+    gauss_field at the samples of fields."""
     F = fields["frame"]                 # E_i = F[:, :, i]
     N, g, n = fields["N"], fields["g"], gauss["n"]
-    e_top = np.empty(F.shape)           # C-contiguous: general_gauge_residual's
-    e_cross = np.empty(F.shape)         # np.einsum reads their columns
-    for i in range(3):
-        Ei = F[:, :, i]
-        e_top[:, :, i] = Ei - n[:, i, None] * N
-        e_cross[:, :, i] = cross_metric_batch(g, N, Ei)
-    top_comp = np.stack([extrinsic.tangent_components(fields, e_top[:, :, i])
-                         for i in range(3)], axis=-1)    # (n, 2, 3)
-    cross_comp = np.stack([extrinsic.tangent_components(fields, e_cross[:, :, i])
-                           for i in range(3)], axis=-1)
+    # C-contiguous: general_gauge_residual's np.einsum reads their columns
+    e_top = np.ascontiguousarray(F - n[:, None, :] * N[:, :, None])
+    e_cross = np.ascontiguousarray(np.swapaxes(cross_metric_batch(
+        g[:, None], N[:, None, :], np.swapaxes(F, 1, 2)), 1, 2))
+    comp = extrinsic.tangent_components(
+        fields, np.swapaxes(np.stack([e_top, e_cross], axis=1), 2, 3))
+    top_comp, cross_comp = comp.transpose(1, 0, 3, 2)
     return require_finite("gauss_frames", {
         "e_top": e_top, "e_cross": e_cross,
         "top_comp": top_comp, "cross_comp": cross_comp,
     }, fields["u"], fields["v"])
 
 
-def _div_curl(deriv):
+def _div_curl(D):
     """Divergence and curl, along one projected frame E_1, E_2, E_3, of a
-    field e in frame components, from deriv(i, j) = E_i(e^j) per sample:
+    field e in frame components, from D[:, i, j] = E_i(e^j) (n, 3, 3):
     Div = sum_i E_i(e^i) and Curl^k = E_i(e^j) - E_j(e^i) for cyclic
     (i, j, k)."""
-    D = [[deriv(i, j) for j in range(3)] for i in range(3)]
-    div = D[0][0] + D[1][1] + D[2][2]
-    curl = np.stack([D[1][2] - D[2][1], D[2][0] - D[0][2], D[0][1] - D[1][0]],
-                    axis=-1)
-    return div, curl
+    div = D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2]
+    A = D - np.swapaxes(D, 1, 2)
+    # C-contiguous: general_gauge_residual's np.einsum reads the curl
+    return div, np.ascontiguousarray(A[:, (1, 2, 0), (2, 0, 1)])
 
 
 def div_curl(dn, frames):
@@ -117,12 +114,13 @@ def div_curl(dn, frames):
     and the curl vectors curl_top, curl_cross.  dn and frames are the
     gauss_dn and gauss_frames blocks of the same samples.
     """
-    du, dv = dn["dn_du"], dn["dn_dv"]
+    du, dv = dn["dn_du"][:, None, :], dn["dn_dv"][:, None, :]
     out = {}
     for which in ("top", "cross"):
-        comp = frames[f"{which}_comp"]      # E_i(n^j) = comp_u dn^j/du + comp_v dn^j/dv
+        # E_i(n^j) = comp_u^i dn^j/du + comp_v^i dn^j/dv
+        comp = frames[f"{which}_comp"][..., None]
         out[f"div_{which}"], out[f"curl_{which}"] = _div_curl(
-            lambda i, j: comp[:, 0, i] * du[:, j] + comp[:, 1, i] * dv[:, j])
+            comp[:, 0] * du + comp[:, 1] * dv)
     return out
 
 
@@ -222,17 +220,12 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
     """
     (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True)
     ax, dtheta, dax = (np.ascontiguousarray(a) for a in (ax, dtheta, dax))
-
-    def along(vec_coords, grad_chart):
-        # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
-        return np.einsum("nc,nc->n", grad_chart, vec_coords)
-
     out = {}
     for which in ("top", "cross"):
         E = frames[f"e_{which}"]              # (n, 3 chart, 3 frame index)
-        grad_theta = np.stack([along(E[:, :, i], dtheta) for i in range(3)], axis=-1)
-        div_e, curl_e = _div_curl(lambda i, j: along(E[:, :, i], dax[:, j, :]))
         # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
+        grad_theta = np.einsum("nc,nci->ni", dtheta, E)
+        div_e, curl_e = _div_curl(np.einsum("njc,nci->nij", dax, E))
         out[which] = (
             np.einsum("ni,ni->n", ax, grad_theta)
             + np.sin(theta) * div_e
@@ -257,13 +250,10 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
     k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  dn is
     the gauss_dn block at the samples of fields.
     """
-    du, dv = (np.ascontiguousarray(dn[k]) for k in ("dn_du", "dn_dv"))
-    G_n = np.empty(fields["G_S"].shape)
-    # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
-    G_n[:, 0, 0] = np.einsum("ni,ni->n", du, du)
-    G_n[:, 0, 1] = G_n[:, 1, 0] = np.einsum("ni,ni->n", du, dv)
-    G_n[:, 1, 1] = np.einsum("ni,ni->n", dv, dv)
-    k = 0.5 * np.trace(np.linalg.solve(fields["G_S"], G_n), axis1=-2, axis2=-1)
+    jac = np.stack([dn["dn_du"], dn["dn_dv"]], axis=1)    # (n, 2, 3)
+    G_n = jac @ np.swapaxes(jac, 1, 2)
+    # tr(G_S^-1 G_n) = sum_ab Ginv_S[a, b] G_n[a, b]: Ginv_S is symmetric
+    k = 0.5 * np.sum(fields["Ginv_S"] * G_n, axis=(-2, -1))
     scale = np.max(np.abs(G_n), axis=(-2, -1))
     defect = np.max(np.abs(G_n - k[:, None, None] * fields["G_S"]), axis=(-2, -1))
     conformal = (defect <= tol * np.maximum(scale, 1e-300)) & (k > tol)
@@ -272,11 +262,7 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
 
 def degree_integrand(gauss, dn):
     """Pullback of the unit-sphere area form through the Gauss map, as a
-    density against du dv: sum_cyc n^i (d_u n^j d_v n^k - d_v n^j d_u n^k).
+    density against du dv: n . (d_u n x d_v n).
     gauss and dn are the gauss_field and gauss_dn blocks of the same
     samples."""
-    n, du, dv = gauss["n"], dn["dn_du"], dn["dn_dv"]
-    out = np.zeros(n.shape[0])
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out += n[:, i] * (du[:, j] * dv[:, k] - dv[:, j] * du[:, k])
-    return out
+    return np.sum(gauss["n"] * np.cross(dn["dn_du"], dn["dn_dv"]), axis=-1)

@@ -60,17 +60,16 @@ def hopf_identity_residual(base, curv, holo, d_hopf):
     lam2 = holo["lam"] ** 2
 
     r4, Xu, Xv, N = curv["r4"], base["Xu"], base["Xv"], base["N"]
-    r_u = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
-    r_v = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
-    r_term = 0.5 * (r_u - 1j * r_v)
+    tang = np.stack([Xu, Xv], axis=1)                       # X_c, c = u, v
+    r = expr.contract("nijkm,ni,nj,nck,nm->nc", r4, Xu, Xv, tang, N)
+    r_term = 0.5 * (r[:, 0] - 1j * r[:, 1])
 
     II = base["II"]
     # J T_S(Xu, Xv): tangential torsion rotated by the complex structure
     JT = cross_metric_batch(base["g"], N, base["T_S"])
     comp = extrinsic.tangent_components(base, JT)
-    ii_u = comp[:, 0] * II[:, 0, 0] + comp[:, 1] * II[:, 1, 0]
-    ii_v = comp[:, 0] * II[:, 0, 1] + comp[:, 1] * II[:, 1, 1]
-    ii_term = 0.5 * (ii_u - 1j * ii_v)
+    ii = comp[:, 0, None] * II[:, 0] + comp[:, 1, None] * II[:, 1]    # II(J T_S, X_c)
+    ii_term = 0.5 * (ii[:, 0] - 1j * ii[:, 1])
 
     rhs = 0.25 * lam2 * np.conj(dbar_H) - 0.5j * r_term - 0.5 * ii_term
     return np.abs(lhs - rhs)

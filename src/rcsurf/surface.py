@@ -225,8 +225,11 @@ class Surface:
         B[:, 0, 0] = 1.0 / sqrtE
         B[:, 0, 1] = -F / (E * s)
         B[:, 1, 1] = 1.0 / s
-        out["B"] = B
-        out["Binv"] = np.linalg.inv(B)
+        Binv = np.zeros_like(B)             # its inverse, in closed form
+        Binv[:, 0, 0] = sqrtE
+        Binv[:, 0, 1] = F / sqrtE
+        Binv[:, 1, 1] = s
+        out["B"], out["Binv"] = B, Binv
 
         # tangential torsion
         out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]

@@ -185,7 +185,19 @@ def test_metric_compat_detects_corruption(rng):
     bad_gamma[1][0][0] = expr.add(bad_gamma[1][0][0], expr.con(0.1))
     bad = ambient.coefficient_ambient(amb.g, bad_gamma)
     assert compat_residual_at(bad, bad.bindings(rng.uniform(-1, 1, 3)))[0] >= 0.05
-    with pytest.raises(IncompatibleConnection):
+    with pytest.raises(IncompatibleConnection, match="^ambient.Gamma: metric compatibility"):
+        bad.validate([[0.0, 0.0, 0.0]])
+
+
+def test_frame_ambient_guards_name_the_frame():
+    # a frame ambient's g and Gamma come from its frame, so its guards
+    # name ambient.F
+    amb = ambient.frame_ambient(identity_frame())
+    bad_gamma = [[[amb.gamma[k][i][j] for j in range(3)] for i in range(3)] for k in range(3)]
+    bad_gamma[1][0][0] = expr.add(bad_gamma[1][0][0], expr.con(0.1))
+    bad = ambient.Ambient("frame", amb.g, bad_gamma, frame=amb.frame,
+                          frame_inv=amb.frame_inv, frame_det=amb.frame_det)
+    with pytest.raises(IncompatibleConnection, match="^ambient.F: metric compatibility"):
         bad.validate([[0.0, 0.0, 0.0]])
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rcsurf import expr, extrinsic, gaussmap, scenes, verify
+from rcsurf import expr, extrinsic, gaussmap, holo, scenes, verify
 from rcsurf.errors import AxisNotNormal, NotClosed, NotWeitzenboeck
 from rcsurf.surface import Surface
 
+import kernel_oracle
 from gauge_fields import random_gauge_fields
 
 V3 = {"x", "y", "z"}
@@ -298,3 +299,48 @@ def test_verify_gauge_fields_are_the_seeded_draws(name):
             assert a.theta is b.theta
             assert len(a.axis) == len(b.axis) == 3
             assert all(x is y for x, y in zip(a.axis, b.axis))
+
+
+FRAME_BUILTINS = [n for n in scenes.builtin_names()
+                  if scenes.builtin(n).ambient.kind == "frame"]
+
+
+@pytest.mark.parametrize("name", FRAME_BUILTINS)
+def test_whole_tensor_kernels_match_per_component_forms(name):
+    """The whole-tensor Gauss-map and Hopf kernels give the bits of their
+    per-component forms (kernel_oracle), with verify's gauge fields for the
+    general gauge law; e_top and e_cross stay C-contiguous, the layout the
+    gauge law's np.einsum reads."""
+    sc, g = grid_all(name)
+    frames, want = g.gauss_frames, kernel_oracle.projected_frames(g.base, g.gauss)
+    for key in want:
+        assert frames[key].tobytes() == want[key].tobytes(), (name, key)
+    assert frames["e_top"].flags.c_contiguous and frames["e_cross"].flags.c_contiguous
+    got, want = (mod.div_curl(g.gauss_dn, frames) for mod in (gaussmap, kernel_oracle))
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), (name, key)
+    got, want = (mod.degree_integrand(g.gauss, g.gauss_dn) for mod in (gaussmap, kernel_oracle))
+    assert got.tobytes() == want.tobytes(), name
+    gauges = verify.gauge_fields(sc, "gauge_general") + ([sc.gauge] if sc.gauge else [])
+    for gauge in gauges:
+        gamb = gaussmap.apply_gauge(sc.ambient, gauge)
+        got, want = (mod.general_gauge_residual(gamb, gauge, g.ext, frames)
+                     for mod in (gaussmap, kernel_oracle))
+        assert got.tobytes() == want.tobytes(), name
+    if sc.surface.declared_isothermal:
+        d_hopf = g.take("d_hopf")["d_hopf"]
+        got, want = (mod.hopf_identity_residual(g.base, g.curvature, g.holo, d_hopf)
+                     for mod in (holo, kernel_oracle))
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("name", scenes.builtin_names())
+def test_closed_form_binv_and_conformality_without_solve(name):
+    """Binv, written in closed form, inverts B to round-off, and the
+    conformality verdicts with k from Ginv_S are those with a 2x2 solve."""
+    sc, g = grid_all(name)
+    B, Binv = g.base["B"], g.base["Binv"]
+    assert np.max(np.abs(Binv @ B - np.eye(2))) <= 1e-14, name
+    if sc.ambient.kind == "frame":
+        got = gaussmap.conformality_test(g.base, g.gauss_dn)["conformal"]
+        assert np.array_equal(got, kernel_oracle.conformal(g.base, g.gauss_dn)), name

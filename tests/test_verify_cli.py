@@ -173,6 +173,17 @@ def test_cli_missing_scene_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _cartan_schouten_ambient(key, index, value):
+    """cartan_schouten_sphere's ambient document with the entry of g or
+    Gamma at index replaced by value."""
+    amb = scenes.builtin("cartan_schouten_sphere").to_dict()["ambient"]
+    entry = amb[key]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = value
+    return amb
+
+
 @pytest.mark.parametrize("section, key, value, path", [
     ("ambient", "chart_domain", [1, 2], "ambient.chart_domain"),
     ("ambient", "chart_domain", {"x": [2, 1]}, "ambient.chart_domain.x"),
@@ -227,6 +238,13 @@ def test_cli_missing_scene_is_config_error(capsys):
      "error: surface.isothermal: chart is not isothermal at u=0.0198"),
     (None, "surface", {"X": ["u", "u", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
      "error: surface.X: tangents linearly dependent (area density below 1e-9) at u=0.1666"),
+    # the ambient's guards name the entry they check
+    (None, "ambient", _cartan_schouten_ambient("g", (0, 1), "0.5"),
+     "error: ambient.g: metric not symmetric (deviation 5.000e-01)"),
+    (None, "ambient", _cartan_schouten_ambient("g", (2, 2), "-1"),
+     "error: ambient.g: metric not positive definite at a sample"),
+    (None, "ambient", _cartan_schouten_ambient("Gamma", (0, 0, 0), "x"),
+     "error: ambient.Gamma: metric compatibility residual 2.000e+00 exceeds 1e-06"),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
     """A malformed scene value exits 2 with its JSON path and no traceback."""
