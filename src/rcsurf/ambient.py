@@ -46,7 +46,8 @@ class Ambient:
     fields_at and the methods built on it (christoffel_at, curvature_at)
     check the chart domain first, and the frame on the determinant their
     own program evaluates; riemann and metric_compat_residual_at take
-    points that a base block already checked.
+    points that a base block already checked.  A guard names its scene
+    path and the first offending point by its index in the batch.
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -92,19 +93,18 @@ class Ambient:
             vals = bindings[name]
             outside = ~((lo <= vals) & (vals <= hi))
             if np.any(outside):
-                val = float(vals[np.argmax(outside)])
-                raise OutsideChart(
-                    f"ambient.chart_domain.{name}: sample at {name} = {val!r} "
-                    f"outside [{lo}, {hi}]")
+                i = int(np.argmax(outside))
+                raise OutsideChart(f"{name} = {float(vals[i])!r} outside [{lo}, {hi}]",
+                                   f"ambient.chart_domain.{name}", i)
 
     def check_frame(self, det):
-        """Raise SingularFrame where det, a frame ambient's determinant at
-        some samples, is near zero or negative."""
-        if np.any(np.abs(det) < FRAME_DET_TOL):
-            raise SingularFrame(
-                f"frame determinant within {FRAME_DET_TOL} of zero at a sample")
-        if np.any(det < 0.0):
-            raise SingularFrame("frame is negatively oriented at a sample")
+        """Raise SingularFrame (ambient.F) where det, a frame ambient's
+        determinant at some samples, is near zero or negative."""
+        for bad, what in ((np.abs(det) < FRAME_DET_TOL,
+                           f"frame determinant within {FRAME_DET_TOL} of zero"),
+                          (det < 0.0, "frame is negatively oriented")):
+            if np.any(bad):
+                raise SingularFrame(what, "ambient.F", int(np.argmax(bad)))
 
     def tables_at(self, bindings, tables):
         """The group tables (Exprs over x, y, z) at batched points, as one
@@ -191,19 +191,17 @@ class Ambient:
         compat = self.metric_compat_residual_at(bindings, g, tables["gamma"])
         g_path, gamma_path = (("ambient.F",) * 2 if self.kind == "frame"
                               else ("ambient.g", "ambient.Gamma"))
-        sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)))
-        if sym > 1e-12:
-            raise IncompatibleConnection(
-                f"{g_path}: metric not symmetric (deviation {sym:.3e})")
-        eig = np.linalg.eigvalsh(g)
-        if np.any(eig <= 0.0):
-            raise IncompatibleConnection(
-                f"{g_path}: metric not positive definite at a sample")
-        worst = float(np.max(compat))
-        if worst > COMPAT_HARD_TOL:
-            raise IncompatibleConnection(
-                f"{gamma_path}: metric compatibility residual {worst:.3e} exceeds "
-                f"{COMPAT_HARD_TOL}")
+        sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)), axis=(-2, -1))
+        for bad, path, text in (
+                (sym > 1e-12, g_path, "metric not symmetric (deviation {sym:.3e})"),
+                (np.any(np.linalg.eigvalsh(g) <= 0.0, axis=-1), g_path,
+                 "metric not positive definite"),
+                (compat > COMPAT_HARD_TOL, gamma_path,
+                 "metric compatibility residual {compat:.3e} exceeds {tol}")):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise IncompatibleConnection(
+                    text.format(sym=sym[i], compat=compat[i], tol=COMPAT_HARD_TOL), path, i)
         return tables
 
 

@@ -2,7 +2,34 @@
 
 
 class RcsurfError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error may say where it is: path, the scene entry at fault, and
+    sample, the index of the first bad sample in the batch where it was
+    found.  Its one text is "path: message at sample i (u=..., v=...)",
+    each part present when known.  Kernels and guards give the index;
+    locate adds the sample's (u, v) and moves the index into the grid's.
+    """
+
+    def __init__(self, message="", path=None, sample=None):
+        super().__init__(message)
+        self.message, self.path, self.sample = message, path, sample
+        self.u = self.v = None
+
+    def __str__(self):
+        text = f"{self.path}: {self.message}" if self.path else self.message
+        where = " ".join(([f"sample {self.sample}"] if self.sample is not None else [])
+                         + ([f"(u={self.u!r}, v={self.v!r})"] if self.u is not None else []))
+        return f"{text} at {where}" if where else text
+
+    def locate(self, U, V, offset=None):
+        """Add the (u, v) of the sample, from U, V of the batch its index
+        counts in, and move the index by offset into the grid's (None
+        drops it: the batch is no grid).  Returns self."""
+        if self.sample is not None:
+            self.u, self.v = float(U[self.sample]), float(V[self.sample])
+            self.sample = None if offset is None else self.sample + offset
+        return self
 
 
 # --- expression layer ---------------------------------------------------
@@ -74,49 +101,23 @@ class IncompatibleConnection(RcsurfError):
 
 class NonFiniteValue(RcsurfError):
     """A grid block or residual holds inf or NaN (the inputs overflow the
-    numeric layers).  field names it as block.key; for a block value,
-    sample, u and v locate the first offending sample (at_sample)."""
-
-    def __init__(self, field, message, sample=None, u=None, v=None):
-        self.field = field
-        self.sample, self.u, self.v = sample, u, v
-        super().__init__(f"{field}: {message}")
-
-    @classmethod
-    def at_sample(cls, field, sample, u, v):
-        return cls(field, f"non-finite value at sample {sample} (u={u!r}, v={v!r})",
-                   sample, u, v)
-
-    def shifted(self, offset):
-        """The same error with its sample index moved by offset (from a
-        chunk's index to the grid's)."""
-        if self.sample is None:
-            return self
-        return self.at_sample(self.field, self.sample + offset, self.u, self.v)
+    numeric layers); its path is block.key."""
 
 
 # --- surface --------------------------------------------------------------
 
 class DegenerateParameterization(RcsurfError):
-    """The tangents of surface.X are linearly dependent at the sample (u, v),
-    the first such sample in sample order."""
-
-    def __init__(self, u, v):
-        self.u, self.v = u, v
-        super().__init__(f"surface.X: tangents linearly dependent (area density "
-                         f"below 1e-9) at u={u!r}, v={v!r}")
+    """The tangents of surface.X are linearly dependent."""
 
 
 class NotIsothermal(RcsurfError):
-    """A chart declared isothermal (surface.isothermal) is not at the sample
-    (u, v), the first such sample in sample order, where the induced
-    metric is E, F, G."""
+    """A chart declared isothermal (surface.isothermal) is not; E, F, G is
+    the induced metric at the sample."""
 
-    def __init__(self, E, F, G, u, v):
+    def __init__(self, E, F, G, sample):
         self.E, self.F, self.G = E, F, G
-        self.u, self.v = u, v
-        super().__init__(f"surface.isothermal: chart is not isothermal at "
-                         f"u={u!r}, v={v!r}: E={E!r} F={F!r} G={G!r}")
+        super().__init__(f"chart is not isothermal: E={E!r} F={F!r} G={G!r}",
+                         "surface.isothermal", sample)
 
 
 # --- Gauss map ------------------------------------------------------------
@@ -136,9 +137,8 @@ class AxisNotNormal(RcsurfError):
 # --- scenes / IO ----------------------------------------------------------
 
 class SceneFormatError(RcsurfError):
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"{field}: {message}" if field else message)
+    def __init__(self, path, message):
+        super().__init__(message, path or None)
 
 
 class UnknownScene(RcsurfError):

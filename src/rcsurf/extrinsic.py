@@ -26,8 +26,8 @@ CLASSIFY_TOL = 1e-7         # default of the pointwise classifiers and conformal
 
 def mean_curvature(base, block="ext"):
     """W, H, star_tau and bold_H = H + i*star_tau at the samples of base
-    (a base_fields dict, or a block that holds u, v, II, Ginv_S, tau_uv
-    and area), checked finite under block: the part of extrinsic_fields
+    (a base_fields dict, or a block that holds II, Ginv_S, tau_uv and
+    area), checked finite under block: the part of extrinsic_fields
     a gauged recomputation reads.  star_tau is the torsion 2-form on the
     oriented orthonormal pair."""
     W = np.swapaxes(base["II"] @ base["Ginv_S"], -2, -1)  # W[r, c]: W(X_c) = W[r,c] X_r
@@ -35,7 +35,7 @@ def mean_curvature(base, block="ext"):
     star_tau = base["tau_uv"] / base["area"]
     return require_finite(block, {
         "W": W, "H": H, "star_tau": star_tau, "bold_H": H + 1j * star_tau,
-    }, base["u"], base["v"])
+    })
 
 
 def extrinsic_fields(base):
@@ -52,7 +52,7 @@ def extrinsic_fields(base):
         "W_on": base["Binv"] @ W @ base["B"],
         "K_e": W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0],
         "III": np.einsum("nra,nrs,nsb->nab", W, base["G_S"], W),
-    }, base["u"], base["v"]))
+    }))
     return out
 
 

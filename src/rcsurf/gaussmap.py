@@ -28,13 +28,12 @@ bold_H from a lean gauged block: the first-order core of a base block
 (surface.first_order) on the jets in ext.  It returns its error at each
 sample, as every other residual does.  An axis that is not unit
 or not finite raises NonUnitAxis (check_axis, which a scene build runs on
-the scene's own axes too); other non-finite gauge values are named
-gauge.<field>.
+the scene's own axes too), named by the gauge field's path; other
+non-finite gauge values are named gauge.<field>.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ from . import extrinsic
 
 __all__ = [
     "GaugeField", "gauss_field", "projected_frames", "div_curl",
-    "apply_gauge", "check_axis", "axis_named",
+    "apply_gauge", "check_axis",
     "gauged_mean_curvature", "gauge_theorem_residual", "general_gauge_residual",
     "conformality_test", "degree_integrand",
 ]
@@ -58,9 +57,11 @@ __all__ = [
 class GaugeField:
     """Pointwise rotation of the global frame: angle theta about the axis e,
     both given as chart expressions (the axis in frame components, unit
-    wherever it is evaluated)."""
+    wherever it is evaluated).  path is the scene entry the axis comes
+    from, which an axis error names (None for a drawn axis)."""
     theta: object
     axis: tuple
+    path: str = None
 
 
 def gauss_field(base):
@@ -71,7 +72,7 @@ def gauss_field(base):
         raise NotWeitzenboeck("operation needs a frame-defined ambient")
     # np.einsum on C-contiguous samples-first operands: the bits follow its loop order
     n = np.einsum("nij,nj->ni", np.ascontiguousarray(base["frame_inv"]), base["N"])
-    return require_finite("gauss", {"n": n}, base["u"], base["v"])
+    return require_finite("gauss", {"n": n})
 
 
 def projected_frames(fields, gauss):
@@ -92,7 +93,7 @@ def projected_frames(fields, gauss):
     return require_finite("gauss_frames", {
         "e_top": e_top, "e_cross": e_cross,
         "top_comp": top_comp, "cross_comp": cross_comp,
-    }, fields["u"], fields["v"])
+    })
 
 
 def _div_curl(D):
@@ -136,33 +137,25 @@ def apply_gauge(amb, gauge: GaugeField):
     return frame_ambient(matmul_exprs(amb.frame, R), chart_domain=amb.chart_domain)
 
 
-def check_axis(ax, normal=None):
+def check_axis(ax, normal=None, path=None):
     """Raise NonUnitAxis unless ax (n, 3), a gauge axis at some samples, is
     unit to 1e-9, and AxisNotNormal when normal, the Gauss map at the same
-    samples, is given and ax differs from it beyond 1e-8."""
-    norms = np.linalg.norm(ax, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):       # a NaN norm fails too
-        raise NonUnitAxis("gauge axis is not unit on the surface")
-    if normal is not None and np.max(np.linalg.norm(ax - normal, axis=-1)) > 1e-8:
-        raise AxisNotNormal("gauge axis differs from the Gauss map on S")
-
-
-@contextmanager
-def axis_named(path):
-    """Name an axis error (NonUnitAxis, AxisNotNormal) of the gauge field
-    in the block by path, the scene entry its axis comes from; a random
-    axis (path None) keeps the message as it is."""
-    try:
-        yield
-    except (NonUnitAxis, AxisNotNormal) as err:
-        if path is None:
-            raise
-        raise type(err)(f"{path}: {err}") from err
+    samples, is given and ax differs from it beyond 1e-8; either names
+    path, the scene entry of the axis, and the first offending sample."""
+    off = ~(np.abs(np.linalg.norm(ax, axis=-1) - 1.0) <= 1e-9)  # a NaN norm fails too
+    if np.any(off):
+        raise NonUnitAxis("gauge axis is not unit on the surface", path, int(np.argmax(off)))
+    if normal is not None:
+        off = np.linalg.norm(ax - normal, axis=-1) > 1e-8
+        if np.any(off):
+            raise AxisNotNormal("gauge axis differs from the Gauss map on S", path,
+                                int(np.argmax(off)))
 
 
 def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
     """The gauge at the samples of fields, in one program: its axis (n, 3),
-    checked (check_axis, against the Gauss map normal when given), and
+    checked (check_axis, against the Gauss map normal when given, named
+    by the gauge's path), and
     theta, with the chart gradients of theta (n, 3 chart) and of the axis
     components (n, 3 comp, 3 chart) when gradients; then the gauged
     ambient gamb's g and Gamma for gauged_mean_curvature, with the gauged
@@ -173,9 +166,8 @@ def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
                    [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
     *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
                                          tables + (gamb.g, gamb.gamma))
-    check_axis(out[0], normal)
-    require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])),
-                   fields["u"], fields["v"])
+    check_axis(out[0], normal, gauge.path)
+    require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])))
     gamb.check_frame(det)
     return out, {"g": g, "gamma": gamma}
 
@@ -187,7 +179,7 @@ def gauged_mean_curvature(fields, tables):
     the gauged ambient on the jets of fields, and only the part of the
     extrinsic block it reads (extrinsic.mean_curvature).  tables holds the
     gauged g and Gamma at these samples (_gauge_at)."""
-    block = first_order("gauge", fields["u"], fields["v"], fields, tables)
+    block = first_order("gauge", fields, tables)
     return extrinsic.mean_curvature(block, "gauge")
 
 

@@ -31,7 +31,7 @@ def holo_fields(ext):
         "phi": phi,
         "psi": psi,
         "psi_identity_residual": np.abs(psi - ext["bold_H"] * phi),
-    }, ext["u"], ext["v"])
+    })
 
 
 def dbar(d_hopf):

@@ -43,7 +43,7 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    ExprError, IoError, NonFiniteValue, NotClosed, RcsurfError, SceneFormatError,
+    ExprError, IoError, NotClosed, RcsurfError, SceneFormatError,
     UndefinedField, UnknownScene,
 )
 from .gaussmap import GaugeField
@@ -265,7 +265,7 @@ def build_scene(doc) -> Scene:
         theta = _parse_field(_need(gdoc, "theta", "gauge"), AMBIENT_VARS, "gauge.theta")
         axis = _parse_matrix(_need(gdoc, "axis", "gauge"), AMBIENT_VARS,
                              "gauge.axis", (3,))
-        gauge = GaugeField(theta, tuple(axis))
+        gauge = GaugeField(theta, tuple(axis), "gauge.axis")
 
     normal_axis = None
     if doc.get("normal_axis") is not None:
@@ -294,28 +294,33 @@ def _validate_scene(scene):
     ambient's guards, a base core (surface.first_order) from the tables
     they read and, in a frame ambient, the scene's gauge axis and
     normal_axis (gaussmap.check_axis, as the gauge suite checks them on the
-    grid; normal_axis against the Gauss map), both axes in one program."""
+    grid; normal_axis against the Gauss map), both axes in one program.
+    The probe points are no grid samples: an error there names its point
+    by (u, v) alone (errors.RcsurfError.locate)."""
     (u0, u1), (v0, v1) = scene.surface.domain
     us = np.linspace(u0, u1, 7)[1:-1]
     vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     surf, amb = scene.surface, scene.ambient
-    jets = surf.jets(U, V)
-    base = first_order("base", U, V, jets, amb.validate(jets["p"]))
-    if amb.kind != "frame":
-        return
     axes = {}           # path -> (axis, the Gauss map it must match or None)
-    if scene.gauge is not None:
-        axes["gauge.axis"] = (scene.gauge.axis, None)
-    if scene.normal_axis is not None:
-        axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(base)["n"])
-    if not axes:
-        return
-    values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
-                             amb.bindings(base["p"]))
-    for (path, (_, normal)), value in zip(axes.items(), values):
-        with gaussmap.axis_named(path):
-            gaussmap.check_axis(value, normal)
+    try:
+        jets = surf.jets(U, V)
+        base = first_order("base", jets, amb.validate(jets["p"]))
+        if amb.kind != "frame":
+            return
+        if scene.gauge is not None:
+            axes[scene.gauge.path] = (scene.gauge.axis, None)
+        if scene.normal_axis is not None:
+            axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(base)["n"])
+        if not axes:
+            return
+        values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
+                                 amb.bindings(base["p"]))
+        for (path, (_, normal)), value in zip(axes.items(), values):
+            gaussmap.check_axis(value, normal, path)
+    except RcsurfError as err:
+        err.locate(U, V)
+        raise
 
 
 def load_scene(path) -> Scene:
@@ -623,7 +628,10 @@ class SampleGrid:
     grid.  Every block is pointwise in the samples, so a chunk's block is
     the matching slice of the whole grid's, bit for bit, and each max, mean
     or sum runs once over the per-sample values of every chunk in sample
-    order: no report or export depends on the chunk size.
+    order: no report or export depends on the chunk size.  A guard in a
+    chunk's block names its first bad sample by the index in the chunk;
+    map_chunks makes it the grid's and adds its (u, v), so no error text
+    depends on the chunk size either.
 
     Each block is built on first read and only then, so a chunk holds only
     what its readers read:
@@ -680,14 +688,15 @@ class SampleGrid:
     def chunks(self):
         """The grid's samples as new SampleGrids over contiguous row-major
         slices of CHUNK samples, in order, one for a grid of at most CHUNK.
-        A chunk keeps this grid's scene, nu, nv, composition and axis nodes
-        (so interior_mask is unchanged) and builds its blocks for its own
-        samples; offset is the index of its first sample in the grid."""
+        A chunk keeps what its blocks read of this grid: the scene and
+        surface, the composition, and nu and nv (with the surface's domain,
+        interior_mask's edge margin, so the mask is unchanged); it builds
+        its blocks for its own samples, and offset is the index of its
+        first sample in the grid."""
         for lo in range(0, self.U.shape[0], CHUNK):
             sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "composition",
-                         "u_nodes", "u_weights", "v_nodes", "v_weights"):
+            for name in ("scene", "surface", "nu", "nv", "composition"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
             part.offset = self.offset + lo
@@ -695,13 +704,15 @@ class SampleGrid:
 
     def map_chunks(self, work):
         """work(chunk) for each chunk in order, yielded as soon as it is
-        computed.  A NonFiniteValue raised by work names its sample by the
-        index in this grid, not in the chunk."""
+        computed.  An error raised by work that names a sample of the chunk
+        names it by its index in this grid and its (u, v)
+        (errors.RcsurfError.locate)."""
         for part in self.chunks():
             try:
                 out = work(part)
-            except NonFiniteValue as err:
-                raise err.shifted(part.offset - self.offset) from None
+            except RcsurfError as err:
+                err.locate(part.U, part.V, part.offset - self.offset)
+                raise
             yield out
 
     def collect(self, work):
@@ -739,7 +750,7 @@ class SampleGrid:
 
     @cached_property
     def gauss_dn(self):
-        return require_finite("gauss_dn", self.take("dn_du", "dn_dv"), self.U, self.V)
+        return require_finite("gauss_dn", self.take("dn_du", "dn_dv"))
 
     @cached_property
     def gauss_frames(self):

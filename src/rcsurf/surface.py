@@ -27,6 +27,8 @@ as arrays: a sample grid evaluates them (scenes.SampleGrid.take).
 Every block is checked for inf and NaN as it is built (require_finite), so
 an input that overflows the numeric layers stops with NonFiniteValue
 naming the block and the field instead of reaching a residual or an export.
+Every guard here names the first offending sample by its index in the
+batch; the sample grid makes it the grid's and adds its (u, v).
 
 Orientation: N = (X_u x_g X_v) / |.|, so (N, X_u, X_v) is positively
 oriented in the chart and the surface orientation is the (X_u, X_v) order.
@@ -61,31 +63,29 @@ def cross_metric_batch(g, u, v):
     return np.linalg.solve(g, w[..., None])[..., 0]
 
 
-def require_finite(block, fields, U, V):
-    """Return fields (a dict of per-sample arrays at the samples U, V) when
-    every value is finite; else raise NonFiniteValue naming block.key and
-    the first offending sample by its index in U.  A grid streamed in
-    chunks turns that index into the grid's (SampleGrid.map_chunks)."""
+def require_finite(block, fields):
+    """Return fields (a dict of per-sample arrays) when every value is
+    finite; else raise NonFiniteValue naming block.key and the first
+    offending sample."""
     for key, val in fields.items():
         ok = np.isfinite(val)
         if not ok.all():
             i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-            raise NonFiniteValue.at_sample(f"{block}.{key}", i,
-                                           float(U[i]), float(V[i]))
+            raise NonFiniteValue("non-finite value", f"{block}.{key}", i)
     return fields
 
 
-def first_order(block, U, V, jets, tables):
-    """The first-order core of a base block at the samples U, V, from the
-    JETS in jets (a JETS dict or any block that holds them) and the
-    ambient tables (g, gamma, ...): the torsion, E, F, G, area, N, G_S,
-    Ginv_S, cov, II and tau_uv, with det2 = E G - F^2 and TXuXv =
-    T(Xu, Xv) for the frame and T_S that Surface.base_fields adds.
+def first_order(block, jets, tables):
+    """The first-order core of a base block, from the JETS in jets (a JETS
+    dict or any block that holds them) and the ambient tables (g, gamma,
+    ...) at the same samples: the torsion, E, F, G, area, N, G_S, Ginv_S,
+    cov, II and tau_uv, with det2 = E G - F^2 and TXuXv = T(Xu, Xv) for
+    the frame and T_S that Surface.base_fields adds.
 
-    u, v, the jets, the tables, torsion, E, F and G are checked finite
-    under block first, so that an overflow is named as one and not met as
-    a degenerate chart (or, in base_fields, a singular frame B); the rest
-    is returned unchecked."""
+    The jets, the tables, torsion, E, F and G are checked finite under
+    block first, so that an overflow is named as one and not met as a
+    degenerate chart (or, in base_fields, a singular frame B); the rest is
+    returned unchecked."""
     jets = {k: jets[k] for k in JETS}
     Xu, Xv = jets["Xu"], jets["Xv"]
     g, gamma = tables["g"], tables["gamma"]
@@ -95,13 +95,13 @@ def first_order(block, U, V, jets, tables):
     F = expr.contract("nab,na,nb->n", g, Xu, Xv)
     G = expr.contract("nab,na,nb->n", g, Xv, Xv)
     first = require_finite(block, {
-        "u": U, "v": V, **jets, **tables, "torsion": tor, "E": E, "F": F, "G": G,
-    }, U, V)
+        **jets, **tables, "torsion": tor, "E": E, "F": F, "G": G,
+    })
     det2 = E * G - F * F
     flat = det2 <= AREA_DENSITY_TOL ** 2
     if np.any(flat):
-        i = int(np.argmax(flat))
-        raise DegenerateParameterization(float(U[i]), float(V[i]))
+        raise DegenerateParameterization("tangents linearly dependent (area density "
+                                         "below 1e-9)", "surface.X", int(np.argmax(flat)))
     area = np.sqrt(det2)
     N = cross_metric_batch(g, Xu, Xv) / area[:, None]
 
@@ -140,8 +140,7 @@ def isothermal_factor(base):
     off = (np.abs(E - G) > tol) | (np.abs(F) > tol)
     if np.any(off):
         i = int(np.argmax(off))
-        raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]),
-                            float(base["u"][i]), float(base["v"][i]))
+        raise NotIsothermal(float(E[i]), float(F[i]), float(G[i]), i)
     return np.sqrt(E)
 
 
@@ -214,7 +213,7 @@ class Surface:
         amb = self.ambient
         names = amb.base_names
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
-        out = first_order("base", U, V, jets, tables)
+        out = first_order("base", jets, tables)
         det2, TXuXv = out.pop("det2"), out.pop("TXuXv")
         E, F = out["E"], out["F"]
 
@@ -233,7 +232,7 @@ class Surface:
 
         # tangential torsion
         out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]
-        require_finite("base", {k: out[k] for k in _CHECKED_LAST}, U, V)
+        require_finite("base", {k: out[k] for k in _CHECKED_LAST})
         return out
 
     # --- ambient curvature on the surface -----------------------------------------
@@ -247,14 +246,13 @@ class Surface:
         rm is checked and dropped once lowered: no reader of the block
         reads it."""
         amb = self.ambient
-        U, V = base["u"], base["v"]
         rm = amb.riemann(base["gamma"], amb.bindings(base["p"]))
-        require_finite("curvature", {"rm": rm}, U, V)
+        require_finite("curvature", {"rm": rm})
         r4 = amb.lower(rm, base["g"])
         del rm
         Xu, Xv = base["Xu"], base["Xv"]
         r_uvvu = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
-        return require_finite("curvature", {"r4": r4, "r_uvvu": r_uvvu}, U, V)
+        return require_finite("curvature", {"r4": r4, "r_uvvu": r_uvvu})
 
     # --- intrinsic curvature ----------------------------------------------------
 
@@ -275,8 +273,7 @@ class Surface:
                - expr.contract("ndm,nm->nd", gS[:, :, 1, :], gS[:, :, 0, 1]))
         lowered = expr.contract("nd,nd->n", vec, base["G_S"][:, :, 0])
         det2 = base["area"] ** 2
-        return require_finite("intrinsic", {"K": lowered / det2},
-                              base["u"], base["v"])["K"]
+        return require_finite("intrinsic", {"K": lowered / det2})["K"]
 
     # --- the surface composition ---------------------------------------------------
 

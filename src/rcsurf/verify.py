@@ -126,11 +126,12 @@ class VerificationReport:
 
 def gauge_fields(scene, entry):
     """The gauge fields of a gauge entry on a scene: GAUGE_THEOREM's angles
-    about the scene's normal_axis, or GAUGE_GENERAL's angles about their
-    axes normalized."""
+    about the scene's normal_axis (the path of their axis), or
+    GAUGE_GENERAL's angles about their axes normalized."""
     vars3 = scenes.AMBIENT_VARS
     if entry == "gauge_theorem":
-        return [gaussmap.GaugeField(expr.parse(theta, vars3), scene.normal_axis)
+        return [gaussmap.GaugeField(expr.parse(theta, vars3), scene.normal_axis,
+                                    "normal_axis")
                 for theta in GAUGE_THEOREM]
     out = []
     for theta, axis in GAUGE_GENERAL:
@@ -297,13 +298,11 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 # gauge_theorem fields rotate about the scene's normal_axis
                 res = {name: [] for name in gauges}
                 for gfld, gamb in gauges.get("gauge_theorem", []):
-                    with gaussmap.axis_named("normal_axis"):
-                        res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
-                            gamb, gfld, part.ext, part.gauss))
+                    res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
+                        gamb, gfld, part.ext, part.gauss))
                 for gfld, gamb in gauges["gauge_general"]:
-                    with gaussmap.axis_named("gauge.axis" if gfld is scene.gauge else None):
-                        res["gauge_general"].append(gaussmap.general_gauge_residual(
-                            gamb, gfld, part.ext, part.gauss_frames))
+                    res["gauge_general"].append(gaussmap.general_gauge_residual(
+                        gamb, gfld, part.ext, part.gauss_frames))
                 out.update({name: np.max(r, axis=0) for name, r in res.items()})
             elif suite == "psi_identity":
                 out["psi_identity"] = part.holo["psi_identity_residual"]
@@ -326,7 +325,7 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
 
     def entry(name, residual, samples=nsamples, mean=None):
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
-            raise NonFiniteValue(f"report.{name}", "non-finite residual")
+            raise NonFiniteValue("non-finite residual", f"report.{name}")
         t = tols[name]
         status = "pass" if residual <= t else "fail"
         report.add(name, status, residual, t, samples, mean_residual=mean)

@@ -89,13 +89,12 @@ def cr_residual(surface, U, V, func, h_scale=1.0 / 64.0):
     return np.abs(dbar(surface, U, V, func, h_scale))
 
 
-def weingarten_cross_check(surface, fields, h_scale=1e-5):
+def weingarten_cross_check(surface, U, V, fields, h_scale=1e-5):
     """Residual between the algebraic Weingarten map (II times the inverse
     induced metric) and the covariant derivative of the normal,
     W(X_a) = -(d_a N^k + Gamma^k_ij X_a^i N^j) d_k, with d_a N by a central
     stencil; adds the magnitude of the normal component of the covariant
-    path, which must vanish."""
-    U, V = fields["u"], fields["v"]
+    path, which must vanish.  fields is a block at the samples U, V."""
     hu = fd_steps(surface, U, 0, h_scale * surface.extent(0))
     hv = fd_steps(surface, V, 1, h_scale * surface.extent(1))
     N = lambda uu, vv: surface.base_fields(uu, vv)["N"]

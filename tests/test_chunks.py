@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcsurf import expr, gaussmap, scenes, verify
-from rcsurf.errors import NonFiniteValue, NotIsothermal
+from rcsurf.errors import NonFiniteValue, NotIsothermal, RcsurfError
 
 NU = NV = 6
 N = NU * NV
@@ -343,9 +343,11 @@ def test_not_isothermal_names_the_first_bad_sample(tmp_path, monkeypatch):
             with pytest.raises(NotIsothermal) as err:
                 run()
             assert (err.value.u, err.value.v) == (grid.U[first], grid.V[first]), name
-            assert str(err.value).startswith(
-                f"surface.isothermal: chart is not isothermal at "
-                f"u={float(grid.U[first])!r}, v={float(grid.V[first])!r}: E="), name
+            assert err.value.sample == first, name
+            text = str(err.value)
+            assert text.startswith("surface.isothermal: chart is not isothermal: E="), name
+            assert text.endswith(f" at sample {first} (u={float(grid.U[first])!r}, "
+                                 f"v={float(grid.V[first])!r})"), name
         assert not (tmp_path / "f.csv").exists()
 
 
@@ -353,6 +355,8 @@ def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):
     """Gamma overflows on the last row only (sample 56 of 64), which lies in
     the third chunk of 20 samples: every reader names sample 56."""
     sc = _torsion_plane("exp(40000*(x - 0.95))")
+    grid = scenes.make_grid(sc, 8, 8)
+    u, v = float(grid.U[56]), float(grid.V[56])
     runs = {
         "verify": lambda: verify.run_verification(sc, 8, 8),
         "fields": lambda: scenes.export_fields(scenes.make_grid(sc, 8, 8),
@@ -366,10 +370,75 @@ def test_non_finite_sample_is_named_by_its_grid_index(tmp_path, monkeypatch):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(NonFiniteValue) as err:
                     run()
-            assert err.value.field == "base.gamma", name
+            assert err.value.path == "base.gamma", name
             assert err.value.sample == 56, name
-            assert "at sample 56 (u=0.98" in str(err.value), name
+            assert str(err.value) == (f"base.gamma: non-finite value at sample 56 "
+                                      f"(u={u!r}, v={v!r})"), name
         assert not (tmp_path / "f.csv").exists()
+
+
+# exp(-_STEP) is 1 to the last bit at the scene build's probe (x at most
+# 5/6) and 0 on the last row of an 8x8 grid over the unit square (x = 0.98,
+# samples 56 to 63), so each scene below passes the build and fails on the
+# grid, in the third chunk of 20 samples
+_STEP = "exp(1000*(x - 0.95))"
+_OFF = f"(1 - exp(-{_STEP}))"
+
+
+def _plane(ambient=None, chart_domain=None, X=("u", "v", "0"), **top):
+    ambient = ambient or {"type": "frame",
+                          "F": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    if chart_domain:
+        ambient["chart_domain"] = chart_domain
+    return scenes.build_scene({
+        "name": "plane", "ambient": ambient,
+        "surface": {"X": list(X), "domain": [[0.0, 1.0], [0.0, 1.0]]}, **top})
+
+
+def _verify(*suites):
+    return lambda sc: verify.run_verification(sc, 8, 8, suites=list(suites) or None)
+
+
+def _validate(sc):
+    """The ambient's build-time guards run on each chunk of the grid."""
+    grid = scenes.make_grid(sc, 8, 8)
+    return list(grid.map_chunks(lambda part: sc.ambient.validate(part.base["p"])))
+
+
+@pytest.mark.parametrize("scene, run, text", [
+    (lambda: _plane({"type": "frame", "F": [["1", "0", "0"], ["0", "1", "0"],
+                                            ["0", "0", "0.9 - x"]]}),
+     _verify(), "ambient.F: frame is negatively oriented"),
+    (lambda: _plane(chart_domain={"x": [-1.0, 0.9]}), _verify(),
+     "ambient.chart_domain.x: x = 0.9801449282487681 outside [-1.0, 0.9]"),
+    (lambda: _plane({"type": "coefficients",
+                     "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     "Gamma": [[[_STEP if i == j == k == 0 else "0" for j in range(3)]
+                                for i in range(3)] for k in range(3)]}),
+     _validate, "ambient.Gamma: metric compatibility residual "),
+    (lambda: _plane(X=("u", "v*exp(-exp(1000*(u - 0.95)))", "0")), _verify(),
+     "surface.X: tangents linearly dependent (area density below 1e-9)"),
+    (lambda: _plane(gauge={"theta": "0.3*x", "axis": ["0", "0", f"1 + {_STEP}"]}),
+     _verify("gauge"), "gauge.axis: gauge axis is not unit on the surface"),
+    (lambda: _plane(normal_axis=[f"sin{_OFF}", "0", f"cos{_OFF}"]),
+     _verify("gauge"), "normal_axis: gauge axis differs from the Gauss map on S"),
+], ids=["SingularFrame", "OutsideChart", "IncompatibleConnection",
+        "DegenerateParameterization", "NonUnitAxis", "AxisNotNormal"])
+def test_every_guard_names_its_grid_sample(monkeypatch, scene, run, text):
+    """A guard that fails on the grid past the first chunk names its scene
+    path, its grid index and its (u, v), whatever the chunk size; the
+    scene build's probe passes.  NotIsothermal and NonFiniteValue are
+    checked the same way above."""
+    sc = scene()
+    grid = scenes.make_grid(sc, 8, 8)
+    where = f" at sample 56 (u={float(grid.U[56])!r}, v={float(grid.V[56])!r})"
+    for chunk in (scenes.CHUNK, 20):
+        monkeypatch.setattr(scenes, "CHUNK", chunk)
+        with pytest.raises(RcsurfError) as err:
+            run(sc)
+        assert str(err.value).startswith(text), chunk
+        assert str(err.value).endswith(where), chunk
+        assert err.value.sample == 56, chunk
 
 
 def test_verify_memory_is_set_by_the_chunk(monkeypatch, tmp_path):

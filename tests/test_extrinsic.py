@@ -75,7 +75,7 @@ def test_weingarten_two_paths_agree():
         sel = g.interior_mask
         sub = {k: (v[sel] if isinstance(v, np.ndarray)
                    and v.shape[:1] == g.U.shape else v) for k, v in ext.items()}
-        res = fd_oracles.weingarten_cross_check(sc.surface, sub)
+        res = fd_oracles.weingarten_cross_check(sc.surface, g.U[sel], g.V[sel], sub)
         assert np.max(res) <= 1e-6, name
 
 

@@ -1,12 +1,15 @@
 """The exit-code contract over mutated scene documents: a built-in's
 document with one key deleted, one value swapped for a wrong-typed one, or
 one expression swapped for a random one exits 0, 1 or 2, with no traceback,
-and exits 1 only with a written report."""
+and exits 1 only with a written report.  An exit-2 message from a
+pointwise guard names the scene path (or block.key) it checks and where
+the first bad sample is."""
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import traceback
 
@@ -25,6 +28,22 @@ _WRONG = [None, True, 0, -1, 2.5, 1e308, "x", "", [], [1, 2], [[0, 1], [1, 0]],
 
 
 _DELETE = object()      # _mutated deletes the entry
+
+# the text of each pointwise guard, after "error: <path>: ", and the paths
+# it may name; NonFiniteValue names block.key
+_GUARDS = {
+    "frame is negatively oriented": r"ambient\.F",
+    "frame determinant within": r"ambient\.F",
+    "metric not symmetric": r"ambient\.[gF]",
+    "metric not positive definite": r"ambient\.[gF]",
+    "metric compatibility residual": r"ambient\.(Gamma|F)",
+    "outside [": r"ambient\.chart_domain\.[xyz]",
+    "chart is not isothermal": r"surface\.isothermal",
+    "tangents linearly dependent": r"surface\.X",
+    "gauge axis": r"gauge\.axis|normal_axis",
+    "non-finite value": r"[a-z_]+\.[A-Za-z_]+",
+}
+_WHERE = r" at (sample \d+ )?\(u=[^,]+, v=[^)]+\)\n$"
 
 
 def _paths(node, path=()):
@@ -89,3 +108,7 @@ def test_mutated_builtin_documents_keep_the_exit_code_contract(mutation):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert os.path.isfile(report)
+        for text, path in _GUARDS.items():
+            if code == 2 and text in err.getvalue():
+                assert re.match(f"error: ({path}): {re.escape(text)}.*{_WHERE}",
+                                err.getvalue()), err.getvalue()

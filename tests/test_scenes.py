@@ -50,7 +50,7 @@ def test_missing_surface_x():
     del doc["surface"]["X"]
     with pytest.raises(SceneFormatError) as err:
         scenes.build_scene(doc)
-    assert err.value.field == "surface.X"
+    assert err.value.path == "surface.X"
     assert "required" in str(err.value)
 
 
@@ -59,7 +59,7 @@ def test_expression_error_carries_location():
     doc["surface"]["X"][0] = "u + *v"
     with pytest.raises(SceneFormatError) as err:
         scenes.build_scene(doc)
-    assert err.value.field == "surface.X[0]"
+    assert err.value.path == "surface.X[0]"
     assert "column" in str(err.value)
 
 
@@ -68,7 +68,7 @@ def test_unknown_ambient_variable_rejected():
     doc["ambient"]["F"][0][0] = "1 + w"
     with pytest.raises(SceneFormatError) as err:
         scenes.build_scene(doc)
-    assert "ambient.F[0][0]" == err.value.field
+    assert "ambient.F[0][0]" == err.value.path
 
 
 @pytest.mark.parametrize("section, key, value, path", [
@@ -83,7 +83,7 @@ def test_non_boolean_flags_rejected(tmp_path, capsys, section, key, value, path)
     (doc[section] if section else doc)[key] = value
     with pytest.raises(SceneFormatError) as err:
         scenes.build_scene(doc)
-    assert err.value.field == path
+    assert err.value.path == path
     scene_path = tmp_path / "bad.rcscene"
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["verify", "--scene", str(scene_path), "--grid", "8x8"]) == 2
@@ -240,7 +240,8 @@ def test_export_of_chart_declared_isothermal_that_is_not(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["verify", "--scene", str(path), "--grid", "8x8"]) == 2
     want = capsys.readouterr().err
-    assert want.startswith("error: surface.isothermal: chart is not isothermal at u=")
+    assert want.startswith("error: surface.isothermal: chart is not isothermal: E=")
+    assert " at sample 16 (u=0.2372" in want
     out = tmp_path / "f.csv"
     assert cli.main(["fields", "--scene", str(path), "--grid", "8x8",
                      "--out", str(out)]) == 2

@@ -20,8 +20,9 @@ def euclidean_ambient():
 def exact_K(surf, U, V):
     """Surface.intrinsic_curvature at U, V, with the composition table
     d_gammaS evaluated there."""
+    U, V = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (U, V))
     base = surf.base_fields(U, V)
-    d_gammaS = surf.composition_at(base["u"], base["v"], ("d_gammaS",))["d_gammaS"]
+    d_gammaS = surf.composition_at(U, V, ("d_gammaS",))["d_gammaS"]
     return surf.intrinsic_curvature(base, d_gammaS)
 
 

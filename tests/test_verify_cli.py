@@ -173,6 +173,11 @@ def test_cli_missing_scene_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# where an error at the scene build's first probe point on the sphere is:
+# the probe is no grid, so it names the point by (u, v) alone
+_PROBE = "at (u=0.5235987755982988, v=1.0471975511965976)"
+
+
 def _cartan_schouten_ambient(key, index, value):
     """cartan_schouten_sphere's ambient document with the entry of g or
     Gamma at index replaced by value."""
@@ -207,7 +212,7 @@ def _cartan_schouten_ambient(key, index, value):
     (None, "gauge", {"theta": "x", "axis": ["0", "0", "1"], "angle": 1}, "gauge.angle"),
     (None, "gauge", 1, "gauge"),
     (None, "surface", {"X": ["u", "v", "exp(400*u)"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
-     "base.E: non-finite value at sample"),
+     "base.E: non-finite value at sample 48 (u=0.898"),
     (None, "tolerances", {"gauss_eqq": 1e-30}, "tolerances.gauss_eqq"),
     ("surface", "domain", [{}, [0.0, 6.0]], "surface.domain"),
     ("surface", "domain", [[0.0, "3"], [0.0, 6.0]], "surface.domain"),
@@ -215,15 +220,15 @@ def _cartan_schouten_ambient(key, index, value):
     # inf - inf: NaN at every sample (a folded non-finite constant is a
     # parse error, the surface.X case last)
     (None, "gauge", {"theta": "0.3*x", "axis": ["exp(1000 + x) - exp(1000 + y)", "0", "1"]},
-     "error: gauge.axis: gauge axis is not unit on the surface"),
+     "error: gauge.axis: gauge axis is not unit on the surface " + _PROBE),
     (None, "gauge", {"theta": "exp(1000 + x) - exp(1000 + y)", "axis": ["0", "0", "1"]},
-     "error: gauge.theta: non-finite value at sample 0"),
+     "error: gauge.theta: non-finite value at sample 0 (u=0.0623"),
     (None, "gauge", {"theta": "0.3*x", "axis": ["2", "0", "0"]},
-     "error: gauge.axis: gauge axis is not unit on the surface"),
+     "error: gauge.axis: gauge axis is not unit on the surface " + _PROBE),
     (None, "normal_axis", ["0", "0", "2"],
-     "error: normal_axis: gauge axis is not unit on the surface"),
+     "error: normal_axis: gauge axis is not unit on the surface " + _PROBE),
     (None, "normal_axis", ["1", "0", "0"],
-     "error: normal_axis: gauge axis differs from the Gauss map on S"),
+     "error: normal_axis: gauge axis differs from the Gauss map on S " + _PROBE),
     ("surface", "X", ["u", "v", "(" * 400 + "u" + ")" * 400],
      "error: surface.X[2]: expression nested too deeply"),
     ("surface", "X", ["u", "v", "1e999*u"], "error: surface.X[2]: constant inf is not finite"),
@@ -232,22 +237,37 @@ def _cartan_schouten_ambient(key, index, value):
      "error: surface.X: constant inf is not finite"),
     ("ambient", "F", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1 + 1e200*z*1e200*z"]],
      "error: ambient.F: constant inf is not finite"),
-    # chart errors name their path and the (u, v) of the first bad sample
+    # a guard names its path and the first bad sample: on the grid by its
+    # index and (u, v), at the scene build's probe by (u, v) alone
     (None, "surface", {"X": ["2*u", "v", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]],
                        "isothermal": True},
-     "error: surface.isothermal: chart is not isothermal at u=0.0198"),
+     "error: surface.isothermal: chart is not isothermal: E=4.0 F=0.0 G=1.0 "
+     "at sample 0 (u=0.0198"),
     (None, "surface", {"X": ["u", "u", "0"], "domain": [[0.0, 1.0], [0.0, 1.0]]},
-     "error: surface.X: tangents linearly dependent (area density below 1e-9) at u=0.1666"),
+     "error: surface.X: tangents linearly dependent (area density below 1e-9) "
+     "at (u=0.16666666666666666, v=0.16666666666666666)"),
     # the ambient's guards name the entry they check
     (None, "ambient", _cartan_schouten_ambient("g", (0, 1), "0.5"),
-     "error: ambient.g: metric not symmetric (deviation 5.000e-01)"),
+     "error: ambient.g: metric not symmetric (deviation 5.000e-01) " + _PROBE),
     (None, "ambient", _cartan_schouten_ambient("g", (2, 2), "-1"),
-     "error: ambient.g: metric not positive definite at a sample"),
+     "error: ambient.g: metric not positive definite " + _PROBE),
     (None, "ambient", _cartan_schouten_ambient("Gamma", (0, 0, 0), "x"),
-     "error: ambient.Gamma: metric compatibility residual 2.000e+00 exceeds 1e-06"),
+     "error: ambient.Gamma: metric compatibility residual 5.000e-01 exceeds 1e-06 " + _PROBE),
+    # a frame the sphere sees negatively oriented, or singular at the
+    # probe point (pi/2, pi/3), where x = 0.5
+    (None, "ambient", {"type": "frame", "F": [["1", "0", "0"], ["0", "1", "0"],
+                                              ["0", "0", "-1"]]},
+     "error: ambient.F: frame is negatively oriented " + _PROBE),
+    (None, "ambient", {"type": "frame", "F": [["1", "0", "0"], ["0", "1", "0"],
+                                              ["0", "0", "x - 0.5"]]},
+     "error: ambient.F: frame determinant within 1e-09 of zero "
+     "at (u=1.5707963267948966, v=1.0471975511965976)"),
+    ("ambient", "chart_domain", {"z": [-0.5, 0.5]},
+     "error: ambient.chart_domain.z: z = 0.8660254037844387 outside [-0.5, 0.5] " + _PROBE),
 ])
 def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path):
-    """A malformed scene value exits 2 with its JSON path and no traceback."""
+    """A malformed scene value exits 2 with its JSON path, and a guard's
+    error with where it is, and no traceback."""
     doc = scenes.builtin("round_sphere_standard").to_dict()
     if key == "surface":        # the sphere's Gauss map goes with its surface
         del doc["normal_axis"]
@@ -266,11 +286,11 @@ def test_cli_malformed_scene_is_input_error(tmp_path, section, key, value, path)
 
 @pytest.mark.parametrize("key, value, path", [
     ("gauge", {"theta": "0.3*x", "axis": ["2", "0", "0"]},
-     "error: gauge.axis: gauge axis is not unit on the surface"),
+     "error: gauge.axis: gauge axis is not unit on the surface " + _PROBE),
     ("normal_axis", ["0", "0", "2"],
-     "error: normal_axis: gauge axis is not unit on the surface"),
+     "error: normal_axis: gauge axis is not unit on the surface " + _PROBE),
     ("normal_axis", ["1", "0", "0"],
-     "error: normal_axis: gauge axis differs from the Gauss map on S"),
+     "error: normal_axis: gauge axis differs from the Gauss map on S " + _PROBE),
 ], ids=["gauge-axis-not-unit", "normal-axis-not-unit", "normal-axis-not-normal"])
 @pytest.mark.parametrize("command", ["fields", "integrate", "verify"])
 def test_cli_scene_axes_are_checked_when_the_scene_is_built(tmp_path, capsys, key, value,
@@ -455,7 +475,7 @@ def test_cli_run_failing_after_the_out_check_leaves_out_as_it_was(
     """The --out check creates no file and keeps an existing one as it
     was, when the run then fails."""
     def fail(self, work):
-        raise NonFiniteValue("base.p", "non-finite value")
+        raise NonFiniteValue("non-finite value", "base.p")
 
     monkeypatch.setattr(scenes.SampleGrid, "map_chunks", fail)
     out = tmp_path / "out"
