@@ -26,9 +26,7 @@ import numpy as np
 
 from . import expr
 from .so3 import det_exprs, inv_exprs, matmul_exprs
-from .errors import (
-    EvalDomainError, IncompatibleConnection, OutsideChart, SingularFrame,
-)
+from .errors import EvalDomainError, IncompatibleConnection, OutsideChart, SingularFrame, named
 
 __all__ = ["Ambient", "frame_ambient", "coefficient_ambient", "CHART_VARS"]
 
@@ -47,7 +45,8 @@ class Ambient:
     check the chart domain first, and the frame on the determinant their
     own program evaluates; riemann and metric_compat_residual_at take
     points that a base block already checked.  A guard names its scene
-    path and the first offending point by its index in the batch.
+    path and the first offending point by its index in the batch, and an
+    expression error in a table or its lazy build the table's (paths).
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -62,6 +61,10 @@ class Ambient:
         # the tables of a base block (Surface.base_fields), one program
         self.base_names = ("g", "gamma") + (
             ("frame", "frame_inv") if kind == "frame" else ())
+        g_path, gamma_path = (("ambient.F",) * 2 if kind == "frame"
+                              else ("ambient.g", "ambient.Gamma"))
+        self.paths = {"g": g_path, "dg": g_path, "gamma": gamma_path,      # named by errors
+                      "dgamma": gamma_path, "frame": "ambient.F", "frame_inv": "ambient.F"}
 
     # --- symbolic lazies ---------------------------------------------------
 
@@ -129,7 +132,8 @@ class Ambient:
         determinant from the same program (tables_at).  frame and
         frame_inv are nodes of g and Gamma: adding them to that group
         adds no op."""
-        out = self.tables_at(bindings, tuple(getattr(self, n) for n in names))
+        with named(*(self.paths[n] for n in names)):
+            out = self.tables_at(bindings, tuple(getattr(self, n) for n in names))
         if self.kind == "frame":
             self.check_frame(out[-1])
             out = out[:-1]
@@ -154,7 +158,8 @@ class Ambient:
         Gamma^m_jk term with (i, j) swapped, so at most two arrays of 81
         values per sample are alive at once.  rm is stored samples-last,
         as expr.contract lays it out, so lower reads it without a copy."""
-        D = expr.eval_table(self.dgamma, bindings)
+        with named(self.paths["dgamma"]):
+            D = expr.eval_table(self.dgamma, bindings)
         rm = np.moveaxis(np.empty(D.shape[1:] + D.shape[:1]), -1, 0)
         np.subtract(D.transpose(0, 2, 4, 1, 3), D.transpose(0, 2, 4, 3, 1), out=rm)
         del D
@@ -172,7 +177,8 @@ class Ambient:
         """max |nabla g| per sample, from the metric g and the connection
         gamma at points that already passed the chart and frame checks (a
         base block's, or validate's).  Only dg is evaluated here."""
-        return _compat_residual(gamma, g, expr.eval_table(self.dg, bindings))
+        with named(self.paths["dg"]):
+            return _compat_residual(gamma, g, expr.eval_table(self.dg, bindings))
 
     # --- validation ---------------------------------------------------------------
 
@@ -189,19 +195,18 @@ class Ambient:
         tables = dict(zip(self.base_names, self.fields_at(bindings, self.base_names)))
         g = tables["g"]
         compat = self.metric_compat_residual_at(bindings, g, tables["gamma"])
-        g_path, gamma_path = (("ambient.F",) * 2 if self.kind == "frame"
-                              else ("ambient.g", "ambient.Gamma"))
         sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)), axis=(-2, -1))
         for bad, path, text in (
-                (sym > 1e-12, g_path, "metric not symmetric (deviation {sym:.3e})"),
-                (np.any(np.linalg.eigvalsh(g) <= 0.0, axis=-1), g_path,
+                (sym > 1e-12, "g", "metric not symmetric (deviation {sym:.3e})"),
+                (np.any(np.linalg.eigvalsh(g) <= 0.0, axis=-1), "g",
                  "metric not positive definite"),
-                (compat > COMPAT_HARD_TOL, gamma_path,
+                (compat > COMPAT_HARD_TOL, "gamma",
                  "metric compatibility residual {compat:.3e} exceeds {tol}")):
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise IncompatibleConnection(
-                    text.format(sym=sym[i], compat=compat[i], tol=COMPAT_HARD_TOL), path, i)
+                    text.format(sym=sym[i], compat=compat[i], tol=COMPAT_HARD_TOL),
+                    self.paths[path], i)
         return tables
 
 

@@ -125,10 +125,7 @@ def main(argv=None):
         # residual stops the run as a NonFiniteValue naming it (exit 2).
         with np.errstate(all="ignore"):
             return _run(args)
-    except RcsurfError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (RcsurfError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class RcsurfError(Exception):
     """Base class for all errors raised by this package.
@@ -8,7 +10,8 @@ class RcsurfError(Exception):
     sample, the index of the first bad sample in the batch where it was
     found.  Its one text is "path: message at sample i (u=..., v=...)",
     each part present when known.  Kernels and guards give the index;
-    locate adds the sample's (u, v) and moves the index into the grid's.
+    located adds the sample's (u, v) and moves the index into the grid's,
+    and named gives an expression error its path.
     """
 
     def __init__(self, message="", path=None, sample=None):
@@ -22,20 +25,25 @@ class RcsurfError(Exception):
                          + ([f"(u={self.u!r}, v={self.v!r})"] if self.u is not None else []))
         return f"{text} at {where}" if where else text
 
-    def locate(self, U, V, offset=None):
-        """Add the (u, v) of the sample, from U, V of the batch its index
-        counts in, and move the index by offset into the grid's (None
-        drops it: the batch is no grid).  Returns self."""
-        if self.sample is not None:
-            self.u, self.v = float(U[self.sample]), float(V[self.sample])
-            self.sample = None if offset is None else self.sample + offset
-        return self
+
+@contextlib.contextmanager
+def located(U, V, offset=None):
+    """Give an RcsurfError raised inside, that names a sample of the batch
+    U, V, the (u, v) of the sample, and move its index by offset into the
+    grid's (None drops it: the batch is no grid)."""
+    try:
+        yield
+    except RcsurfError as err:
+        if err.sample is not None:
+            err.u, err.v = float(U[err.sample]), float(V[err.sample])
+            err.sample = None if offset is None else err.sample + offset
+        raise
 
 
 # --- expression layer ---------------------------------------------------
 
 class ExprError(RcsurfError):
-    pass
+    table = 0       # the table of a group that meets it (expr.eval_table)
 
 
 class ExprSyntaxError(ExprError):
@@ -71,12 +79,26 @@ class UnknownFunction(ExprError):
 
 class EvalDomainError(ExprError):
     """Raised instead of silently producing NaN (log of a non-positive
-    number, sqrt of a negative number, division by zero, ...)."""
+    number, sqrt of a negative number, division by zero, ...), with the
+    argument at the first bad sample."""
 
-    def __init__(self, function, argument):
-        self.function = function
-        self.argument = argument
-        super().__init__(f"{function} evaluated outside its domain (argument {argument!r})")
+    def __init__(self, function, argument, sample=None):
+        self.function, self.argument = function, argument
+        super().__init__(f"{function} evaluated outside its domain (argument {argument!r})",
+                         sample=sample)
+
+
+@contextlib.contextmanager
+def named(*paths):
+    """Give an ExprError raised inside that names no path the scene entry
+    at fault: paths[t] for one met in table t of a group, the last path
+    for any later table."""
+    try:
+        yield
+    except ExprError as err:
+        if err.path is None:
+            err.path = paths[min(err.table, len(paths) - 1)]
+        raise
 
 
 # --- rotations -------------------------------------------------------------

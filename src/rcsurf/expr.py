@@ -6,8 +6,9 @@ subtrees are shared.  Sharing is what keeps the derived expression DAGs
 derivatives) small enough to evaluate quickly.  A table of expressions is
 compiled once into a program that lists every distinct node once, children
 first, and frees each intermediate after its last use, and each
-evaluation runs it once over the batch it is given.  Scalar bindings are a
-batch of one.
+evaluation runs it once over the batch it is given.  Every binding is
+broadcast to the batch, so scalar bindings are a batch of one, and a value
+outside a function's domain raises EvalDomainError at its first bad sample.
 
 Grammar (whitespace-insensitive)::
 
@@ -22,9 +23,10 @@ Differentiation is exact; the only simplification applied is constant
 folding and 0/1 absorption.  abs differentiates to sign with sign(0) = 0,
 so sampled domains must avoid kinks.
 
-diff, compose, to_string and compiling walk an expression on an explicit
-stack, so its depth (a sum is as deep as it has terms) costs no recursion.
-The parser recurses; text nested over MAX_DEPTH levels is an ExprError.
+diff, compose and compiling share one walk of a DAG, children first
+(_children_first), and to_string prints from a stack of its own: depth (a
+sum is as deep as it has terms) costs no recursion.  The parser recurses;
+text nested over MAX_DEPTH levels is an ExprError.
 """
 
 from __future__ import annotations
@@ -49,18 +51,10 @@ _OP_NAMES = {_ADD: "+", _SUB: "-", _MUL: "*", _DIV: "/", _POW: "^"}
 class Expr:
     """One interned AST node.  Construct through the module functions."""
 
-    __slots__ = ("kind", "a", "b", "value", "name", "_hash")
+    __slots__ = ("kind", "a", "b", "value", "name")
 
     def __init__(self, kind, a=None, b=None, value=None, name=None):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.value = value
-        self.name = name
-        self._hash = hash((kind, id(a), id(b), value, name))
-
-    def __hash__(self):
-        return self._hash
+        self.kind, self.a, self.b, self.value, self.name = kind, a, b, value, name
 
     def __repr__(self):
         return f"Expr({to_string(self)})"
@@ -77,8 +71,7 @@ _interned: dict = {}
 
 
 def _intern(kind, a=None, b=None, value=None, name=None):
-    key = (kind, id(a) if a is not None else None,
-           id(b) if b is not None else None, value, name)
+    key = (kind, id(a), id(b), value, name)
     node = _interned.get(key)
     if node is None:
         node = Expr(kind, a, b, value, name)
@@ -189,7 +182,7 @@ def call(fn, x) -> Expr:
         raise UnknownFunction(fn)
     if _is_const(x):
         try:
-            return con(_apply_scalar(fn, x.value))
+            return con(_apply_fn(fn, x.value))
         except EvalDomainError:
             pass
     return _intern(_CALL, x, name=fn)
@@ -209,33 +202,47 @@ FUNCTIONS = {
 }
 
 
+def _check(bad, fn, x):
+    """Raise EvalDomainError for fn at the first sample where bad holds,
+    with the argument x there; a 0-d bad or x stands for every sample."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise EvalDomainError(fn, float(np.broadcast_to(x, np.shape(bad)).flat[i]), i)
+
+
 def _checked_pow(base, expo):
-    b = np.asarray(base)
-    e = np.asarray(expo)
-    frac = np.any(e != np.floor(e))
-    if frac and np.any(b < 0.0):
-        bad = float(np.min(b))
-        raise EvalDomainError("^", bad)
-    if np.any((b == 0.0) & (e < 0.0)):
-        raise EvalDomainError("^", 0.0)
-    out = np.power(b, e)
-    if b.ndim == 0 and e.ndim == 0:
-        return float(out)
-    return out
+    _check((base == 0.0) & (expo < 0.0) | (base < 0.0) & (expo != np.floor(expo)),
+           "^", base)
+    return np.power(base, expo)
 
 
 def _apply_fn(fn, x):
     if fn == "log":
-        if np.any(np.asarray(x) <= 0.0):
-            raise EvalDomainError("log", float(np.min(x)))
+        _check(x <= 0.0, fn, x)
     elif fn == "sqrt":
-        if np.any(np.asarray(x) < 0.0):
-            raise EvalDomainError("sqrt", float(np.min(x)))
+        _check(x < 0.0, fn, x)
     return FUNCTIONS[fn](x)
 
 
-def _apply_scalar(fn, x):
-    return float(_apply_fn(fn, x))
+# --- walking a DAG ---------------------------------------------------------
+
+def _children_first(e, memo, build):
+    """memo[id(n)] = build(n) for e and each node below it that memo lacks,
+    children first and a's subtree before b's, on an explicit stack;
+    returns memo[id(e)].  The one walk over expression DAGs: diff,
+    compose and _compile build on it."""
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if id(n) in memo:
+            stack.pop()
+        elif n.a is not None and id(n.a) not in memo:
+            stack.append(n.a)
+        elif n.b is not None and id(n.b) not in memo:
+            stack.append(n.b)
+        else:
+            memo[id(stack.pop())] = build(n)
+    return memo[id(e)]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -246,10 +253,9 @@ _programs: dict = {}
 
 
 def evaluate(e: Expr, bindings):
-    """Evaluate one expression as a group of one table (see eval_table),
-    with the batch shape of the bindings (a numpy scalar for scalar
-    bindings)."""
-    return eval_table((e,), bindings)[0][()]
+    """Evaluate one expression as a table (eval_table): an array of the
+    bindings' batch shape, a numpy scalar for scalar bindings."""
+    return eval_table(e, bindings)[()]
 
 
 def eval_table(table, bindings):
@@ -257,8 +263,9 @@ def eval_table(table, bindings):
 
     Bindings map variable names to floats or numpy arrays of one shape.
     The result has shape batch_shape + nest_shape where batch_shape comes
-    from the first array binding (scalar bindings give batch_shape = ()).
-    Constant subexpressions broadcast.  Each table is stored samples-last,
+    from the first array binding.  Every binding is broadcast to the
+    batch, so scalar bindings are a batch of one (batch_shape = ()), and
+    constant subexpressions broadcast.  Each table is stored samples-last,
     one row of the batch per leaf, and returned as the samples-first view
     of that array: the layout contract reads without a copy.
 
@@ -269,15 +276,13 @@ def eval_table(table, bindings):
     The program is compiled once per process (see _compile) and runs once
     over the batch: a sample grid bounds the memory by passing one chunk at
     a time (scenes.SampleGrid.chunks).  An unbound variable raises before
-    any evaluation.
+    any evaluation.  A domain error names its first bad sample by its
+    index in the batch, and the table of the group it meets first.
     """
     group = isinstance(table, tuple)
-    tables = table if group else (table,)
-    shapes, leaves = [], []
-    for t in tables:
-        shapes.append(_nest_shape(t))
-        _flatten(t, leaves)
-    key = (tuple(shapes), tuple(map(id, leaves)))
+    leaves = []
+    shapes = tuple(_flatten(t, leaves) for t in (table if group else (table,)))
+    key = (shapes, tuple(map(id, leaves)))
     prog = _programs.get(key)
     if prog is None:
         prog = _programs[key] = _compile(leaves, shapes)
@@ -289,11 +294,7 @@ def eval_table(table, bindings):
     batch = next((np.shape(v) for v in bindings.values() if np.shape(v)), ())
     n = math.prod(batch)
     outs = [np.empty((math.prod(s), n), dtype=float) for s in shapes]
-    flat = {}
-    for k in names:
-        v = bindings[k]
-        flat[k] = np.broadcast_to(v, batch).reshape(-1) if np.shape(v) else v
-    _run(ops, flat, outs)
+    _run(ops, {k: np.broadcast_to(bindings[k], batch).reshape(-1) for k in names}, outs)
     res = tuple(np.moveaxis(o.reshape(s + (n,)), -1, 0).reshape(batch + s)
                 for o, s in zip(outs, shapes))
     return res if group else res[0]
@@ -326,113 +327,94 @@ def contract(subscripts, *operands):
     return np.moveaxis(np.einsum(moved, *last), -1, 0)
 
 
-def _nest_shape(t):
-    return (len(t),) + _nest_shape(t[0]) if isinstance(t, (list, tuple)) else ()
-
-
 def _flatten(t, leaves):
-    if isinstance(t, (list, tuple)):
-        for s in t:
-            _flatten(s, leaves)
-    else:
+    """Append the leaves of the nested list t to leaves; returns its shape."""
+    if not isinstance(t, (list, tuple)):
         leaves.append(t)
+        return ()
+    for s in t:
+        shape = _flatten(s, leaves)
+    return (len(t),) + shape
 
 
 def _compile(leaves, shapes):
     """Program for the flattened leaves of a group of tables.
 
     Returns (ops, variable names).  The ops list every distinct node once,
-    children before parents.  Op i is (kind, a, b, arg, dest, frees): a and
-    b index the ops of its operands, arg is the constant, variable or
-    function name (for a division: True on the first division by its
-    denominator, the one that checks it for zeros), dest lists the
-    (table, column) output slots it fills and frees the ops whose values
-    are dead once op i has run (their last use).
+    children first (_children_first, leaf by leaf).  Op i is (kind, a, b,
+    arg, dest, frees): a and b index the ops of its operands, arg is the
+    constant, variable or function name (for a division: True on the first
+    division by its denominator, the one that checks it for zeros), dest
+    lists the (table, column) output slots it fills and frees the ops whose
+    values are dead once op i has run (their last use).
     """
-    index, order, last = {}, [], []
-    for root in leaves:
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if id(e) in index:
-                stack.pop()
-                continue
-            a, b = e.a, e.b
-            if a is not None and id(a) not in index:
-                stack.append(a)
-            elif b is not None and id(b) not in index:
-                stack.append(b)
-            else:
-                stack.pop()
-                i = len(order)
-                index[id(e)] = i
-                order.append(e)
-                last.append(i)
-                if a is not None:
-                    last[index[id(a)]] = i
-                if b is not None:
-                    last[index[id(b)]] = i
+    index, ops, last = {}, [], []
+    checked = set()         # denominators a division already checks
 
-    dest = [[] for _ in order]
+    def emit(e):
+        i = len(ops)
+        a = None if e.a is None else index[id(e.a)]
+        b = None if e.b is None else index[id(e.b)]
+        if e.kind == _DIV:
+            arg = id(e.b) not in checked
+            checked.add(id(e.b))
+        else:
+            arg = e.value if e.kind == _CONST else e.name
+        if a is not None:
+            last[a] = i
+        if b is not None:
+            last[b] = i
+        last.append(i)
+        ops.append((e.kind, a, b, arg, [], []))
+        return i
+
     leaf = iter(leaves)
     for t, shape in enumerate(shapes):
         for col in range(math.prod(shape)):
-            dest[index[id(next(leaf))]].append((t, col))
-    frees = [[] for _ in order]
+            ops[_children_first(next(leaf), index, emit)][4].append((t, col))
     for j, i in enumerate(last):
-        frees[i].append(j)
-
-    checked = set()         # denominators a division already checks
-
-    def arg(e):
-        if e.kind == _CONST:
-            return e.value
-        if e.kind == _DIV:
-            first = id(e.b) not in checked
-            checked.add(id(e.b))
-            return first
-        return e.name
-
-    ops = [(e.kind,
-            None if e.a is None else index[id(e.a)],
-            None if e.b is None else index[id(e.b)],
-            arg(e), tuple(d), tuple(f))
-           for e, d, f in zip(order, dest, frees)]
-    return ops, [e.name for e in order if e.kind == _VAR]
+        ops[i][5].append(j)
+    return ([(k, a, b, arg, tuple(d), tuple(f)) for k, a, b, arg, d, f in ops],
+            [arg for k, _, _, arg, _, _ in ops if k == _VAR])
 
 
 def _run(ops, bindings, outs):
     """Run a compiled program on flat bindings, writing the table leaves
-    into the columns of the output arrays."""
+    into the columns of the output arrays.  A domain error is given the
+    table it meets first: the first whose leaves need its op."""
     vals = [None] * len(ops)
-    for i, (k, a, b, arg, dest, frees) in enumerate(ops):
-        if k == _CONST:
-            v = arg
-        elif k == _VAR:
-            v = bindings[arg]
-        elif k == _NEG:
-            v = -vals[a]
-        elif k == _CALL:
-            v = _apply_fn(arg, vals[a])
-        else:
-            av, bv = vals[a], vals[b]
-            if k == _ADD:
-                v = av + bv
-            elif k == _SUB:
-                v = av - bv
-            elif k == _MUL:
-                v = av * bv
-            elif k == _DIV:
-                if arg and np.any(np.asarray(bv) == 0.0):
-                    raise EvalDomainError("/", 0.0)
-                v = av / bv
+    try:
+        for i, (k, a, b, arg, dest, frees) in enumerate(ops):
+            if k == _CONST:
+                v = arg
+            elif k == _VAR:
+                v = bindings[arg]
+            elif k == _NEG:
+                v = -vals[a]
+            elif k == _CALL:
+                v = _apply_fn(arg, vals[a])
             else:
-                v = _checked_pow(av, bv)
-        for t, col in dest:
-            outs[t][col] = v
-        vals[i] = v
-        for j in frees:
-            vals[j] = None
+                av, bv = vals[a], vals[b]
+                if k == _ADD:
+                    v = av + bv
+                elif k == _SUB:
+                    v = av - bv
+                elif k == _MUL:
+                    v = av * bv
+                elif k == _DIV:
+                    if arg:
+                        _check(bv == 0.0, "/", bv)
+                    v = av / bv
+                else:
+                    v = _checked_pow(av, bv)
+            for t, col in dest:
+                outs[t][col] = v
+            vals[i] = v
+            for j in frees:
+                vals[j] = None
+    except EvalDomainError as err:
+        err.table = min(t for op in ops[i:] for t, _ in op[4])
+        raise
 
 
 # --- differentiation -------------------------------------------------------
@@ -455,23 +437,6 @@ _FN_DERIV = {
 }
 
 _BINARY = {_ADD: add, _SUB: sub, _MUL: mul, _DIV: div, _POW: pow_}
-
-
-def _children_first(e, memo, build):
-    """memo[id(n)] = build(n) for e and each node below it that memo lacks,
-    children first, on an explicit stack; returns memo[id(e)]."""
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-            continue
-        pending = [c for c in (n.a, n.b) if c is not None and id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-        else:
-            memo[id(stack.pop())] = build(n)
-    return memo[id(e)]
 
 
 def diff(e: Expr, name: str) -> Expr:
@@ -669,11 +634,7 @@ class _Parser:
             if value == "pi":
                 return PI
             if value in FUNCTIONS:
-                # function application requires parentheses
-                k2, v2, off2 = self.tok
-                if k2 != "op" or v2 != "(":
-                    raise ExprSyntaxError(self.text, off2, {"'('"})
-                self._advance()
+                self._expect_op("(")        # function application requires parentheses
                 arg = self.expr()
                 self._expect_op(")")
                 return call(value, arg)

@@ -28,8 +28,10 @@ bold_H from a lean gauged block: the first-order core of a base block
 (surface.first_order) on the jets in ext.  It returns its error at each
 sample, as every other residual does.  An axis that is not unit
 or not finite raises NonUnitAxis (check_axis, which a scene build runs on
-the scene's own axes too), named by the gauge field's path; other
-non-finite gauge values are named gauge.<field>.
+the scene's own axes too), named by the gauge field's path, as is an
+expression error in its program or its gauged ambient's build (ambient.F
+for a field with no path); other non-finite gauge values are named
+gauge.<field>.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
+from . import expr, extrinsic
 from .ambient import CHART_VARS, frame_ambient
-from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck
+from .errors import AxisNotNormal, NonUnitAxis, NotWeitzenboeck, named
 from .so3 import matmul_exprs, rodrigues_exprs
 from .surface import cross_metric_batch, first_order, require_finite
-from . import extrinsic
 
 __all__ = [
     "GaugeField", "gauss_field", "projected_frames", "div_curl",
@@ -133,8 +134,9 @@ def apply_gauge(amb, gauge: GaugeField):
     composed at the expression level."""
     if amb.kind != "frame":
         raise NotWeitzenboeck("gauge transformations act on frame-defined ambients")
-    R = rodrigues_exprs(gauge.theta, gauge.axis)
-    return frame_ambient(matmul_exprs(amb.frame, R), chart_domain=amb.chart_domain)
+    with named(gauge.path or "ambient.F"):
+        R = rodrigues_exprs(gauge.theta, gauge.axis)
+        return frame_ambient(matmul_exprs(amb.frame, R), chart_domain=amb.chart_domain)
 
 
 def check_axis(ax, normal=None, path=None):
@@ -160,12 +162,13 @@ def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
     components (n, 3 comp, 3 chart) when gradients; then the gauged
     ambient gamb's g and Gamma for gauged_mean_curvature, with the gauged
     frame checked on its determinant from the same program."""
-    tables = (list(gauge.axis), gauge.theta)
-    if gradients:
-        tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
-                   [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
-    *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
-                                         tables + (gamb.g, gamb.gamma))
+    with named(gauge.path or "ambient.F"):
+        tables = (list(gauge.axis), gauge.theta)
+        if gradients:
+            tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
+                       [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
+        *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
+                                             tables + (gamb.g, gamb.gamma))
     check_axis(out[0], normal, gauge.path)
     require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])))
     gamb.check_frame(det)

@@ -43,11 +43,11 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo
 from .ambient import coefficient_ambient, frame_ambient
 from .errors import (
-    ExprError, IoError, NotClosed, RcsurfError, SceneFormatError,
-    UndefinedField, UnknownScene,
+    IoError, NotClosed, SceneFormatError,
+    UndefinedField, UnknownScene, located, named,
 )
 from .gaussmap import GaugeField
-from .surface import Surface, first_order, require_finite
+from .surface import Surface, first_order, induced_metric, require_finite
 
 __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
@@ -224,10 +224,8 @@ def build_scene(doc) -> Scene:
         _known_keys(adoc, "ambient", kind)
         F = _parse_matrix(_need(adoc, "F", "ambient"), AMBIENT_VARS,
                           "ambient.F", (3, 3))
-        try:        # the symbolic build names its errors as parsing does
+        with named("ambient.F"):    # the symbolic build names its errors as parsing does
             amb = frame_ambient(F, chart_domain=chart_domain)
-        except ExprError as err:
-            raise SceneFormatError("ambient.F", str(err)) from err
     elif kind == "coefficients":
         _known_keys(adoc, "ambient", kind)
         g = _parse_matrix(_need(adoc, "g", "ambient"), AMBIENT_VARS,
@@ -253,10 +251,8 @@ def build_scene(doc) -> Scene:
             or not all(isinstance(p, bool) for p in periodic)):
         raise SceneFormatError("surface.periodic", "expected [bool, bool]")
     isothermal = _flag(sdoc, "isothermal", "surface.isothermal")
-    try:
+    with named("surface.X"):
         surf = Surface(amb, X, domain, periodic, isothermal)
-    except ExprError as err:
-        raise SceneFormatError("surface.X", str(err)) from err
 
     gauge = None
     if doc.get("gauge") is not None:
@@ -296,14 +292,14 @@ def _validate_scene(scene):
     normal_axis (gaussmap.check_axis, as the gauge suite checks them on the
     grid; normal_axis against the Gauss map), both axes in one program.
     The probe points are no grid samples: an error there names its point
-    by (u, v) alone (errors.RcsurfError.locate)."""
+    by (u, v) alone (errors.located)."""
     (u0, u1), (v0, v1) = scene.surface.domain
     us = np.linspace(u0, u1, 7)[1:-1]
     vs = np.linspace(v0, v1, 7)[1:-1]
     U, V = [a.ravel() for a in np.meshgrid(us, vs, indexing="ij")]
     surf, amb = scene.surface, scene.ambient
     axes = {}           # path -> (axis, the Gauss map it must match or None)
-    try:
+    with located(U, V):
         jets = surf.jets(U, V)
         base = first_order("base", jets, amb.validate(jets["p"]))
         if amb.kind != "frame":
@@ -314,13 +310,11 @@ def _validate_scene(scene):
             axes["normal_axis"] = (scene.normal_axis, gaussmap.gauss_field(base)["n"])
         if not axes:
             return
-        values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
-                                 amb.bindings(base["p"]))
+        with named(*axes):
+            values = expr.eval_table(tuple(list(axis) for axis, _ in axes.values()),
+                                     amb.bindings(base["p"]))
         for (path, (_, normal)), value in zip(axes.items(), values):
             gaussmap.check_axis(value, normal, path)
-    except RcsurfError as err:
-        err.locate(U, V)
-        raise
 
 
 def load_scene(path) -> Scene:
@@ -424,7 +418,7 @@ def _rotated_frame_plane(theta="x*y", e=(-1.0, 0.0, 0.0)):
                                "expected a finite non-zero axis of three numbers")
     if abs(norm - 1.0) > 1e-12:
         e = tuple(c / norm for c in e)
-    try:            # every symbolic step can fail on theta, and names it
+    with named("params.theta"):   # every symbolic step can fail on theta
         theta_e = (expr.con(theta) if isinstance(theta, (int, float))
                    else expr.parse(str(theta), AMBIENT_VARS))
         F = gaussmap.rodrigues_exprs(theta_e, tuple(expr.con(c) for c in e))
@@ -450,8 +444,6 @@ def _rotated_frame_plane(theta="x*y", e=(-1.0, 0.0, 0.0)):
                 "K_e": "0",
             },
         }
-    except RcsurfError as err:
-        raise SceneFormatError("params.theta", str(err)) from None
 
 
 _CATENOID_G_ROWS = [
@@ -705,14 +697,10 @@ class SampleGrid:
     def map_chunks(self, work):
         """work(chunk) for each chunk in order, yielded as soon as it is
         computed.  An error raised by work that names a sample of the chunk
-        names it by its index in this grid and its (u, v)
-        (errors.RcsurfError.locate)."""
+        names it by its index in this grid and its (u, v) (errors.located)."""
         for part in self.chunks():
-            try:
+            with located(part.U, part.V, part.offset - self.offset):
                 out = work(part)
-            except RcsurfError as err:
-                err.locate(part.U, part.V, part.offset - self.offset)
-                raise
             yield out
 
     def collect(self, work):
@@ -840,8 +828,9 @@ def integrate(grid: SampleGrid, field) -> float:
 def require_closed(scene):
     """Raise NotClosed unless the scene's chart covers a closed surface:
     both axes periodic, or the scene declared closed with the area density
-    vanishing at the non-periodic edges (polar charts), all probed in one
-    base_fields call."""
+    vanishing at the non-periodic edges (polar charts).  The edges are
+    probed in a base block's programs, the density read before the
+    degenerate-chart guard it trips, and a probe error located by (u, v)."""
     surf = scene.surface
     if not scene.closed_chart:
         raise NotClosed("Gauss-map degree needs a closed surface chart")
@@ -854,7 +843,16 @@ def require_closed(scene):
             uv = [0.5 * sum(surf.domain[0]), 0.5 * sum(surf.domain[1])]
             uv[axis] = edge + (1e-7 if edge == lo else -1e-7) * surf.extent(axis)
             probes.append(uv)
-    if probes and np.any(surf.base_fields(*np.array(probes).T)["area"] > 1e-3):
+    if not probes:
+        return
+    U, V = np.array(probes).T
+    amb = surf.ambient
+    with located(U, V):
+        jets = surf.jets(U, V)
+        tables = dict(zip(amb.base_names, amb.fields_at(amb.bindings(jets["p"]),
+                                                        amb.base_names)))
+        det2 = induced_metric("base", jets, tables)["det2"]
+    if np.any(det2 > 1e-6):         # an area density above 1e-3
         raise NotClosed("non-periodic axis without vanishing density at its edge")
 
 

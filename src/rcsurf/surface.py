@@ -41,12 +41,12 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck,
+    DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck, named,
 )
 from .so3 import det_exprs, inv_exprs, matvec_exprs, sum_exprs
 
 __all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
-           "isothermal_factor", "require_finite"]
+           "induced_metric", "isothermal_factor", "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
@@ -75,29 +75,32 @@ def require_finite(block, fields):
     return fields
 
 
-def first_order(block, jets, tables):
-    """The first-order core of a base block, from the JETS in jets (a JETS
-    dict or any block that holds them) and the ambient tables (g, gamma,
-    ...) at the same samples: the torsion, E, F, G, area, N, G_S, Ginv_S,
-    cov, II and tau_uv, with det2 = E G - F^2 and TXuXv = T(Xu, Xv) for
-    the frame and T_S that Surface.base_fields adds.
-
-    The jets, the tables, torsion, E, F and G are checked finite under
-    block first, so that an overflow is named as one and not met as a
-    degenerate chart (or, in base_fields, a singular frame B); the rest is
-    returned unchecked."""
+def induced_metric(block, jets, tables):
+    """The first-order core up to its degenerate-chart guard: the JETS in
+    jets (a JETS dict or any block that holds them), the ambient tables
+    (g, gamma, ...) at the same samples, the torsion and E, F, G, checked
+    finite under block (an overflow is not met as a degenerate chart or a
+    singular frame B), and det2 = E G - F^2, the squared area density."""
     jets = {k: jets[k] for k in JETS}
     Xu, Xv = jets["Xu"], jets["Xv"]
     g, gamma = tables["g"], tables["gamma"]
-    tor = gamma - np.swapaxes(gamma, -2, -1)
-
     E = expr.contract("nab,na,nb->n", g, Xu, Xu)
     F = expr.contract("nab,na,nb->n", g, Xu, Xv)
     G = expr.contract("nab,na,nb->n", g, Xv, Xv)
-    first = require_finite(block, {
-        **jets, **tables, "torsion": tor, "E": E, "F": F, "G": G,
-    })
-    det2 = E * G - F * F
+    tor = gamma - np.swapaxes(gamma, -2, -1)
+    out = require_finite(block, {**jets, **tables, "torsion": tor, "E": E, "F": F, "G": G})
+    out["det2"] = E * G - F * F
+    return out
+
+
+def first_order(block, jets, tables):
+    """The first-order core of a base block: induced_metric, the
+    degenerate-chart guard, then area, N, G_S, Ginv_S, cov, II and tau_uv
+    (unchecked), with TXuXv = T(Xu, Xv) for the frame and T_S that
+    Surface.base_fields adds."""
+    first = induced_metric(block, jets, tables)
+    Xu, Xv, g, det2 = first["Xu"], first["Xv"], first["g"], first["det2"]
+    E, F, G = first["E"], first["F"], first["G"]
     flat = det2 <= AREA_DENSITY_TOL ** 2
     if np.any(flat):
         raise DegenerateParameterization("tangents linearly dependent (area density "
@@ -117,17 +120,17 @@ def first_order(block, jets, tables):
     # ambient covariant derivatives of the tangent fields, and II
     tang = np.stack([Xu, Xv], axis=1)            # (n, 2, 3)
     second = np.empty(E.shape + (2, 2, 3))
-    second[:, 0, 0] = jets["Xuu"]
-    second[:, 0, 1] = jets["Xuv"]
-    second[:, 1, 0] = jets["Xuv"]
-    second[:, 1, 1] = jets["Xvv"]
-    cov = second + expr.contract("nkij,nai,nbj->nabk", gamma, tang, tang)
+    second[:, 0, 0] = first["Xuu"]
+    second[:, 0, 1] = first["Xuv"]
+    second[:, 1, 0] = first["Xuv"]
+    second[:, 1, 1] = first["Xvv"]
+    cov = second + expr.contract("nkij,nai,nbj->nabk", first["gamma"], tang, tang)
     II = expr.contract("nkl,nabk,nl->nab", g, cov, N)
 
     # torsion 2-form on the tangent pair
-    TXuXv = expr.contract("nkij,ni,nj->nk", tor, Xu, Xv)
+    TXuXv = expr.contract("nkij,ni,nj->nk", first["torsion"], Xu, Xv)
     tau_uv = expr.contract("nkl,nk,nl->n", g, N, TXuXv)
-    return first | {"det2": det2, "G_S": G_S, "Ginv_S": Ginv, "area": area,
+    return first | {"G_S": G_S, "Ginv_S": Ginv, "area": area,
                     "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
 
 
@@ -195,9 +198,10 @@ class Surface:
         """X and its first and second partial derivatives at flat arrays U,
         V, keyed by JETS, each (n, 3): the one program that evaluates the
         surface's own tables."""
-        return dict(zip(JETS, expr.eval_table(
-            (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
-            {"u": U, "v": V})))
+        with named("surface.X"):
+            return dict(zip(JETS, expr.eval_table(
+                (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
+                {"u": U, "v": V})))
 
     def base_fields(self, U, V):
         """Evaluate the first-order geometry at flat arrays U, V.
@@ -279,12 +283,14 @@ class Surface:
 
     def composition_at(self, U, V, names):
         """The named tables of the surface composition (gauss_exprs) at
-        flat arrays U, V, as a dict, evaluated as one (u, v) program."""
-        comp = self.gauss_exprs()
-        if not comp.keys() >= set(names):       # n, dn_du, dn_dv
-            raise NotWeitzenboeck("operation needs a frame-defined ambient")
-        return dict(zip(names, expr.eval_table(tuple(comp[k] for k in names),
-                                               {"u": U, "v": V})))
+        flat arrays U, V, as a dict, evaluated as one (u, v) program; an
+        expression error there, built or evaluated, names surface.X."""
+        with named("surface.X"):
+            comp = self.gauss_exprs()
+            if not comp.keys() >= set(names):       # n, dn_du, dn_dv
+                raise NotWeitzenboeck("operation needs a frame-defined ambient")
+            return dict(zip(names, expr.eval_table(tuple(comp[k] for k in names),
+                                                   {"u": U, "v": V})))
 
     def gauss_exprs(self):
         """The surface composition: exact (u, v)-expressions built once by

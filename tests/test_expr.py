@@ -252,7 +252,7 @@ def test_shared_denominator_is_checked_once_and_still_raises(bad):
     sample of a long batch or one past the first grid chunk; without it the
     values are unchanged."""
     table = [expr.parse(text, {"x", "y"}) for text in ("x/(y - 1)", "sin(x)/(y - 1)")]
-    ops, _ = expr._compile(table, [(2,)])
+    ops = expr._compile(table, [(2,)])[0]
     divisions = [op[3] for op in ops if op[0] == expr._DIV]
     assert divisions == [True, False]
     n = 2 * scenes.CHUNK + 3
@@ -262,7 +262,7 @@ def test_shared_denominator_is_checked_once_and_still_raises(bad):
     b["y"][bad] = 1.0
     with pytest.raises(EvalDomainError) as err:
         expr.eval_table(table, b)
-    assert err.value.function == "/"
+    assert (err.value.function, err.value.argument, err.value.sample) == ("/", 0.0, bad)
 
 
 def test_unknown_variable_raises_on_arrays():

@@ -282,6 +282,48 @@ def test_degree_requires_vanishing_density_at_every_edge():
     assert (degree["status"], degree["reason"]) == ("fail", why)
 
 
+def _closed_chart(X=None, F22=None):
+    """round_sphere_standard's document, declared closed, with surface.X
+    or the frame entry F[2][2] replaced and no normal_axis."""
+    doc = scenes.builtin("round_sphere_standard").to_dict()
+    del doc["normal_axis"]
+    if X is not None:
+        doc["surface"]["X"] = X
+        doc["surface"]["domain"][0] = [0.0, 1.0]
+    if F22 is not None:
+        doc["ambient"]["F"][2][2] = F22
+    return scenes.build_scene(doc)
+
+
+def test_degree_probe_reads_the_density_before_the_chart_guard():
+    """X = (u^2 cos v, u^2 sin v, u) on [0, 1] x [0, 2 pi]: its density
+    vanishes at u = 0, faster than linearly (the degenerate-chart guard
+    would stop the probe there), and not at u = 1, so the chart is not
+    closed."""
+    sc = _closed_chart(X=["u^2*cos(v)", "u^2*sin(v)", "u"])
+    why = "non-periodic axis without vanishing density at its edge"
+    with pytest.raises(NotClosed, match=why):
+        scenes.require_closed(sc)
+    report = verify.run_verification(sc, 8, 8, suites=["degree"])
+    degree = {e["name"]: e for e in report.entries}["degree"]
+    assert (degree["status"], degree["reason"]) == ("fail", why)
+
+
+def test_degree_probe_error_names_its_point():
+    """A frame that leaves its domain only within 1e-6 of the pole z = -1
+    passes the build and the grid's samples, and fails at the closed-chart
+    probe of the edge u = pi: the degree entry names ambient.F and the
+    probe's (u, v)."""
+    sc = _closed_chart(F22="1 + sqrt(z + 0.999999)")
+    u, v = math.pi + -1e-7 * math.pi, 0.5 * (0.0 + 2.0 * math.pi)
+    report = verify.run_verification(sc, 8, 8, suites=["degree"])
+    degree = {e["name"]: e for e in report.entries}["degree"]
+    assert degree["status"] == "fail"
+    assert degree["reason"].startswith("ambient.F: sqrt evaluated outside its domain "
+                                       "(argument -"), degree["reason"]
+    assert degree["reason"].endswith(f") at (u={u!r}, v={v!r})"), degree["reason"]
+
+
 @pytest.mark.parametrize("name", [n for n in scenes.builtin_names()
                                   if scenes.builtin(n).ambient.kind == "frame"])
 def test_verify_gauge_fields_are_the_seeded_draws(name):

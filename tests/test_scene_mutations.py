@@ -1,9 +1,10 @@
 """The exit-code contract over mutated scene documents: a built-in's
 document with one key deleted, one value swapped for a wrong-typed one, or
-one expression swapped for a random one exits 0, 1 or 2, with no traceback,
-and exits 1 only with a written report.  An exit-2 message from a
-pointwise guard names the scene path (or block.key) it checks and where
-the first bad sample is."""
+one expression swapped for a random one, which may leave its domain (log,
+sqrt and division of unbounded subexpressions), exits 0, 1 or 2, with no
+traceback, and exits 1 only with a written report.  Every exit-2 message
+names a scene path (or block.key), and one from a pointwise guard names
+where the first bad sample is."""
 
 import contextlib
 import io
@@ -44,6 +45,11 @@ _GUARDS = {
     "non-finite value": r"[a-z_]+\.[A-Za-z_]+",
 }
 _WHERE = r" at (sample \d+ )?\(u=[^,]+, v=[^)]+\)\n$"
+# a scene path (a top-level key of the document, then keys and indices) or
+# block.key, as an exit-2 message names it
+_PATH = (r"(name|ambient|surface|gauge|closed|euler_characteristic|normal_axis|tolerances"
+         r"|goldens|base|curvature|ext|intrinsic|holo|gauss|gauss_dn|gauss_frames|report)"
+         r"(\.[A-Za-z_][A-Za-z_0-9]*)*(\[\d+\])*")
 
 
 def _paths(node, path=()):
@@ -69,6 +75,22 @@ def _mutated(doc, path, value):
     return doc
 
 
+def _unsafe_expr(rng, names, depth):
+    """random_expr's smooth expressions with log, sqrt and division of
+    unbounded subexpressions drawn too, so that it may leave its domain."""
+    if depth == 0 or rng.random() < 0.4:
+        return random_expr(rng, names, depth)
+    a, b = (_unsafe_expr(rng, names, depth - 1) for _ in range(2))
+    pick = rng.integers(5)
+    if pick == 0:
+        return expr.call("log", a)
+    if pick == 1:
+        return expr.call("sqrt", a)
+    if pick == 2 and b is not expr.ZERO:
+        return expr.div(a, b)
+    return expr.add(a, b) if pick == 3 else expr.mul(a, b)
+
+
 @st.composite
 def _mutation(draw):
     name = draw(st.sampled_from(sorted(_DOCS)))
@@ -84,7 +106,7 @@ def _mutation(draw):
     path = draw(st.sampled_from([p for p, v in paths if isinstance(v, str)]))
     names = ["u", "v"] if path[0] in ("surface", "goldens") else ["x", "y", "z"]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    text = expr.to_string(random_expr(rng, names, depth=draw(st.integers(0, 3))))
+    text = expr.to_string(_unsafe_expr(rng, names, depth=draw(st.integers(0, 3))))
     return name, _mutated(doc, path, text)
 
 
@@ -108,6 +130,8 @@ def test_mutated_builtin_documents_keep_the_exit_code_contract(mutation):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert os.path.isfile(report)
+        if code == 2:
+            assert re.match(f"error: {_PATH}: ", err.getvalue()), err.getvalue()
         for text, path in _GUARDS.items():
             if code == 2 and text in err.getvalue():
                 assert re.match(f"error: ({path}): {re.escape(text)}.*{_WHERE}",

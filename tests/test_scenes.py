@@ -11,7 +11,7 @@ import rcsurf
 from rcsurf import cli, expr, scenes, verify
 from rcsurf.surface import induced_connection
 from rcsurf.errors import (
-    IoError, SceneFormatError, SingularFrame, UndefinedField, UnknownScene,
+    ExprError, IoError, SceneFormatError, SingularFrame, UndefinedField, UnknownScene,
 )
 
 
@@ -88,6 +88,19 @@ def test_non_boolean_flags_rejected(tmp_path, capsys, section, key, value, path)
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["verify", "--scene", str(scene_path), "--grid", "8x8"]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_lazy_metric_derivative_build_names_the_metric():
+    """g_22 = 1 + 1e200*z*1e200 is 1 on the plane z = 0, but its
+    z-derivative, which the build's metric-compatibility guard reads from
+    the lazily built dg, folds 1e200*1e200 to inf: the error names
+    ambient.g."""
+    doc = scenes.builtin("cartan_schouten_sphere").to_dict()
+    doc["surface"].update(X=["u", "v", "0"], domain=[[0.0, 1.0], [0.0, 1.0]])
+    doc["ambient"]["g"][2][2] = "1 + 1e200*z*1e200"
+    with pytest.raises(ExprError) as err:
+        scenes.build_scene(doc)
+    assert str(err.value) == "ambient.g: constant inf is not finite"
 
 
 def test_singular_frame_scene_rejected():

@@ -311,6 +311,81 @@ def test_cli_scene_axes_are_checked_when_the_scene_is_built(tmp_path, capsys, ke
     assert not out.exists()
 
 
+def _scene_file(tmp_path, doc):
+    path = tmp_path / "scene.rcscene"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name, index, text, where", [
+    ("euclidean_plane", ("F", 2, 2), "log(x - 5)",
+     "at (u=0.16666666666666666, v=0.16666666666666666)"),
+    ("cartan_schouten_sphere", ("Gamma", 0, 1, 2), "sqrt(x - 2)", _PROBE),
+], ids=["log-in-F", "sqrt-in-Gamma"])
+def test_cli_domain_error_at_the_build_probe_names_entry_and_point(tmp_path, capsys, name,
+                                                                   index, text, where):
+    """An ambient entry that leaves its domain at the scene build's probe
+    exits 2 naming the entry, the argument at the first bad probe point
+    and its (u, v)."""
+    doc = scenes.builtin(name).to_dict()
+    entry = doc["ambient"][index[0]]
+    for i in index[1:-1]:
+        entry = entry[i]
+    entry[index[-1]] = text
+    assert cli.main(["verify", "--scene", _scene_file(tmp_path, doc), "--grid", "8x8"]) == 2
+    err = capsys.readouterr().err
+    fn = text.split("(")[0]
+    assert err.startswith(f"error: ambient.{index[0]}: {fn} evaluated outside its domain "
+                          f"(argument -"), err
+    assert err.endswith(f") {where}\n"), err
+
+
+@pytest.mark.parametrize("chunk", [scenes.CHUNK, 40])
+@pytest.mark.parametrize("command", ["fields", "integrate", "verify"])
+def test_cli_domain_error_on_the_grid_names_entry_and_sample(tmp_path, capsys, monkeypatch,
+                                                             command, chunk):
+    """An ambient entry that leaves its domain past the build's probe (x >
+    0.9 on the unit square) exits 2 from every command naming the entry,
+    the argument and the grid index and (u, v) of the first bad sample,
+    whatever the chunk size."""
+    doc = scenes.builtin("euclidean_plane").to_dict()
+    doc["ambient"]["F"][2][2] = "2 + sqrt(0.9 - x)"
+    del doc["normal_axis"]
+    grid = scenes.make_grid(scenes.build_scene(doc), 16, 16)
+    i = int(np.argmax(grid.U > 0.9))
+    u, v = float(grid.U[i]), float(grid.V[i])
+    monkeypatch.setattr(scenes, "CHUNK", chunk)
+    extra = {"fields": ["--out", str(tmp_path / "f.csv")], "integrate": ["--field", "K"],
+             "verify": []}[command]
+    assert cli.main([command, "--scene", _scene_file(tmp_path, doc), "--grid", "16x16"]
+                    + extra) == 2
+    assert capsys.readouterr().err == (
+        f"error: ambient.F: sqrt evaluated outside its domain (argument {0.9 - u!r}) "
+        f"at sample {i} (u={u!r}, v={v!r})\n")
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_cli_lazy_symbolic_build_names_its_entry(tmp_path, capsys):
+    """Gamma^0_00 = 1e200*z*1e200 on the plane z = 0: the scene builds, and
+    its composition onto the plane folds to 0, so fields and integrate
+    pass; verify's curvature block builds dGamma, whose z-derivative folds
+    1e200*1e200 to inf, and exits 2 naming ambient.Gamma."""
+    doc = scenes.builtin("cartan_schouten_sphere").to_dict()
+    doc["surface"].update(X=["u", "v", "0"], domain=[[0.0, 1.0], [0.0, 1.0]],
+                          isothermal=True)
+    for key in ("closed", "euler_characteristic", "goldens"):
+        del doc[key]
+    gamma = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][0][0] = "1e200*z*1e200"
+    doc["ambient"]["Gamma"] = gamma
+    scene = ["--scene", _scene_file(tmp_path, doc), "--grid", "8x8"]
+    assert cli.main(["fields", "--out", str(tmp_path / "f.csv")] + scene) == 0
+    assert cli.main(["integrate", "--field", "K"] + scene) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["verify"] + scene) == 2
+    assert capsys.readouterr().err == "error: ambient.Gamma: constant inf is not finite\n"
+
+
 @pytest.mark.parametrize("command, lam, field", [
     ("verify", "1e308", "base.torsion"),
     ("fields", "1e308", "base.torsion"),
