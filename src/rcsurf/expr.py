@@ -3,12 +3,17 @@
 Expressions are immutable, hash-consed AST nodes, so structurally equal
 subtrees are shared.  Sharing is what keeps the derived expression DAGs
 (metric inverses, connection coefficients, normal fields and their
-derivatives) small enough to evaluate quickly.  A table of expressions is
-compiled once into a program that lists every distinct node once, children
-first, and frees each intermediate after its last use, and each
-evaluation runs it once over the batch it is given.  Every binding is
-broadcast to the batch, so scalar bindings are a batch of one, and a value
-outside a function's domain raises EvalDomainError at its first bad sample.
+derivatives) small enough to evaluate quickly.  A node is interned by its
+kind, its child nodes themselves, its value and its name; nodes define no
+__eq__, so they hash and compare by identity, and every memo keys by node.
+A table of expressions is compiled once into a program that lists every
+distinct node once, children first, in a few flat columns (kind, operands,
+argument, frees) with a sparse map from op to output slots; frees drops
+each intermediate after its last use.  Each evaluation runs the program
+once over the batch it is given.  Every binding is broadcast to the batch,
+so scalar bindings are a batch of one, and a value outside a function's
+domain raises EvalDomainError at its first bad sample; a constant one
+raises as the expression is built.
 
 Grammar (whitespace-insensitive)::
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -71,11 +77,13 @@ _interned: dict = {}
 
 
 def _intern(kind, a=None, b=None, value=None, name=None):
-    key = (kind, id(a), id(b), value, name)
+    """The one node of this kind, children, value and name.  The key holds
+    the child nodes themselves: Expr defines no __eq__, so they compare by
+    identity, and value by ==."""
+    key = (kind, a, b, value, name)
     node = _interned.get(key)
     if node is None:
-        node = Expr(kind, a, b, value, name)
-        _interned[key] = node
+        node = _interned[key] = Expr(kind, a, b, value, name)
     return node
 
 
@@ -95,82 +103,86 @@ ZERO = con(0.0)
 ONE = con(1.0)
 
 
-def _is_const(e, v=None):
-    return e.kind == _CONST and (v is None or e.value == v)
+# The constructors fold constants and absorb 0 and 1, testing each
+# operand's constness once.  A constant outside its function's domain (log(0),
+# 0^-1, x/0) raises EvalDomainError as the expression is built, naming no
+# sample.
 
 
 def add(x, y) -> Expr:
-    if _is_const(x) and _is_const(y):
-        return con(x.value + y.value)
-    if _is_const(x, 0.0):
-        return y
-    if _is_const(y, 0.0):
+    if x.kind == _CONST:
+        if y.kind == _CONST:
+            return con(x.value + y.value)
+        if x.value == 0.0:
+            return y
+    elif y.kind == _CONST and y.value == 0.0:
         return x
     return _intern(_ADD, x, y)
 
 
 def sub(x, y) -> Expr:
-    if _is_const(x) and _is_const(y):
-        return con(x.value - y.value)
-    if _is_const(y, 0.0):
-        return x
-    if _is_const(x, 0.0):
-        return neg(y)
-    if x is y:
+    if x.kind == _CONST:
+        if y.kind == _CONST:
+            return con(x.value - y.value)
+        if x.value == 0.0:
+            return neg(y)
+    elif y.kind == _CONST:
+        if y.value == 0.0:
+            return x
+    elif x is y:
         return ZERO
     return _intern(_SUB, x, y)
 
 
 def mul(x, y) -> Expr:
-    if _is_const(x) and _is_const(y):
-        return con(x.value * y.value)
-    if _is_const(x, 0.0) or _is_const(y, 0.0):
+    if x.kind == _CONST:
+        if y.kind == _CONST:
+            return con(x.value * y.value)
+        c, other = x.value, y
+    elif y.kind == _CONST:
+        c, other = y.value, x
+    else:
+        return _intern(_MUL, x, y)
+    if c == 0.0:
         return ZERO
-    if _is_const(x, 1.0):
-        return y
-    if _is_const(y, 1.0):
-        return x
-    if _is_const(x, -1.0):
-        return neg(y)
-    if _is_const(y, -1.0):
-        return neg(x)
+    if c == 1.0:
+        return other
+    if c == -1.0:
+        return neg(other)
     return _intern(_MUL, x, y)
 
 
 def div(x, y) -> Expr:
-    if _is_const(y):
+    if y.kind == _CONST:
         if y.value == 0.0:
             raise EvalDomainError("/", 0.0)
-        if _is_const(x):
+        if x.kind == _CONST:
             return con(x.value / y.value)
         if y.value == 1.0:
             return x
-    if _is_const(x, 0.0):
-        return ZERO
-    if x is y:
+    elif x.kind == _CONST:
+        if x.value == 0.0:
+            return ZERO
+    elif x is y:
         return ONE
     return _intern(_DIV, x, y)
 
 
 def pow_(x, y) -> Expr:
-    if _is_const(y):
+    if y.kind == _CONST:
         if y.value == 0.0:
             return ONE
         if y.value == 1.0:
             return x
-        if _is_const(x):
-            try:
-                v = _checked_pow(x.value, y.value)
-            except EvalDomainError:
-                return _intern(_POW, x, y)
-            return con(v)
-    if _is_const(x, 1.0):
+        if x.kind == _CONST:
+            return con(_checked_pow(x.value, y.value))
+    if x.kind == _CONST and x.value == 1.0:
         return ONE
     return _intern(_POW, x, y)
 
 
 def neg(x) -> Expr:
-    if _is_const(x):
+    if x.kind == _CONST:
         return con(-x.value)
     if x.kind == _NEG:
         return x.a
@@ -180,11 +192,8 @@ def neg(x) -> Expr:
 def call(fn, x) -> Expr:
     if fn not in FUNCTIONS:
         raise UnknownFunction(fn)
-    if _is_const(x):
-        try:
-            return con(_apply_fn(fn, x.value))
-        except EvalDomainError:
-            pass
+    if x.kind == _CONST:
+        return con(_apply_fn(fn, x.value))
     return _intern(_CALL, x, name=fn)
 
 
@@ -204,10 +213,12 @@ FUNCTIONS = {
 
 def _check(bad, fn, x):
     """Raise EvalDomainError for fn at the first sample where bad holds,
-    with the argument x there; a 0-d bad or x stands for every sample."""
+    with the argument x there.  A 0-d bad is a constant's (a fold), and
+    the error names no sample; a 0-d x stands for every sample."""
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise EvalDomainError(fn, float(np.broadcast_to(x, np.shape(bad)).flat[i]), i)
+        raise EvalDomainError(fn, float(np.broadcast_to(x, np.shape(bad)).flat[i]),
+                              i if np.ndim(bad) else None)
 
 
 def _checked_pow(base, expo):
@@ -227,22 +238,21 @@ def _apply_fn(fn, x):
 # --- walking a DAG ---------------------------------------------------------
 
 def _children_first(e, memo, build):
-    """memo[id(n)] = build(n) for e and each node below it that memo lacks,
+    """memo[n] = build(n) for e and each node below it that memo lacks,
     children first and a's subtree before b's, on an explicit stack;
-    returns memo[id(e)].  The one walk over expression DAGs: diff,
+    returns memo[e].  Memos are keyed by the nodes themselves, which hash
+    and compare by identity.  The one walk over expression DAGs: diff,
     compose and _compile build on it."""
-    stack = [e]
-    while stack:
+    stack = [] if e in memo else [e]
+    while stack:            # a path down from e: no node on it is in memo
         n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-        elif n.a is not None and id(n.a) not in memo:
+        if n.a is not None and n.a not in memo:
             stack.append(n.a)
-        elif n.b is not None and id(n.b) not in memo:
+        elif n.b is not None and n.b not in memo:
             stack.append(n.b)
         else:
-            memo[id(stack.pop())] = build(n)
-    return memo[id(e)]
+            memo[stack.pop()] = build(n)
+    return memo[e]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -286,7 +296,7 @@ def eval_table(table, bindings):
     prog = _programs.get(key)
     if prog is None:
         prog = _programs[key] = _compile(leaves, shapes)
-    ops, names = prog
+    names = prog.names
     for name in names:
         if name not in bindings:
             raise UnknownVariable(name)
@@ -294,7 +304,7 @@ def eval_table(table, bindings):
     batch = next((np.shape(v) for v in bindings.values() if np.shape(v)), ())
     n = math.prod(batch)
     outs = [np.empty((math.prod(s), n), dtype=float) for s in shapes]
-    _run(ops, {k: np.broadcast_to(bindings[k], batch).reshape(-1) for k in names}, outs)
+    _run(prog, {k: np.broadcast_to(bindings[k], batch).reshape(-1) for k in names}, outs)
     res = tuple(np.moveaxis(o.reshape(s + (n,)), -1, 0).reshape(batch + s)
                 for o, s in zip(outs, shapes))
     return res if group else res[0]
@@ -337,55 +347,83 @@ def _flatten(t, leaves):
     return (len(t),) + shape
 
 
+# The bits of an op's frees: the values dead once it has run (their last
+# use), which are its operand a's, its operand b's and its own.
+_FREE_A, _FREE_B, _FREE_OWN = 1, 2, 4
+
+_Program = namedtuple("_Program", "kinds a b args frees dests names")
+
+
 def _compile(leaves, shapes):
     """Program for the flattened leaves of a group of tables.
 
-    Returns (ops, variable names).  The ops list every distinct node once,
-    children first (_children_first, leaf by leaf).  Op i is (kind, a, b,
-    arg, dest, frees): a and b index the ops of its operands, arg is the
-    constant, variable or function name (for a division: True on the first
-    division by its denominator, the one that checks it for zeros), dest
-    lists the (table, column) output slots it fills and frees the ops whose
-    values are dead once op i has run (their last use).
+    The ops list every distinct node once, children first (_children_first,
+    leaf by leaf), as flat columns indexed by op: kinds; a and b, the ops of
+    its operands (None for none); args, the constant, variable or function
+    name (for a division: True on the first division by its denominator,
+    the one that checks it for zeros); and frees (_FREE bits).  dests maps
+    each op that fills table entries to their (table, column) output slots,
+    and names lists the variables.
     """
-    index, ops, last = {}, [], []
+    index = {}              # node -> its op
+    kinds, opa, opb, args, last = [], [], [], [], []
     checked = set()         # denominators a division already checks
 
     def emit(e):
-        i = len(ops)
-        a = None if e.a is None else index[id(e.a)]
-        b = None if e.b is None else index[id(e.b)]
-        if e.kind == _DIV:
-            arg = id(e.b) not in checked
-            checked.add(id(e.b))
-        else:
-            arg = e.value if e.kind == _CONST else e.name
-        if a is not None:
+        i = len(kinds)
+        a = b = None
+        if e.a is not None:
+            a = index[e.a]
             last[a] = i
-        if b is not None:
-            last[b] = i
+            if e.b is not None:
+                b = index[e.b]
+                last[b] = i
+        k = e.kind
+        if k == _DIV:
+            arg = e.b not in checked
+            checked.add(e.b)
+        else:
+            arg = e.value if k == _CONST else e.name
+        kinds.append(k)
+        opa.append(a)
+        opb.append(b)
+        args.append(arg)
         last.append(i)
-        ops.append((e.kind, a, b, arg, [], []))
         return i
 
+    dests = {}
     leaf = iter(leaves)
     for t, shape in enumerate(shapes):
         for col in range(math.prod(shape)):
-            ops[_children_first(next(leaf), index, emit)][4].append((t, col))
+            dests.setdefault(_children_first(next(leaf), index, emit), []).append((t, col))
+    frees = [0] * len(kinds)
     for j, i in enumerate(last):
-        ops[i][5].append(j)
-    return ([(k, a, b, arg, tuple(d), tuple(f)) for k, a, b, arg, d, f in ops],
-            [arg for k, _, _, arg, _, _ in ops if k == _VAR])
+        frees[i] |= _FREE_OWN if i == j else _FREE_A if opa[i] == j else _FREE_B
+    return _Program(kinds, opa, opb, args, frees,
+                    {i: tuple(d) for i, d in dests.items()},
+                    [arg for k, arg in zip(kinds, args) if k == _VAR])
 
 
-def _run(ops, bindings, outs):
+def _run(prog, bindings, outs):
     """Run a compiled program on flat bindings, writing the table leaves
     into the columns of the output arrays.  A domain error is given the
     table it meets first: the first whose leaves need its op."""
-    vals = [None] * len(ops)
+    kinds, opa, opb, args, frees, dests, _ = prog
+    vals = [None] * len(kinds)
     try:
-        for i, (k, a, b, arg, dest, frees) in enumerate(ops):
-            if k == _CONST:
+        for i, (k, a, b, arg, f) in enumerate(zip(kinds, opa, opb, args, frees)):
+            if k == _MUL:
+                v = vals[a] * vals[b]
+            elif k == _ADD:
+                v = vals[a] + vals[b]
+            elif k == _DIV:
+                bv = vals[b]
+                if arg:
+                    _check(bv == 0.0, "/", bv)
+                v = vals[a] / bv
+            elif k == _SUB:
+                v = vals[a] - vals[b]
+            elif k == _CONST:
                 v = arg
             elif k == _VAR:
                 v = bindings[arg]
@@ -394,32 +432,24 @@ def _run(ops, bindings, outs):
             elif k == _CALL:
                 v = _apply_fn(arg, vals[a])
             else:
-                av, bv = vals[a], vals[b]
-                if k == _ADD:
-                    v = av + bv
-                elif k == _SUB:
-                    v = av - bv
-                elif k == _MUL:
-                    v = av * bv
-                elif k == _DIV:
-                    if arg:
-                        _check(bv == 0.0, "/", bv)
-                    v = av / bv
-                else:
-                    v = _checked_pow(av, bv)
-            for t, col in dest:
-                outs[t][col] = v
+                v = _checked_pow(vals[a], vals[b])
             vals[i] = v
-            for j in frees:
-                vals[j] = None
+            for t, col in dests.get(i, ()):
+                outs[t][col] = v
+            if f & _FREE_A:
+                vals[a] = None
+            if f & _FREE_B:
+                vals[b] = None
+            if f & _FREE_OWN:
+                vals[i] = None
     except EvalDomainError as err:
-        err.table = min(t for op in ops[i:] for t, _ in op[4])
+        err.table = min(t for j, slots in dests.items() if j >= i for t, _ in slots)
         raise
 
 
 # --- differentiation -------------------------------------------------------
 
-_diff_cache: dict = {}      # variable name -> {node id: derivative}
+_diff_cache: dict = {}      # variable name -> {node: derivative}
 
 _FN_DERIV = {
     "sin": lambda u: call("cos", u),
@@ -441,7 +471,7 @@ _BINARY = {_ADD: add, _SUB: sub, _MUL: mul, _DIV: div, _POW: pow_}
 
 def diff(e: Expr, name: str) -> Expr:
     """Exact symbolic derivative of e with respect to the named variable,
-    memoised per variable by node id (_diff_cache)."""
+    memoised per variable by node (_diff_cache)."""
     memo = _diff_cache.setdefault(name, {})
 
     def build(n):
@@ -450,12 +480,12 @@ def diff(e: Expr, name: str) -> Expr:
             return ZERO
         if k == _VAR:
             return ONE if n.name == name else ZERO
-        da = memo[id(n.a)]
+        da = memo[n.a]
         if k == _NEG:
             return neg(da)
         if k == _CALL:
             return mul(_FN_DERIV[n.name](n.a), da)
-        db = memo[id(n.b)]
+        db = memo[n.b]
         if k == _ADD:
             return add(da, db)
         if k == _SUB:
@@ -464,9 +494,14 @@ def diff(e: Expr, name: str) -> Expr:
             return add(mul(da, n.b), mul(n.a, db))
         if k == _DIV:
             return sub(div(da, n.b), div(mul(n.a, db), mul(n.b, n.b)))
-        if _is_const(n.b):      # c * f^(c-1) * f'
+        if n.b.kind == _CONST:      # c * f^(c-1) * f'
             return mul(mul(n.b, pow_(n.a, con(n.b.value - 1.0))), da)
-        # f^g * (g' log f + g f'/f)
+        # f^g * (g' log f + g f'/f), with log f only where g varies: a
+        # constant f <= 0 has no log, and f^g then no derivative in g
+        if db is ZERO:
+            return mul(n, mul(n.b, div(da, n.a)))
+        if n.a.kind == _CONST and n.a.value <= 0.0:
+            raise EvalDomainError("^", n.a.value)
         return mul(n, add(mul(db, call("log", n.a)), mul(n.b, div(da, n.a))))
 
     return _children_first(e, memo, build)
@@ -474,7 +509,7 @@ def diff(e: Expr, name: str) -> Expr:
 
 def compose(e: Expr, mapping, memo=None) -> Expr:
     """Substitute expressions for variables: mapping is name -> Expr.  memo
-    (node id -> result) may be shared by calls with the same mapping."""
+    (node -> result) may be shared by calls with the same mapping."""
     memo = {} if memo is None else memo
 
     def build(n):
@@ -483,12 +518,12 @@ def compose(e: Expr, mapping, memo=None) -> Expr:
             return n
         if k == _VAR:
             return mapping.get(n.name, n)
-        a = memo[id(n.a)]
+        a = memo[n.a]
         if k == _NEG:
             return neg(a)
         if k == _CALL:
             return call(n.name, a)
-        return _BINARY[k](a, memo[id(n.b)])
+        return _BINARY[k](a, memo[n.b])
 
     return _children_first(e, memo, build)
 

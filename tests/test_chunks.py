@@ -188,7 +188,7 @@ def test_verify_runs_pinned_programs_and_ops(monkeypatch, name, programs, ops):
     run = expr._run
 
     def record(prog, bindings, outs):
-        sizes.append(len(prog))
+        sizes.append(len(prog.kinds))
         return run(prog, bindings, outs)
 
     monkeypatch.setattr(expr, "_run", record)
@@ -203,9 +203,9 @@ def _program_digest(programs):
     symbolic layer folds with libm and which could differ by platform."""
     h = hashlib.sha256()
     for prog in programs:
-        for kind, a, b, arg, dest, _ in prog:
+        for i, (kind, a, b, arg) in enumerate(zip(prog.kinds, prog.a, prog.b, prog.args)):
             h.update(repr((kind, a, b, None if kind == expr._CONST else arg,
-                           dest)).encode())
+                           prog.dests.get(i, ()))).encode())
         h.update(b";")
     return h.hexdigest()
 

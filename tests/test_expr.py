@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcsurf import expr, scenes, verify
 from rcsurf.errors import (
-    EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction, UnknownVariable,
+    EvalDomainError, ExprError, ExprSyntaxError, UnknownFunction, UnknownVariable, named,
 )
 
 import eval_oracle
@@ -252,8 +254,8 @@ def test_shared_denominator_is_checked_once_and_still_raises(bad):
     sample of a long batch or one past the first grid chunk; without it the
     values are unchanged."""
     table = [expr.parse(text, {"x", "y"}) for text in ("x/(y - 1)", "sin(x)/(y - 1)")]
-    ops = expr._compile(table, [(2,)])[0]
-    divisions = [op[3] for op in ops if op[0] == expr._DIV]
+    prog = expr._compile(table, [(2,)])
+    divisions = [arg for k, arg in zip(prog.kinds, prog.args) if k == expr._DIV]
     assert divisions == [True, False]
     n = 2 * scenes.CHUNK + 3
     b = {"x": np.linspace(-1.0, 1.0, n), "y": np.linspace(2.0, 3.0, n)}
@@ -263,6 +265,92 @@ def test_shared_denominator_is_checked_once_and_still_raises(bad):
     with pytest.raises(EvalDomainError) as err:
         expr.eval_table(table, b)
     assert (err.value.function, err.value.argument, err.value.sample) == ("/", 0.0, bad)
+
+
+def test_domain_error_names_the_first_table_that_needs_it():
+    """A group's domain error is given the first table whose leaves need the
+    failing op: a node shared by tables 0 and 1 names table 0, one that
+    only table 1 needs names table 1, and errors.named turns the table
+    into its path."""
+    x = expr.var("x")
+    log, sqrt = expr.call("log", x), expr.call("sqrt", x)
+    shared_by_0_and_1 = ([log], [expr.add(log, x)])
+    needed_by_1 = ([expr.add(x, expr.ONE)], [sqrt], [x])
+    b = {"x": np.array([1.0, -1.0])}
+    for group, fn, table in [(shared_by_0_and_1, "log", 0), (needed_by_1, "sqrt", 1)]:
+        with pytest.raises(EvalDomainError) as err:
+            expr.eval_table(group, b)
+        assert (err.value.function, err.value.sample, err.value.table) == (fn, 1, table)
+    with pytest.raises(EvalDomainError) as err, named("t0", "t1", "t2"):
+        expr.eval_table(needed_by_1, b)
+    assert err.value.path == "t1"
+
+
+@pytest.mark.parametrize("text, fn, argument", [
+    ("log(0)*x", "log", 0.0), ("x*sqrt(-4)", "sqrt", -4.0), ("x*(-2)^0.5", "^", -2.0),
+    ("1/0*x", "/", 0.0),
+])
+def test_a_constant_outside_its_domain_raises_where_it_is_built(text, fn, argument):
+    """A constant argument folds, and one outside its function's domain
+    raises as the expression is built, naming that function and no sample,
+    as a division by a constant zero does."""
+    with pytest.raises(EvalDomainError) as err:
+        expr.parse(text, {"x"})
+    assert (err.value.function, err.value.argument, err.value.sample) == (fn, argument, None)
+
+
+def test_power_of_a_constant_base_differentiates_where_it_can():
+    """d/dx of c^g builds log(c) only where g varies in x: (-2)^y has the
+    derivative 0 in x, and (-2)^x and 0^x, which have none, raise naming
+    ^, the function written, not the log or division of the rule."""
+    names = {"x", "y"}
+    assert expr.diff(expr.parse("(-2)^y", names), "x") is expr.ZERO
+    assert expr.diff(expr.parse("2^x", names), "x") is expr.parse("2^x*log(2)", names)
+    for text, base in (("(-2)^x", -2.0), ("0^x", 0.0)):
+        with pytest.raises(EvalDomainError) as err:
+            expr.diff(expr.parse(text, names), "x")
+        assert (err.value.function, err.value.argument, err.value.sample) == ("^", base, None)
+
+
+def _traced(run):
+    """(bytes still allocated after run, peak bytes during it), traced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return now - base, peak - base
+
+
+def test_compiled_programs_keep_few_bytes_per_op(monkeypatch):
+    """The programs of a one-chunk 24x24 verify of the cylinder keep under
+    120 traced bytes an op: flat columns hold them, not a tuple an op with
+    two more sequences (181 bytes an op; the columns keep 72)."""
+    sc = scenes.builtin("catenoid_frame_cylinder")
+    verify.run_verification(sc, 24, 24)       # every symbolic build is cached
+    programs = {}
+    monkeypatch.setattr(expr, "_programs", programs)
+    kept, _ = _traced(lambda: verify.run_verification(sc, 24, 24))
+    ops = sum(len(prog.kinds) for prog in programs.values())
+    assert ops == 15253
+    assert kept / ops < 120
+
+
+def test_rebuilding_an_interned_scene_allocates_little(monkeypatch):
+    """Building the cylinder scene and its surface composition again, every
+    node interned already but no derivative or program cached, peaks under
+    400 KB traced: interning, memos and programs key by node, not by id
+    (542 KB with id keys and a tuple an op; 248 KB without)."""
+    scenes.builtin("catenoid_frame_cylinder").surface.gauss_exprs()
+    monkeypatch.setattr(expr, "_diff_cache", {})
+    monkeypatch.setattr(expr, "_programs", {})
+    _, peak = _traced(
+        lambda: scenes.builtin("catenoid_frame_cylinder").surface.gauss_exprs())
+    assert peak < 400 * 1024
 
 
 def test_unknown_variable_raises_on_arrays():

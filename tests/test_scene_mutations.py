@@ -75,20 +75,22 @@ def _mutated(doc, path, value):
     return doc
 
 
-def _unsafe_expr(rng, names, depth):
-    """random_expr's smooth expressions with log, sqrt and division of
-    unbounded subexpressions drawn too, so that it may leave its domain."""
+def _unsafe_text(rng, names, depth):
+    """The text of random_expr's smooth expressions with log, sqrt and
+    division of unbounded subexpressions drawn too, so that it may leave its
+    domain: on the grid, or already when it is parsed, where a constant
+    argument folds."""
     if depth == 0 or rng.random() < 0.4:
-        return random_expr(rng, names, depth)
-    a, b = (_unsafe_expr(rng, names, depth - 1) for _ in range(2))
+        return expr.to_string(random_expr(rng, names, depth))
+    a, b = (_unsafe_text(rng, names, depth - 1) for _ in range(2))
     pick = rng.integers(5)
     if pick == 0:
-        return expr.call("log", a)
+        return f"log({a})"
     if pick == 1:
-        return expr.call("sqrt", a)
-    if pick == 2 and b is not expr.ZERO:
-        return expr.div(a, b)
-    return expr.add(a, b) if pick == 3 else expr.mul(a, b)
+        return f"sqrt({a})"
+    if pick == 2 and b != "0":
+        return f"({a})/({b})"
+    return f"({a}) + ({b})" if pick == 3 else f"({a})*({b})"
 
 
 @st.composite
@@ -106,7 +108,7 @@ def _mutation(draw):
     path = draw(st.sampled_from([p for p, v in paths if isinstance(v, str)]))
     names = ["u", "v"] if path[0] in ("surface", "goldens") else ["x", "y", "z"]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    text = expr.to_string(_unsafe_expr(rng, names, depth=draw(st.integers(0, 3))))
+    text = _unsafe_text(rng, names, depth=draw(st.integers(0, 3)))
     return name, _mutated(doc, path, text)
 
 

@@ -324,6 +324,13 @@ def test_scene_validation_compiles_only_grid_programs(monkeypatch):
     assert unused == {(((3,),), tuple(map(id, sc.normal_axis)))}
 
 
+# the whole stderr of a bad --param, where it is pinned: a constant outside
+# a function's domain names that function, not its derivative's division
+_PARAM_STDERR = {
+    "theta=log(0)*x": "error: params.theta: log evaluated outside its domain (argument 0.0)\n",
+}
+
+
 @pytest.mark.parametrize("scene, param", [
     pytest.param("rotated_frame_plane", "e=0,0,0", id="0,0,0"),
     pytest.param("rotated_frame_plane", "e=nan,0,0", id="nan,0,0"),
@@ -352,6 +359,8 @@ def test_cli_bad_rotation_axis_is_input_error(scene, param):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"params.{param.split('=')[0]}" in proc.stderr
+    if param in _PARAM_STDERR:
+        assert proc.stderr == _PARAM_STDERR[param]
 
 
 def test_export_builds_only_the_blocks_it_reads(tmp_path, monkeypatch):
