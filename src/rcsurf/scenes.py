@@ -60,7 +60,11 @@ AMBIENT_VARS = {"x", "y", "z"}
 SURFACE_VARS = {"u", "v"}
 
 GL_PANEL = 16
-CHUNK = 8192            # samples per chunk of a streamed grid (SampleGrid.chunks)
+# samples per chunk of a streamed grid (SampleGrid.chunks).  4096 is the measured
+# knee on 2 vCPUs: against 8192 it cuts a 128x128 sphere verify's peak RSS from
+# 52.6 to 42.7 MB, and 2048 would split a 64x64 grid in two, each chunk running
+# every program's ops (about 14% more compute on the cylinder).
+CHUNK = 4096
 DENSITY_MASK_TOL = 1e-6
 
 
@@ -623,7 +627,10 @@ class SampleGrid:
     order: no report or export depends on the chunk size.  A guard in a
     chunk's block names its first bad sample by the index in the chunk;
     map_chunks makes it the grid's and adds its (u, v), so no error text
-    depends on the chunk size either.
+    depends on the chunk size either.  CHUNK is 4096 because a chunk's
+    working set, about 2.4 KB a sample in a 128x128 verify, was over a
+    third of that run's peak RSS at 8192, while at 2048 a 64x64 grid would
+    run every program twice.
 
     Each block is built on first read and only then, so a chunk holds only
     what its readers read:

@@ -441,6 +441,22 @@ def test_every_guard_names_its_grid_sample(monkeypatch, scene, run, text):
         assert err.value.sample == 56, chunk
 
 
+def _traced_peaks(run, sizes):
+    """The traced peak of run(n) for each n in sizes, after one run at the
+    first size has compiled every program."""
+    run(sizes[0])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in sizes:
+            tracemalloc.reset_peak()
+            run(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 def test_verify_memory_is_set_by_the_chunk(monkeypatch, tmp_path):
     """With 144-sample chunks, four times the samples (48x48 against 24x24)
     raise the traced peak of a verify, a fields and an integrate run by
@@ -455,17 +471,24 @@ def test_verify_memory_is_set_by_the_chunk(monkeypatch, tmp_path):
         "integrate": lambda n: scenes.integrate(scenes.make_grid(sc, n, n), "K"),
     }
     for name, run in runs.items():
-        run(24)                                  # compile every program first
-        peaks = []
-        tracemalloc.start()
-        try:
-            for n in (24, 48):
-                tracemalloc.reset_peak()
-                run(n)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks = _traced_peaks(run, (24, 48))
         assert peaks[1] < 1.5 * peaks[0], (name, peaks)
+
+
+@pytest.mark.parametrize("name, run", [
+    ("cartan_schouten_sphere", lambda sc, n, path: verify.run_verification(sc, n, n)),
+    ("catenoid_frame_plane",
+     lambda sc, n, path: scenes.export_fields(scenes.make_grid(sc, n, n), path)),
+], ids=["verify", "fields"])
+def test_default_chunk_bounds_a_128_grid(tmp_path, name, run):
+    """At the default scenes.CHUNK, a 128x128 run (16,384 samples) peaks
+    below 1.3 times the same run at 64x64 (4,096 samples, one chunk): the
+    default chunk is no larger than a 64x64 grid, so four times the samples
+    add only what grows with the grid: its sample arrays and the buffers
+    that carry per-sample values across chunks."""
+    sc = _scene(name)
+    peaks = _traced_peaks(lambda n: run(sc, n, tmp_path / "f.csv"), (64, 128))
+    assert peaks[1] < 1.3 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("run", [

@@ -247,17 +247,17 @@ def test_domain_error_in_last_chunk_only(fn, text):
     assert np.all(np.isfinite(expr.eval_table([e], {"x": x})))
 
 
-@pytest.mark.parametrize("bad", [0, scenes.CHUNK + 5])
+@pytest.mark.parametrize("bad", [0, scenes.CHUNK + 5, 2 * scenes.CHUNK + 5])
 def test_shared_denominator_is_checked_once_and_still_raises(bad):
     """Two numerators over one denominator node: only the first division
     checks it for zeros, and a zero still raises, whether it is the first
-    sample of a long batch or one past the first grid chunk; without it the
-    values are unchanged."""
+    sample of a long batch or one past the first or second grid chunk;
+    without it the values are unchanged."""
     table = [expr.parse(text, {"x", "y"}) for text in ("x/(y - 1)", "sin(x)/(y - 1)")]
     prog = expr._compile(table, [(2,)])
     divisions = [arg for k, arg in zip(prog.kinds, prog.args) if k == expr._DIV]
     assert divisions == [True, False]
-    n = 2 * scenes.CHUNK + 3
+    n = 3 * scenes.CHUNK + 3
     b = {"x": np.linspace(-1.0, 1.0, n), "y": np.linspace(2.0, 3.0, n)}
     want = eval_oracle.eval_table(table, b)
     assert expr.eval_table(table, b).tobytes() == want.tobytes()

@@ -340,7 +340,7 @@ def test_cli_domain_error_at_the_build_probe_names_entry_and_point(tmp_path, cap
     assert err.endswith(f") {where}\n"), err
 
 
-@pytest.mark.parametrize("chunk", [scenes.CHUNK, 40])
+@pytest.mark.parametrize("chunk", [scenes.CHUNK, 2 * scenes.CHUNK, 40])
 @pytest.mark.parametrize("command", ["fields", "integrate", "verify"])
 def test_cli_domain_error_on_the_grid_names_entry_and_sample(tmp_path, capsys, monkeypatch,
                                                              command, chunk):
