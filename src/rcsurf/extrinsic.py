@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .surface import require_finite
+from .surface import Block, require_finite
 
 __all__ = [
     "mean_curvature", "extrinsic_fields", "gauss_equation_residual",
@@ -38,22 +38,36 @@ def mean_curvature(base, block="ext"):
     })
 
 
-def extrinsic_fields(base):
-    """Extend a base-field dict with the extrinsic quantities.
+def _weingarten_on(ext):
+    """W_on, W in the oriented orthonormal basis (the base block's B), at
+    the samples of the extrinsic block ext."""
+    B = ext["B"]                        # B is checked before Binv
+    return ext["Binv"] @ ext["W"] @ B
 
-    Adds mean_curvature (W, H, star_tau, bold_H), W_on (W in the
-    orthonormal basis), K_e and III.
+
+def _third_form(ext):
+    """III(X_a, X_b) = <W X_a, W X_b> at the samples of the extrinsic block
+    ext."""
+    W = ext["W"]
+    # np.einsum, not expr.contract: the report bits follow its loop order
+    return np.einsum("nra,nrs,nsb->nab", W, ext["G_S"], W)
+
+
+def extrinsic_fields(base):
+    """Extend a base block with the extrinsic quantities.
+
+    Adds mean_curvature (W, H, star_tau, bold_H) and K_e.  W_on (W in the
+    orthonormal basis, read by classify) and III (read by holo.holo_fields)
+    are formed when read, as base's B and Binv are (surface.Block), so a
+    run whose suites read neither never forms them.
     """
-    out = dict(base)
-    out.update(mean_curvature(base))
+    out = {**base, **mean_curvature(base)}
     W = out["W"]
-    # III on np.einsum, not expr.contract: the report bits follow its loop order
     out.update(require_finite("ext", {
-        "W_on": base["Binv"] @ W @ base["B"],
         "K_e": W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0],
-        "III": np.einsum("nra,nrs,nsb->nab", W, base["G_S"], W),
     }))
-    return out
+    return Block(out, base.lazy | {"W_on": ("ext", _weingarten_on),
+                                   "III": ("ext", _third_form)})
 
 
 def gauss_equation_residual(fields, curv, K):

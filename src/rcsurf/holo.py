@@ -21,7 +21,8 @@ __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 def holo_fields(ext):
     """phi and psi coefficients, the isothermal factor, and the residual of
     psi = bold_H * phi at each sample, from the extrinsic block of the
-    samples.  Raises NotIsothermal off isothermal charts."""
+    samples, whose III this read forms (extrinsic.extrinsic_fields).
+    Raises NotIsothermal off isothermal charts."""
     lam = isothermal_factor(ext)
     II, III = ext["II"], ext["III"]
     phi = 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))

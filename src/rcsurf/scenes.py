@@ -586,13 +586,101 @@ def _torus_standard(R=2.0, r=0.5):
 
 # --- sample grids -------------------------------------------------------------------
 
+# The Gauss-Legendre rules on [-1, 1] with 2 to GL_PANEL nodes, every count a
+# panel can have: for each count, its nodes x >= 0 in ascending order, each with
+# its weight, written as np.polynomial.legendre.leggauss gives them.  Its nodes
+# are exactly odd and its weights exactly even in x, so the other half mirrors.
+_GAUSS_LEGENDRE = {
+    2: ((0.5773502691896257, 1.0),),
+    3: ((0.0, 0.8888888888888888),
+        (0.7745966692414834, 0.5555555555555557)),
+    4: ((0.33998104358485626, 0.6521451548625464),
+        (0.8611363115940526, 0.34785484513745357)),
+    5: ((0.0, 0.5688888888888887),
+        (0.5384693101056831, 0.4786286704993663),
+        (0.906179845938664, 0.23692688505618928)),
+    6: ((0.2386191860831969, 0.46791393457269104),
+        (0.6612093864662645, 0.3607615730481387),
+        (0.9324695142031519, 0.17132449237917027)),
+    7: ((0.0, 0.4179591836734693),
+        (0.4058451513773972, 0.3818300505051187),
+        (0.7415311855993945, 0.27970539148927687),
+        (0.9491079123427586, 0.12948496616886973)),
+    8: ((0.18343464249564978, 0.36268378337836166),
+        (0.525532409916329, 0.3137066458778869),
+        (0.7966664774136267, 0.22238103445337443),
+        (0.9602898564975362, 0.10122853629037706)),
+    9: ((0.0, 0.33023935500125984),
+        (0.3242534234038089, 0.3123470770400029),
+        (0.6133714327005904, 0.2606106964029356),
+        (0.8360311073266358, 0.18064816069485737),
+        (0.9681602395076261, 0.08127438836157416)),
+    10: ((0.14887433898163122, 0.2955242247147528),
+         (0.4333953941292472, 0.2692667193099965),
+         (0.6794095682990244, 0.219086362515982),
+         (0.8650633666889845, 0.1494513491505804),
+         (0.9739065285171717, 0.06667134430868814)),
+    11: ((0.0, 0.2729250867779005),
+         (0.26954315595234496, 0.26280454451024654),
+         (0.5190961292068118, 0.23319376459199057),
+         (0.7301520055740494, 0.1862902109277343),
+         (0.8870625997680953, 0.12558036946490433),
+         (0.978228658146057, 0.05566856711617393)),
+    12: ((0.1252334085114689, 0.2491470458134027),
+         (0.3678314989981802, 0.2334925365383546),
+         (0.5873179542866175, 0.20316742672306573),
+         (0.7699026741943047, 0.16007832854334642),
+         (0.9041172563704748, 0.10693932599531907),
+         (0.9815606342467192, 0.04717533638651141)),
+    13: ((0.0, 0.23255155323087393),
+         (0.2304583159551348, 0.22628318026289737),
+         (0.44849275103644687, 0.2078160475368885),
+         (0.6423493394403402, 0.17814598076194552),
+         (0.8015780907333099, 0.13887351021978733),
+         (0.9175983992229779, 0.0921214998377288),
+         (0.9841830547185881, 0.04048400476531557)),
+    14: ((0.10805494870734367, 0.21526385346315793),
+         (0.31911236892788974, 0.20519846372129572),
+         (0.5152486363581541, 0.18553839747793788),
+         (0.6872929048116855, 0.15720316715819363),
+         (0.827201315069765, 0.12151857068790331),
+         (0.9284348836635735, 0.08015808715975999),
+         (0.9862838086968124, 0.03511946033175175)),
+    15: ((0.0, 0.2025782419255613),
+         (0.20119409399743451, 0.1984314853271116),
+         (0.3941513470775634, 0.1861610000155622),
+         (0.5709721726085388, 0.16626920581699398),
+         (0.7244177313601701, 0.13957067792615444),
+         (0.8482065834104272, 0.10715922046717141),
+         (0.9372733924007058, 0.0703660474881084),
+         (0.9879925180204854, 0.030753241996117203)),
+    16: ((0.09501250983763744, 0.18945061045506864),
+         (0.2816035507792589, 0.18260341504492364),
+         (0.45801677765722737, 0.16915651939500265),
+         (0.6178762444026438, 0.1495959888165767),
+         (0.755404408355003, 0.12462897125553407),
+         (0.8656312023878318, 0.0951585116824926),
+         (0.9445750230732326, 0.062253523938647456),
+         (0.9894009349916499, 0.027152459411754176)),
+}
+
+
+def _gauss_legendre(count):
+    """Nodes (ascending) and weights of the count-node Gauss-Legendre rule
+    on [-1, 1], from _GAUSS_LEGENDRE."""
+    x, w = np.array(_GAUSS_LEGENDRE[count]).T
+    k = count // 2                  # the nodes x > 0: an odd rule's 0 is not mirrored
+    return np.concatenate([-x[::-1][:k], x]), np.concatenate([w[::-1][:k], w])
+
 
 def _axis_nodes(lo, hi, n, periodic):
     """Quadrature nodes/weights on one axis.
 
     Periodic: n uniform nodes, spacing weights (the periodic trapezoid
     rule).  Non-periodic: composite Gauss-Legendre with ceil(n/16)-panel
-    split of n nodes, which keeps open-interval charts off their edges.
+    split of n nodes, which keeps open-interval charts off their edges;
+    each panel's rule (2 to 16 nodes) comes from a fixed table
+    (_gauss_legendre), so the nodes do not depend on the machine's LAPACK.
     """
     n = int(n)
     if n < 2:
@@ -605,7 +693,7 @@ def _axis_nodes(lo, hi, n, periodic):
     width = (hi - lo) / panels
     nodes, weights = [], []
     for i, c in enumerate(counts):
-        x, w = np.polynomial.legendre.leggauss(c)
+        x, w = _gauss_legendre(c)
         a = lo + i * width
         nodes.append(a + (x + 1.0) * 0.5 * width)
         weights.append(w * 0.5 * width)
@@ -633,7 +721,9 @@ class SampleGrid:
     run every program twice.
 
     Each block is built on first read and only then, so a chunk holds only
-    what its readers read:
+    what its readers read; within a block, the fields that few readers read
+    are formed only when read and held by their reader alone
+    (surface.Block): base's B and Binv, and ext's W_on and III:
 
         base          first-order geometry, jets and frame (Surface.base_fields);
                       everything
@@ -643,8 +733,10 @@ class SampleGrid:
                       intrinsic_K, gauss_dn, hopf_identity
         curvature     r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
                       ambient_sanity, gauss_eq, egregium, hopf_identity
-        ext           Weingarten map, H, star_tau, bold_H, K_e, III: most
-                      suites, holo, export
+        ext           Weingarten map, H, star_tau, bold_H, K_e: most
+                      suites, holo, export; W_on (from base's B and Binv)
+                      when classify reads it (conformality, export), III
+                      when holo does
         intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
                       egregium, Gauss-Bonnet, export
         holo          Hopf data on isothermal charts: psi/hopf identities,

@@ -2,20 +2,22 @@
 
 A Surface is a closed-form map X(u, v) with exact partial derivatives.  The
 batch entry point base_fields evaluates the first-order geometry at arrays
-of parameter points: tangents, oriented unit normal, induced metric and
-orthonormal tangent frame, the ambient covariant derivatives of the
-tangents, the second fundamental form and the torsion 2-form on the
-tangent pair; in a frame ambient also the frame and its inverse.  Its
-ambient tables (g, Gamma and the frame, with the frame determinant they
-divide by) are one program, and no later reader evaluates them again.
-The first-order core (first_order: E, F, G, area, N, Ginv_S, the
-covariant derivatives, II and tau_uv) is written once; base_fields adds
-the orthonormal frame B, its inverse and T_S on top, and the gauge suites
-build a lean gauged block from the core alone
-(gaussmap.gauged_mean_curvature) in the gauged ambient that verify builds
-once per run.  Every other block is built from base only where a reader
-asks: the induced connection inside intrinsic_curvature, the ambient
-curvature in curvature_fields.
+of parameter points: tangents, oriented unit normal, induced metric, the
+ambient covariant derivatives of the tangents, the second fundamental form
+and the torsion 2-form on the tangent pair; in a frame ambient also the
+frame and its inverse.  Its ambient tables (g, Gamma and the frame, with
+the frame determinant they divide by) are one program, and no later reader
+evaluates them again.  The first-order core (first_order: E, F, G, area,
+N, Ginv_S, the covariant derivatives, II and tau_uv) is written once;
+base_fields adds T_S on top, and the gauge suites build a lean gauged
+block from the core alone (gaussmap.gauged_mean_curvature) in the gauged
+ambient that verify builds once per run.  Every other block is built from
+base only where a reader asks: the induced connection inside
+intrinsic_curvature, the ambient curvature in curvature_fields.
+
+A block holds only what its readers read (Block).  The torsion tensor is
+dropped once T(Xu, Xv) is formed, and the orthonormal tangent frame B and
+its inverse Binv, which only extrinsic's W_on reads, are formed when read.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -41,19 +43,19 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck, named,
+    DegenerateParameterization, IncompatibleConnection, NonFiniteValue, NotIsothermal,
+    NotWeitzenboeck, named,
 )
 from .so3 import det_exprs, inv_exprs, matvec_exprs, sum_exprs
 
-__all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
+__all__ = ["Block", "Surface", "cross_metric_batch", "first_order", "induced_connection",
            "induced_metric", "isothermal_factor", "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
 JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 # the base fields checked finite on return, in the order they are checked
-_CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "B", "Binv", "cov", "II",
-                 "tau_uv", "T_S")
+_CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "cov", "II", "tau_uv", "T_S")
 
 
 def cross_metric_batch(g, u, v):
@@ -73,6 +75,24 @@ def require_finite(block, fields):
             i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
             raise NonFiniteValue("non-finite value", f"{block}.{key}", i)
     return fields
+
+
+class Block(dict):
+    """A block of per-sample arrays keyed by field name, whose lazy fields
+    are formed only when read.  lazy maps each such name to (block, form):
+    reading the name returns form(this block), checked finite under block
+    (require_finite), and the block keeps nothing of it, so only the reader
+    holds it.  Every other name is an ordinary dict entry."""
+
+    def __init__(self, fields, lazy):
+        super().__init__(fields)
+        self.lazy = lazy
+
+    def __missing__(self, key):
+        if key not in self.lazy:
+            raise KeyError(key)
+        block, form = self.lazy[key]
+        return require_finite(block, {key: form(self)})[key]
 
 
 def induced_metric(block, jets, tables):
@@ -96,8 +116,9 @@ def induced_metric(block, jets, tables):
 def first_order(block, jets, tables):
     """The first-order core of a base block: induced_metric, the
     degenerate-chart guard, then area, N, G_S, Ginv_S, cov, II and tau_uv
-    (unchecked), with TXuXv = T(Xu, Xv) for the frame and T_S that
-    Surface.base_fields adds."""
+    (unchecked), with TXuXv = T(Xu, Xv) for the T_S that
+    Surface.base_fields adds.  The torsion tensor is dropped once TXuXv is
+    formed: no reader of a base or gauged block reads it."""
     first = induced_metric(block, jets, tables)
     Xu, Xv, g, det2 = first["Xu"], first["Xv"], first["g"], first["det2"]
     E, F, G = first["E"], first["F"], first["G"]
@@ -128,10 +149,43 @@ def first_order(block, jets, tables):
     II = expr.contract("nkl,nabk,nl->nab", g, cov, N)
 
     # torsion 2-form on the tangent pair
-    TXuXv = expr.contract("nkij,ni,nj->nk", first["torsion"], Xu, Xv)
+    TXuXv = expr.contract("nkij,ni,nj->nk", first.pop("torsion"), Xu, Xv)
     tau_uv = expr.contract("nkl,nk,nl->n", g, N, TXuXv)
     return first | {"G_S": G_S, "Ginv_S": Ginv, "area": area,
                     "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
+
+
+def _frame_scales(base):
+    """sqrt(E) and s = sqrt((E G - F^2) / E) at the samples of base: the
+    scales of the orthonormal tangent frame."""
+    E, F, G = base["E"], base["F"], base["G"]
+    return np.sqrt(E), np.sqrt((E * G - F * F) / E)
+
+
+def _frame(base):
+    """B, the oriented orthonormal tangent frame (E1bar, E2bar) as columns
+    of components in (Xu, Xv), at the samples of base."""
+    sqrtE, s = _frame_scales(base)
+    B = np.zeros_like(base["G_S"])
+    B[:, 0, 0] = 1.0 / sqrtE
+    B[:, 0, 1] = -base["F"] / (base["E"] * s)
+    B[:, 1, 1] = 1.0 / s
+    return B
+
+
+def _frame_inverse(base):
+    """Binv, the inverse of B (_frame) in closed form, at the samples of
+    base."""
+    sqrtE, s = _frame_scales(base)
+    Binv = np.zeros_like(base["G_S"])
+    Binv[:, 0, 0] = sqrtE
+    Binv[:, 0, 1] = base["F"] / sqrtE
+    Binv[:, 1, 1] = s
+    return Binv
+
+
+# the base fields formed when read (Block), each checked under base
+_BASE_LAZY = {"B": ("base", _frame), "Binv": ("base", _frame_inverse)}
 
 
 def isothermal_factor(base):
@@ -206,10 +260,12 @@ class Surface:
     def base_fields(self, U, V):
         """Evaluate the first-order geometry at flat arrays U, V.
 
-        Returns a dict of stacked arrays keyed by field name.  Everything
+        Returns a Block of stacked arrays keyed by field name.  Everything
         downstream (extrinsic forms, curvature, Gauss map, holomorphic
-        layer) starts from this dict.  In a frame ambient it holds frame
-        and frame_inv, from the program that evaluates g and Gamma.
+        layer) starts from this block.  In a frame ambient it holds frame
+        and frame_inv, from the program that evaluates g and Gamma.  The
+        orthonormal tangent frame B and its inverse Binv are formed when
+        read (_BASE_LAZY), and the torsion tensor is not kept.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
@@ -218,26 +274,20 @@ class Surface:
         names = amb.base_names
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
         out = first_order("base", jets, tables)
-        det2, TXuXv = out.pop("det2"), out.pop("TXuXv")
-        E, F = out["E"], out["F"]
-
-        # the orthonormal tangent frame
-        sqrtE = np.sqrt(E)
-        s = np.sqrt(det2 / E)
-        B = np.zeros_like(out["G_S"])       # columns: E1bar, E2bar in (Xu, Xv)
-        B[:, 0, 0] = 1.0 / sqrtE
-        B[:, 0, 1] = -F / (E * s)
-        B[:, 1, 1] = 1.0 / s
-        Binv = np.zeros_like(B)             # its inverse, in closed form
-        Binv[:, 0, 0] = sqrtE
-        Binv[:, 0, 1] = F / sqrtE
-        Binv[:, 1, 1] = s
-        out["B"], out["Binv"] = B, Binv
+        del out["det2"]
+        TXuXv = out.pop("TXuXv")
 
         # tangential torsion
         out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]
         require_finite("base", {k: out[k] for k in _CHECKED_LAST})
-        return out
+        # the metric guard B carried on every base block when it was formed
+        # there: E G - F^2 > 0 here, so E > 0 makes the induced metric
+        # positive definite (and B, Binv finite)
+        indefinite = ~(out["E"] > 0.0)
+        if np.any(indefinite):
+            raise IncompatibleConnection("metric not positive definite on the surface",
+                                         amb.paths["g"], int(np.argmax(indefinite)))
+        return Block(out, _BASE_LAZY)
 
     # --- ambient curvature on the surface -----------------------------------------
 

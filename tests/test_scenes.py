@@ -385,3 +385,35 @@ def test_export_builds_only_the_blocks_it_reads(tmp_path, monkeypatch):
     assert "dgamma" not in vars(sc.ambient)
     assert set(part.gauss) == {"n"}
     assert not set(part.base) & {"rm", "r4", "gammaS", "JXu", "JXv"}
+
+
+@pytest.mark.parametrize("count", range(2, scenes.GL_PANEL + 1))
+def test_gauss_legendre_table_is_leggauss(count):
+    """Each tabled rule is np.polynomial.legendre.leggauss's within 2 ulps
+    (its nodes ascend, as leggauss's do), and integrates x^k over [-1, 1]
+    to round-off for every k <= 2 count - 1."""
+    x, w = scenes._gauss_legendre(count)
+    want_x, want_w = np.polynomial.legendre.leggauss(count)
+    assert x.shape == w.shape == (count,)
+    assert np.all(np.abs(x - want_x) <= 2 * np.spacing(np.abs(want_x)))
+    assert np.all(np.abs(w - want_w) <= 2 * np.spacing(np.abs(want_w)))
+    for k in range(2 * count):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x ** k) - exact) <= 1e-14, k
+
+
+def test_axis_nodes_are_the_composite_leggauss_rule():
+    """The composite rule on a non-periodic axis equals the one built from
+    leggauss, bit for bit, for every resolution up to three panels."""
+    lo, hi = -2.0, 2.0
+    for n in range(2, 3 * scenes.GL_PANEL + 1):
+        panels = math.ceil(n / scenes.GL_PANEL)
+        width = (hi - lo) / panels
+        nodes, weights = [], []
+        for i in range(panels):
+            x, w = np.polynomial.legendre.leggauss(n // panels + (i < n % panels))
+            nodes.append(lo + i * width + (x + 1.0) * 0.5 * width)
+            weights.append(w * 0.5 * width)
+        got = scenes._axis_nodes(lo, hi, n, False)
+        assert got[0].tobytes() == np.concatenate(nodes).tobytes(), n
+        assert got[1].tobytes() == np.concatenate(weights).tobytes(), n

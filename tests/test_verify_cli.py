@@ -616,3 +616,21 @@ def test_verify_does_not_load_numpy_random():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
     assert "gauge_theorem      pass" in proc.stdout
+
+
+def test_no_command_loads_numpy_polynomial(tmp_path):
+    """verify, fields and integrate on charts with a non-periodic axis
+    never import numpy.polynomial: the Gauss-Legendre rules of the grid
+    are a table (scenes._gauss_legendre)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    runs = [["verify", "--builtin", "catenoid_frame_cylinder"],
+            ["fields", "--builtin", "catenoid_frame_plane", "--out", str(tmp_path / "f.csv")],
+            ["integrate", "--builtin", "cartan_schouten_sphere", "--field", "K"]]
+    for argv in runs:
+        code = ("import sys; from rcsurf import cli; "
+                f"code = cli.main({argv + ['--grid', '24x24']!r}); "
+                "sys.exit(code or 3 * ('numpy.polynomial' in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (argv, proc.returncode, proc.stderr)
