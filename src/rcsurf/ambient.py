@@ -109,6 +109,28 @@ class Ambient:
             if np.any(bad):
                 raise SingularFrame(what, "ambient.F", int(np.argmax(bad)))
 
+    def check_metric(self, g, where=""):
+        """Raise IncompatibleConnection (ambient.g, or ambient.F in a frame
+        ambient) at the first sample where g, the metric at some samples,
+        is not symmetric to 1e-12; else at the first where it is not
+        positive definite (a leading principal minor <= 0), that text
+        ending in where.  A sample with a non-finite entry passes, for the
+        finiteness checks to name."""
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = np.moveaxis(g, 0, -1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sym = np.max(np.abs([g01 - g10, g02 - g20, g12 - g21]), axis=0)
+            minors = (g00, g00 * g11 - g01 * g10,
+                      g00 * (g11 * g22 - g12 * g21) - g01 * (g10 * g22 - g12 * g20)
+                      + g02 * (g10 * g21 - g11 * g20))
+            indefinite = np.any([m <= 0.0 for m in minors], axis=0)
+        for bad, text in ((sym > 1e-12, "metric not symmetric (deviation {:.3e})"),
+                          (indefinite, "metric not positive definite" + where)):
+            bad &= finite
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise IncompatibleConnection(text.format(sym[i]), self.paths["g"], i)
+
     def tables_at(self, bindings, tables):
         """The group tables (Exprs over x, y, z) at batched points, as one
         program after the chart check.  In a frame ambient the program
@@ -193,20 +215,13 @@ class Ambient:
         ambient.g or ambient.Gamma, or ambient.F in a frame ambient."""
         bindings = self.bindings(points)
         tables = dict(zip(self.base_names, self.fields_at(bindings, self.base_names)))
-        g = tables["g"]
-        compat = self.metric_compat_residual_at(bindings, g, tables["gamma"])
-        sym = np.max(np.abs(g - np.swapaxes(g, -2, -1)), axis=(-2, -1))
-        for bad, path, text in (
-                (sym > 1e-12, "g", "metric not symmetric (deviation {sym:.3e})"),
-                (np.any(np.linalg.eigvalsh(g) <= 0.0, axis=-1), "g",
-                 "metric not positive definite"),
-                (compat > COMPAT_HARD_TOL, "gamma",
-                 "metric compatibility residual {compat:.3e} exceeds {tol}")):
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise IncompatibleConnection(
-                    text.format(sym=sym[i], compat=compat[i], tol=COMPAT_HARD_TOL),
-                    self.paths[path], i)
+        compat = self.metric_compat_residual_at(bindings, tables["g"], tables["gamma"])
+        self.check_metric(tables["g"])
+        bad = compat > COMPAT_HARD_TOL
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise IncompatibleConnection(f"metric compatibility residual {compat[i]:.3e} "
+                                         f"exceeds {COMPAT_HARD_TOL}", self.paths["gamma"], i)
         return tables
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import expr
-from .surface import Block, require_finite
+from . import expr, surface
+from .surface import require_finite
 
 __all__ = [
-    "mean_curvature", "extrinsic_fields", "gauss_equation_residual",
-    "curvature_decomposition", "classify",
+    "mean_curvature", "extrinsic_fields", "weingarten_on", "third_form",
+    "gauss_equation_residual", "curvature_decomposition", "classify",
 ]
 
 AMBIENT_FLAT_TOL = 1e-9
@@ -38,36 +38,34 @@ def mean_curvature(base, block="ext"):
     })
 
 
-def _weingarten_on(ext):
-    """W_on, W in the oriented orthonormal basis (the base block's B), at
-    the samples of the extrinsic block ext."""
-    B = ext["B"]                        # B is checked before Binv
-    return ext["Binv"] @ ext["W"] @ B
-
-
-def _third_form(ext):
-    """III(X_a, X_b) = <W X_a, W X_b> at the samples of the extrinsic block
-    ext."""
-    W = ext["W"]
-    # np.einsum, not expr.contract: the report bits follow its loop order
-    return np.einsum("nra,nrs,nsb->nab", W, ext["G_S"], W)
-
-
 def extrinsic_fields(base):
-    """Extend a base block with the extrinsic quantities.
-
-    Adds mean_curvature (W, H, star_tau, bold_H) and K_e.  W_on (W in the
-    orthonormal basis, read by classify) and III (read by holo.holo_fields)
-    are formed when read, as base's B and Binv are (surface.Block), so a
-    run whose suites read neither never forms them.
-    """
+    """Extend a base block with the extrinsic quantities: mean_curvature
+    (W, H, star_tau, bold_H) and K_e.  W_on and III are formed by their
+    one reader each (weingarten_on in classify, third_form in
+    holo.holo_fields), so a run whose suites read neither never forms
+    them."""
     out = {**base, **mean_curvature(base)}
     W = out["W"]
     out.update(require_finite("ext", {
         "K_e": W[:, 0, 0] * W[:, 1, 1] - W[:, 0, 1] * W[:, 1, 0],
     }))
-    return Block(out, base.lazy | {"W_on": ("ext", _weingarten_on),
-                                   "III": ("ext", _third_form)})
+    return out
+
+
+def weingarten_on(ext):
+    """W_on, W in the oriented orthonormal basis (surface.orthonormal_frame),
+    at the samples of the extrinsic block ext, checked finite under ext."""
+    B, Binv = surface.orthonormal_frame(ext)
+    return require_finite("ext", {"W_on": Binv @ ext["W"] @ B})["W_on"]
+
+
+def third_form(ext):
+    """III(X_a, X_b) = <W X_a, W X_b> at the samples of the extrinsic block
+    ext, checked finite under ext."""
+    W = ext["W"]
+    # np.einsum, not expr.contract: the report bits follow its loop order
+    return require_finite("ext", {
+        "III": np.einsum("nra,nrs,nsb->nab", W, ext["G_S"], W)})["III"]
 
 
 def gauss_equation_residual(fields, curv, K):
@@ -104,7 +102,7 @@ def classify(fields, tol=CLASSIFY_TOL):
     Umbilic compares W in the oriented orthonormal basis against the matrix
     form (1/2) [[H, -tau], [tau, H]]; the test is basis-dependent otherwise.
     """
-    W_on, H, st = fields["W_on"], fields["H"], fields["star_tau"]
+    W_on, H, st = weingarten_on(fields), fields["H"], fields["star_tau"]
     model = np.empty_like(W_on)
     model[:, 0, 0] = model[:, 1, 1] = 0.5 * H
     model[:, 0, 1] = -0.5 * st

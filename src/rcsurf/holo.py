@@ -21,10 +21,10 @@ __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
 def holo_fields(ext):
     """phi and psi coefficients, the isothermal factor, and the residual of
     psi = bold_H * phi at each sample, from the extrinsic block of the
-    samples, whose III this read forms (extrinsic.extrinsic_fields).
-    Raises NotIsothermal off isothermal charts."""
+    samples and its III (extrinsic.third_form).  Raises NotIsothermal off
+    isothermal charts."""
     lam = isothermal_factor(ext)
-    II, III = ext["II"], ext["III"]
+    II, III = ext["II"], extrinsic.third_form(ext)
     phi = 0.25 * ((II[:, 0, 0] - II[:, 1, 1]) - 1j * (II[:, 0, 1] + II[:, 1, 0]))
     psi = 0.25 * ((III[:, 0, 0] - III[:, 1, 1]) - 2j * III[:, 0, 1])
     return require_finite("holo", {

@@ -721,9 +721,9 @@ class SampleGrid:
     run every program twice.
 
     Each block is built on first read and only then, so a chunk holds only
-    what its readers read; within a block, the fields that few readers read
-    are formed only when read and held by their reader alone
-    (surface.Block): base's B and Binv, and ext's W_on and III:
+    what its readers read; a field with one reader is formed by that reader
+    and held by it alone: W_on (extrinsic.weingarten_on, with base's B and
+    Binv) in classify, and III (extrinsic.third_form) in holo:
 
         base          first-order geometry, jets and frame (Surface.base_fields);
                       everything
@@ -734,9 +734,7 @@ class SampleGrid:
         curvature     r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
                       ambient_sanity, gauss_eq, egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e: most
-                      suites, holo, export; W_on (from base's B and Binv)
-                      when classify reads it (conformality, export), III
-                      when holo does
+                      suites, holo, classify (conformality, export)
         intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
                       egregium, Gauss-Bonnet, export
         holo          Hopf data on isothermal charts: psi/hopf identities,

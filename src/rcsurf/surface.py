@@ -15,9 +15,10 @@ ambient that verify builds once per run.  Every other block is built from
 base only where a reader asks: the induced connection inside
 intrinsic_curvature, the ambient curvature in curvature_fields.
 
-A block holds only what its readers read (Block).  The torsion tensor is
-dropped once T(Xu, Xv) is formed, and the orthonormal tangent frame B and
-its inverse Binv, which only extrinsic's W_on reads, are formed when read.
+A block holds only what its readers read: the torsion tensor is dropped
+once T(Xu, Xv) is formed, and the orthonormal tangent frame B and its
+inverse Binv are formed by orthonormal_frame for their one reader,
+extrinsic.weingarten_on.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -43,13 +44,12 @@ import numpy as np
 
 from . import expr
 from .errors import (
-    DegenerateParameterization, IncompatibleConnection, NonFiniteValue, NotIsothermal,
-    NotWeitzenboeck, named,
+    DegenerateParameterization, NonFiniteValue, NotIsothermal, NotWeitzenboeck, named,
 )
 from .so3 import det_exprs, inv_exprs, matvec_exprs, sum_exprs
 
-__all__ = ["Block", "Surface", "cross_metric_batch", "first_order", "induced_connection",
-           "induced_metric", "isothermal_factor", "require_finite"]
+__all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
+           "induced_metric", "isothermal_factor", "orthonormal_frame", "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
@@ -75,24 +75,6 @@ def require_finite(block, fields):
             i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
             raise NonFiniteValue("non-finite value", f"{block}.{key}", i)
     return fields
-
-
-class Block(dict):
-    """A block of per-sample arrays keyed by field name, whose lazy fields
-    are formed only when read.  lazy maps each such name to (block, form):
-    reading the name returns form(this block), checked finite under block
-    (require_finite), and the block keeps nothing of it, so only the reader
-    holds it.  Every other name is an ordinary dict entry."""
-
-    def __init__(self, fields, lazy):
-        super().__init__(fields)
-        self.lazy = lazy
-
-    def __missing__(self, key):
-        if key not in self.lazy:
-            raise KeyError(key)
-        block, form = self.lazy[key]
-        return require_finite(block, {key: form(self)})[key]
 
 
 def induced_metric(block, jets, tables):
@@ -155,37 +137,22 @@ def first_order(block, jets, tables):
                     "N": N, "cov": cov, "II": II, "TXuXv": TXuXv, "tau_uv": tau_uv}
 
 
-def _frame_scales(base):
-    """sqrt(E) and s = sqrt((E G - F^2) / E) at the samples of base: the
-    scales of the orthonormal tangent frame."""
-    E, F, G = base["E"], base["F"], base["G"]
-    return np.sqrt(E), np.sqrt((E * G - F * F) / E)
-
-
-def _frame(base):
+def orthonormal_frame(base):
     """B, the oriented orthonormal tangent frame (E1bar, E2bar) as columns
-    of components in (Xu, Xv), at the samples of base."""
-    sqrtE, s = _frame_scales(base)
+    of components in (Xu, Xv), and its inverse Binv in closed form, at the
+    samples of base, checked finite under base, B first."""
+    E, F, G = base["E"], base["F"], base["G"]
+    sqrtE, s = np.sqrt(E), np.sqrt((E * G - F * F) / E)
     B = np.zeros_like(base["G_S"])
     B[:, 0, 0] = 1.0 / sqrtE
-    B[:, 0, 1] = -base["F"] / (base["E"] * s)
+    B[:, 0, 1] = -F / (E * s)
     B[:, 1, 1] = 1.0 / s
-    return B
-
-
-def _frame_inverse(base):
-    """Binv, the inverse of B (_frame) in closed form, at the samples of
-    base."""
-    sqrtE, s = _frame_scales(base)
-    Binv = np.zeros_like(base["G_S"])
+    Binv = np.zeros_like(B)
     Binv[:, 0, 0] = sqrtE
-    Binv[:, 0, 1] = base["F"] / sqrtE
+    Binv[:, 0, 1] = F / sqrtE
     Binv[:, 1, 1] = s
-    return Binv
-
-
-# the base fields formed when read (Block), each checked under base
-_BASE_LAZY = {"B": ("base", _frame), "Binv": ("base", _frame_inverse)}
+    require_finite("base", {"B": B, "Binv": Binv})
+    return B, Binv
 
 
 def isothermal_factor(base):
@@ -260,12 +227,12 @@ class Surface:
     def base_fields(self, U, V):
         """Evaluate the first-order geometry at flat arrays U, V.
 
-        Returns a Block of stacked arrays keyed by field name.  Everything
+        Returns a dict of stacked arrays keyed by field name.  Everything
         downstream (extrinsic forms, curvature, Gauss map, holomorphic
         layer) starts from this block.  In a frame ambient it holds frame
         and frame_inv, from the program that evaluates g and Gamma.  The
-        orthonormal tangent frame B and its inverse Binv are formed when
-        read (_BASE_LAZY), and the torsion tensor is not kept.
+        metric is checked at every sample (Ambient.check_metric) before the
+        chart, and the torsion tensor is not kept.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
@@ -273,6 +240,7 @@ class Surface:
         amb = self.ambient
         names = amb.base_names
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
+        amb.check_metric(tables["g"], " on the surface")
         out = first_order("base", jets, tables)
         del out["det2"]
         TXuXv = out.pop("TXuXv")
@@ -280,14 +248,7 @@ class Surface:
         # tangential torsion
         out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]
         require_finite("base", {k: out[k] for k in _CHECKED_LAST})
-        # the metric guard B carried on every base block when it was formed
-        # there: E G - F^2 > 0 here, so E > 0 makes the induced metric
-        # positive definite (and B, Binv finite)
-        indefinite = ~(out["E"] > 0.0)
-        if np.any(indefinite):
-            raise IncompatibleConnection("metric not positive definite on the surface",
-                                         amb.paths["g"], int(np.argmax(indefinite)))
-        return Block(out, _BASE_LAZY)
+        return out
 
     # --- ambient curvature on the surface -----------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from rcsurf.errors import RcsurfError
 from rcsurf.extrinsic import tangent_components
-from rcsurf.surface import cross_metric_batch
+from rcsurf.surface import cross_metric_batch, orthonormal_frame
 
 
 class DegeneratePlane(RcsurfError):
@@ -99,7 +99,7 @@ def tangent_frame(fields):
     """The orthonormal tangent pair (E1bar, E2bar) as chart-coordinate
     vectors, from a base block: the columns of B hold their components in
     (Xu, Xv)."""
-    B, Xu, Xv = fields["B"], fields["Xu"], fields["Xv"]
+    (B, _), Xu, Xv = orthonormal_frame(fields), fields["Xu"], fields["Xv"]
     return B[:, 0, 0, None] * Xu, B[:, 0, 1, None] * Xu + B[:, 1, 1, None] * Xv
 
 

@@ -39,7 +39,7 @@ def test_criterion_01_catenoid_frame_plane():
     sech = 1.0 / np.cosh(g.V)
     assert np.max(np.abs(ext["bold_H"])) <= 1e-9
     assert np.max(np.abs(ext["K_e"] + sech ** 2)) <= 1e-9
-    W_on = ext["W_on"]
+    W_on = extrinsic.weingarten_on(ext)
     assert np.max(np.abs(W_on[:, 0, 0] + sech)) <= 1e-9
     assert np.max(np.abs(W_on[:, 1, 1] - sech)) <= 1e-9
     assert np.max(np.abs(W_on[:, 0, 1])) <= 1e-9
@@ -60,7 +60,7 @@ def test_criterion_02_cartan_schouten_sphere(lam):
     g = scenes.make_grid(sc, 48, 96)
     ext = g.ext
     want_W = np.array([[-1.0, -lam], [lam, -1.0]])
-    assert np.max(np.abs(ext["W_on"] - want_W)) <= 1e-8
+    assert np.max(np.abs(extrinsic.weingarten_on(ext) - want_W)) <= 1e-8
     assert np.max(np.abs(ext["bold_H"] - (-2 + 2j * lam))) <= 1e-8
     m = g.interior_mask
     assert np.max(np.abs(g.intrinsic_K[m] - 1.0)) <= 1e-4

@@ -1,15 +1,22 @@
 """Blocks hold only what their readers read: no block keeps the torsion
-tensor, and base's B and Binv and ext's W_on and III are formed only when
-read (surface.Block), each with the expression and the finiteness guard it
-had when every block formed it."""
+tensor, and B and Binv (surface.orthonormal_frame), W_on
+(extrinsic.weingarten_on) and III (extrinsic.third_form) are formed by
+their one reader each, with the expression and the finiteness guard each
+had when every block held it.  The grid checks the metric at every sample
+as the scene build's probe does."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from rcsurf import gaussmap, scenes, surface, verify
+from rcsurf import extrinsic, gaussmap, scenes, surface, verify
 from rcsurf.errors import IncompatibleConnection, NonFiniteValue
 
 LAZY = ("B", "Binv", "W_on", "III")
+# the function that forms each field of LAZY, by the name the spy records
+FORM = {"B": surface.orthonormal_frame, "Binv": surface.orthonormal_frame,
+        "W_on": extrinsic.weingarten_on, "III": extrinsic.third_form}
 
 # resident bytes per sample of a base block: 1,136 on the frame built-ins and
 # 992 on cartan_schouten_sphere while the block kept the torsion tensor (216),
@@ -24,16 +31,16 @@ def _grid(name, n=24):
 
 @pytest.fixture
 def formed(monkeypatch):
-    """The names of the lazy fields read from any block while it is active,
-    in order."""
+    """The names of the functions that form a field of LAZY, each time one
+    is called while the fixture is active, in order."""
     names = []
-    missing = surface.Block.__missing__
+    for module, name in ((surface, "orthonormal_frame"), (extrinsic, "weingarten_on"),
+                         (extrinsic, "third_form")):
+        def spy(block, form=getattr(module, name), name=name):
+            names.append(name)
+            return form(block)
 
-    def spy(block, key):
-        names.append(key)
-        return missing(block, key)
-
-    monkeypatch.setattr(surface.Block, "__missing__", spy)
+        monkeypatch.setattr(module, name, spy)
     return names
 
 
@@ -73,26 +80,30 @@ def test_sphere_verify_forms_no_lazy_field(formed):
     assert formed == []
 
 
+ALL = ["third_form", "weingarten_on", "orthonormal_frame"]
+
+
 @pytest.mark.parametrize("run, names", [
     (lambda tmp: verify.run_verification(scenes.builtin("catenoid_frame_cylinder"), 24, 24),
-     ["III", "W_on", "B", "Binv"]),
-    (lambda tmp: scenes.export_fields(_grid("catenoid_frame_plane"), tmp / "f.csv"),
-     ["III", "W_on", "B", "Binv"]),
-    (lambda tmp: scenes.integrate(_grid("catenoid_frame_plane"), "abs_psi"), ["III"]),
-], ids=["verify-cylinder", "fields-plane", "integrate-abs_psi"])
+     ALL),
+    (lambda tmp: scenes.export_fields(_grid("catenoid_frame_plane"), tmp / "f.csv"), ALL),
+    (lambda tmp: scenes.integrate(_grid("catenoid_frame_plane"), "abs_psi"), ["third_form"]),
+    (lambda tmp: scenes.integrate(_grid("catenoid_frame_plane", 96), "abs_psi"),
+     ["third_form"] * 3),
+], ids=["verify-cylinder", "fields-plane", "integrate-abs_psi", "integrate-abs_psi-3-chunks"])
 def test_readers_form_each_lazy_field_once_per_chunk(formed, tmp_path, run, names):
-    """A run forms a lazy field only for its reader, once per chunk: the
-    holo block reads III, classify reads W_on, and W_on reads B, then
-    Binv."""
+    """A run forms a field only for its reader, once per chunk: the holo
+    block forms III, classify forms W_on, and W_on forms B and Binv."""
     run(tmp_path)
     assert formed == names
 
 
 @pytest.mark.parametrize("name", scenes.builtin_names())
 def test_lazy_fields_are_the_expressions_they_were(name):
-    """Each lazy field equals, bit for bit, the expression that formed it
-    when every block held it."""
-    ext = _grid(name).ext
+    """Each field of LAZY equals, bit for bit, the expression that formed
+    it when every block held it, from base and from ext alike."""
+    grid = _grid(name)
+    ext = grid.ext
     E, F, G = ext["E"], ext["F"], ext["G"]
     det2 = E * G - F * F
     sqrtE, s = np.sqrt(E), np.sqrt(det2 / E)
@@ -107,23 +118,25 @@ def test_lazy_fields_are_the_expressions_they_were(name):
     W = ext["W"]
     want = {"B": B, "Binv": Binv, "W_on": Binv @ W @ B,
             "III": np.einsum("nra,nrs,nsb->nab", W, ext["G_S"], W)}
+    got = dict(zip(("B", "Binv"), surface.orthonormal_frame(ext)),
+               W_on=extrinsic.weingarten_on(ext), III=extrinsic.third_form(ext))
     for key, value in want.items():
-        got = ext[key]
-        assert got.dtype == value.dtype and got.shape == value.shape, key
-        assert got.tobytes() == value.tobytes(), (name, key)
-    assert ext["B"].tobytes() == _grid(name).base["B"].tobytes()
+        assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
+        assert got[key].tobytes() == value.tobytes(), (name, key)
+    for a, b in zip(surface.orthonormal_frame(grid.base), (B, Binv)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("key, spoil, path", [
     ("B", ("E", -1.0), "base.B"),
-    ("Binv", ("E", -1.0), "base.Binv"),
-    ("W_on", ("E", -1.0), "base.B"),           # W_on reads B before Binv
+    ("Binv", ("G", np.inf), "base.Binv"),     # B stays finite: s = inf
+    ("W_on", ("E", -1.0), "base.B"),           # B is checked before Binv
     ("W_on", ("W", np.nan), "ext.W_on"),
     ("III", ("W", np.inf), "ext.III"),
 ])
 def test_a_non_finite_lazy_field_raises_under_its_path(key, spoil, path):
     """A forced non-finite value raises NonFiniteValue under the path the
-    field was checked under when every block formed it, at its first bad
+    field was checked under when every block held it, at its first bad
     sample."""
     ext = _grid("catenoid_frame_cylinder", 8).ext
     field, value = spoil
@@ -131,34 +144,89 @@ def test_a_non_finite_lazy_field_raises_under_its_path(key, spoil, path):
     for i in (13, 40):
         ext[field][i] = value
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue) as err:
-        ext[key]
+        FORM[key](ext)
     assert (err.value.path, err.value.sample) == (path, 13)
 
 
 def test_a_block_without_the_name_raises_key_error():
-    with pytest.raises(KeyError):
-        _grid("euclidean_plane", 8).base["W_on"]
+    """No block holds a field of LAZY."""
+    grid = _grid("catenoid_frame_plane", 8)
+    for block in (grid.base, grid.ext, grid.holo):
+        assert type(block) is dict and not set(LAZY) & set(block)
+        with pytest.raises(KeyError):
+            block["W_on"]
 
 
-def test_indefinite_metric_on_the_grid_is_named():
-    """A metric that is positive definite at the build's probe points but
-    not on the whole surface (diag(h, h, 1), h = 1 - 3x^8 < 0 past
-    x = 0.872) stops every command at the first such sample, as B's guard
-    did when every base block formed B."""
+def _plane(g, gamma):
+    """The unit-square plane X = (u, v, 0) in the coefficient ambient g,
+    gamma (text entries)."""
     doc = scenes.builtin("cartan_schouten_sphere").to_dict()
     for key in ("closed", "euler_characteristic", "goldens"):
         del doc[key]
     doc["surface"].update(X=["u", "v", "0"], domain=[[0.0, 1.0], [0.0, 1.0]])
+    doc["ambient"].update(g=g, Gamma=gamma)
+    return scenes.build_scene(doc)
+
+
+def _metric_scenes():
+    """(scene, text, the first bad sample as a function of the grid's U)
+    for metrics that the build's probe points (u, v up to 5/6) accept but
+    that fail on the grid: diag(h, h, 1), diag(1, 1, h) and diag(1, h, 1)
+    with h = 1 - 3x^8 < 0 past x = 0.872, each with its Levi-Civita
+    connection, and the identity with g[1][0] = exp(400 (x - 0.95)) and
+    Gamma = 0, asymmetric past 1e-12 from x = 0.881."""
     h = "(1 - 3*x^8)"
-    doc["ambient"]["g"] = [[h, "0", "0"], ["0", h, "0"], ["0", "0", "1"]]
-    gamma = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
-    c = f"(-12*x^7/{h})"        # the Levi-Civita connection of that metric
-    gamma[0][0][0] = gamma[1][0][1] = gamma[1][1][0] = c
-    gamma[0][1][1] = f"(-1)*{c}"
-    doc["ambient"]["Gamma"] = gamma
-    grid = scenes.make_grid(scenes.build_scene(doc), 16, 16)
-    with pytest.raises(IncompatibleConnection) as err:
-        grid.collect(lambda part: {"area": part.base["area"]})
-    first = int(np.argmax(grid.U > 3.0 ** -0.125))
-    assert (err.value.path, err.value.sample) == ("ambient.g", first)
-    assert str(err.value).startswith("ambient.g: metric not positive definite on the surface")
+    c = f"(-12*x^7/{h})"        # h' / (2 h)
+
+    def metric(*diag):
+        return [[diag[i] if i == j else "0" for j in range(3)] for i in range(3)]
+
+    def gamma(*entries):
+        out = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+        for (k, i, j), text in entries:
+            out[k][i][j] = text
+        return out
+
+    def indefinite(U):
+        return int(np.argmax(U > 3.0 ** -0.125))
+
+    pd_text = "metric not positive definite on the surface"
+    yield (_plane(metric(h, h, "1"), gamma(((0, 0, 0), c), ((1, 0, 1), c), ((1, 1, 0), c),
+                                           ((0, 1, 1), f"(-1)*{c}"))),
+           lambda U: pd_text, indefinite)
+    yield (_plane(metric("1", "1", h), gamma(((2, 0, 2), c), ((2, 2, 0), c),
+                                             ((0, 2, 2), "12*x^7"))),
+           lambda U: pd_text, indefinite)
+    yield (_plane(metric("1", h, "1"), gamma(((1, 0, 1), c), ((1, 1, 0), c),
+                                             ((0, 1, 1), "12*x^7"))),
+           lambda U: pd_text, indefinite)
+    asym = metric("1", "1", "1")
+    asym[1][0] = "exp(400*(x - 0.95))"
+
+    def first_asym(U):
+        return int(np.argmax(np.exp(400.0 * (U - 0.95)) > 1e-12))
+
+    yield (_plane(asym, gamma()),
+           lambda U: f"metric not symmetric (deviation "
+                     f"{np.exp(400.0 * (U[first_asym(U)] - 0.95)):.3e})",
+           first_asym)
+
+
+def test_indefinite_metric_on_the_grid_is_named(tmp_path):
+    """A metric that is positive definite and symmetric at the build's probe
+    points but not on the whole surface stops verify, fields and integrate
+    at its first such sample, naming ambient.g, before any numpy warning
+    and before the chart's guards."""
+    for scene, text, first in _metric_scenes():
+        for run in (lambda grid: verify.run_verification(scene, 16, 16),
+                    lambda grid: scenes.export_fields(grid, tmp_path / "f.csv"),
+                    lambda grid: scenes.integrate(grid, "H")):
+            grid = scenes.make_grid(scene, 16, 16)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IncompatibleConnection) as err:
+                    run(grid)
+            i = first(grid.U)
+            assert (err.value.path, err.value.sample) == ("ambient.g", i)
+            assert str(err.value).startswith(f"ambient.g: {text(grid.U)} at sample {i}")
+            assert not (tmp_path / "f.csv").exists()
