@@ -43,10 +43,11 @@ class Ambient:
     bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings).
     fields_at and the methods built on it (christoffel_at, curvature_at)
     check the chart domain first, and the frame on the determinant their
-    own program evaluates; riemann and metric_compat_residual_at take
-    points that a base block already checked.  A guard names its scene
-    path and the first offending point by its index in the batch, and an
-    expression error in a table or its lazy build the table's (paths).
+    own program evaluates; riemann takes points that a base block already
+    checked, and metric_compat_residual_at the tables fields_at gives.  A
+    guard names its scene path and the first offending point by its index
+    in the batch, and an expression error in a table or its lazy build the
+    table's (paths).
     """
 
     def __init__(self, kind, g, gamma, frame=None, frame_inv=None,
@@ -131,20 +132,22 @@ class Ambient:
                 i = int(np.argmax(bad))
                 raise IncompatibleConnection(text.format(sym[i]), self.paths["g"], i)
 
-    def tables_at(self, bindings, tables):
+    def tables_at(self, bindings, tables, frames=None):
         """The group tables (Exprs over x, y, z) at batched points, as one
-        program after the chart check.  In a frame ambient the program
-        also evaluates frame_det, a node of g and Gamma, and returns it
-        last for check_frame.  Every table built from the inverse frame
-        divides by the determinant, so where the program meets a domain
-        error a singular frame is reported first."""
+        program after the chart check.  The program also evaluates the
+        frame_det of each frame ambient in frames (by default this one, if
+        it is a frame ambient), a node of that ambient's g and Gamma, and
+        returns them last, in order, for check_frame.  Every table built
+        from an inverse frame divides by its determinant, so where the
+        program meets a domain error a singular frame is reported first."""
         self._check_inside(bindings)
-        if self.kind != "frame":
-            return expr.eval_table(tables, bindings)
+        if frames is None:
+            frames = (self,) if self.kind == "frame" else ()
         try:
-            return expr.eval_table(tables + (self.frame_det,), bindings)
+            return expr.eval_table(tables + tuple(f.frame_det for f in frames), bindings)
         except EvalDomainError:
-            self.check_frame(expr.eval_table(self.frame_det, bindings))
+            for f in frames:
+                f.check_frame(expr.eval_table(f.frame_det, bindings))
             raise
 
     def fields_at(self, bindings, names):
@@ -153,7 +156,8 @@ class Ambient:
         program after the chart check, with the frame checked on its
         determinant from the same program (tables_at).  frame and
         frame_inv are nodes of g and Gamma: adding them to that group
-        adds no op."""
+        adds no op, and dg shares the derivatives of the frame's inverse
+        with Gamma."""
         with named(*(self.paths[n] for n in names)):
             out = self.tables_at(bindings, tuple(getattr(self, n) for n in names))
         if self.kind == "frame":
@@ -195,12 +199,13 @@ class Ambient:
         """r4 from rm and the metric g at the same samples."""
         return expr.contract("nlkij,nlm->nijkm", rm, g)
 
-    def metric_compat_residual_at(self, bindings, g, gamma):
-        """max |nabla g| per sample, from the metric g and the connection
-        gamma at points that already passed the chart and frame checks (a
-        base block's, or validate's).  Only dg is evaluated here."""
-        with named(self.paths["dg"]):
-            return _compat_residual(gamma, g, expr.eval_table(self.dg, bindings))
+    def metric_compat_residual_at(self, g, gamma, dg):
+        """max |d_m g_ab - Gamma^l_ma g_lb - Gamma^l_mb g_al| per sample,
+        from the metric g, the connection gamma and dg at the same samples
+        (fields_at, which evaluates dg in the program of g and Gamma)."""
+        res = dg - expr.contract("nlma,nlb->nmab", gamma, g)
+        res -= expr.contract("nlmb,nal->nmab", gamma, g)
+        return np.max(np.abs(res, out=res), axis=(1, 2, 3))
 
     # --- validation ---------------------------------------------------------------
 
@@ -208,14 +213,16 @@ class Ambient:
         """Run the construction-time guards at the given sample points, and
         return the base tables they read, a dict keyed by base_names.
 
-        The base group (base_names, the program of a base block) and the
-        dg program of metric_compat_residual_at feed every guard, so a
-        scene build compiles no program that verify does not run again,
-        and builds its base core from the returned tables.  A guard names
-        ambient.g or ambient.Gamma, or ambient.F in a frame ambient."""
+        One program, the base group (base_names) with dg, feeds every
+        guard: the program of a base block in a verify that runs
+        ambient_sanity, so a scene build compiles no program that verify
+        does not run again, and builds its base core from the returned
+        tables.  A guard names ambient.g or ambient.Gamma, or ambient.F in
+        a frame ambient."""
         bindings = self.bindings(points)
-        tables = dict(zip(self.base_names, self.fields_at(bindings, self.base_names)))
-        compat = self.metric_compat_residual_at(bindings, tables["g"], tables["gamma"])
+        names = self.base_names + ("dg",)
+        tables = dict(zip(names, self.fields_at(bindings, names)))
+        compat = self.metric_compat_residual_at(tables["g"], tables["gamma"], tables.pop("dg"))
         self.check_metric(tables["g"])
         bad = compat > COMPAT_HARD_TOL
         if np.any(bad):
@@ -249,11 +256,4 @@ def coefficient_ambient(g, gamma, chart_domain=None) -> Ambient:
     """Ambient defined directly by metric and connection coefficient Exprs;
     gamma is indexed gamma[k][i][j] with nabla_{d_i} d_j = Gamma^k_ij d_k."""
     return Ambient("coefficients", g, gamma, chart_domain=chart_domain)
-
-
-def _compat_residual(G, g, dg):
-    """max |d_m g_ab - Gamma^l_ma g_lb - Gamma^l_mb g_al| per sample."""
-    res = dg - expr.contract("nlma,nlb->nmab", G, g)
-    res -= expr.contract("nlmb,nal->nmab", G, g)
-    return np.max(np.abs(res, out=res), axis=(1, 2, 3))
 

@@ -3,9 +3,16 @@
 Expressions are immutable, hash-consed AST nodes, so structurally equal
 subtrees are shared.  Sharing is what keeps the derived expression DAGs
 (metric inverses, connection coefficients, normal fields and their
-derivatives) small enough to evaluate quickly.  A node is interned by its
-kind, its child nodes themselves, its value and its name; nodes define no
-__eq__, so they hash and compare by identity, and every memo keys by node.
+derivatives) small enough to evaluate quickly.  A node is one per kind,
+child nodes, value and name; nodes define no __eq__, so they hash and
+compare by identity, and every memo keys by node.  Each node carries key,
+an integer fixed by its structure alone (see Expr), which interning looks
+it up by, and the operands of + and * are interned in key order, so a + b
+and b + a are one node.  A negation is pushed out of a product or quotient and
+folded into the sum or difference that consumes it.  Both rewrites are
+exact in IEEE arithmetic.  They do let x - x and x / x fold on more pairs
+(a * b - b * a); where such a zero meets a 0 absorption (0 - y is -y), an
+exact zero downstream may take the other sign.
 A table of expressions is compiled once into a program that lists every
 distinct node once, children first, in a few flat columns (kind, operands,
 argument, frees) with a sparse map from op to output slots; frees drops
@@ -24,9 +31,10 @@ Grammar (whitespace-insensitive)::
     atom   := NUMBER | 'pi' | NAME '(' expr ')' | NAME | '(' expr ')'
 
 Functions: sin cos tan sinh cosh tanh sech exp log sqrt abs sign.
-Differentiation is exact; the only simplification applied is constant
-folding and 0/1 absorption.  abs differentiates to sign with sign(0) = 0,
-so sampled domains must avoid kinks.
+Differentiation is exact; the only simplifications applied are constant
+folding, 0/1 absorption, the operand order of + and *, and the negation
+folds.  abs differentiates to sign with sign(0) = 0, so sampled domains
+must avoid kinks.
 
 diff, compose and compiling share one walk of a DAG, children first
 (_children_first), and to_string prints from a stack of its own: depth (a
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 import re
+import zlib
 from collections import namedtuple
 
 import numpy as np
@@ -55,12 +64,19 @@ _OP_NAMES = {_ADD: "+", _SUB: "-", _MUL: "*", _DIV: "/", _POW: "^"}
 
 
 class Expr:
-    """One interned AST node.  Construct through the module functions."""
+    """One interned AST node.  Construct through the module functions.
 
-    __slots__ = ("kind", "a", "b", "value", "name")
+    key (_key) hashes the kind, the children's keys, the value and a CRC-32
+    of the name.  Python fixes the hashes of ints, floats and tuples of them
+    (only str and bytes hashes are salted), so key, and with it the operand
+    order of every + and *, depends neither on the hash seed nor on which
+    nodes were built before."""
 
-    def __init__(self, kind, a=None, b=None, value=None, name=None):
+    __slots__ = ("kind", "a", "b", "value", "name", "key")
+
+    def __init__(self, kind, a, b, value, name, key):
         self.kind, self.a, self.b, self.value, self.name = kind, a, b, value, name
+        self.key = key
 
     def __repr__(self):
         return f"Expr({to_string(self)})"
@@ -73,17 +89,38 @@ class Expr:
         return evaluate(self, bindings)
 
 
-_interned: dict = {}
+_interned: dict = {}        # key -> the node that holds it
+_collided: dict = {}        # (kind, a, b, value, name) -> a node whose key another holds
+_NAME_CODES: dict = {}      # name -> its CRC-32
+
+
+def _key(kind, a, b, value, name):
+    """The key of the node of this kind, children, value and name."""
+    code = 0
+    if name is not None:
+        code = _NAME_CODES.get(name)
+        if code is None:
+            code = _NAME_CODES[name] = zlib.crc32(name.encode())
+    return hash((kind, 0 if a is None else a.key, 0 if b is None else b.key,
+                 0.0 if value is None else value, code))
 
 
 def _intern(kind, a=None, b=None, value=None, name=None):
-    """The one node of this kind, children, value and name.  The key holds
-    the child nodes themselves: Expr defines no __eq__, so they compare by
-    identity, and value by ==."""
-    key = (kind, a, b, value, name)
+    """The one node of this kind, children, value and name, found by its
+    key: Expr defines no __eq__, so the children compare by identity, and
+    value by ==.  Keyed by an int and not by those fields, the table keeps
+    no tuple per node.  A node whose key another node holds (a hash
+    collision) is found by its fields in _collided."""
+    key = _key(kind, a, b, value, name)
     node = _interned.get(key)
     if node is None:
-        node = _interned[key] = Expr(kind, a, b, value, name)
+        node = _interned[key] = Expr(kind, a, b, value, name, key)
+    elif not (node.a is a and node.b is b and node.kind == kind and node.value == value
+              and node.name == name):
+        fields = (kind, a, b, value, name)
+        node = _collided.get(fields)
+        if node is None:
+            node = _collided[fields] = Expr(kind, a, b, value, name, key)
     return node
 
 
@@ -106,7 +143,15 @@ ONE = con(1.0)
 # The constructors fold constants and absorb 0 and 1, testing each
 # operand's constness once.  A constant outside its function's domain (log(0),
 # 0^-1, x/0) raises EvalDomainError as the expression is built, naming no
-# sample.
+# sample.  add and mul then intern their operands in key order (IEEE + and *
+# commute bit for bit), and the negation folds below are exact in IEEE
+# arithmetic, signed zeros included:
+#
+#     (-a) * b -> -(a * b)    a / (-b), (-a) / b -> -(a / b)
+#     x + (-y), (-y) + x -> x - y    x - (-y) -> x + y
+#
+# (-x) - y and -(x - y) stay as they are: -(x + y) and y - x differ from
+# them in the sign of a zero result.
 
 
 def add(x, y) -> Expr:
@@ -117,6 +162,12 @@ def add(x, y) -> Expr:
             return y
     elif y.kind == _CONST and y.value == 0.0:
         return x
+    if y.key < x.key:
+        x, y = y, x
+    if y.kind == _NEG:
+        return sub(x, y.a)
+    if x.kind == _NEG:
+        return sub(y, x.a)
     return _intern(_ADD, x, y)
 
 
@@ -131,6 +182,8 @@ def sub(x, y) -> Expr:
             return x
     elif x is y:
         return ZERO
+    if y.kind == _NEG:
+        return add(x, y.a)
     return _intern(_SUB, x, y)
 
 
@@ -142,13 +195,19 @@ def mul(x, y) -> Expr:
     elif y.kind == _CONST:
         c, other = y.value, x
     else:
-        return _intern(_MUL, x, y)
+        c = None
     if c == 0.0:
         return ZERO
     if c == 1.0:
         return other
     if c == -1.0:
         return neg(other)
+    if x.kind == _NEG:
+        return neg(mul(x.a, y))
+    if y.kind == _NEG:
+        return neg(mul(x, y.a))
+    if y.key < x.key:
+        x, y = y, x
     return _intern(_MUL, x, y)
 
 
@@ -165,6 +224,10 @@ def div(x, y) -> Expr:
             return ZERO
     elif x is y:
         return ONE
+    if y.kind == _NEG:
+        return neg(div(x, y.a))
+    if x.kind == _NEG:
+        return neg(div(x.a, y))
     return _intern(_DIV, x, y)
 
 
@@ -258,7 +321,8 @@ def _children_first(e, memo, build):
 # --- evaluation ------------------------------------------------------------
 
 # Compiled programs keyed by table shapes and leaf ids.  The ids stay unique
-# because _interned keeps every node alive for the life of the process.
+# because _interned and _collided keep every node alive for the life of the
+# process.
 _programs: dict = {}
 
 
@@ -562,7 +626,10 @@ def to_string(e: Expr) -> str:
         elif k == _POW:
             stack += [(n.b, _PREC[_POW]), "^", (n.a, _PREC[_POW] + 1)]
         else:
-            stack += [(n.b, _PREC[k] + 1), f" {_OP_NAMES[k]} ", (n.a, _PREC[k])]
+            a, b = n.a, n.b
+            if k in (_ADD, _MUL) and _PREC[b.kind] == _PREC[k] < _PREC[a.kind]:
+                a, b = b, a     # key order put the chain right: left needs no parentheses
+            stack += [(b, _PREC[k] + 1), f" {_OP_NAMES[k]} ", (a, _PREC[k])]
     return "".join(out)
 
 

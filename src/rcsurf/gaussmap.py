@@ -21,10 +21,12 @@ frame vectors are expanded in (X_u, X_v) and applied to the (u, v)-dependence
 through the chain rule.
 
 A gauge residual takes its gauged ambient (apply_gauge; verify builds one
-per gauge field and run), evaluates the gauge field (axis, angle and, for
-the general law, their gradients) and that ambient's g, Gamma and frame
-determinant in one program (_gauge_at), and recomputes H, star_tau and
-bold_H from a lean gauged block: the first-order core of a base block
+per gauge field and run) and the gauge's tables at the samples: the gauge
+field (axis, angle and, for the general law, their gradients) and that
+ambient's g, Gamma and frame determinant.  gauge_tables evaluates the
+tables of every gauge of a verify chunk in one program; each residual
+checks its own (_gauge_at) and recomputes H, star_tau and bold_H from a
+lean gauged block: the first-order core of a base block
 (surface.first_order) on the jets in ext.  It returns its error at each
 sample, as every other residual does.  An axis that is not unit
 or not finite raises NonUnitAxis (check_axis, which a scene build runs on
@@ -48,7 +50,7 @@ from .surface import cross_metric_batch, first_order, require_finite
 
 __all__ = [
     "GaugeField", "gauss_field", "projected_frames", "div_curl",
-    "apply_gauge", "check_axis",
+    "apply_gauge", "check_axis", "gauge_tables",
     "gauged_mean_curvature", "gauge_theorem_residual", "general_gauge_residual",
     "conformality_test", "degree_integrand",
 ]
@@ -154,21 +156,50 @@ def check_axis(ax, normal=None, path=None):
                                 int(np.argmax(off)))
 
 
-def _gauge_at(gamb, gauge, fields, normal=None, gradients=False):
-    """The gauge at the samples of fields, in one program: its axis (n, 3),
-    checked (check_axis, against the Gauss map normal when given, named
-    by the gauge's path), and
-    theta, with the chart gradients of theta (n, 3 chart) and of the axis
-    components (n, 3 comp, 3 chart) when gradients; then the gauged
-    ambient gamb's g and Gamma for gauged_mean_curvature, with the gauged
-    frame checked on its determinant from the same program."""
-    with named(gauge.path or "ambient.F"):
-        tables = (list(gauge.axis), gauge.theta)
+def gauge_tables(gauged, fields):
+    """The tables of every gauge in gauged, a list of (gauge field, its
+    gauged ambient, gradients), at the samples of fields, as one program:
+    for each gauge its axis (n, 3) and theta, with the chart gradients of
+    theta (n, 3 chart) and of the axis components (n, 3 comp, 3 chart)
+    when gradients, then the gauged ambient's g, Gamma and frame
+    determinant.  Returns one such tuple per gauge, unchecked: each
+    residual checks its own (_gauge_at), in order.  The gauged frames share
+    the scene's frame, so one program computes their common terms once.
+    An expression error names the path of the first gauge whose tables
+    need the failing term, and where the program meets a domain error a
+    singular gauged frame is reported first (Ambient.tables_at)."""
+    tables, paths, counts = (), [], []
+    for gauge, gamb, gradients in gauged:
+        own = (list(gauge.axis), gauge.theta)
         if gradients:
-            tables += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
-                       [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
-        *out, g, gamma, det = gamb.tables_at(gamb.bindings(fields["p"]),
-                                             tables + (gamb.g, gamb.gamma))
+            own += ([expr.diff(gauge.theta, w) for w in CHART_VARS],
+                    [[expr.diff(c, w) for w in CHART_VARS] for c in gauge.axis])
+        own += (gamb.g, gamb.gamma)
+        tables += own
+        paths += [gauge.path or "ambient.F"] * len(own)
+        counts.append(len(own))
+    gambs = [gamb for _, gamb, _ in gauged]
+    with named(*paths, *(gauge.path or "ambient.F" for gauge, _, _ in gauged)):
+        out = gambs[0].tables_at(gambs[0].bindings(fields["p"]), tables, gambs)
+    values, start = [], 0
+    for count, det in zip(counts, out[len(tables):]):
+        values.append(out[start:start + count] + (det,))
+        start += count
+    return values
+
+
+def _gauge_at(gamb, gauge, fields, normal=None, gradients=False, values=None):
+    """The gauge at the samples of fields, checked: values, its tables from
+    gauge_tables (evaluated here, as a program of their own, when None).
+    Its axis (n, 3) is checked (check_axis, against the Gauss map normal
+    when given, named by the gauge's path), then theta and, when
+    gradients, the chart gradients of theta and of the axis components,
+    then the gauged frame on its determinant.  Returns the gauge's values
+    (axis, theta and the gradients) and the gauged ambient gamb's g and
+    Gamma for gauged_mean_curvature."""
+    if values is None:
+        (values,) = gauge_tables([(gauge, gamb, gradients)], fields)
+    *out, g, gamma, det = values
     check_axis(out[0], normal, gauge.path)
     require_finite("gauge", dict(zip(("theta", "dtheta", "daxis"), out[1:])))
     gamb.check_frame(det)
@@ -186,21 +217,22 @@ def gauged_mean_curvature(fields, tables):
     return extrinsic.mean_curvature(block, "gauge")
 
 
-def gauge_theorem_residual(gamb, gauge: GaugeField, ext, gauss):
+def gauge_theorem_residual(gamb, gauge: GaugeField, ext, gauss, values=None):
     """|bold_H(s.g) - bold_H(s) e^{i theta}| at each sample, for a gauge
     rotating about the Gauss-map axis (gamb: apply_gauge of it).
 
     Raises AxisNotNormal when the gauge axis differs from the Gauss map on
     the surface beyond 1e-8.  ext and gauss are the extrinsic and
-    gauss_field blocks of the same samples.
+    gauss_field blocks of the same samples, and values the gauge's tables
+    there (gauge_tables without gradients; evaluated here when None).
     """
-    (_, theta), tables = _gauge_at(gamb, gauge, ext, normal=gauss["n"])
+    (_, theta), tables = _gauge_at(gamb, gauge, ext, gauss["n"], values=values)
     gauged = gauged_mean_curvature(ext, tables)
     predicted = ext["bold_H"] * np.exp(1j * theta)
     return np.abs(gauged["bold_H"] - predicted)
 
 
-def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
+def general_gauge_residual(gamb, gauge: GaugeField, ext, frames, values=None):
     """Residual of the arbitrary-rotation gauge formulas.
 
     H'  = H  - e.Grad_x(theta) - sin(theta) Div_x(e) + (1-cos) Curl_x(e).e
@@ -211,9 +243,11 @@ def general_gauge_residual(gamb, gauge: GaugeField, ext, frames):
     recomputation in the gauged frame gamb (apply_gauge of the gauge), and
     the larger of the two errors is returned at each sample.  ext and
     frames are the extrinsic and projected_frames blocks of the same
-    samples.
+    samples, and values the gauge's tables there (gauge_tables with
+    gradients; evaluated here when None).
     """
-    (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True)
+    (ax, theta, dtheta, dax), tables = _gauge_at(gamb, gauge, ext, gradients=True,
+                                                 values=values)
     ax, dtheta, dax = (np.ascontiguousarray(a) for a in (ax, dtheta, dax))
     out = {}
     for which in ("top", "cross"):

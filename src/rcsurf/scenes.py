@@ -215,6 +215,14 @@ def _goldens(doc):
     return out
 
 
+# The library's entry points (build_scene, builtin, integrate, gauss_degree,
+# export_fields and verify.run_verification) run under the np.errstate of
+# cli.main: each non-finite value they meet stops them as a typed error
+# (NonFiniteValue, or a constant's ExprError), which a numpy floating-point
+# warning would only precede.
+
+
+@np.errstate(all="ignore")
 def build_scene(doc) -> Scene:
     """Validate a scene document and construct the Scene."""
     _known_keys(doc, "")
@@ -381,6 +389,7 @@ def _param_number(val, name):
     return out
 
 
+@np.errstate(all="ignore")
 def builtin(name, **params) -> Scene:
     try:
         factory = _BUILTINS[name]
@@ -748,7 +757,10 @@ class SampleGrid:
 
     verify sets composition to the tables its planned suites read; it is
     empty by default, and take evaluates a table that comp lacks on its
-    own, so export and integrate evaluate d_gammaS alone.
+    own, so export and integrate evaluate d_gammaS alone.  verify also sets
+    with_compat when ambient_sanity runs: base's program then evaluates dg
+    with the ambient's base group, and base holds the metric compatibility
+    residual for ambient_sanity.  It is False by default.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -771,6 +783,7 @@ class SampleGrid:
         self.weights = np.outer(self.u_weights, self.v_weights).ravel()
         self.offset = 0                 # index of the first sample in the grid
         self.composition = ()           # the tables of comp (verify sets them)
+        self.with_compat = False        # base holds compat (verify sets it)
 
     # streaming -----------------------------------------------------------------
 
@@ -778,14 +791,14 @@ class SampleGrid:
         """The grid's samples as new SampleGrids over contiguous row-major
         slices of CHUNK samples, in order, one for a grid of at most CHUNK.
         A chunk keeps what its blocks read of this grid: the scene and
-        surface, the composition, and nu and nv (with the surface's domain,
-        interior_mask's edge margin, so the mask is unchanged); it builds
-        its blocks for its own samples, and offset is the index of its
-        first sample in the grid."""
+        surface, the composition and with_compat, and nu and nv (with the
+        surface's domain, interior_mask's edge margin, so the mask is
+        unchanged); it builds its blocks for its own samples, and offset is
+        the index of its first sample in the grid."""
         for lo in range(0, self.U.shape[0], CHUNK):
             sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "composition"):
+            for name in ("scene", "surface", "nu", "nv", "composition", "with_compat"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
             part.offset = self.offset + lo
@@ -819,7 +832,7 @@ class SampleGrid:
 
     @cached_property
     def base(self):
-        return self.surface.base_fields(self.U, self.V)
+        return self.surface.base_fields(self.U, self.V, self.with_compat)
 
     @cached_property
     def curvature(self):
@@ -915,6 +928,7 @@ def make_grid(scene, nu, nv) -> SampleGrid:
     return SampleGrid(scene, nu, nv)
 
 
+@np.errstate(all="ignore")
 def integrate(grid: SampleGrid, field) -> float:
     """Integral of the named scalar field against the surface area form:
     one sum over the area terms of every chunk."""
@@ -965,6 +979,7 @@ def degree_from(total):
     return {"degree": degree, "residual": residual, "raw": raw}
 
 
+@np.errstate(all="ignore")
 def gauss_degree(grid: SampleGrid):
     """Mapping degree of the Gauss map on a closed chart (require_closed).
     Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly."""
@@ -1023,6 +1038,7 @@ def export_columns(part, tol):
             nf[:, 0], nf[:, 1], nf[:, 2], flags]
 
 
+@np.errstate(all="ignore")
 def export_fields(grid: SampleGrid, path):
     """Tabular export: one row per sample, 17 significant digits, LF line
     endings, deterministic row-major ordering.

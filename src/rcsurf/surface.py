@@ -6,8 +6,9 @@ of parameter points: tangents, oriented unit normal, induced metric, the
 ambient covariant derivatives of the tangents, the second fundamental form
 and the torsion 2-form on the tangent pair; in a frame ambient also the
 frame and its inverse.  Its ambient tables (g, Gamma and the frame, with
-the frame determinant they divide by) are one program, and no later reader
-evaluates them again.  The first-order core (first_order: E, F, G, area,
+the frame determinant they divide by, and dg for ambient_sanity's
+compatibility residual when verify runs it) are one program, and no later
+reader evaluates them again.  The first-order core (first_order: E, F, G, area,
 N, Ginv_S, the covariant derivatives, II and tau_uv) is written once;
 base_fields adds T_S on top, and the gauge suites build a lean gauged
 block from the core alone (gaussmap.gauged_mean_curvature) in the gauged
@@ -224,7 +225,7 @@ class Surface:
                 (self.X, self.Xu, self.Xv, self.Xuu, self.Xuv, self.Xvv),
                 {"u": U, "v": V})))
 
-    def base_fields(self, U, V):
+    def base_fields(self, U, V, compat=False):
         """Evaluate the first-order geometry at flat arrays U, V.
 
         Returns a dict of stacked arrays keyed by field name.  Everything
@@ -232,14 +233,22 @@ class Surface:
         layer) starts from this block.  In a frame ambient it holds frame
         and frame_inv, from the program that evaluates g and Gamma.  The
         metric is checked at every sample (Ambient.check_metric) before the
-        chart, and the torsion tensor is not kept.
+        chart, and the torsion tensor is not kept.  With compat, that
+        program also evaluates dg, and the block holds the metric
+        compatibility residual (Ambient.metric_compat_residual_at) under
+        compat, unchecked, for ambient_sanity; dg is dropped once it is
+        formed.
         """
         U = np.atleast_1d(np.asarray(U, dtype=float))
         V = np.atleast_1d(np.asarray(V, dtype=float))
         jets = self.jets(U, V)
         amb = self.ambient
-        names = amb.base_names
+        names = amb.base_names + (("dg",) if compat else ())
         tables = dict(zip(names, amb.fields_at(amb.bindings(jets["p"]), names)))
+        taken = {}
+        if compat:
+            taken["compat"] = amb.metric_compat_residual_at(
+                tables["g"], tables["gamma"], tables.pop("dg"))
         amb.check_metric(tables["g"], " on the surface")
         out = first_order("base", jets, tables)
         del out["det2"]
@@ -248,7 +257,7 @@ class Surface:
         # tangential torsion
         out["T_S"] = TXuXv - out["tau_uv"][:, None] * out["N"]
         require_finite("base", {k: out[k] for k in _CHECKED_LAST})
-        return out
+        return out | taken
 
     # --- ambient curvature on the surface -----------------------------------------
 

@@ -143,7 +143,9 @@ def gauge_fields(scene, entry):
 
 
 # the surface-composition tables each suite reads (SampleGrid.comp); a chunk
-# evaluates those of every suite that runs in one (u, v) program
+# evaluates those of every suite that runs in one (u, v) program, in the order
+# of _COMPOSITION_ORDER: on catenoid_frame_cylinder that program holds at most
+# 249 live arrays, against 275 in the suites' order (d_gammaS first)
 _COMPOSITION = {
     "gauss_eq": ("d_gammaS",),
     "egregium": ("d_gammaS",),
@@ -153,6 +155,7 @@ _COMPOSITION = {
     "gauss_bonnet": ("d_gammaS",),
     "degree": ("dn_du", "dn_dv"),
 }
+_COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
 
 
 def _abs_max(values):
@@ -189,6 +192,7 @@ def _plan(scene, chosen):
     return run, skips
 
 
+@np.errstate(all="ignore")     # as cli.main: see scenes.build_scene
 def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     """Run the selected suites on one scene at the given resolution.
 
@@ -231,15 +235,17 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     nsamples = int(grid.U.shape[0])
     run, skips = _plan(scene, chosen)
 
-    gauges = {}             # entry -> [(gauge field, its gauged ambient)]
+    gauges = {}             # entry -> its gauge fields
     if "gauge" in run:
         if "gauge_theorem" not in skips:
             gauges["gauge_theorem"] = gauge_fields(scene, "gauge_theorem")
         gauges["gauge_general"] = gauge_fields(scene, "gauge_general")
         if scene.gauge is not None:
             gauges["gauge_general"].append(scene.gauge)
-        gauges = {name: [(gfld, gaussmap.apply_gauge(amb, gfld)) for gfld in gflds]
-                  for name, gflds in gauges.items()}
+    # (gauge field, its gauged ambient, gradients: the general law reads them),
+    # gauge_theorem's first; gaussmap.gauge_tables evaluates them in one program
+    gauged = [(gfld, gaussmap.apply_gauge(amb, gfld), name == "gauge_general")
+              for name, gflds in gauges.items() for gfld in gflds]
     degree_error = None
     if "degree" in run:
         try:
@@ -247,23 +253,26 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         except RcsurfError as err:
             degree_error = str(err)
             run.remove("degree")
-    grid.composition = tuple(dict.fromkeys(
-        k for suite in run for k in _COMPOSITION.get(suite, ())))
+    planned = {k for suite in run for k in _COMPOSITION.get(suite, ())}
+    grid.composition = tuple(k for k in _COMPOSITION_ORDER if k in planned)
+    grid.with_compat = "ambient_sanity" in run
     cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
 
     flat = True             # max |r4| within AMBIENT_FLAT_TOL on every chunk
+    # a chunk runs the gauge suite first: its one program holds the tables of
+    # every gauge field, so it runs while the chunk holds the fewest blocks
+    order = sorted(run, key=lambda suite: suite != "gauge")
 
     def chunk(part):
         nonlocal flat
         mask = part.interior_mask
         out = {}            # entry -> its values at the samples it checks
-        for suite in run:
+        for suite in order:
             if suite == "ambient_sanity":
                 base = part.base
                 # the torsion needs no check: surface.induced_metric forms
                 # T = Gamma - Gamma^T by subtraction, so T + T^T is exactly 0
-                parts = [amb.metric_compat_residual_at(amb.bindings(base["p"]),
-                                                       base["g"], base["gamma"])]
+                parts = [base["compat"]]
                 r4 = part.curvature["r4"]
                 parts.append(_abs_max(r4 + np.swapaxes(r4, 1, 2)))
                 parts.append(_abs_max(r4 + np.swapaxes(r4, 3, 4)))
@@ -297,12 +306,15 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 # at each sample, the max over the entry's gauge fields; the
                 # gauge_theorem fields rotate about the scene's normal_axis
                 res = {name: [] for name in gauges}
-                for gfld, gamb in gauges.get("gauge_theorem", []):
-                    res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
-                        gamb, gfld, part.ext, part.gauss))
-                for gfld, gamb in gauges["gauge_general"]:
-                    res["gauge_general"].append(gaussmap.general_gauge_residual(
-                        gamb, gfld, part.ext, part.gauss_frames))
+                # each gauge's tables are dropped once its residual is formed
+                values = gaussmap.gauge_tables(gauged, part.ext)
+                for gfld, gamb, general in gauged:
+                    if general:
+                        res["gauge_general"].append(gaussmap.general_gauge_residual(
+                            gamb, gfld, part.ext, part.gauss_frames, values.pop(0)))
+                    else:
+                        res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
+                            gamb, gfld, part.ext, part.gauss, values.pop(0)))
                 out.update({name: np.max(r, axis=0) for name, r in res.items()})
             elif suite == "psi_identity":
                 out["psi_identity"] = part.holo["psi_identity_residual"]

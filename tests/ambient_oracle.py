@@ -35,9 +35,8 @@ def torsion_at(amb, bindings):
 
 
 def compat_residual_at(amb, bindings):
-    """max |nabla g| per sample, with g and Gamma evaluated here."""
-    g, G = amb.fields_at(bindings, ("g", "gamma"))
-    return amb.metric_compat_residual_at(bindings, g, G)
+    """max |nabla g| per sample, with g, Gamma and dg evaluated here."""
+    return amb.metric_compat_residual_at(*amb.fields_at(bindings, ("g", "gamma", "dg")))
 
 
 def curvature_at(amb, bindings):

@@ -3,7 +3,8 @@ tensor, and B and Binv (surface.orthonormal_frame), W_on
 (extrinsic.weingarten_on) and III (extrinsic.third_form) are formed by
 their one reader each, with the expression and the finiteness guard each
 had when every block held it.  The grid checks the metric at every sample
-as the scene build's probe does."""
+as the scene build's probe does, and a library call that meets a
+non-finite value raises its typed error with no numpy warning first."""
 
 import warnings
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from rcsurf import extrinsic, gaussmap, scenes, surface, verify
-from rcsurf.errors import IncompatibleConnection, NonFiniteValue
+from rcsurf.errors import ExprError, IncompatibleConnection, NonFiniteValue
 
 LAZY = ("B", "Binv", "W_on", "III")
 # the function that forms each field of LAZY, by the name the spy records
@@ -230,3 +231,31 @@ def test_indefinite_metric_on_the_grid_is_named(tmp_path):
             assert (err.value.path, err.value.sample) == ("ambient.g", i)
             assert str(err.value).startswith(f"ambient.g: {text(grid.U)} at sample {i}")
             assert not (tmp_path / "f.csv").exists()
+
+
+def test_library_calls_raise_only_the_typed_error(tmp_path):
+    """g[2][2] = exp(1000 (x - 0.2)), with its Levi-Civita connection, on
+    the unit-square plane is finite at the build's probe points (x up to
+    5/6) and overflows on the grid past x = 0.91.  With every warning an
+    error, the build passes, and verify, fields and integrate stop at
+    base.g's first overflowing sample: each library entry point runs under
+    the np.errstate of cli.main, so no numpy floating-point warning comes
+    first.  So does a built-in whose parameter folds to an overflowing
+    constant."""
+    h = "exp(1000*(x - 0.2))"
+    gamma = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][2][2] = f"-500*{h}"
+    gamma[2][0][2] = gamma[2][2][0] = "500"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene = _plane([["1", "0", "0"], ["0", "1", "0"], ["0", "0", h]], gamma)
+        for run in (lambda grid: verify.run_verification(scene, 16, 16),
+                    lambda grid: scenes.export_fields(grid, tmp_path / "f.csv"),
+                    lambda grid: scenes.integrate(grid, "H")):
+            grid = scenes.make_grid(scene, 16, 16)
+            with pytest.raises(NonFiniteValue) as err:
+                run(grid)
+            assert str(err.value).startswith("base.g: non-finite value at sample 208 (u=")
+            assert not (tmp_path / "f.csv").exists()
+        with pytest.raises(ExprError, match=r"^params\.theta: constant inf is not finite$"):
+            scenes.builtin("rotated_frame_plane", theta="exp(1000)*x")

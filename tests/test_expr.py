@@ -186,6 +186,19 @@ def test_interning_shares_nodes():
     assert a is b
 
 
+def test_a_key_collision_keeps_two_nodes(monkeypatch):
+    """A node whose key another node already holds (a hash collision,
+    planted here) is a node of its own, found again by its fields, and
+    evaluates as itself."""
+    x = expr.var("x")
+    key = expr._key(expr._VAR, None, None, None, "collides")
+    monkeypatch.setitem(expr._interned, key, x)
+    c = expr.var("collides")
+    assert c is not x and (c.kind, c.name, c.key) == (expr._VAR, "collides", key)
+    assert expr.var("collides") is c and expr.var("x") is x
+    assert expr.evaluate(expr.sub(c, x), {"collides": 5.0, "x": 2.0}) == 3.0
+
+
 @given(st.floats(-3, 3), st.floats(-3, 3))
 @settings(max_examples=200, deadline=None)
 def test_hyperbolic_identity(u, v):
@@ -228,6 +241,104 @@ def test_compiled_program_matches_tree_walk(seed, n):
     got_t, got_e = expr.eval_table((table, extra), b)
     assert got_t.tobytes() == want.tobytes()
     assert got_e.tobytes() == eval_oracle.eval_table(extra, b).tobytes()
+
+
+# --- operand order and negation folds against construction as written -------
+
+# binding values: both zeros, and values whose sums, differences and products
+# cancel to a zero exactly (1.5 - 1.5, 0.5 * 3 - 1.5)
+_VALUES = [0.0, -0.0, 1.5, -1.5, 0.5, -0.5, 3.0, -3.0]
+_CONSTANTS = [0.0, 1.0, -1.0, 2.0, -0.5, 3.0]
+_STEPS = ["var", "con", "neg", "add", "add", "sub", "sub", "mul", "mul", "div"]
+
+
+def _construct(rng, build, count):
+    """count construction steps on build (expr or an eval_oracle.Written),
+    each a leaf or an op on one or two earlier steps (recent ones likelier),
+    in a fixed draw from rng.  Returns every step built, up to one that
+    raises EvalDomainError (a division by a constant zero), and whether
+    one did."""
+    steps = []
+    for _ in range(count):
+        op = _STEPS[rng.integers(0, len(_STEPS))] if len(steps) > 1 else "var"
+        if op == "var":
+            steps.append(build.var("uvw"[rng.integers(0, 3)]))
+        elif op == "con":
+            steps.append(build.con(_CONSTANTS[rng.integers(0, len(_CONSTANTS))]))
+        else:
+            a, b = (steps[-1 - min(int(rng.exponential(2.0)), len(steps) - 1)]
+                    for _ in range(2))
+            try:
+                steps.append(build.neg(a) if op == "neg" else getattr(build, op)(a, b))
+            except EvalDomainError:
+                return steps, True
+    return steps, False
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_operand_order_and_negation_folds_keep_every_bit(seed):
+    """Random construction steps through the constructors, which order the
+    operands of + and * and fold negations, evaluate bit for bit as the
+    same steps as written (eval_oracle.Written: operand order as given,
+    negations not folded) at every binding where the written step is
+    finite, signed zeros included.
+
+    One exception: the constructors fold x - x and x / x on more pairs (a
+    * b - b * a, x + (-x)).  From the first step they fold to a constant
+    that the written steps compute, an exact zero may take the other sign
+    (that zero minus y is -y, as written it is 0 - y, +0 for y = +0), so
+    from there a zero equals a zero of either sign, and every other value
+    keeps its bits.  A step built on such a fold may also divide by a
+    constant zero as it is built (((a * b - b * a) / c) / ((a * b - b * a)
+    / c), which the written steps fold to 1): before the first such fold,
+    a step that the constructors cannot build is a zero division or not
+    finite as written at every binding."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(4, 24))
+    written = eval_oracle.Written()
+    want_steps, want_raised = _construct(np.random.default_rng(seed), written, count)
+    got_steps, got_raised = _construct(np.random.default_rng(seed), expr, count)
+    assert len(got_steps) <= len(want_steps) and got_raised >= want_raised
+    folded = next((i for i, (got, want) in enumerate(zip(got_steps, want_steps))
+                   if got.kind == expr._CONST and want[0] != "con"), len(got_steps))
+    rows = [{k: _VALUES[i] for k, i in zip("uvw", rng.integers(0, len(_VALUES), 3))}
+            for _ in range(8)]
+    for b in rows:
+        memo = {}
+        for i, want_step in enumerate(want_steps[:len(got_steps) + 1]):
+            try:
+                want = written.value(want_step, b, memo)
+            except EvalDomainError:
+                continue
+            if not math.isfinite(want):
+                continue
+            if i == len(got_steps):     # expr raised as it built step i
+                assert i > folded, f"step {i} is finite as written at {b}"
+                continue
+            with np.errstate(all="ignore"):
+                got = expr.evaluate(got_steps[i], b)
+            if i >= folded and want == 0.0:
+                assert got == 0.0, (i, b)
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (i, b)
+
+
+def test_commuted_operands_and_negations_are_one_node():
+    """a + b and b + a, a * b and b * a are one node; a negation is pushed
+    out of a product or quotient and folded into the sum or difference
+    that consumes it, but (-a) - b and -(a - b) stay as built, since the
+    rewrites to -(a + b) and b - a would flip the sign of a zero result."""
+    a, b = expr.var("a"), expr.call("sin", expr.var("b"))
+    assert expr.add(a, b) is expr.add(b, a) and expr.mul(a, b) is expr.mul(b, a)
+    assert expr.sub(expr.mul(a, b), expr.mul(b, a)) is expr.ZERO
+    assert expr.mul(expr.neg(a), b) is expr.neg(expr.mul(a, b))
+    assert expr.div(a, expr.neg(b)) is expr.neg(expr.div(a, b))
+    assert expr.div(expr.neg(a), b) is expr.neg(expr.div(a, b))
+    assert expr.add(a, expr.neg(b)) is expr.sub(a, b) is expr.add(expr.neg(b), a)
+    assert expr.sub(a, expr.neg(b)) is expr.add(a, b)
+    assert expr.sub(expr.neg(a), b).kind == expr._SUB
+    assert expr.neg(expr.sub(a, b)).kind == expr._NEG
 
 
 @pytest.mark.parametrize("fn, text", [
@@ -336,7 +447,7 @@ def test_compiled_programs_keep_few_bytes_per_op(monkeypatch):
     monkeypatch.setattr(expr, "_programs", programs)
     kept, _ = _traced(lambda: verify.run_verification(sc, 24, 24))
     ops = sum(len(prog.kinds) for prog in programs.values())
-    assert ops == 15253
+    assert ops == 12178
     assert kept / ops < 120
 
 

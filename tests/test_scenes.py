@@ -309,15 +309,15 @@ class _LookupLog(dict):
 
 
 def test_scene_validation_compiles_only_grid_programs(monkeypatch):
-    # validation reads p from the six-table X..Xvv group, g and Gamma from
-    # the base group (with the frame and its determinant) and dg alone, and
-    # checks the scene's axes (here normal_axis) in one program of their
-    # own; verify reuses every other program a build compiles
+    # validation reads p from the six-table X..Xvv group, g, Gamma and dg
+    # from the base group (with the frame and its determinant), and checks
+    # the scene's axes (here normal_axis) in one program of their own;
+    # verify reuses every other program a build compiles
     programs = _LookupLog()
     monkeypatch.setattr(expr, "_programs", programs)
     sc = scenes.builtin("catenoid_frame_cylinder")
     built = set(programs)
-    assert len(built) == 4
+    assert len(built) == 3
     programs.looked_up.clear()
     verify.run_verification(sc, 8, 8)
     unused = built - programs.looked_up
