@@ -71,10 +71,12 @@ class Ambient:
 
     @cached_property
     def dgamma(self):
-        """dgamma[m][k][i][j] = d_m Gamma^k_ij (exact)."""
-        return [[[[expr.diff(self.gamma[k][i][j], v) for j in range(3)]
-                  for i in range(3)] for k in range(3)]
-                for v in CHART_VARS]
+        """dgamma[j][i][m][k] = d_m Gamma^k_ij (exact).  Nested in this
+        order, its program holds the fewest values alive at once (189 on
+        catenoid_frame_cylinder, against 272 nested as [m][k][i][j])."""
+        return [[[[expr.diff(self.gamma[k][i][j], v) for k in range(3)]
+                  for v in CHART_VARS] for i in range(3)]
+                for j in range(3)]
 
     @cached_property
     def dg(self):
@@ -132,22 +134,20 @@ class Ambient:
                 i = int(np.argmax(bad))
                 raise IncompatibleConnection(text.format(sym[i]), self.paths["g"], i)
 
-    def tables_at(self, bindings, tables, frames=None):
+    def tables_at(self, bindings, tables):
         """The group tables (Exprs over x, y, z) at batched points, as one
-        program after the chart check.  The program also evaluates the
-        frame_det of each frame ambient in frames (by default this one, if
-        it is a frame ambient), a node of that ambient's g and Gamma, and
-        returns them last, in order, for check_frame.  Every table built
-        from an inverse frame divides by its determinant, so where the
-        program meets a domain error a singular frame is reported first."""
+        program after the chart check.  In a frame ambient the program also
+        evaluates frame_det, a node of g and Gamma, and returns it last,
+        for check_frame.  Every table built from an inverse frame divides
+        by its determinant, so where the program meets a domain error a
+        singular frame is reported first."""
         self._check_inside(bindings)
-        if frames is None:
-            frames = (self,) if self.kind == "frame" else ()
+        det = (self.frame_det,) if self.kind == "frame" else ()
         try:
-            return expr.eval_table(tables + tuple(f.frame_det for f in frames), bindings)
+            return expr.eval_table(tables + det, bindings)
         except EvalDomainError:
-            for f in frames:
-                f.check_frame(expr.eval_table(f.frame_det, bindings))
+            if det:
+                self.check_frame(expr.eval_table(self.frame_det, bindings))
             raise
 
     def fields_at(self, bindings, names):
@@ -187,7 +187,7 @@ class Ambient:
         with named(self.paths["dgamma"]):
             D = expr.eval_table(self.dgamma, bindings)
         rm = np.moveaxis(np.empty(D.shape[1:] + D.shape[:1]), -1, 0)
-        np.subtract(D.transpose(0, 2, 4, 1, 3), D.transpose(0, 2, 4, 3, 1), out=rm)
+        np.subtract(D.transpose(0, 4, 1, 3, 2), D.transpose(0, 4, 1, 2, 3), out=rm)
         del D
         quad = expr.contract("nlim,nmjk->nlkij", G, G)
         rm += quad

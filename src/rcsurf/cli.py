@@ -63,20 +63,20 @@ def _build_parser():
 
 
 def _parse_params(items):
-    """--param K=V items as factory keyword arguments: a comma list is a
-    tuple of numbers, a number a float, anything else stays text for the
-    built-in to check (a bad value is reported as params.K)."""
+    """--param K=V items as built-in parameters, by name as typed: a comma
+    list is a tuple of numbers, a number a float, anything else stays text
+    for the built-in to check (a bad name or value is reported as
+    params.K)."""
     out = {}
     for item in items:
-        if "=" not in item:
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not (key and eq):
             raise ValueError(f"--param needs K=V, got {item!r}")
-        name, val = (part.strip() for part in item.split("=", 1))
-        key = "lam" if name == "lambda" else name   # python keyword
         if "," in val:
             try:
                 out[key] = tuple(float(x) for x in val.split(","))
             except ValueError:
-                raise SceneFormatError(f"params.{name}",
+                raise SceneFormatError(f"params.{key}",
                                        f"expected numbers separated by commas, "
                                        f"got {val!r}") from None
         else:
@@ -146,7 +146,7 @@ def _run(args):
         _writable(args.out, _OUTPUTS[args.command])
 
     if args.command == "verify":
-        suites = args.suite.split(",") if args.suite else None
+        suites = None if args.suite is None else args.suite.split(",")
         report = verify.run_verification(scene, nu, nv, suites=suites, tol=args.tol)
         print(f"scene {scene.name} ({report.grid_shape[0]}x{report.grid_shape[1]})")
         for line in report.summary_lines():

@@ -82,11 +82,12 @@ def curvature_decomposition(fields, curv, K):
     """Theorema-Egregium and sectional-splitting residuals for the
     intrinsic curvature K and the curvature block curv at the same samples.
 
-    egregium = |K_e - K| (meaningful when the ambient is flat; the caller
-    masks by flatness), sectional_split = |sec~ - (K - K_e)|.
+    egregium = |K_e - K| (meaningful when the ambient is flat, to
+    AMBIENT_FLAT_TOL in max |r4| at every sample; the caller masks by
+    flatness), sectional_split = |sec~ - (K - K_e)|.
     """
     sec_tilde = curv["r_uvvu"] / fields["area"] ** 2
-    ambient_flat = float(np.max(np.abs(curv["r4"]))) <= AMBIENT_FLAT_TOL
+    ambient_flat = float(np.max(curv["r4_max"])) <= AMBIENT_FLAT_TOL
     return {
         "K_intrinsic": K,
         "egregium": np.abs(fields["K_e"] - K),

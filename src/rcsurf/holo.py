@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import expr, extrinsic
+from . import extrinsic
 from .surface import cross_metric_batch, isothermal_factor, require_finite
 
 __all__ = ["holo_fields", "dbar", "hopf_identity_residual"]
@@ -54,15 +54,13 @@ def hopf_identity_residual(base, curv, holo, d_hopf):
     terms come from dbar of d_hopf (exact derivatives of the surface
     composition); everything else is assembled pointwise from the same
     samples, so the residual is round-off.  base, curv and holo are the
-    base, curvature and holomorphic blocks of the same samples; only r4
-    and lam are read from the latter two.
+    base, curvature and holomorphic blocks of the same samples; only
+    r_uvcn = R(Xu, Xv, X_c, N) and lam are read from the latter two.
     """
     lhs, dbar_H = dbar(d_hopf)
     lam2 = holo["lam"] ** 2
 
-    r4, Xu, Xv, N = curv["r4"], base["Xu"], base["Xv"], base["N"]
-    tang = np.stack([Xu, Xv], axis=1)                       # X_c, c = u, v
-    r = expr.contract("nijkm,ni,nj,nck,nm->nc", r4, Xu, Xv, tang, N)
+    r, N = curv["r_uvcn"], base["N"]
     r_term = 0.5 * (r[:, 0] - 1j * r[:, 1])
 
     II = base["II"]

@@ -33,6 +33,7 @@ degenerate edges.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -47,7 +48,7 @@ from .errors import (
     UndefinedField, UnknownScene, located, named,
 )
 from .gaussmap import GaugeField
-from .surface import Surface, first_order, induced_metric, require_finite
+from .surface import CURVATURE_PARTS, Surface, first_order, induced_metric, require_finite
 
 __all__ = [
     "Scene", "load_scene", "save_scene", "build_scene", "builtin",
@@ -389,18 +390,32 @@ def _param_number(val, name):
     return out
 
 
+# a built-in's parameter typed under a name that is a Python keyword -> its keyword
+_KEYWORDS = {"lambda": "lam"}
+
+
 @np.errstate(all="ignore")
 def builtin(name, **params) -> Scene:
+    """The named built-in scene, its factory called with params, each by
+    its name as typed (lambda) or as its keyword (lam).  A name the
+    factory does not take raises SceneFormatError at params.<name>,
+    listing the names it takes."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
         raise UnknownScene(f"no builtin scene named {name!r}; "
                            f"known: {', '.join(builtin_names())}") from None
-    try:
-        doc = factory(**params)
-    except TypeError as err:
-        raise SceneFormatError("params", f"bad parameters for {name}: {err}") from err
-    return build_scene(doc)
+    takes = inspect.signature(factory).parameters
+    kwargs = {}
+    for typed, val in params.items():
+        key = _KEYWORDS.get(typed, typed)
+        if key not in takes:
+            typed_names = {k: t for t, k in _KEYWORDS.items()}
+            names = ", ".join(typed_names.get(k, k) for k in takes) or "none"
+            raise SceneFormatError(f"params.{typed}",
+                                   f"not a parameter of {name} (it takes {names})")
+        kwargs[key] = val
+    return build_scene(factory(**kwargs))
 
 
 _IDENTITY_F = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -691,9 +706,6 @@ def _axis_nodes(lo, hi, n, periodic):
     each panel's rule (2 to 16 nodes) comes from a fixed table
     (_gauss_legendre), so the nodes do not depend on the machine's LAPACK.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("grid resolution must be at least 2 per axis")
     if periodic:
         h = (hi - lo) / n
         return lo + h * np.arange(n), np.full(n, h)
@@ -740,8 +752,10 @@ class SampleGrid:
                       (d_gammaS, dn_du, dn_dv, d_hopf) in one (u, v)
                       program, after base, each until its reader takes it:
                       intrinsic_K, gauss_dn, hopf_identity
-        curvature     r4, R(Xu,Xv,Xv,Xu) (Surface.curvature_fields):
-                      ambient_sanity, gauss_eq, egregium, hopf_identity
+        curvature     R(Xu,Xv,Xv,Xu) and the reductions of the lowered r4
+                      named in curvature_parts (Surface.curvature_fields;
+                      r4 is dropped within it): ambient_sanity, gauss_eq,
+                      egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e: most
                       suites, holo, classify (conformality, export)
         intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
@@ -757,10 +771,15 @@ class SampleGrid:
 
     verify sets composition to the tables its planned suites read; it is
     empty by default, and take evaluates a table that comp lacks on its
-    own, so export and integrate evaluate d_gammaS alone.  verify also sets
-    with_compat when ambient_sanity runs: base's program then evaluates dg
-    with the ambient's base group, and base holds the metric compatibility
-    residual for ambient_sanity.  It is False by default.
+    own, so export and integrate evaluate d_gammaS alone.  verify sets
+    curvature_parts to the reductions of r4 its planned suites read (all
+    of surface.CURVATURE_PARTS by default), and with_compat when
+    ambient_sanity runs: base's program then evaluates dg with the
+    ambient's base group, and base holds the metric compatibility residual
+    for ambient_sanity.  It is False by default.  A verify chunk builds
+    base, then curvature, then comp, before any suite reads them: each of
+    the two widest programs (dGamma, the composition) runs while the chunk
+    holds the fewest blocks, and no block holds r4 past its own build.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -774,15 +793,21 @@ class SampleGrid:
     def __init__(self, scene, nu, nv):
         self.scene = scene
         self.surface = scene.surface
+        self.nu, self.nv = nu, nv = int(nu), int(nv)
+        if nu < 2 or nv < 2:
+            raise ValueError("grid resolution must be at least 2 per axis")
+        # the per-sample arrays first: a grid that cannot be allocated fails
+        # (MemoryError) before its axis rules are built
+        self.U, self.V, self.weights = (np.empty(nu * nv) for _ in range(3))
         (u0, u1), (v0, v1) = self.surface.domain
         self.u_nodes, self.u_weights = _axis_nodes(u0, u1, nu, self.surface.periodic[0])
         self.v_nodes, self.v_weights = _axis_nodes(v0, v1, nv, self.surface.periodic[1])
-        self.nu, self.nv = len(self.u_nodes), len(self.v_nodes)
-        UU, VV = np.meshgrid(self.u_nodes, self.v_nodes, indexing="ij")
-        self.U, self.V = UU.ravel(), VV.ravel()
-        self.weights = np.outer(self.u_weights, self.v_weights).ravel()
+        self.U.reshape(nu, nv)[...] = self.u_nodes[:, None]
+        self.V.reshape(nu, nv)[...] = self.v_nodes
+        np.multiply.outer(self.u_weights, self.v_weights, out=self.weights.reshape(nu, nv))
         self.offset = 0                 # index of the first sample in the grid
         self.composition = ()           # the tables of comp (verify sets them)
+        self.curvature_parts = CURVATURE_PARTS  # of curvature (verify sets them)
         self.with_compat = False        # base holds compat (verify sets it)
 
     # streaming -----------------------------------------------------------------
@@ -798,7 +823,8 @@ class SampleGrid:
         for lo in range(0, self.U.shape[0], CHUNK):
             sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "composition", "with_compat"):
+            for name in ("scene", "surface", "nu", "nv", "composition", "curvature_parts",
+                         "with_compat"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
             part.offset = self.offset + lo
@@ -836,7 +862,7 @@ class SampleGrid:
 
     @cached_property
     def curvature(self):
-        return self.surface.curvature_fields(self.base)
+        return self.surface.curvature_fields(self.base, self.curvature_parts)
 
     @cached_property
     def ext(self):

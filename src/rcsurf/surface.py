@@ -17,9 +17,10 @@ base only where a reader asks: the induced connection inside
 intrinsic_curvature, the ambient curvature in curvature_fields.
 
 A block holds only what its readers read: the torsion tensor is dropped
-once T(Xu, Xv) is formed, and the orthonormal tangent frame B and its
-inverse Binv are formed by orthonormal_frame for their one reader,
-extrinsic.weingarten_on.
+once T(Xu, Xv) is formed, the lowered curvature r4 once the contractions
+and maxima its readers take are formed, and the orthonormal tangent frame
+B and its inverse Binv are formed by orthonormal_frame for their one
+reader, extrinsic.weingarten_on.
 
 Quantities that need (u, v) derivatives of these fields (intrinsic
 curvature, the Hopf identity, the Gauss map) read them from one symbolic
@@ -49,14 +50,17 @@ from .errors import (
 )
 from .so3 import det_exprs, inv_exprs, matvec_exprs, sum_exprs
 
-__all__ = ["Surface", "cross_metric_batch", "first_order", "induced_connection",
-           "induced_metric", "isothermal_factor", "orthonormal_frame", "require_finite"]
+__all__ = ["CURVATURE_PARTS", "Surface", "abs_max", "cross_metric_batch", "first_order",
+           "induced_connection", "induced_metric", "isothermal_factor", "orthonormal_frame",
+           "require_finite"]
 
 AREA_DENSITY_TOL = 1e-9
 ISOTHERMAL_TOL = 1e-8
 JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 # the base fields checked finite on return, in the order they are checked
 _CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "cov", "II", "tau_uv", "T_S")
+# the reductions of r4 a curvature block may keep besides r_uvvu (curvature_fields)
+CURVATURE_PARTS = ("r_uvcn", "r4_max", "r4_skew")
 
 
 def cross_metric_batch(g, u, v):
@@ -64,6 +68,12 @@ def cross_metric_batch(g, u, v):
     det = np.linalg.det(g)
     w = np.sqrt(det)[..., None] * np.cross(u, v)
     return np.linalg.solve(g, w[..., None])[..., 0]
+
+
+def abs_max(values):
+    """Per-sample max |values| over the trailing axes; values is a fresh
+    temporary, so abs runs in place and the check allocates one array."""
+    return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
 
 
 def require_finite(block, fields):
@@ -261,22 +271,43 @@ class Surface:
 
     # --- ambient curvature on the surface -----------------------------------------
 
-    def curvature_fields(self, base):
-        """Ambient curvature at the samples of base (a base_fields dict):
-        the lowered r4 and r_uvvu = R(Xu, Xv, Xv, Xu), the one contraction
-        the Gauss equation and the sectional split both read.  On the grid
-        path only this block evaluates dGamma, straight at the points
-        base_fields already passed through the chart and frame checks.
-        rm is checked and dropped once lowered: no reader of the block
-        reads it."""
+    def curvature_fields(self, base, parts=CURVATURE_PARTS):
+        """Ambient curvature at the samples of base (a base_fields dict),
+        as only the reductions of the lowered r4 that its readers take:
+        r_uvvu = R(Xu, Xv, Xv, Xu), which the Gauss equation and the
+        sectional split read, and those of CURVATURE_PARTS named in parts:
+
+            r_uvcn   R(Xu, Xv, X_c, N), c = u, v (n, 2): the Hopf identity
+            r4_max   max |r4| at each sample: the flatness verdict
+                     (egregium; ambient_sanity in a frame ambient)
+            r4_skew  the larger of max |R_ijkm + R_jikm| and
+                     max |R_ijkm + R_ijmk| at each sample: ambient_sanity
+
+        r4 (81 values a sample) is checked and dropped before the block
+        returns, as rm is once lowered: no reader reads either whole.  r4
+        and r_uvvu are checked finite; r_uvcn and r4_skew reach a report
+        only through residuals that verify checks.  On the grid path only
+        this block evaluates dGamma, straight at the points base_fields
+        already passed through the chart and frame checks."""
         amb = self.ambient
         rm = amb.riemann(base["gamma"], amb.bindings(base["p"]))
         require_finite("curvature", {"rm": rm})
         r4 = amb.lower(rm, base["g"])
         del rm
         Xu, Xv = base["Xu"], base["Xv"]
-        r_uvvu = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
-        return require_finite("curvature", {"r4": r4, "r_uvvu": r_uvvu})
+        require_finite("curvature", {"r4": r4})
+        out = require_finite("curvature", {
+            "r_uvvu": expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)})
+        if "r_uvcn" in parts:
+            tang = np.stack([Xu, Xv], axis=1)                       # X_c, c = u, v
+            out["r_uvcn"] = expr.contract("nijkm,ni,nj,nck,nm->nc", r4, Xu, Xv, tang,
+                                          base["N"])
+        if "r4_max" in parts:
+            out["r4_max"] = np.max(np.abs(r4), axis=(1, 2, 3, 4))
+        if "r4_skew" in parts:
+            out["r4_skew"] = np.maximum(abs_max(r4 + np.swapaxes(r4, 1, 2)),
+                                        abs_max(r4 + np.swapaxes(r4, 3, 4)))
+        return out
 
     # --- intrinsic curvature ----------------------------------------------------
 

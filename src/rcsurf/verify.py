@@ -27,6 +27,7 @@ import numpy as np
 from . import expr, extrinsic, gaussmap, holo, scenes
 from .errors import NonFiniteValue, RcsurfError
 from .so3 import dot_exprs
+from .surface import CURVATURE_PARTS, abs_max
 
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "gauge_fields"]
@@ -157,11 +158,14 @@ _COMPOSITION = {
 }
 _COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
 
-
-def _abs_max(values):
-    """Per-sample max |values| over the trailing axes; values is a fresh
-    temporary, so abs runs in place and the check allocates one array."""
-    return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
+# the suites that read the curvature block, each with the reductions of r4 it
+# reads besides r_uvvu (Surface.curvature_fields; SampleGrid.curvature_parts)
+_CURVATURE = {
+    "ambient_sanity": ("r4_skew", "r4_max"),
+    "gauss_eq": (),
+    "egregium": ("r4_max",),
+    "hopf_identity": ("r_uvcn",),
+}
 
 
 def _entries(suite):
@@ -203,7 +207,11 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     over its gauge fields, and only the flatness verdict is carried from
     chunk to chunk.  Each max, mean and quadrature sum runs once over the
     values of every chunk in sample order, so the report does not depend
-    on the chunk size.  The symbolic
+    on the chunk size.  A chunk builds base, then the curvature block
+    (r4 reduced to what the planned suites read, and dropped) and the
+    composition tables, before any suite runs: the two widest programs
+    run over the fewest held blocks, and each gauge field's tables are
+    then a program of their own.  The symbolic
     setup (the gauge fields, each with its gauged ambient from
     gaussmap.apply_gauge) and the closed-chart probe run once per run.
 
@@ -242,9 +250,8 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         gauges["gauge_general"] = gauge_fields(scene, "gauge_general")
         if scene.gauge is not None:
             gauges["gauge_general"].append(scene.gauge)
-    # (gauge field, its gauged ambient, gradients: the general law reads them),
-    # gauge_theorem's first; gaussmap.gauge_tables evaluates them in one program
-    gauged = [(gfld, gaussmap.apply_gauge(amb, gfld), name == "gauge_general")
+    # (entry, gauge field, its gauged ambient), gauge_theorem's first
+    gauged = [(name, gfld, gaussmap.apply_gauge(amb, gfld))
               for name, gflds in gauges.items() for gfld in gflds]
     degree_error = None
     if "degree" in run:
@@ -255,32 +262,35 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
             run.remove("degree")
     planned = {k for suite in run for k in _COMPOSITION.get(suite, ())}
     grid.composition = tuple(k for k in _COMPOSITION_ORDER if k in planned)
+    curved = [suite for suite in run if suite in _CURVATURE]
+    reduced = {k for suite in curved for k in _CURVATURE[suite]}
+    grid.curvature_parts = tuple(k for k in CURVATURE_PARTS if k in reduced)
     grid.with_compat = "ambient_sanity" in run
     cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
 
     flat = True             # max |r4| within AMBIENT_FLAT_TOL on every chunk
-    # a chunk runs the gauge suite first: its one program holds the tables of
-    # every gauge field, so it runs while the chunk holds the fewest blocks
-    order = sorted(run, key=lambda suite: suite != "gauge")
 
     def chunk(part):
         nonlocal flat
+        # the widest programs first, while the chunk holds the fewest blocks:
+        # the curvature block's dGamma (r4 is reduced and dropped within it)
+        # over base alone, then the composition
         mask = part.interior_mask
+        if curved:
+            part.curvature
+        part.comp
         out = {}            # entry -> its values at the samples it checks
-        for suite in order:
+        for suite in run:
             if suite == "ambient_sanity":
-                base = part.base
+                base, curv = part.base, part.curvature
                 # the torsion needs no check: surface.induced_metric forms
                 # T = Gamma - Gamma^T by subtraction, so T + T^T is exactly 0
-                parts = [base["compat"]]
-                r4 = part.curvature["r4"]
-                parts.append(_abs_max(r4 + np.swapaxes(r4, 1, 2)))
-                parts.append(_abs_max(r4 + np.swapaxes(r4, 3, 4)))
+                parts = [base["compat"], curv["r4_skew"]]
                 if amb.kind == "frame":
-                    parts.append(np.max(np.abs(r4), axis=(1, 2, 3, 4)))   # flatness
+                    parts.append(curv["r4_max"])                        # flatness
                     F = base["frame"]
                     gram = expr.contract("nai,nab,nbj->nij", F, base["g"], F)
-                    parts.append(_abs_max(gram - np.eye(3)))
+                    parts.append(abs_max(gram - np.eye(3)))
                 out["ambient_sanity"] = np.max(np.stack(parts), axis=0)
             elif suite == "gauss_eq":
                 res = extrinsic.gauss_equation_residual(part.ext, part.curvature,
@@ -304,17 +314,17 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 out["divcurl"] = res[mask]
             elif suite == "gauge":
                 # at each sample, the max over the entry's gauge fields; the
-                # gauge_theorem fields rotate about the scene's normal_axis
+                # gauge_theorem fields rotate about the scene's normal_axis.
+                # Each field's tables are a program of its own, dropped once
+                # its residual is formed
                 res = {name: [] for name in gauges}
-                # each gauge's tables are dropped once its residual is formed
-                values = gaussmap.gauge_tables(gauged, part.ext)
-                for gfld, gamb, general in gauged:
-                    if general:
-                        res["gauge_general"].append(gaussmap.general_gauge_residual(
-                            gamb, gfld, part.ext, part.gauss_frames, values.pop(0)))
+                for name, gfld, gamb in gauged:
+                    if name == "gauge_general":
+                        res[name].append(gaussmap.general_gauge_residual(
+                            gamb, gfld, part.ext, part.gauss_frames))
                     else:
-                        res["gauge_theorem"].append(gaussmap.gauge_theorem_residual(
-                            gamb, gfld, part.ext, part.gauss, values.pop(0)))
+                        res[name].append(gaussmap.gauge_theorem_residual(
+                            gamb, gfld, part.ext, part.gauss))
                 out.update({name: np.max(r, axis=0) for name, r in res.items()})
             elif suite == "psi_identity":
                 out["psi_identity"] = part.holo["psi_identity_residual"]

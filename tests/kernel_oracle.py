@@ -84,11 +84,14 @@ def degree_integrand(gauss, dn):
     return out
 
 
-def hopf_identity_residual(base, curv, holo_block, d_hopf):
+def hopf_identity_residual(base, r4, holo_block, d_hopf):
+    """The Hopf identity residual from the whole lowered curvature r4 at
+    the samples of base (Ambient.curvature_at), contracted one X_c at a
+    time."""
     lhs, dbar_H = holo.dbar(d_hopf)
     lam2 = holo_block["lam"] ** 2
 
-    r4, Xu, Xv, N = curv["r4"], base["Xu"], base["Xv"], base["N"]
+    Xu, Xv, N = base["Xu"], base["Xv"], base["N"]
     r_u = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xu, N)
     r_v = expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, N)
     r_term = 0.5 * (r_u - 1j * r_v)

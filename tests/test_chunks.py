@@ -74,12 +74,14 @@ def _variable_leaf_ids(table):
 def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     """A verify of three chunks evaluates the surface jets in one program
     per chunk, the frame tables and dg in one (the base block's), the
-    surface-composition tables in one, and every gauge field's axis, theta
-    and gauged (g, Gamma, frame_det) in one; no program holds only a frame
-    determinant.  Programs are told apart by the identity of their table
-    leaves.  A one-chunk 24x24 verify runs 5 programs (21 before the
-    gauged tables, dg and the composition were merged, 9 before the gauge
-    fields shared one program and dg joined the base block's)."""
+    surface-composition tables in one, and each gauge field's axis, theta
+    and gauged (g, Gamma, frame_det) in one of its own; no program holds
+    only a frame determinant.  Programs are told apart by the identity of
+    their table leaves.  A one-chunk 24x24 verify runs 8 programs: the
+    jets, the base block's, dGamma, the composition and the 4 gauge
+    fields' (21 before the gauged tables, dg and the composition were
+    merged; 5 while the gauge fields shared one program, whose tables
+    were then the chunk's largest working set)."""
     sc = _scene("catenoid_frame_cylinder")
     surf, amb = sc.surface, sc.ambient
     monkeypatch.setattr(scenes, "CHUNK", 100)          # 16x16 = 256 samples
@@ -108,9 +110,9 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
         theta, axis = _leaf_ids(gauge.theta), _leaf_ids(gauge.axis)
         assert holding(theta) == holding(theta | axis) == chunks
         axes |= axis
-    # the gauge_theorem fields share the scene's normal axis; every gauge
-    # field's tables are in the chunk's one gauge program
-    assert sum(bool(axes & prog) for prog in programs) == chunks
+    # the gauge_theorem fields share the scene's normal axis; each gauge
+    # field's tables are a program of their own in each chunk
+    assert sum(bool(axes & prog) for prog in programs) == len(gauges) * chunks
 
     dets = [_leaf_ids(amb.frame_det)]
     for gauge in gauges:
@@ -128,7 +130,7 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     monkeypatch.setattr(scenes, "CHUNK", 24 * 24)
     programs.clear()
     verify.run_verification(sc, 24, 24)
-    assert len(programs) == 5
+    assert len(programs) == 8
 
 
 @pytest.mark.parametrize("name, run, want", [
@@ -143,9 +145,10 @@ def test_each_table_is_evaluated_once_per_chunk(monkeypatch):
     ("round_sphere_standard",
      lambda sc, path: scenes.gauss_degree(scenes.make_grid(sc, 24, 24)), 5),
     # the same edge probe, then one chunk: jets, base group with dg, the
-    # curvature block's dGamma, the composition tables and the gauge fields
+    # curvature block's dGamma, the composition tables and each of the 4
+    # gauge fields' tables
     ("round_sphere_standard",
-     lambda sc, path: verify.run_verification(sc, 24, 24), 7),
+     lambda sc, path: verify.run_verification(sc, 24, 24), 10),
     # a scene build: jets, base group with dg, then the gauge and normal
     # axes; the base core is built from the base group that the guards read
     ("catenoid_frame_cylinder",
@@ -171,34 +174,58 @@ def test_other_commands_evaluate_each_table_once_per_chunk(monkeypatch, tmp_path
     assert len(programs) == want
 
 
-# each test id is the scene name alone, so a re-pinned count keeps its name
-@pytest.mark.parametrize("name, programs, ops", [pytest.param(*pin, id=pin[0]) for pin in [
-    ("cartan_schouten_sphere", 4, 179),
-    ("catenoid_frame_cylinder", 5, 12178),
-    ("catenoid_frame_plane", 5, 6884),
-    ("euclidean_plane", 5, 1832),
-    ("rotated_frame_plane", 5, 3784),
-    ("round_sphere_standard", 7, 3281),
-    ("torus_standard", 5, 3342),
+def _peak_live(prog):
+    """The most values the compiled program prog holds alive at once,
+    counted from its frees: an op's value lives from that op to the op
+    that frees it.  Constants (Python floats) and variables (views of
+    their bindings) are not counted."""
+    held, peak = set(), 0
+    for i, (kind, a, b, free) in enumerate(zip(prog.kinds, prog.a, prog.b, prog.frees)):
+        if kind not in (expr._CONST, expr._VAR):
+            held.add(i)
+        peak = max(peak, len(held))
+        for bit, j in ((expr._FREE_A, a), (expr._FREE_B, b), (expr._FREE_OWN, i)):
+            if free & bit:
+                held.discard(j)
+    return peak
+
+
+# each test id is the scene name alone, so a re-pinned count keeps its name;
+# peaks are in run order: a closed chart's edge probe (jets, base group), then
+# the chunk's jets, base's, dGamma, the composition and each gauge field's
+@pytest.mark.parametrize("name, ops, peaks", [pytest.param(*pin, id=pin[0]) for pin in [
+    ("cartan_schouten_sphere", 179, (7, 0, 0, 26)),
+    ("catenoid_frame_cylinder", 12518, (3, 58, 189, 249, 93, 92, 96, 97)),
+    ("catenoid_frame_plane", 6991, (0, 47, 54, 161, 74, 74, 82, 81)),
+    ("euclidean_plane", 1856, (0, 0, 0, 0, 12, 12, 59, 58)),
+    ("rotated_frame_plane", 3861, (0, 16, 31, 55, 53, 53, 68, 68)),
+    ("round_sphere_standard", 3428, (7, 0, 7, 0, 0, 29, 58, 59, 59, 58)),
+    ("torus_standard", 3520, (7, 0, 0, 36, 63, 63, 59, 58)),
 ]])
-def test_verify_runs_pinned_programs_and_ops(monkeypatch, name, programs, ops):
+def test_verify_runs_pinned_programs_and_ops(monkeypatch, name, ops, peaks):
     """A one-chunk 24x24 verify of each built-in runs exactly these
     compiled programs and ops (the ops of every program run, counted as
-    expr._run receives them).  The expression DAGs are built in pure
-    Python, so the counts do not depend on the platform: an op that the
-    symbolic kit (so3) or a block adds or drops changes them."""
+    expr._run receives them), and each program holds at most these values
+    alive at once (_peak_live), which sets its memory at a chunk.  The
+    expression DAGs are built in pure Python, so the counts do not depend
+    on the platform: an op that the symbolic kit (so3) or a block adds or
+    drops changes them, and so does the order a table nests its leaves in
+    (Ambient.dgamma's peak is 189 nested as [j][i][m][k], 272 as
+    [m][k][i][j])."""
     sc = _scene(name)
     monkeypatch.setattr(scenes, "CHUNK", 8192)
-    sizes = []
+    sizes, live = [], []
     run = expr._run
 
     def record(prog, bindings, outs):
         sizes.append(len(prog.kinds))
+        live.append(_peak_live(prog))
         return run(prog, bindings, outs)
 
     monkeypatch.setattr(expr, "_run", record)
     verify.run_verification(sc, 24, 24)
-    assert (len(sizes), sum(sizes)) == (programs, ops)
+    assert (len(sizes), sum(sizes)) == (len(peaks), ops)
+    assert tuple(live) == peaks
 
 
 def _program_digest(programs):
@@ -219,17 +246,17 @@ _DIGESTS = {
     "cartan_schouten_sphere":
         "3bf896a850cba9ef53a6258459586a4c1476af4a66f42f1650418124fe0ab0f4",
     "catenoid_frame_cylinder":
-        "62bd7ebac4300ed2369df8aa5635ef870201306f5e0a706859bf34a8239c7153",
+        "e3b9823d3685408236f02377656879eeefe30bc6f651c9e36f0a8ea5281b1d3b",
     "catenoid_frame_plane":
-        "59d4e3388929aa58baca33f9095d956d18ee6d8f3a18e3c799aeee938ab6384b",
+        "4c91c8becce1fe854b5f67a329f3f4490a6b326762e40a6d994c39919747f92d",
     "euclidean_plane":
-        "ca57fdc76bc79bb19fdae1b2ae5fe61024880b3a2e9c54c7863016714defa44b",
+        "e2a0612d9b8f8918e4163d59fe077527a812013b20f72b9959b1a720c611f4db",
     "rotated_frame_plane":
-        "55dbd3e0e2aef79410a22624b45cb5cb26cfe8c27d5fcac961e460039ac9a3e9",
+        "cab0c513f0522db8f9bebaaebc33a8485f2f0ac8c7d9afde3926a4d7c64eae01",
     "round_sphere_standard":
-        "ec4fc804fcd152131e25ec2bbc58bd0434c5374f6cfdee3c2e130b0471d5a14d",
+        "301bf7333e05fafe33d9705c28bd54b559b7bdc0da4fc83d028d7e822b904f66",
     "torus_standard":
-        "d4d1381ad5f8bdc92b8c68a8f55f43a11621c2dd2a7746f9936ed7b8a13879d7",
+        "267b8ce93085efa5d1346939472ce3da955e0603c9bd04b8441a9a9bc0a4e932",
 }
 
 
@@ -331,7 +358,7 @@ def test_flatness_is_a_whole_grid_verdict(monkeypatch):
     assert {e["name"]: e for e in want.entries}["egregium"]["status"] == "skip"
     monkeypatch.setattr(scenes, "CHUNK", 16)
     last = list(scenes.make_grid(sc, 8, 8).chunks())[-1]
-    assert np.max(np.abs(last.curvature["r4"])) <= 1e-9
+    assert np.max(last.curvature["r4_max"]) <= 1e-9
     assert verify.run_verification(sc, 8, 8).to_json() == want.to_json()
 
 
@@ -514,6 +541,19 @@ def test_verify_memory_is_set_by_the_chunk(monkeypatch, tmp_path):
     for name, run in runs.items():
         peaks = _traced_peaks(run, (24, 48))
         assert peaks[1] < 1.5 * peaks[0], (name, peaks)
+
+
+def test_one_chunk_verify_holds_one_wide_program_at_a_time():
+    """A one-chunk 64x64 verify of catenoid_frame_cylinder, its programs
+    compiled first, peaks below 3.7 KB a sample traced: the curvature
+    block's dGamma program runs over base alone and r4 is reduced and
+    dropped within the block, the composition program runs next, and each
+    gauge field's tables are a program of their own (4.2 KB while the
+    chunk kept r4 and the gauge fields shared one program)."""
+    sc = _scene("catenoid_frame_cylinder")
+    assert 64 * 64 == scenes.CHUNK
+    (peak,) = _traced_peaks(lambda n: verify.run_verification(sc, n, n), (64,))
+    assert peak / scenes.CHUNK < 3700, peak / scenes.CHUNK
 
 
 @pytest.mark.parametrize("name, run", [

@@ -68,12 +68,9 @@ def test_mercator_chart_exercises_every_hopf_term():
     scene = mercator_chart()
     grid = scenes.make_grid(scene, GRID, GRID)
     m = grid.interior_mask
-    base, curv = grid.base, grid.curvature
     _, dbar_H = holo.dbar(grid.take("d_hopf")["d_hopf"])
     bold_h_term = 0.25 * grid.holo["lam"] ** 2 * np.conj(dbar_H)
-    tang = np.stack([base["Xu"], base["Xv"]], axis=1)
-    r = np.einsum("nijkm,ni,nj,nck,nm->nc", curv["r4"], base["Xu"], base["Xv"], tang,
-                  base["N"])
+    r = grid.curvature["r_uvcn"]        # R(Xu, Xv, X_c, N)
     curvature_term = 0.25j * (r[:, 0] - 1j * r[:, 1])
     assert np.max(np.abs(bold_h_term[m])) >= 1e-2
     assert np.max(np.abs(curvature_term[m])) >= 1e-2

@@ -447,7 +447,7 @@ def test_compiled_programs_keep_few_bytes_per_op(monkeypatch):
     monkeypatch.setattr(expr, "_programs", programs)
     kept, _ = _traced(lambda: verify.run_verification(sc, 24, 24))
     ops = sum(len(prog.kinds) for prog in programs.values())
-    assert ops == 12178
+    assert ops == 12518
     assert kept / ops < 120
 
 

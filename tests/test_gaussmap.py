@@ -371,8 +371,9 @@ def test_whole_tensor_kernels_match_per_component_forms(name):
         assert got.tobytes() == want.tobytes(), name
     if sc.surface.declared_isothermal:
         d_hopf = g.take("d_hopf")["d_hopf"]
-        got, want = (mod.hopf_identity_residual(g.base, g.curvature, g.holo, d_hopf)
-                     for mod in (holo, kernel_oracle))
+        r4 = sc.ambient.curvature_at(sc.ambient.bindings(g.base["p"]))["r4"]
+        got = holo.hopf_identity_residual(g.base, g.curvature, g.holo, d_hopf)
+        want = kernel_oracle.hopf_identity_residual(g.base, r4, g.holo, d_hopf)
         assert got.tobytes() == want.tobytes(), name
 
 

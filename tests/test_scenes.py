@@ -328,6 +328,9 @@ def test_scene_validation_compiles_only_grid_programs(monkeypatch):
 # a function's domain names that function, not its derivative's division
 _PARAM_STDERR = {
     "theta=log(0)*x": "error: params.theta: log evaluated outside its domain (argument 0.0)\n",
+    "lambda=1": "error: params.lambda: not a parameter of euclidean_plane (it takes none)\n",
+    "q=1": "error: params.q: not a parameter of torus_standard (it takes R, r)\n",
+    "r=1": "error: params.r: not a parameter of cartan_schouten_sphere (it takes lambda)\n",
 }
 
 
@@ -344,12 +347,16 @@ _PARAM_STDERR = {
     *(pytest.param("rotated_frame_plane", f"theta={theta}", id=f"theta={theta}")
       for theta in ("exp(1000)*x", "1e999*x", "0*exp(1000)", "1e999", "log(0)*x")),
     *(pytest.param("torus_standard", param, id=param) for param in ("R=0.2", "R=0.5", "r=0")),
+    pytest.param("euclidean_plane", "lambda=1", id="euclidean_plane-lambda=1"),
+    pytest.param("torus_standard", "q=1", id="torus_standard-q=1"),
+    pytest.param("cartan_schouten_sphere", "r=1", id="cartan_schouten_sphere-r=1"),
 ])
 def test_cli_bad_rotation_axis_is_input_error(scene, param):
     """A bad --param value (a zero, non-finite or wrong-length axis e, a
     non-number or non-finite number, a theta that overflows to a constant
-    or fails in its symbolic build, a torus outside R > |r| > 0) exits 2
-    naming params.<name> with the name as typed."""
+    or fails in its symbolic build, a torus outside R > |r| > 0) or a name
+    the built-in does not take exits 2 naming params.<name> with the name
+    as typed; a bad name lists the names the built-in takes, as typed."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
     proc = subprocess.run(
@@ -361,6 +368,31 @@ def test_cli_bad_rotation_axis_is_input_error(scene, param):
     assert f"params.{param.split('=')[0]}" in proc.stderr
     if param in _PARAM_STDERR:
         assert proc.stderr == _PARAM_STDERR[param]
+
+
+def test_builtin_checks_parameter_names_before_calling_the_factory(monkeypatch):
+    """A name the factory does not take is a SceneFormatError at
+    params.<name>, raised before the factory runs; a TypeError the factory
+    raises itself is a fault of the factory, not a bad parameter, and is
+    not turned into one.  lambda and its keyword lam name one parameter."""
+    calls = []
+
+    def factory(R=2.0):
+        calls.append(R)
+        raise TypeError("a fault inside the factory")
+
+    monkeypatch.setitem(scenes._BUILTINS, "torus_standard", factory)
+    with pytest.raises(SceneFormatError) as err:
+        scenes.builtin("torus_standard", q=1.0)
+    assert str(err.value) == "params.q: not a parameter of torus_standard (it takes R)"
+    assert calls == []
+    with pytest.raises(TypeError, match="a fault inside the factory"):
+        scenes.builtin("torus_standard", R=3.0)
+    assert calls == [3.0]
+    monkeypatch.undo()
+    for key in ("lambda", "lam"):
+        sc = scenes.builtin("cartan_schouten_sphere", **{key: 0.5})
+        assert sc.to_dict()["goldens"]["star_tau"] == "2*(0.5)"
 
 
 def test_export_builds_only_the_blocks_it_reads(tmp_path, monkeypatch):

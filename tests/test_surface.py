@@ -234,38 +234,56 @@ def test_curvature_block_repeats_no_chart_or_frame_check(monkeypatch):
     for name in ("_check_inside", "check_frame"):
         monkeypatch.setattr(ambient_mod.Ambient, name,
                             lambda self, bindings, name=name: calls.append(name))
-    assert np.all(np.isfinite(g.curvature["r4"]))
+    assert np.all(np.isfinite(g.curvature["r_uvvu"]))
     assert calls == []
 
 
 def curvature_from(G, D, g):
-    """(rm, r4) from stacked Gamma, dGamma and g as four einsum terms summed
-    in one expression: the reference the curvature block is checked
+    """(rm, r4) from stacked Gamma, dGamma (D[n, j, i, m, k] =
+    d_m Gamma^k_ij, as Ambient.dgamma nests it) and g as four einsum terms
+    summed in one expression: the reference the curvature block is checked
     against."""
-    term1 = D.transpose(0, 2, 4, 1, 3)
-    term2 = D.transpose(0, 2, 4, 3, 1)
+    term1 = np.einsum("njimk->nkjmi", D)         # d_i Gamma^l_jk at [n, l, k, i, j]
+    term2 = np.einsum("njimk->nkjim", D)         # d_j Gamma^l_ik
     term3 = np.einsum("nlim,nmjk->nlkij", G, G)
     term4 = np.einsum("nljm,nmik->nlkij", G, G)
-    rm = term1 - term2 + term3 - term4
-    return rm, np.einsum("nlkij,nlm->nijkm", rm, g)
+    rm = np.ascontiguousarray(term1 - term2 + term3 - term4)
+    # C-contiguous, samples first: einsum's bits on a reduction of r4 follow its layout
+    return rm, np.ascontiguousarray(np.einsum("nlkij,nlm->nijkm", rm, g))
 
 
 @pytest.mark.parametrize("name", scenes.builtin_names())
 def test_curvature_block_equals_four_term_formula(name):
-    """The block holds r4 and r_uvvu only, bit for bit those of the
-    four-term formula, and Ambient.curvature_at gives its rm at the same
-    points bit for bit."""
+    """The block holds r_uvvu and the reductions of r4 that its readers
+    take (r4 itself is dropped), each bit for bit the same reduction of
+    the four-term formula's r4, and Ambient.curvature_at gives that rm and
+    r4 at the same points bit for bit.  A block asked for fewer parts holds
+    only r_uvvu and those."""
     sc = scenes.builtin(name)
     g = scenes.make_grid(sc, 12, 12)
     base, amb = g.base, sc.ambient
     pb = amb.bindings(base["p"])
     rm, r4 = curvature_from(base["gamma"], expr.eval_table(amb.dgamma, pb), base["g"])
-    Xu, Xv = base["Xu"], base["Xv"]
-    r_uvvu = np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)
-    assert sorted(g.curvature) == ["r4", "r_uvvu"]
-    assert np.array_equal(g.curvature["r4"], r4)
-    assert np.array_equal(g.curvature["r_uvvu"], r_uvvu)
-    assert np.array_equal(amb.curvature_at(pb)["rm"], rm)
+    Xu, Xv, N = (np.ascontiguousarray(base[k]) for k in ("Xu", "Xv", "N"))
+    tang = np.stack([Xu, Xv], axis=1)
+    want = {
+        "r_uvvu": np.einsum("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu),
+        "r_uvcn": np.einsum("nijkm,ni,nj,nck,nm->nc", r4, Xu, Xv, tang, N),
+        "r4_max": np.max(np.abs(r4), axis=(1, 2, 3, 4)),
+        "r4_skew": np.maximum(
+            np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)),
+            np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4))),
+    }
+    assert sorted(g.curvature) == sorted(want)
+    for key, val in want.items():
+        assert g.curvature[key].shape == val.shape, key
+        assert g.curvature[key].tobytes() == val.tobytes(), key
+    at = amb.curvature_at(pb)
+    assert np.array_equal(at["rm"], rm)
+    assert np.array_equal(at["r4"], r4)
+    lean = sc.surface.curvature_fields(base, ("r4_max",))
+    assert sorted(lean) == ["r4_max", "r_uvvu"]
+    assert lean["r_uvvu"].tobytes() == want["r_uvvu"].tobytes()
 
 
 @pytest.mark.parametrize("name", scenes.builtin_names())
@@ -287,8 +305,9 @@ def test_base_carries_the_frame(name):
 @pytest.mark.parametrize("name", ["cartan_schouten_sphere", "rotated_frame_plane"])
 def test_curvature_block_working_set(name):
     """Building the curvature block raises the traced memory by at most 2.5
-    arrays of 81 doubles per sample: dGamma is dropped once rm is formed
-    and rm once it is lowered to r4.  (The intermediates of the dGamma
+    arrays of 81 doubles per sample: dGamma is dropped once rm is formed,
+    rm once it is lowered to r4, and r4 once it is reduced.  (The
+    intermediates of the dGamma
     program are the expression layer's, bounded by the chunk; on these
     scenes they are small.)"""
     sc = scenes.builtin(name)
@@ -298,7 +317,7 @@ def test_curvature_block_working_set(name):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        assert np.all(np.isfinite(g.curvature["r4"]))
+        assert np.all(np.isfinite(g.curvature["r_uvvu"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -421,6 +421,16 @@ def test_cli_rejects_bad_flags(capsys):
                      "--scene", "x"]) == 2
     assert cli.main(["integrate", "--builtin", "euclidean_plane",
                      "--field", "nope"]) == 2
+    # an empty --suite names no suite, as "," and "gauss_eq," do not
+    capsys.readouterr()
+    assert cli.main(["verify", "--builtin", "euclidean_plane", "--grid", "8x8",
+                     "--suite", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown suite ''; known: ")
+    # a --param with no name
+    for param in ("=1", "x"):
+        assert cli.main(["verify", "--builtin", "torus_standard", "--grid", "8x8",
+                         "--param", param]) == 2
+        assert capsys.readouterr().err == f"error: --param needs K=V, got {param!r}\n"
 
 
 def test_cli_integrate_prints_value(capsys):
@@ -577,6 +587,20 @@ def test_cli_grid_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch, co
     assert err.startswith("error: ") and "100000x100000" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_cli_grid_that_cannot_be_allocated_exits_at_once(tmp_path):
+    """A 20000000x20000000 grid (4e14 samples) exits 2 with one line naming
+    the grid within 5 s: its per-sample arrays are allocated before its
+    axis rules are built (building the rules first took 37 s and 1.36 GB)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcsurf.__file__)))
+    grid = "20000000x20000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsurf.cli", "verify", "--builtin", "euclidean_plane",
+         "--grid", grid], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --grid {grid}: not enough memory for this grid\n"
 
 
 @pytest.mark.parametrize("command", [["fields", "--out", "deep.csv"],
