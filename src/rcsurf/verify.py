@@ -8,19 +8,22 @@ Egregium, sectional split and Hopf-coefficient identity keep budgets of
 1e-5 and 1e-4, wider than their residuals need.  "strict" is ten times
 tighter everywhere.
 
-ENTRIES, the one table of report entries, gives each entry's suite and
-analytic budget in report order; SUITES, TIERS and the names allowed under
-a scene's "tolerances" derive from it.  Entries that do not apply (degree
-on a non-closed chart, Gauss-map suites on coefficient-defined ambients,
-holomorphic suites off charts not declared isothermal, egregium in a curved
-ambient, a masked entry whose mask keeps no sample) are reported as
-skipped, never as failures.
+Two tables hold what each suite does.  ENTRIES has a row per report
+entry, in report order: its suite, budget, needs, whether it is checked at
+interior samples only, and its reduction.  SUITES has a row per suite:
+the composition tables and curvature-block parts it reads, and its
+function (part, run) -> {entry: values}.  A new entry is one row plus one
+function.  An entry that lacks a need (_NEEDS: a frame ambient, a normal
+axis, an isothermal or closed chart, chi, a flat ambient) or whose mask
+keeps no sample is reported as skipped, never as a failure.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import types
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,27 +35,154 @@ from .surface import CURVATURE_PARTS, abs_max
 __all__ = ["ENTRIES", "SUITES", "TIERS", "VerificationReport", "run_verification",
            "gauge_fields"]
 
-# entry -> (suite that computes it, analytic budget), in report order
-ENTRIES = {
-    "ambient_sanity": ("ambient_sanity", 1e-7),
-    "gauss_eq": ("gauss_eq", 1e-5),
-    "egregium": ("egregium", 1e-4),
-    "sectional_split": ("egregium", 1e-4),
-    "divcurl": ("divcurl", 1e-7),
-    "gauge_theorem": ("gauge", 1e-6),
-    "gauge_general": ("gauge", 1e-5),
-    "psi_identity": ("psi_identity", 1e-8),
-    "hopf_identity": ("hopf_identity", 1e-5),
-    "conformality": ("conformality", 1e-9),
-    "gauss_bonnet": ("gauss_bonnet", 1e-3),
-    "degree": ("degree", 1e-3),
+
+# reductions: an entry's values -> (max_residual, mean_residual or None for the same)
+def _max_mean(values, scene):
+    return float(np.max(values)), float(np.mean(values))
+
+
+def _gauss_bonnet(values, scene):
+    return abs(float(np.sum(values)) - 2.0 * np.pi * scene.chi) / (4.0 * np.pi), None
+
+
+def _degree(values, scene):
+    d = scenes.degree_from(np.sum(values))
+    wrong = scene.chi is not None and 2 * d["degree"] != scene.chi     # degree = chi / 2
+    return (1.0 if wrong else d["residual"]), None
+
+
+# suites: (chunk part, run) -> {entry: values at every sample of part}
+def _ambient_sanity(part, run):
+    # the torsion needs no check: surface.induced_metric forms
+    # T = Gamma - Gamma^T by subtraction, so T + T^T is exactly 0
+    base, curv = part.base, part.curvature
+    parts = [base["compat"], curv["r4_skew"]]
+    if run.scene.ambient.kind == "frame":
+        parts.append(curv["r4_max"])                        # flatness
+        F = base["frame"]
+        gram = expr.contract("nai,nab,nbj->nij", F, base["g"], F)
+        parts.append(abs_max(gram - np.eye(3)))
+    return {"ambient_sanity": np.max(np.stack(parts), axis=0)}
+
+
+def _egregium(part, run):
+    dec = extrinsic.curvature_decomposition(part.ext, part.curvature, part.intrinsic_K)
+    run.flat = run.flat and dec["ambient_flat"]
+    return {"egregium": dec["egregium"], "sectional_split": dec["sectional_split"]}
+
+
+def _divcurl(part, run):
+    ext, n = part.ext, part.gauss["n"]
+    dc = gaussmap.div_curl(part.gauss_dn, part.gauss_frames)
+    return {"divcurl": np.max(np.stack([
+        np.abs(dc["div_top"] + ext["H"]),
+        np.abs(dc["div_cross"] - ext["star_tau"]),
+        np.max(np.abs(dc["curl_top"] + ext["star_tau"][:, None] * n), axis=-1),
+        np.max(np.abs(dc["curl_cross"] + ext["H"][:, None] * n), axis=-1),
+    ]), axis=0)}
+
+
+def _gauge(part, run):
+    # at each sample, the max over the entry's gauge fields (gauge_theorem's
+    # rotate about the scene's normal_axis); each field's tables are a
+    # program of its own, dropped once its residual is formed
+    out = {}
+    for name, fields in run.gauged.items():
+        if name == "gauge_theorem":
+            res = [gaussmap.gauge_theorem_residual(gamb, gfld, part.ext, part.gauss)
+                   for gfld, gamb in fields]
+        else:
+            res = [gaussmap.general_gauge_residual(gamb, gfld, part.ext, part.gauss_frames)
+                   for gfld, gamb in fields]
+        out[name] = np.max(res, axis=0)
+    return out
+
+
+def _conformality(part, run):
+    tol = run.scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
+    conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=tol)
+    cls = extrinsic.classify(part.ext, tol=tol)
+    want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
+    return {"conformality": conf["conformal"] != want}
+
+
+# need -> (whether the run has it, the reason an entry that needs it is skipped
+# without it).  Flatness is the one need a run learns as it goes (egregium's
+# suite reads it off each chunk): it holds until a chunk is found curved
+_NEEDS = {
+    "frame": (lambda run: run.scene.ambient.kind == "frame", "ambient not frame-defined"),
+    "axis": (lambda run: run.scene.normal_axis is not None, "no normal-axis field"),
+    "isothermal": (lambda run: run.scene.surface.declared_isothermal, "chart not isothermal"),
+    "closed": (lambda run: run.scene.closed_chart, "chart not closed"),
+    "chi": (lambda run: run.scene.chi is not None, "no euler_characteristic"),
+    "flat": (lambda run: run.flat, "ambient not flat"),
 }
 
-SUITES = list(dict.fromkeys(suite for suite, _ in ENTRIES.values()))
+
+class _Entry(NamedTuple):
+    suite: str                  # the suite that computes it
+    budget: float               # its analytic tolerance
+    needs: tuple = ()           # of _NEEDS; the first unmet one is its skip reason
+    interior: bool = False      # checked at interior_mask samples only
+    reduce: Callable = _max_mean
+
+    def unmet(self, run):
+        """Why the entry is skipped in this run (its first need unmet), or None."""
+        return next((why for has, why in map(_NEEDS.get, self.needs) if not has(run)), None)
+
+
+class _Suite(NamedTuple):
+    composition: tuple          # the tables of SampleGrid.comp it reads
+    curvature: tuple            # what it reads of the curvature block: r_uvvu, r4 reductions
+    values: Callable            # (part, run) -> {entry: values per sample}
+
+
+# entry -> its row, in report order
+ENTRIES = {
+    "ambient_sanity": _Entry("ambient_sanity", 1e-7),
+    "gauss_eq": _Entry("gauss_eq", 1e-5, interior=True),
+    "egregium": _Entry("egregium", 1e-4, ("flat",), interior=True),
+    "sectional_split": _Entry("egregium", 1e-4, interior=True),
+    "divcurl": _Entry("divcurl", 1e-7, ("frame",), interior=True),
+    "gauge_theorem": _Entry("gauge", 1e-6, ("frame", "axis")),
+    "gauge_general": _Entry("gauge", 1e-5, ("frame",)),
+    "psi_identity": _Entry("psi_identity", 1e-8, ("isothermal",)),
+    "hopf_identity": _Entry("hopf_identity", 1e-5, ("isothermal",), interior=True),
+    "conformality": _Entry("conformality", 1e-9, ("frame",), interior=True,
+                           reduce=lambda values, scene: (float(np.mean(values)), None)),
+    "gauss_bonnet": _Entry("gauss_bonnet", 1e-3, ("closed", "chi"), reduce=_gauss_bonnet),
+    "degree": _Entry("degree", 1e-3, ("closed", "frame"), reduce=_degree),
+}
+
+# suite -> its row, in the order its entries are reported
+SUITES = {
+    "ambient_sanity": _Suite((), ("r4_skew", "r4_max"), _ambient_sanity),
+    "gauss_eq": _Suite(("d_gammaS",), ("r_uvvu",), lambda part, run: {
+        "gauss_eq": extrinsic.gauss_equation_residual(part.ext, part.curvature,
+                                                      part.intrinsic_K)}),
+    "egregium": _Suite(("d_gammaS",), ("r_uvvu", "r4_max"), _egregium),
+    "divcurl": _Suite(("dn_du", "dn_dv"), (), _divcurl),
+    "gauge": _Suite((), (), _gauge),
+    "psi_identity": _Suite((), (), lambda part, run: {
+        "psi_identity": part.holo["psi_identity_residual"]}),
+    "hopf_identity": _Suite(("d_hopf",), ("r_uvcn",), lambda part, run: {
+        "hopf_identity": holo.hopf_identity_residual(
+            part.base, part.curvature, part.holo, part.take("d_hopf")["d_hopf"])}),
+    "conformality": _Suite(("dn_du", "dn_dv"), (), _conformality),
+    "gauss_bonnet": _Suite(("d_gammaS",), (), lambda part, run: {
+        "gauss_bonnet": part.area_terms("K")}),
+    "degree": _Suite(("dn_du", "dn_dv"), (), lambda part, run: {
+        "degree": part.degree_terms()}),
+}
+
+# a chunk evaluates the composition tables that its suites read in one (u, v)
+# program, in this order: on catenoid_frame_cylinder it holds at most 249
+# live arrays, against 275 in the suites' order (d_gammaS first)
+_COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
 
 TIERS = {
-    "analytic": {name: budget for name, (_, budget) in ENTRIES.items()},
-    "strict": {name: budget / 10.0 for name, (_, budget) in ENTRIES.items()},
+    "analytic": {name: row.budget for name, row in ENTRIES.items()},
+    "strict": {name: row.budget / 10.0 for name, row in ENTRIES.items()},
 }
 
 # The gauge fields of the gauge entries, as expression text: the angles of
@@ -143,84 +273,29 @@ def gauge_fields(scene, entry):
     return out
 
 
-# the surface-composition tables each suite reads (SampleGrid.comp); a chunk
-# evaluates those of every suite that runs in one (u, v) program, in the order
-# of _COMPOSITION_ORDER: on catenoid_frame_cylinder that program holds at most
-# 249 live arrays, against 275 in the suites' order (d_gammaS first)
-_COMPOSITION = {
-    "gauss_eq": ("d_gammaS",),
-    "egregium": ("d_gammaS",),
-    "divcurl": ("dn_du", "dn_dv"),
-    "hopf_identity": ("d_hopf",),
-    "conformality": ("dn_du", "dn_dv"),
-    "gauss_bonnet": ("d_gammaS",),
-    "degree": ("dn_du", "dn_dv"),
-}
-_COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
-
-# the suites that read the curvature block, each with the reductions of r4 it
-# reads besides r_uvvu (Surface.curvature_fields; SampleGrid.curvature_parts)
-_CURVATURE = {
-    "ambient_sanity": ("r4_skew", "r4_max"),
-    "gauss_eq": (),
-    "egregium": ("r4_max",),
-    "hopf_identity": ("r_uvcn",),
-}
-
-
-def _entries(suite):
-    return [name for name, (owner, _) in ENTRIES.items() if owner == suite]
-
-
-def _plan(scene, chosen):
-    """The suites whose chunk work runs, and the reason for each entry that
-    is skipped; both depend on the scene only, so a skipped suite builds
-    nothing."""
-    no_frame = None if scene.ambient.kind == "frame" else "ambient not frame-defined"
-    no_iso = None if scene.surface.declared_isothermal else "chart not isothermal"
-    no_axis = None if scene.normal_axis is not None else "no normal-axis field"
-    not_closed = None if scene.closed_chart else "chart not closed"
-    no_chi = None if scene.chi is not None else "no euler_characteristic"
-    reasons = {
-        "divcurl": no_frame,
-        "gauge_theorem": no_frame or no_axis,
-        "gauge_general": no_frame,
-        "psi_identity": no_iso,
-        "hopf_identity": no_iso,
-        "conformality": no_frame,
-        "gauss_bonnet": not_closed or no_chi,
-        "degree": not_closed or no_frame,
-    }
-    skips = {name: why for name, why in reasons.items() if why}
-    run = [s for s in chosen if any(e not in skips for e in _entries(s))]
-    return run, skips
-
-
 @np.errstate(all="ignore")     # as cli.main: see scenes.build_scene
 def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     """Run the selected suites on one scene at the given resolution.
 
     The grid is streamed (SampleGrid.chunks): every block is built for one
     chunk of samples and dropped before the next.  An entry keeps only its
-    residual or quadrature term per sample (8 bytes a sample, gathered by
-    SampleGrid.collect); a gauge entry's residual at a sample is the max
-    over its gauge fields, and only the flatness verdict is carried from
-    chunk to chunk.  Each max, mean and quadrature sum runs once over the
-    values of every chunk in sample order, so the report does not depend
-    on the chunk size.  A chunk builds base, then the curvature block
-    (r4 reduced to what the planned suites read, and dropped) and the
-    composition tables, before any suite runs: the two widest programs
-    run over the fewest held blocks, and each gauge field's tables are
-    then a program of their own.  The symbolic
-    setup (the gauge fields, each with its gauged ambient from
+    value per sample (SampleGrid.collect: 8 bytes a sample, 1 for
+    conformality's bool verdict), and only the flatness verdict is carried
+    from chunk to chunk.  Each max, mean and quadrature sum runs once over
+    the values of every chunk in sample order, so the report does not
+    depend on the chunk size.  A chunk builds base, then the curvature
+    block (r4 reduced to what the planned suites read, and dropped) and the
+    composition tables, before any suite runs in table order, whatever the
+    order of suites: the two widest programs run over the fewest held
+    blocks, and each gauge field's tables are then a program of their own.
+    The symbolic setup (the gauge fields, each with its gauged ambient from
     gaussmap.apply_gauge) and the closed-chart probe run once per run.
 
     tol is a tier name or one finite positive number (or its text) applied
     to every suite entry; anything else raises ValueError.
     """
     if isinstance(tol, str) and tol in TIERS:
-        tols = dict(TIERS[tol])
-        tier_name = tol
+        tols, tier_name = dict(TIERS[tol]), tol
     else:
         try:
             value = float(tol)
@@ -229,156 +304,79 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"tolerance must be a tier ({', '.join(TIERS)}) "
                              f"or a finite positive number, got {tol!r}")
-        tols = {k: value for k in ENTRIES}
-        tier_name = repr(value)
+        tols, tier_name = dict.fromkeys(ENTRIES, value), repr(value)
     tols.update(scene.tolerances)
-    chosen = SUITES if suites is None else list(dict.fromkeys(suites))
+    chosen = SUITES if suites is None else list(suites)
     for s in chosen:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
 
     grid = scenes.make_grid(scene, nu, nv)
     report = VerificationReport(scene.name, (grid.nu, grid.nv), tier_name)
-    amb = scene.ambient
-    nsamples = int(grid.U.shape[0])
-    run, skips = _plan(scene, chosen)
+    # what suites read besides the chunk; what runs depends on the scene
+    # only, so a skipped suite builds nothing
+    run = types.SimpleNamespace(scene=scene, flat=True)
+    live = [name for name, row in ENTRIES.items()
+            if row.suite in chosen and row.unmet(run) is None]
+    planned = list(dict.fromkeys(ENTRIES[name].suite for name in live))
 
-    gauges = {}             # entry -> its gauge fields
-    if "gauge" in run:
-        if "gauge_theorem" not in skips:
-            gauges["gauge_theorem"] = gauge_fields(scene, "gauge_theorem")
-        gauges["gauge_general"] = gauge_fields(scene, "gauge_general")
-        if scene.gauge is not None:
-            gauges["gauge_general"].append(scene.gauge)
-    # (entry, gauge field, its gauged ambient), gauge_theorem's first
-    gauged = [(name, gfld, gaussmap.apply_gauge(amb, gfld))
-              for name, gflds in gauges.items() for gfld in gflds]
-    degree_error = None
-    if "degree" in run:
+    gauges = {name: gauge_fields(scene, name) for name in live
+              if ENTRIES[name].suite == "gauge"}
+    if "gauge_general" in gauges and scene.gauge is not None:
+        gauges["gauge_general"].append(scene.gauge)
+    # entry -> its gauge fields with their gauged ambients, gauge_theorem's first
+    run.gauged = {name: [(gfld, gaussmap.apply_gauge(scene.ambient, gfld)) for gfld in gflds]
+                  for name, gflds in gauges.items()}
+    failed = {}             # entry -> why it fails with no residual
+    if "degree" in planned:
         try:
             scenes.require_closed(scene)
         except RcsurfError as err:
-            degree_error = str(err)
-            run.remove("degree")
-    planned = {k for suite in run for k in _COMPOSITION.get(suite, ())}
-    grid.composition = tuple(k for k in _COMPOSITION_ORDER if k in planned)
-    curved = [suite for suite in run if suite in _CURVATURE]
-    reduced = {k for suite in curved for k in _CURVATURE[suite]}
+            failed["degree"] = str(err)
+            planned.remove("degree")
+    rows = [SUITES[suite] for suite in planned]
+    wanted = {k for row in rows for k in row.composition}
+    grid.composition = tuple(k for k in _COMPOSITION_ORDER if k in wanted)
+    reduced = {k for row in rows for k in row.curvature}
     grid.curvature_parts = tuple(k for k in CURVATURE_PARTS if k in reduced)
-    grid.with_compat = "ambient_sanity" in run
-    cls_tol = scene.tolerances.get("classify", extrinsic.CLASSIFY_TOL)
-
-    flat = True             # max |r4| within AMBIENT_FLAT_TOL on every chunk
+    grid.with_compat = "ambient_sanity" in planned
 
     def chunk(part):
-        nonlocal flat
-        # the widest programs first, while the chunk holds the fewest blocks:
-        # the curvature block's dGamma (r4 is reduced and dropped within it)
-        # over base alone, then the composition
+        # the widest programs first, over the fewest held blocks: the curvature
+        # block's dGamma (r4 reduced and dropped within it), then the composition
         mask = part.interior_mask
-        if curved:
+        if reduced:
             part.curvature
         part.comp
         out = {}            # entry -> its values at the samples it checks
-        for suite in run:
-            if suite == "ambient_sanity":
-                base, curv = part.base, part.curvature
-                # the torsion needs no check: surface.induced_metric forms
-                # T = Gamma - Gamma^T by subtraction, so T + T^T is exactly 0
-                parts = [base["compat"], curv["r4_skew"]]
-                if amb.kind == "frame":
-                    parts.append(curv["r4_max"])                        # flatness
-                    F = base["frame"]
-                    gram = expr.contract("nai,nab,nbj->nij", F, base["g"], F)
-                    parts.append(abs_max(gram - np.eye(3)))
-                out["ambient_sanity"] = np.max(np.stack(parts), axis=0)
-            elif suite == "gauss_eq":
-                res = extrinsic.gauss_equation_residual(part.ext, part.curvature,
-                                                        part.intrinsic_K)
-                out["gauss_eq"] = res[mask]
-            elif suite == "egregium":
-                dec = extrinsic.curvature_decomposition(part.ext, part.curvature,
-                                                        part.intrinsic_K)
-                flat = flat and dec["ambient_flat"]
-                out["egregium"] = dec["egregium"][mask]
-                out["sectional_split"] = dec["sectional_split"][mask]
-            elif suite == "divcurl":
-                ext, n = part.ext, part.gauss["n"]
-                dc = gaussmap.div_curl(part.gauss_dn, part.gauss_frames)
-                res = np.max(np.stack([
-                    np.abs(dc["div_top"] + ext["H"]),
-                    np.abs(dc["div_cross"] - ext["star_tau"]),
-                    np.max(np.abs(dc["curl_top"] + ext["star_tau"][:, None] * n), axis=-1),
-                    np.max(np.abs(dc["curl_cross"] + ext["H"][:, None] * n), axis=-1),
-                ]), axis=0)
-                out["divcurl"] = res[mask]
-            elif suite == "gauge":
-                # at each sample, the max over the entry's gauge fields; the
-                # gauge_theorem fields rotate about the scene's normal_axis.
-                # Each field's tables are a program of its own, dropped once
-                # its residual is formed
-                res = {name: [] for name in gauges}
-                for name, gfld, gamb in gauged:
-                    if name == "gauge_general":
-                        res[name].append(gaussmap.general_gauge_residual(
-                            gamb, gfld, part.ext, part.gauss_frames))
-                    else:
-                        res[name].append(gaussmap.gauge_theorem_residual(
-                            gamb, gfld, part.ext, part.gauss))
-                out.update({name: np.max(r, axis=0) for name, r in res.items()})
-            elif suite == "psi_identity":
-                out["psi_identity"] = part.holo["psi_identity_residual"]
-            elif suite == "hopf_identity":
-                res = holo.hopf_identity_residual(part.base, part.curvature, part.holo,
-                                                  part.take("d_hopf")["d_hopf"])
-                out["hopf_identity"] = res[mask]
-            elif suite == "conformality":
-                conf = gaussmap.conformality_test(part.base, part.gauss_dn, tol=cls_tol)
-                cls = extrinsic.classify(part.ext, tol=cls_tol)
-                want = (~cls["geodesic_point"]) & (cls["minimal_point"] | cls["umbilic"])
-                out["conformality"] = conf["conformal"][mask] != want[mask]
-            elif suite == "gauss_bonnet":
-                out["gauss_bonnet"] = part.area_terms("K")
-            elif suite == "degree":
-                out["degree"] = part.degree_terms()
+        for row in rows:
+            for name, values in row.values(part, run).items():
+                out[name] = values[mask] if ENTRIES[name].interior else values
         return out
 
     kept = grid.collect(chunk)
 
-    def entry(name, residual, samples=nsamples, mean=None):
+    def result(name, row):
+        # the report fields of an entry whose suite was chosen
+        why = row.unmet(run)
+        if why is not None:
+            return {"status": "skip", "reason": why}
+        if name in failed:
+            return {"status": "fail", "reason": failed[name]}
+        values = kept[name]
+        if not values.size:
+            return {"status": "skip", "reason": "no interior sample"}
+        try:
+            residual, mean = row.reduce(values, scene)
+        except RcsurfError as err:      # a degree integral off an integer
+            return {"status": "fail", "reason": str(err)}
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
             raise NonFiniteValue("non-finite residual", f"report.{name}")
-        t = tols[name]
-        status = "pass" if residual <= t else "fail"
-        report.add(name, status, residual, t, samples, mean_residual=mean)
+        return {"status": "pass" if residual <= tols[name] else "fail",
+                "max_residual": residual, "mean_residual": mean,
+                "tolerance": tols[name], "samples": values.size}
 
-    if not flat:
-        skips["egregium"] = "ambient not flat"
-    for suite in chosen:
-        for name in _entries(suite):
-            if name in skips:
-                report.add(name, "skip", reason=skips[name])
-            elif name == "gauss_bonnet":
-                total = float(np.sum(kept[name]))
-                entry(name, abs(total - 2.0 * np.pi * scene.chi) / (4.0 * np.pi))
-            elif name == "degree":
-                if degree_error is None:
-                    try:
-                        d = scenes.degree_from(np.sum(kept[name]))
-                    except RcsurfError as err:
-                        degree_error = str(err)
-                if degree_error is not None:
-                    report.add(name, "fail", reason=degree_error)
-                    continue
-                res = d["residual"]
-                if scene.chi is not None and 2 * d["degree"] != scene.chi:
-                    res = 1.0
-                entry(name, res)
-            elif not kept[name].size:
-                report.add(name, "skip", reason="no interior sample")
-            elif name == "conformality":        # the share of misclassified samples
-                entry(name, float(np.mean(kept[name])), kept[name].size)
-            else:
-                res = kept[name]
-                entry(name, float(np.max(res)), res.size, float(np.mean(res)))
+    for name, row in ENTRIES.items():
+        if row.suite in chosen:
+            report.add(name, **result(name, row))
     return report

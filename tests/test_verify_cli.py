@@ -99,6 +99,20 @@ def test_repeated_suite_names_report_each_entry_once():
         sc, 8, 8, suites=["divcurl", "gauge"]).to_json()
 
 
+def test_suite_list_order_changes_no_report_byte(tmp_path):
+    """Two orders of one --suite list give the same report bytes, entries
+    in table order (the first order once reported degree first)."""
+    reports = []
+    for order in ("degree,gauss_eq,ambient_sanity", "ambient_sanity,gauss_eq,degree"):
+        out = tmp_path / f"{len(reports)}.json"
+        assert cli.main(["verify", "--builtin", "euclidean_plane", "--grid", "8x8",
+                         "--suite", order, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert [e["name"] for e in json.loads(reports[0])["suites"]] == [
+        "ambient_sanity", "gauss_eq", "degree"]
+
+
 def test_gauss_bonnet_without_euler_characteristic_says_so():
     """A closed chart that declares no euler_characteristic: degree runs,
     and gauss_bonnet is skipped for the missing characteristic."""
