@@ -721,6 +721,12 @@ def _axis_nodes(lo, hi, n, periodic):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# comp evaluates the tables in reads in one (u, v) program, in this order: on
+# catenoid_frame_cylinder it holds at most 249 live arrays, against 275 with
+# d_gammaS first
+_COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
+
+
 class SampleGrid:
     """Deterministic tensor grid of surface samples with lazy field caches.
 
@@ -748,14 +754,14 @@ class SampleGrid:
 
         base          first-order geometry, jets and frame (Surface.base_fields);
                       everything
-        comp          the surface-composition tables named in composition
-                      (d_gammaS, dn_du, dn_dv, d_hopf) in one (u, v)
-                      program, after base, each until its reader takes it:
-                      intrinsic_K, gauss_dn, hopf_identity
+        comp          the surface-composition tables in reads (d_gammaS,
+                      dn_du, dn_dv, d_hopf) in one (u, v) program, after
+                      base, each until its reader takes it: intrinsic_K,
+                      gauss_dn, hopf_identity
         curvature     R(Xu,Xv,Xv,Xu) and the reductions of the lowered r4
-                      named in curvature_parts (Surface.curvature_fields;
-                      r4 is dropped within it): ambient_sanity, gauss_eq,
-                      egregium, hopf_identity
+                      in reads (Surface.curvature_fields; r4 is dropped
+                      within it): ambient_sanity, gauss_eq, egregium,
+                      hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e: most
                       suites, holo, classify (conformality, export)
         intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
@@ -769,17 +775,18 @@ class SampleGrid:
         gauss_frames  projected frames, from base's frame: divcurl,
                       gauge_general
 
-    verify sets composition to the tables its planned suites read; it is
-    empty by default, and take evaluates a table that comp lacks on its
-    own, so export and integrate evaluate d_gammaS alone.  verify sets
-    curvature_parts to the reductions of r4 its planned suites read (all
-    of surface.CURVATURE_PARTS by default), and with_compat when
-    ambient_sanity runs: base's program then evaluates dg with the
-    ambient's base group, and base holds the metric compatibility residual
-    for ambient_sanity.  It is False by default.  A verify chunk builds
-    base, then curvature, then comp, before any suite reads them: each of
-    the two widest programs (dGamma, the composition) runs while the chunk
-    holds the fewest blocks, and no block holds r4 past its own build.
+    reads is the one plan setting, a set of names that the blocks test for
+    membership: the composition tables comp evaluates, the reductions of r4
+    curvature keeps (surface.CURVATURE_PARTS), and "compat", with which
+    base's program evaluates dg with the ambient's base group and base
+    holds the metric compatibility residual for ambient_sanity.  Its
+    default, every CURVATURE_PARTS name, names no table and no compat, and
+    take evaluates a table that comp lacks on its own, so export and
+    integrate evaluate d_gammaS alone.  verify sets reads to what its
+    planned suites read, and a verify chunk builds base, then curvature,
+    then comp, before any suite reads them: each of the two widest
+    programs (dGamma, the composition) runs while the chunk holds the
+    fewest blocks, and no block holds r4 past its own build.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -806,9 +813,7 @@ class SampleGrid:
         self.V.reshape(nu, nv)[...] = self.v_nodes
         np.multiply.outer(self.u_weights, self.v_weights, out=self.weights.reshape(nu, nv))
         self.offset = 0                 # index of the first sample in the grid
-        self.composition = ()           # the tables of comp (verify sets them)
-        self.curvature_parts = CURVATURE_PARTS  # of curvature (verify sets them)
-        self.with_compat = False        # base holds compat (verify sets it)
+        self.reads = frozenset(CURVATURE_PARTS)     # the plan (verify sets it)
 
     # streaming -----------------------------------------------------------------
 
@@ -816,15 +821,14 @@ class SampleGrid:
         """The grid's samples as new SampleGrids over contiguous row-major
         slices of CHUNK samples, in order, one for a grid of at most CHUNK.
         A chunk keeps what its blocks read of this grid: the scene and
-        surface, the composition and with_compat, and nu and nv (with the
-        surface's domain, interior_mask's edge margin, so the mask is
-        unchanged); it builds its blocks for its own samples, and offset is
-        the index of its first sample in the grid."""
+        surface, reads, and nu and nv (with the surface's domain,
+        interior_mask's edge margin, so the mask is unchanged); it builds
+        its blocks for its own samples, and offset is the index of its
+        first sample in the grid."""
         for lo in range(0, self.U.shape[0], CHUNK):
             sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "composition", "curvature_parts",
-                         "with_compat"):
+            for name in ("scene", "surface", "nu", "nv", "reads"):
                 setattr(part, name, getattr(self, name))
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
             part.offset = self.offset + lo
@@ -858,11 +862,11 @@ class SampleGrid:
 
     @cached_property
     def base(self):
-        return self.surface.base_fields(self.U, self.V, self.with_compat)
+        return self.surface.base_fields(self.U, self.V, "compat" in self.reads)
 
     @cached_property
     def curvature(self):
-        return self.surface.curvature_fields(self.base, self.curvature_parts)
+        return self.surface.curvature_fields(self.base, self.reads)
 
     @cached_property
     def ext(self):
@@ -901,9 +905,8 @@ class SampleGrid:
 
     @cached_property
     def comp(self):
-        if not self.composition:
-            return {}
-        return self.surface.composition_at(self.U, self.V, self.composition)
+        names = tuple(k for k in _COMPOSITION_ORDER if k in self.reads)
+        return self.surface.composition_at(self.U, self.V, names) if names else {}
 
     def take(self, *names):
         """The named surface-composition tables at these samples, as a

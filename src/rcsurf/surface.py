@@ -59,8 +59,8 @@ ISOTHERMAL_TOL = 1e-8
 JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 # the base fields checked finite on return, in the order they are checked
 _CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "cov", "II", "tau_uv", "T_S")
-# the reductions of r4 a curvature block may keep besides r_uvvu (curvature_fields)
-CURVATURE_PARTS = ("r_uvcn", "r4_max", "r4_skew")
+# what a curvature block holds: r_uvvu always, r4's reductions if read (curvature_fields)
+CURVATURE_PARTS = ("r_uvvu", "r_uvcn", "r4_max", "r4_skew")
 
 
 def cross_metric_batch(g, u, v):
@@ -275,7 +275,7 @@ class Surface:
         """Ambient curvature at the samples of base (a base_fields dict),
         as only the reductions of the lowered r4 that its readers take:
         r_uvvu = R(Xu, Xv, Xv, Xu), which the Gauss equation and the
-        sectional split read, and those of CURVATURE_PARTS named in parts:
+        sectional split read, and the others of CURVATURE_PARTS in parts:
 
             r_uvcn   R(Xu, Xv, X_c, N), c = u, v (n, 2): the Hopf identity
             r4_max   max |r4| at each sample: the flatness verdict

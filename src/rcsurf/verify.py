@@ -8,14 +8,16 @@ Egregium, sectional split and Hopf-coefficient identity keep budgets of
 1e-5 and 1e-4, wider than their residuals need.  "strict" is ten times
 tighter everywhere.
 
-Two tables hold what each suite does.  ENTRIES has a row per report
-entry, in report order: its suite, budget, needs, whether it is checked at
-interior samples only, and its reduction.  SUITES has a row per suite:
-the composition tables and curvature-block parts it reads, and its
-function (part, run) -> {entry: values}.  A new entry is one row plus one
-function.  An entry that lacks a need (_NEEDS: a frame ambient, a normal
-axis, an isothermal or closed chart, chi, a flat ambient) or whose mask
-keeps no sample is reported as skipped, never as a failure.
+Two tables hold what each suite does; run_verification names no suite or
+entry.  ENTRIES has a row per report entry, in report order: its suite,
+budget, needs, whether it is checked at interior samples only, and its
+reduction.  SUITES has a row per suite: what it reads of a chunk
+(SampleGrid.reads), its function (part, run) -> {entry: values}, and an
+optional setup (run) -> fail reason or None, run once before any chunk.
+A new entry is one row plus one function.  An entry that lacks a need
+(_NEEDS: a frame ambient, a normal axis, an isothermal or closed chart,
+chi, a flat ambient) or whose mask keeps no sample is reported as
+skipped, never as a failure.
 """
 
 from __future__ import annotations
@@ -82,20 +84,38 @@ def _divcurl(part, run):
     ]), axis=0)}
 
 
+# gauge entry -> its residual (gauged ambient, gauge field, part) at each sample
+_GAUGE_RESIDUALS = {
+    "gauge_theorem": lambda gamb, gfld, part: gaussmap.gauge_theorem_residual(
+        gamb, gfld, part.ext, part.gauss),
+    "gauge_general": lambda gamb, gfld, part: gaussmap.general_gauge_residual(
+        gamb, gfld, part.ext, part.gauss_frames),
+}
+
+
+def _gauge_setup(run):
+    # once per run: each live gauge entry's residual and gauge fields (its
+    # gauge_fields), each field with its gauged ambient, gauge_theorem's first
+    gauges = {name: gauge_fields(run.scene, name) for name in _GAUGE_RESIDUALS
+              if ENTRIES[name].unmet(run) is None}
+    run.gauged = {name: (_GAUGE_RESIDUALS[name], [
+        (gfld, gaussmap.apply_gauge(run.scene.ambient, gfld)) for gfld in gflds])
+        for name, gflds in gauges.items()}
+
+
 def _gauge(part, run):
-    # at each sample, the max over the entry's gauge fields (gauge_theorem's
-    # rotate about the scene's normal_axis); each field's tables are a
-    # program of its own, dropped once its residual is formed
-    out = {}
-    for name, fields in run.gauged.items():
-        if name == "gauge_theorem":
-            res = [gaussmap.gauge_theorem_residual(gamb, gfld, part.ext, part.gauss)
-                   for gfld, gamb in fields]
-        else:
-            res = [gaussmap.general_gauge_residual(gamb, gfld, part.ext, part.gauss_frames)
-                   for gfld, gamb in fields]
-        out[name] = np.max(res, axis=0)
-    return out
+    # at each sample, the max over the entry's gauge fields; each field's
+    # tables are a program of its own, dropped once its residual is formed
+    return {name: np.max([residual(gamb, gfld, part) for gfld, gamb in fields], axis=0)
+            for name, (residual, fields) in run.gauged.items()}
+
+
+def _closed(run):
+    # once per run: the closed-chart probe; its error is the degree entry's fail reason
+    try:
+        scenes.require_closed(run.scene)
+    except RcsurfError as err:
+        return str(err)
 
 
 def _conformality(part, run):
@@ -132,9 +152,9 @@ class _Entry(NamedTuple):
 
 
 class _Suite(NamedTuple):
-    composition: tuple          # the tables of SampleGrid.comp it reads
-    curvature: tuple            # what it reads of the curvature block: r_uvvu, r4 reductions
+    reads: tuple                # of SampleGrid.reads: comp tables, curvature parts, compat
     values: Callable            # (part, run) -> {entry: values per sample}
+    setup: Callable = None      # (run) -> fail reason or None, once before any chunk
 
 
 # entry -> its row, in report order
@@ -156,29 +176,24 @@ ENTRIES = {
 
 # suite -> its row, in the order its entries are reported
 SUITES = {
-    "ambient_sanity": _Suite((), ("r4_skew", "r4_max"), _ambient_sanity),
-    "gauss_eq": _Suite(("d_gammaS",), ("r_uvvu",), lambda part, run: {
+    "ambient_sanity": _Suite(("compat", "r4_skew", "r4_max"), _ambient_sanity),
+    "gauss_eq": _Suite(("d_gammaS", "r_uvvu"), lambda part, run: {
         "gauss_eq": extrinsic.gauss_equation_residual(part.ext, part.curvature,
                                                       part.intrinsic_K)}),
-    "egregium": _Suite(("d_gammaS",), ("r_uvvu", "r4_max"), _egregium),
-    "divcurl": _Suite(("dn_du", "dn_dv"), (), _divcurl),
-    "gauge": _Suite((), (), _gauge),
-    "psi_identity": _Suite((), (), lambda part, run: {
+    "egregium": _Suite(("d_gammaS", "r_uvvu", "r4_max"), _egregium),
+    "divcurl": _Suite(("dn_du", "dn_dv"), _divcurl),
+    "gauge": _Suite((), _gauge, _gauge_setup),
+    "psi_identity": _Suite((), lambda part, run: {
         "psi_identity": part.holo["psi_identity_residual"]}),
-    "hopf_identity": _Suite(("d_hopf",), ("r_uvcn",), lambda part, run: {
+    "hopf_identity": _Suite(("d_hopf", "r_uvcn"), lambda part, run: {
         "hopf_identity": holo.hopf_identity_residual(
             part.base, part.curvature, part.holo, part.take("d_hopf")["d_hopf"])}),
-    "conformality": _Suite(("dn_du", "dn_dv"), (), _conformality),
-    "gauss_bonnet": _Suite(("d_gammaS",), (), lambda part, run: {
+    "conformality": _Suite(("dn_du", "dn_dv"), _conformality),
+    "gauss_bonnet": _Suite(("d_gammaS",), lambda part, run: {
         "gauss_bonnet": part.area_terms("K")}),
-    "degree": _Suite(("dn_du", "dn_dv"), (), lambda part, run: {
-        "degree": part.degree_terms()}),
+    "degree": _Suite(("dn_du", "dn_dv"), lambda part, run: {
+        "degree": part.degree_terms()}, _closed),
 }
-
-# a chunk evaluates the composition tables that its suites read in one (u, v)
-# program, in this order: on catenoid_frame_cylinder it holds at most 249
-# live arrays, against 275 in the suites' order (d_gammaS first)
-_COMPOSITION_ORDER = ("dn_du", "dn_dv", "d_hopf", "d_gammaS")
 
 TIERS = {
     "analytic": {name: row.budget for name, row in ENTRIES.items()},
@@ -210,19 +225,7 @@ class VerificationReport:
         self.scene_name = scene_name
         self.grid_shape = grid_shape
         self.tier = tier
-        self.entries = []
-
-    def add(self, name, status, max_residual=None, tolerance=None,
-            samples=None, reason=None, mean_residual=None):
-        if mean_residual is None:
-            mean_residual = max_residual
-        self.entries.append({
-            "name": name, "status": status,
-            "max_residual": None if max_residual is None else float(max_residual),
-            "mean_residual": None if mean_residual is None else float(mean_residual),
-            "tolerance": None if tolerance is None else float(tolerance),
-            "samples": samples, "reason": reason,
-        })
+        self.entries = []       # one dict per entry, in report order
 
     @property
     def passed(self):
@@ -258,7 +261,8 @@ class VerificationReport:
 def gauge_fields(scene, entry):
     """The gauge fields of a gauge entry on a scene: GAUGE_THEOREM's angles
     about the scene's normal_axis (the path of their axis), or
-    GAUGE_GENERAL's angles about their axes normalized."""
+    GAUGE_GENERAL's angles about their axes normalized, then the scene's
+    own gauge if it has one."""
     vars3 = scenes.AMBIENT_VARS
     if entry == "gauge_theorem":
         return [gaussmap.GaugeField(expr.parse(theta, vars3), scene.normal_axis,
@@ -270,7 +274,7 @@ def gauge_fields(scene, entry):
         norm = expr.call("sqrt", dot_exprs(comps, comps))
         out.append(gaussmap.GaugeField(expr.parse(theta, vars3),
                                        tuple(expr.div(c, norm) for c in comps)))
-    return out
+    return out + ([scene.gauge] if scene.gauge is not None else [])
 
 
 @np.errstate(all="ignore")     # as cli.main: see scenes.build_scene
@@ -283,13 +287,16 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     conformality's bool verdict), and only the flatness verdict is carried
     from chunk to chunk.  Each max, mean and quadrature sum runs once over
     the values of every chunk in sample order, so the report does not
-    depend on the chunk size.  A chunk builds base, then the curvature
-    block (r4 reduced to what the planned suites read, and dropped) and the
+    depend on the chunk size.  A suite runs when one of its entries has
+    every need; its row's setup, if any, runs once before any chunk, in
+    table order (the gauge fields with their gauged ambients, the
+    closed-chart probe), and a fail reason from it fails the suite's
+    entries.  The grid reads what the remaining rows read, and with no
+    such row no block is built.  A chunk builds base, then the curvature
+    block (r4 reduced to what the rows read, and dropped) and the
     composition tables, before any suite runs in table order, whatever the
     order of suites: the two widest programs run over the fewest held
     blocks, and each gauge field's tables are then a program of their own.
-    The symbolic setup (the gauge fields, each with its gauged ambient from
-    gaussmap.apply_gauge) and the closed-chart probe run once per run.
 
     tol is a tier name or one finite positive number (or its text) applied
     to every suite entry; anything else raises ValueError.
@@ -316,36 +323,22 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
     # what suites read besides the chunk; what runs depends on the scene
     # only, so a skipped suite builds nothing
     run = types.SimpleNamespace(scene=scene, flat=True)
-    live = [name for name, row in ENTRIES.items()
-            if row.suite in chosen and row.unmet(run) is None]
-    planned = list(dict.fromkeys(ENTRIES[name].suite for name in live))
-
-    gauges = {name: gauge_fields(scene, name) for name in live
-              if ENTRIES[name].suite == "gauge"}
-    if "gauge_general" in gauges and scene.gauge is not None:
-        gauges["gauge_general"].append(scene.gauge)
-    # entry -> its gauge fields with their gauged ambients, gauge_theorem's first
-    run.gauged = {name: [(gfld, gaussmap.apply_gauge(scene.ambient, gfld)) for gfld in gflds]
-                  for name, gflds in gauges.items()}
-    failed = {}             # entry -> why it fails with no residual
-    if "degree" in planned:
-        try:
-            scenes.require_closed(scene)
-        except RcsurfError as err:
-            failed["degree"] = str(err)
-            planned.remove("degree")
-    rows = [SUITES[suite] for suite in planned]
-    wanted = {k for row in rows for k in row.composition}
-    grid.composition = tuple(k for k in _COMPOSITION_ORDER if k in wanted)
-    reduced = {k for row in rows for k in row.curvature}
-    grid.curvature_parts = tuple(k for k in CURVATURE_PARTS if k in reduced)
-    grid.with_compat = "ambient_sanity" in planned
+    planned = {row.suite for row in ENTRIES.values()
+               if row.suite in chosen and row.unmet(run) is None}
+    failed = {}             # suite -> why its entries fail with no residual
+    for suite, row in SUITES.items():
+        why = row.setup(run) if suite in planned and row.setup else None
+        if why is not None:
+            failed[suite] = why
+    rows = [row for suite, row in SUITES.items()
+            if suite in planned and suite not in failed]
+    grid.reads = reads = frozenset().union(*(row.reads for row in rows))
 
     def chunk(part):
         # the widest programs first, over the fewest held blocks: the curvature
         # block's dGamma (r4 reduced and dropped within it), then the composition
         mask = part.interior_mask
-        if reduced:
+        if not reads.isdisjoint(CURVATURE_PARTS):
             part.curvature
         part.comp
         out = {}            # entry -> its values at the samples it checks
@@ -354,15 +347,15 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
                 out[name] = values[mask] if ENTRIES[name].interior else values
         return out
 
-    kept = grid.collect(chunk)
+    kept = grid.collect(chunk) if rows else {}
 
     def result(name, row):
         # the report fields of an entry whose suite was chosen
         why = row.unmet(run)
         if why is not None:
             return {"status": "skip", "reason": why}
-        if name in failed:
-            return {"status": "fail", "reason": failed[name]}
+        if row.suite in failed:
+            return {"status": "fail", "reason": failed[row.suite]}
         values = kept[name]
         if not values.size:
             return {"status": "skip", "reason": "no interior sample"}
@@ -373,10 +366,10 @@ def run_verification(scene, nu=32, nv=32, suites=None, tol="analytic"):
         if not (math.isfinite(residual) and (mean is None or math.isfinite(mean))):
             raise NonFiniteValue("non-finite residual", f"report.{name}")
         return {"status": "pass" if residual <= tols[name] else "fail",
-                "max_residual": residual, "mean_residual": mean,
+                "max_residual": residual, "mean_residual": residual if mean is None else mean,
                 "tolerance": tols[name], "samples": values.size}
 
-    for name, row in ENTRIES.items():
-        if row.suite in chosen:
-            report.add(name, **result(name, row))
+    fields = ("status", "max_residual", "mean_residual", "tolerance", "samples", "reason")
+    report.entries = [{"name": name, **dict.fromkeys(fields), **result(name, row)}
+                      for name, row in ENTRIES.items() if row.suite in chosen]
     return report

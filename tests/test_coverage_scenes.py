@@ -7,9 +7,11 @@ and bold_H terms of the Hopf identity are round-off there.  The scenes
 below close both gaps.  They are test scenes, not built-ins: `list`, the
 CI loops and the benchmark do not change."""
 
+import types
+
 import numpy as np
 
-from rcsurf import holo, scenes, verify
+from rcsurf import extrinsic, holo, scenes, surface, verify
 
 GRID = 24
 
@@ -79,3 +81,62 @@ def test_mercator_chart_exercises_every_hopf_term():
     assert report.passed, report.summary_lines()
     assert {"hopf_identity", "psi_identity", "gauss_eq"} <= set(ran)
     assert max(ran.values()) <= 1e-13, ran
+
+
+def _terms(scene):
+    """{(entry, term): max |term|} over the interior samples of scene at
+    GRID x GRID, for the terms of each multi-term identity whose entry has
+    every need there (flatness aside)."""
+    grid = scenes.make_grid(scene, GRID, GRID)
+    m = grid.interior_mask
+    run = types.SimpleNamespace(scene=scene, flat=True)
+    runs = {entry for entry, row in verify.ENTRIES.items() if row.unmet(run) is None}
+    base, ext = grid.base, grid.ext
+    II = base["II"]
+    terms = {("gauss_eq", "r_uvvu"): grid.curvature["r_uvvu"],
+             ("gauss_eq", "K*area^2"): grid.intrinsic_K * base["area"] ** 2,
+             ("gauss_eq", "II_uu*II_vv"): II[:, 0, 0] * II[:, 1, 1],
+             ("gauss_eq", "II_uv*II_vu"): II[:, 0, 1] * II[:, 1, 0]}
+    if "divcurl" in runs:
+        terms.update({("divcurl", "H"): ext["H"], ("divcurl", "star_tau"): ext["star_tau"]})
+    if "psi_identity" in runs:
+        hol = grid.holo
+        terms.update({("psi_identity", "psi"): hol["psi"],
+                      ("psi_identity", "bold_H*phi"): ext["bold_H"] * hol["phi"]})
+    if "hopf_identity" in runs:
+        # the four terms of holo.hopf_identity_residual, formed as it forms them
+        lhs, dbar_H = holo.dbar(grid.take("d_hopf")["d_hopf"])
+        r = grid.curvature["r_uvcn"]
+        JT = surface.cross_metric_batch(base["g"], base["N"], base["T_S"])
+        comp = extrinsic.tangent_components(base, JT)
+        ii = comp[:, 0, None] * II[:, 0] + comp[:, 1, None] * II[:, 1]
+        terms.update({
+            ("hopf_identity", "left side"): lhs,
+            ("hopf_identity", "bold_H"): 0.25 * grid.holo["lam"] ** 2 * np.conj(dbar_H),
+            ("hopf_identity", "curvature"): 0.25j * (r[:, 0] - 1j * r[:, 1]),
+            ("hopf_identity", "II"): 0.25 * (ii[:, 0] - 1j * ii[:, 1])})
+    return {key: float(np.max(np.abs(values[m]))) for key, values in terms.items()}
+
+
+TERMS = {("gauss_eq", t) for t in ("r_uvvu", "K*area^2", "II_uu*II_vv", "II_uv*II_vu")} | {
+    ("hopf_identity", t) for t in ("left side", "bold_H", "curvature", "II")} | {
+    ("psi_identity", "psi"), ("psi_identity", "bold_H*phi"),
+    ("divcurl", "H"), ("divcurl", "star_tau")}
+
+
+def test_every_term_of_every_identity_is_exercised():
+    """Each term of a multi-term identity reaches 1e-3 at an interior sample
+    of some built-in or test scene where its entry runs: a term that is
+    round-off on every input would let a fault in it go unseen.  The Hopf
+    bold_H and curvature terms do so only on the Mercator chart."""
+    reach = {}          # term -> the inputs where it reaches 1e-3
+    inputs = [scenes.builtin(name) for name in scenes.builtin_names()]
+    for scene in inputs + [sheared_chart(), mercator_chart()]:
+        for key, size in _terms(scene).items():
+            reach.setdefault(key, set())
+            if size >= 1e-3:
+                reach[key].add(scene.name)
+    assert set(reach) == TERMS
+    assert {key for key, names in reach.items() if not names} == set()
+    assert reach["hopf_identity", "bold_H"] == {"mercator_chart"}
+    assert reach["hopf_identity", "curvature"] == {"mercator_chart"}
