@@ -43,8 +43,9 @@ class Ambient:
     bindings map 'x', 'y', 'z' to equally-shaped 1-D arrays (see bindings).
     fields_at and the methods built on it (christoffel_at, curvature_at)
     check the chart domain first, and the frame on the determinant their
-    own program evaluates; riemann takes points that a base block already
-    checked, and metric_compat_residual_at the tables fields_at gives.  A
+    own program evaluates; dgamma_at takes points that a base block
+    already checked, riemann (dgamma_terms, add_quadratic_terms) and
+    metric_compat_residual_at the tables at the same samples.  A
     guard names its scene path and the first offending point by its index
     in the batch, and an expression error in a table or its lazy build the
     table's (paths).
@@ -173,22 +174,38 @@ class Ambient:
     def curvature_at(self, bindings):
         """rm and r4 (lowered) at batched points, as a dict."""
         g, G = self.fields_at(bindings, ("g", "gamma"))
-        rm = self.riemann(G, bindings)
+        rm = self.riemann(G, self.dgamma_at(bindings))
         return {"rm": rm, "r4": self.lower(rm, g)}
 
-    def riemann(self, G, bindings):
-        """rm at batched points that already passed the chart and frame
-        checks (fields_at; a base block's p), from their stacked Gamma.
-        dGamma is evaluated here and dropped before the quadratic terms are
-        formed, and the Gamma^l_jm Gamma^m_ik term is the Gamma^l_im
-        Gamma^m_jk term with (i, j) swapped, so at most two arrays of 81
-        values per sample are alive at once.  rm is stored samples-last,
-        as expr.contract lays it out, so lower reads it without a copy."""
+    def dgamma_at(self, bindings):
+        """The dgamma table, one program, at batched points that already
+        passed the chart and frame checks (fields_at; a base block's p)."""
         with named(self.paths["dgamma"]):
-            D = expr.eval_table(self.dgamma, bindings)
+            return expr.eval_table(self.dgamma, bindings)
+
+    @staticmethod
+    def riemann(G, D):
+        """rm from stacked Gamma and dGamma (dgamma_at) at the same
+        samples: its dGamma terms, then its quadratic terms added."""
+        return Ambient.add_quadratic_terms(Ambient.dgamma_terms(D), G)
+
+    @staticmethod
+    def dgamma_terms(D):
+        """d_i Gamma^l_jk - d_j Gamma^l_ik at [n, l, k, i, j], from dGamma
+        (dgamma_at): the part of rm that reads D.  It is stored
+        samples-last, as expr.contract lays it out, so lower reads rm
+        without a copy."""
         rm = np.moveaxis(np.empty(D.shape[1:] + D.shape[:1]), -1, 0)
         np.subtract(D.transpose(0, 4, 1, 3, 2), D.transpose(0, 4, 1, 2, 3), out=rm)
-        del D
+        return rm
+
+    @staticmethod
+    def add_quadratic_terms(rm, G):
+        """rm (dgamma_terms) with Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+        added in place, from stacked Gamma at the same samples.  The second
+        term is the first with (i, j) swapped, so one array of 81 values
+        per sample, the first, is formed besides rm."""
+        G = np.moveaxis(np.ascontiguousarray(np.moveaxis(G, 0, -1)), -1, 0)  # one copy, if any
         quad = expr.contract("nlim,nmjk->nlkij", G, G)
         rm += quad
         rm -= np.swapaxes(quad, -1, -2)

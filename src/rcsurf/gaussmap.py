@@ -250,8 +250,11 @@ def conformality_test(fields, dn, tol=extrinsic.CLASSIFY_TOL):
     k = tr(G_S^-1 G_n) / 2, and k must exceed tol.  dn is
     the gauss_dn block at the samples of fields.
     """
-    jac = np.stack([dn["dn_du"], dn["dn_dv"]], axis=1)    # (n, 2, 3)
-    G_n = jac @ np.swapaxes(jac, 1, 2)
+    du, dv = dn["dn_du"], dn["dn_dv"]
+    G_n = np.empty(fields["G_S"].shape)     # three dots: no 2x3 matmul per sample
+    G_n[:, 0, 0] = np.einsum("ni,ni->n", du, du)
+    G_n[:, 0, 1] = G_n[:, 1, 0] = np.einsum("ni,ni->n", du, dv)
+    G_n[:, 1, 1] = np.einsum("ni,ni->n", dv, dv)
     # tr(G_S^-1 G_n) = sum_ab Ginv_S[a, b] G_n[a, b]: Ginv_S is symmetric
     k = 0.5 * np.sum(fields["Ginv_S"] * G_n, axis=(-2, -1))
     scale = np.max(np.abs(G_n), axis=(-2, -1))

@@ -66,6 +66,10 @@ GL_PANEL = 16
 # 52.6 to 42.7 MB, and 2048 would split a 64x64 grid in two, each chunk running
 # every program's ops (about 14% more compute on the cylinder).
 CHUNK = 4096
+# the plan (SampleGrid.reads) of export_fields, integrate and gauss_degree: no
+# curvature block, so a chunk's base keeps no Gamma, and no composition table
+# in comp (take evaluates each one where it is read)
+NO_CURVATURE = frozenset()
 DENSITY_MASK_TOL = 1e-6
 
 
@@ -753,15 +757,17 @@ class SampleGrid:
     Binv) in classify, and III (extrinsic.third_form) in holo:
 
         base          first-order geometry, jets and frame (Surface.base_fields);
-                      everything
+                      everything; its Gamma only the curvature block, which
+                      drops it, and it keeps none under a plan with no
+                      curvature part
         comp          the surface-composition tables in reads (d_gammaS,
                       dn_du, dn_dv, d_hopf) in one (u, v) program, after
                       base, each until its reader takes it: intrinsic_K,
                       gauss_dn, hopf_identity
         curvature     R(Xu,Xv,Xv,Xu) and the reductions of the lowered r4
-                      in reads (Surface.curvature_fields; r4 is dropped
-                      within it): ambient_sanity, gauss_eq, egregium,
-                      hopf_identity
+                      in reads (Surface.curvature_fields; rm and r4 span
+                      one slice of its samples each): ambient_sanity,
+                      gauss_eq, egregium, hopf_identity
         ext           Weingarten map, H, star_tau, bold_H, K_e: most
                       suites, holo, classify (conformality, export)
         intrinsic_K   K of the induced connection, from d_gammaS: gauss_eq,
@@ -781,12 +787,15 @@ class SampleGrid:
     base's program evaluates dg with the ambient's base group and base
     holds the metric compatibility residual for ambient_sanity.  Its
     default, every CURVATURE_PARTS name, names no table and no compat, and
-    take evaluates a table that comp lacks on its own, so export and
-    integrate evaluate d_gammaS alone.  verify sets reads to what its
-    planned suites read, and a verify chunk builds base, then curvature,
-    then comp, before any suite reads them: each of the two widest
-    programs (dGamma, the composition) runs while the chunk holds the
-    fewest blocks, and no block holds r4 past its own build.
+    take evaluates a table that comp lacks on its own.  export_fields,
+    integrate and gauss_degree read their chunks with NO_CURVATURE: their
+    base keeps no Gamma, and take evaluates each table they read on its
+    own.  verify sets reads to what its planned suites read, and a verify
+    chunk builds base, then curvature, then comp, before any suite reads
+    them: each of the two widest programs (dGamma, the composition) runs
+    while the chunk holds the fewest blocks, and of the curvature block's
+    arrays of 81 values a sample only dGamma spans more than a slice of
+    surface.CURVATURE_SLICE samples, and none outlives the block's build.
 
     Row-major ordering: flat index = iu * nv + iv.  The interior mask
     excludes two grid widths at non-periodic edges and samples whose area
@@ -817,56 +826,66 @@ class SampleGrid:
 
     # streaming -----------------------------------------------------------------
 
-    def chunks(self):
+    def chunks(self, reads=None):
         """The grid's samples as new SampleGrids over contiguous row-major
         slices of CHUNK samples, in order, one for a grid of at most CHUNK.
         A chunk keeps what its blocks read of this grid: the scene and
-        surface, reads, and nu and nv (with the surface's domain,
-        interior_mask's edge margin, so the mask is unchanged); it builds
-        its blocks for its own samples, and offset is the index of its
-        first sample in the grid."""
+        surface, the plan (reads, or this grid's), and nu and nv (with the
+        surface's domain, interior_mask's edge margin, so the mask is
+        unchanged); it builds its blocks for its own samples, and offset
+        is the index of its first sample in the grid."""
         for lo in range(0, self.U.shape[0], CHUNK):
             sl = slice(lo, lo + CHUNK)
             part = object.__new__(SampleGrid)
-            for name in ("scene", "surface", "nu", "nv", "reads"):
+            for name in ("scene", "surface", "nu", "nv"):
                 setattr(part, name, getattr(self, name))
+            part.reads = self.reads if reads is None else reads
             part.U, part.V, part.weights = self.U[sl], self.V[sl], self.weights[sl]
             part.offset = self.offset + lo
             yield part
 
-    def map_chunks(self, work):
-        """work(chunk) for each chunk in order, yielded as soon as it is
-        computed.  An error raised by work that names a sample of the chunk
-        names it by its index in this grid and its (u, v) (errors.located)."""
-        for part in self.chunks():
+    def map_chunks(self, work, reads=None):
+        """work(chunk) for each chunk (chunks(reads)) in order, yielded as
+        soon as it is computed and not held past it.  An error raised by
+        work that names a sample of the chunk names it by its index in
+        this grid and its (u, v) (errors.located)."""
+        for part in self.chunks(reads):
             with located(part.U, part.V, part.offset - self.offset):
                 out = work(part)
             yield out
+            del out             # the caller's, while the next chunk is computed
 
-    def collect(self, work):
-        """{name: values} gathered over the chunks in order, where
-        work(chunk) returns {name: values at some of the chunk's samples}.
-        Each name fills one buffer of the grid's sample count, allocated
-        once, and its result is the part filled: the one place where
-        per-sample values cross chunks."""
+    def collect(self, work, reads=None):
+        """{name: values} gathered over the chunks (map_chunks(work,
+        reads)) in order, where work(chunk) returns {name: values at some
+        of the chunk's samples}.  Each name fills one buffer of the grid's
+        sample count, allocated once, and its result is the part filled:
+        the one place where per-sample values cross chunks.  A chunk's
+        values are dropped once copied."""
         kept = {}               # name -> (buffer, count filled)
-        for out in self.map_chunks(work):
+        for out in self.map_chunks(work, reads):
             for name, values in out.items():
                 buf, k = kept.get(name) or (
                     np.empty(self.U.shape[0], dtype=values.dtype), 0)
                 buf[k:k + len(values)] = values
                 kept[name] = buf, k + len(values)
+            out = values = None     # not held while the next chunk is computed
         return {name: buf[:k] for name, (buf, k) in kept.items()}
 
     # lazy heavy blocks --------------------------------------------------------
 
     @cached_property
     def base(self):
-        return self.surface.base_fields(self.U, self.V, "compat" in self.reads)
+        base = self.surface.base_fields(self.U, self.V, "compat" in self.reads)
+        if self.reads.isdisjoint(CURVATURE_PARTS):
+            del base["gamma"]           # read by the curvature block alone
+        return base
 
     @cached_property
     def curvature(self):
-        return self.surface.curvature_fields(self.base, self.reads)
+        curv = self.surface.curvature_fields(self.base, self.reads)
+        del self.base["gamma"]          # its last reader
+        return curv
 
     @cached_property
     def ext(self):
@@ -961,7 +980,7 @@ def make_grid(scene, nu, nv) -> SampleGrid:
 def integrate(grid: SampleGrid, field) -> float:
     """Integral of the named scalar field against the surface area form:
     one sum over the area terms of every chunk."""
-    terms = grid.collect(lambda part: {field: part.area_terms(field)})
+    terms = grid.collect(lambda part: {field: part.area_terms(field)}, NO_CURVATURE)
     return float(np.sum(terms[field]))
 
 
@@ -1013,7 +1032,7 @@ def gauss_degree(grid: SampleGrid):
     """Mapping degree of the Gauss map on a closed chart (require_closed).
     Returns {degree, residual, raw}; residual beyond 1e-3 fails loudly."""
     require_closed(grid.scene)
-    terms = grid.collect(lambda part: {"degree": part.degree_terms()})
+    terms = grid.collect(lambda part: {"degree": part.degree_terms()}, NO_CURVATURE)
     return degree_from(np.sum(terms["degree"]))
 
 
@@ -1088,11 +1107,12 @@ def export_fields(grid: SampleGrid, path):
     fh = None
     try:
         for text in grid.map_chunks(
-                lambda part: format_rows(export_columns(part, tol))):
+                lambda part: format_rows(export_columns(part, tol)), NO_CURVATURE):
             if fh is None:
                 fh = open(path, "w", encoding="utf-8", newline="\n")
                 fh.write(",".join(EXPORT_COLUMNS) + "\n")
             fh.write(text)
+            del text            # not held while the next chunk is computed
         fh.close()
     except BaseException as err:
         if fh is not None:

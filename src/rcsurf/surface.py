@@ -17,8 +17,9 @@ base only where a reader asks: the induced connection inside
 intrinsic_curvature, the ambient curvature in curvature_fields.
 
 A block holds only what its readers read: the torsion tensor is dropped
-once T(Xu, Xv) is formed, the lowered curvature r4 once the contractions
-and maxima its readers take are formed, and the orthonormal tangent frame
+once T(Xu, Xv) is formed, the lowered curvature r4 is formed one slice of
+samples at a time and dropped once the contractions and maxima its readers
+take of that slice are formed, and the orthonormal tangent frame
 B and its inverse Binv are formed by orthonormal_frame for their one
 reader, extrinsic.weingarten_on.
 
@@ -61,6 +62,18 @@ JETS = ("p", "Xu", "Xv", "Xuu", "Xuv", "Xvv")     # X and its derivatives
 _CHECKED_LAST = ("G_S", "Ginv_S", "area", "N", "cov", "II", "tau_uv", "T_S")
 # what a curvature block holds: r_uvvu always, r4's reductions if read (curvature_fields)
 CURVATURE_PARTS = ("r_uvvu", "r_uvcn", "r4_max", "r4_skew")
+# samples per slice of the curvature block (Surface.curvature_fields): each of
+# its arrays of 81 doubles a sample (rm, the quadratic term, r4) spans one slice,
+# while dGamma spans the block.  A 128x128 cartan_schouten_sphere verify (four
+# 4096-sample chunks) on 2 vCPUs, peak RSS as the median of 8 fresh processes
+# and the block's time over the four chunks as the least of 3 x 15 runs:
+#
+#     slice     peak RSS   block
+#     4096      41.3 MB    55 ms    (one slice a chunk, as an unsliced block)
+#     2048      41.3 MB    54 ms
+#     1024      39.5 MB    45 ms    (a 648 KB slice array stays in L2)
+#      512      38.8 MB    50 ms
+CURVATURE_SLICE = 1024
 
 
 def cross_metric_batch(g, u, v):
@@ -76,15 +89,16 @@ def abs_max(values):
     return np.max(np.abs(values, out=values), axis=tuple(range(1, values.ndim)))
 
 
-def require_finite(block, fields):
+def require_finite(block, fields, offset=0):
     """Return fields (a dict of per-sample arrays) when every value is
     finite; else raise NonFiniteValue naming block.key and the first
-    offending sample."""
+    offending sample, its index moved by offset (where the arrays are a
+    slice of the block's samples, the index of the slice's first)."""
     for key, val in fields.items():
         ok = np.isfinite(val)
         if not ok.all():
             i = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-            raise NonFiniteValue("non-finite value", f"{block}.{key}", i)
+            raise NonFiniteValue("non-finite value", f"{block}.{key}", offset + i)
     return fields
 
 
@@ -283,30 +297,49 @@ class Surface:
             r4_skew  the larger of max |R_ijkm + R_jikm| and
                      max |R_ijkm + R_ijmk| at each sample: ambient_sanity
 
-        r4 (81 values a sample) is checked and dropped before the block
-        returns, as rm is once lowered: no reader reads either whole.  r4
-        and r_uvvu are checked finite; r_uvcn and r4_skew reach a report
-        only through residuals that verify checks.  On the grid path only
-        this block evaluates dGamma, straight at the points base_fields
-        already passed through the chart and frame checks."""
+        dGamma is evaluated once for all the samples, straight at the
+        points base_fields already passed through the chart and frame
+        checks; on the grid path only this block evaluates it.  The rest
+        runs over consecutive slices of CURVATURE_SLICE samples: each
+        slice forms its rm (Ambient.riemann's two steps, dGamma dropped
+        between them in the last slice), checks it, lowers it to r4,
+        checks that, and takes r4's reductions, and drops rm and r4 before
+        the next, so no reader reads either whole and neither spans more
+        than a slice.  A guard names its sample by its index in base.
+        Every step is per sample, so the reductions are those of the whole
+        block, bit for bit.  r_uvvu is checked finite once all slices are
+        done; r_uvcn and r4_skew reach a report only through residuals
+        that verify checks."""
         amb = self.ambient
-        rm = amb.riemann(base["gamma"], amb.bindings(base["p"]))
-        require_finite("curvature", {"rm": rm})
-        r4 = amb.lower(rm, base["g"])
-        del rm
-        Xu, Xv = base["Xu"], base["Xv"]
-        require_finite("curvature", {"r4": r4})
-        out = require_finite("curvature", {
-            "r_uvvu": expr.contract("nijkm,ni,nj,nk,nm->n", r4, Xu, Xv, Xv, Xu)})
-        if "r_uvcn" in parts:
-            tang = np.stack([Xu, Xv], axis=1)                       # X_c, c = u, v
-            out["r_uvcn"] = expr.contract("nijkm,ni,nj,nck,nm->nc", r4, Xu, Xv, tang,
-                                          base["N"])
-        if "r4_max" in parts:
-            out["r4_max"] = np.max(np.abs(r4), axis=(1, 2, 3, 4))
-        if "r4_skew" in parts:
-            out["r4_skew"] = np.maximum(abs_max(r4 + np.swapaxes(r4, 1, 2)),
-                                        abs_max(r4 + np.swapaxes(r4, 3, 4)))
+        D = amb.dgamma_at(amb.bindings(base["p"]))
+        G, g, Xu, Xv, N = (base[k] for k in ("gamma", "g", "Xu", "Xv", "N"))
+        n = len(D)
+        out = {"r_uvvu": np.empty(n)}
+        out.update((k, np.empty((n, 2) if k == "r_uvcn" else n))
+                   for k in CURVATURE_PARTS[1:] if k in parts)
+        for lo in range(0, n, CURVATURE_SLICE):
+            sl = slice(lo, lo + CURVATURE_SLICE)
+            rm = amb.dgamma_terms(D[sl])        # Ambient.riemann, in two steps
+            if lo + CURVATURE_SLICE >= n:
+                del D           # last read: not held with the last quadratic term
+            rm = amb.add_quadratic_terms(rm, G[sl])
+            require_finite("curvature", {"rm": rm}, lo)
+            r4 = amb.lower(rm, g[sl])
+            del rm
+            require_finite("curvature", {"r4": r4}, lo)
+            out["r_uvvu"][sl] = expr.contract("nijkm,ni,nj,nk,nm->n",
+                                              r4, Xu[sl], Xv[sl], Xv[sl], Xu[sl])
+            if "r_uvcn" in out:
+                tang = np.stack([Xu[sl], Xv[sl]], axis=1)           # X_c, c = u, v
+                out["r_uvcn"][sl] = expr.contract("nijkm,ni,nj,nck,nm->nc", r4, Xu[sl],
+                                                  Xv[sl], tang, N[sl])
+            if "r4_max" in out:
+                out["r4_max"][sl] = np.max(np.abs(r4), axis=(1, 2, 3, 4))
+            if "r4_skew" in out:
+                out["r4_skew"][sl] = np.maximum(abs_max(r4 + np.swapaxes(r4, 1, 2)),
+                                                abs_max(r4 + np.swapaxes(r4, 3, 4)))
+            del r4
+        require_finite("curvature", {"r_uvvu": out["r_uvvu"]})
         return out
 
     # --- intrinsic curvature ----------------------------------------------------

@@ -259,3 +259,30 @@ def test_library_calls_raise_only_the_typed_error(tmp_path):
             assert not (tmp_path / "f.csv").exists()
         with pytest.raises(ExprError, match=r"^params\.theta: constant inf is not finite$"):
             scenes.builtin("rotated_frame_plane", theta="exp(1000)*x")
+
+
+def test_base_keeps_gamma_only_for_the_curvature_block(monkeypatch, tmp_path):
+    """Base's Gamma (27 doubles a sample) has one reader after base, the
+    curvature block: a chunk's base drops it once that block is formed,
+    and keeps none under a plan that names no curvature part, as
+    export_fields, integrate and gauss_degree plan their chunks."""
+    grid = _grid("round_sphere_standard", 8)
+    assert "gamma" in grid.base
+    grid.curvature
+    assert "gamma" not in grid.base
+    grid = _grid("round_sphere_standard", 8)
+    grid.reads = frozenset({"compat", "d_gammaS"})
+    assert "gamma" not in grid.base and "compat" in grid.base
+    plans = []
+    chunks = scenes.SampleGrid.chunks
+
+    def record(self, reads=None):
+        for part in chunks(self, reads):
+            plans.append(part.reads)
+            yield part
+
+    monkeypatch.setattr(scenes.SampleGrid, "chunks", record)
+    scenes.export_fields(_grid("round_sphere_standard", 8), tmp_path / "f.csv")
+    scenes.integrate(_grid("round_sphere_standard", 8), "K")
+    scenes.gauss_degree(_grid("round_sphere_standard"))
+    assert plans == [frozenset()] * 3

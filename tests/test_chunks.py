@@ -2,12 +2,14 @@
 scenes.CHUNK samples at a time, and no report, export or integral depends
 on the chunk size."""
 
+import collections
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -610,3 +612,40 @@ def test_a_repeated_run_compiles_no_program():
     assert len(expr._programs) == compiled
     verify.run_verification(scenes.builtin(name), 8, 8)
     assert len(expr._programs) == compiled
+
+
+def test_no_chunk_result_outlives_its_consumer(monkeypatch, tmp_path):
+    """While a chunk is computed, no earlier chunk's result is alive: not
+    held by map_chunks, by collect, or by export_fields's rows of text.
+    (A chunk's rows, about 20 KB here, are past the text file's 8 KB
+    buffer, which would hold a smaller one until it fills.)"""
+    monkeypatch.setattr(scenes, "CHUNK", 64)
+    grid = scenes.make_grid(_scene("catenoid_frame_plane"), 16, 16)    # four chunks
+    refs = []
+
+    def work(part):
+        assert all(ref() is None for ref in refs), len(refs)
+        values = np.ones(part.U.size)
+        refs.append(weakref.ref(values))
+        return {"one": values}
+
+    collections.deque(grid.map_chunks(work), maxlen=0)
+    assert len(refs) == 4
+    refs.clear()
+    assert grid.collect(work)["one"].size == 256
+
+    class Rows(str):            # a str that takes a weak reference
+        pass
+
+    format_rows = scenes.format_rows
+
+    def rows(cols):
+        assert all(ref() is None for ref in refs), len(refs)
+        text = Rows(format_rows(cols))
+        refs.append(weakref.ref(text))
+        return text
+
+    refs.clear()
+    monkeypatch.setattr(scenes, "format_rows", rows)
+    scenes.export_fields(grid, tmp_path / "f.csv")
+    assert len(refs) == 4

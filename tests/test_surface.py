@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rcsurf import expr, scenes
-from rcsurf.errors import DegenerateParameterization, NotIsothermal, OutsideChart
+from rcsurf import expr, scenes, surface
+from rcsurf.errors import DegenerateParameterization, NonFiniteValue, NotIsothermal, OutsideChart
 from rcsurf.surface import Surface, cross_metric_batch, induced_connection, isothermal_factor
 
 import fd_oracles
+from test_coverage_scenes import mercator_chart, sheared_chart
 from ambient_oracle import tangent_frame
 from test_ambient import identity_frame
 from rcsurf import ambient as ambient_mod
@@ -274,16 +275,18 @@ def test_curvature_block_equals_four_term_formula(name):
             np.max(np.abs(r4 + np.swapaxes(r4, 1, 2)), axis=(1, 2, 3, 4)),
             np.max(np.abs(r4 + np.swapaxes(r4, 3, 4)), axis=(1, 2, 3, 4))),
     }
+    # before g.curvature: the grid's block drops base's Gamma, its last reader
+    lean = sc.surface.curvature_fields(base, ("r4_max",))
+    assert sorted(lean) == ["r4_max", "r_uvvu"]
+    assert lean["r_uvvu"].tobytes() == want["r_uvvu"].tobytes()
     assert sorted(g.curvature) == sorted(want)
     for key, val in want.items():
         assert g.curvature[key].shape == val.shape, key
         assert g.curvature[key].tobytes() == val.tobytes(), key
+    assert "gamma" not in base
     at = amb.curvature_at(pb)
     assert np.array_equal(at["rm"], rm)
     assert np.array_equal(at["r4"], r4)
-    lean = sc.surface.curvature_fields(base, ("r4_max",))
-    assert sorted(lean) == ["r4_max", "r_uvvu"]
-    assert lean["r_uvvu"].tobytes() == want["r_uvvu"].tobytes()
 
 
 @pytest.mark.parametrize("name", scenes.builtin_names())
@@ -304,21 +307,74 @@ def test_base_carries_the_frame(name):
 
 @pytest.mark.parametrize("name", ["cartan_schouten_sphere", "rotated_frame_plane"])
 def test_curvature_block_working_set(name):
-    """Building the curvature block raises the traced memory by at most 2.5
-    arrays of 81 doubles per sample: dGamma is dropped once rm is formed,
-    rm once it is lowered to r4, and r4 once it is reduced.  (The
-    intermediates of the dGamma
-    program are the expression layer's, bounded by the chunk; on these
-    scenes they are small.)"""
+    """Building the curvature block of 48x48 and of 64x64 samples raises
+    the traced memory by at most 2.5 and 1.85 arrays of 81 doubles per
+    sample: dGamma spans the block, and rm, the quadratic term and r4 span
+    one slice of surface.CURVATURE_SLICE samples each, dropped before the
+    next.  At 64x64 (four slices) it measures 1.69 (2.22 with the block in
+    one slice), at 48x48 (slices of 1024, 1024 and 256 samples) 2.18.
+    (The intermediates of the dGamma program are
+    the expression layer's, bounded by the chunk; on these scenes they are
+    small.)"""
     sc = scenes.builtin(name)
     scenes.make_grid(sc, 8, 8).curvature        # compile the programs first
-    g = scenes.make_grid(sc, 48, 48)
-    g.base
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        assert np.all(np.isfinite(g.curvature["r_uvvu"]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - held <= 2.5 * 81 * 8 * g.U.size, (peak - held) / (81 * 8 * g.U.size)
+    for n, bound in ((48, 2.5), (64, 1.85)):
+        g = scenes.make_grid(sc, n, n)
+        g.base
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert np.all(np.isfinite(g.curvature["r_uvvu"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = (peak - held) / (81 * 8 * g.U.size)
+        assert ratio <= bound, (n, ratio)
+
+
+@pytest.mark.parametrize("size", [1, 7, surface.CURVATURE_SLICE, scenes.CHUNK])
+def test_curvature_block_is_the_same_in_any_slice_size(monkeypatch, size):
+    """The curvature block built one slice of size samples at a time is,
+    bit for bit, the block built in one slice, on every built-in and both
+    coverage scenes, over 1,056 samples: 1,056 slices of one sample, 150 of
+    7 and one of 6, two of the default (the second of 32), or one."""
+    for sc in [scenes.builtin(name) for name in scenes.builtin_names()] + [
+            sheared_chart(), mercator_chart()]:
+        g = scenes.make_grid(sc, 33, 32)
+        monkeypatch.setattr(surface, "CURVATURE_SLICE", g.U.size)
+        whole = sc.surface.curvature_fields(g.base)
+        monkeypatch.setattr(surface, "CURVATURE_SLICE", size)
+        sliced = sc.surface.curvature_fields(g.base)
+        assert sorted(sliced) == sorted(whole) == sorted(surface.CURVATURE_PARTS)
+        for key, val in whole.items():
+            assert sliced[key].shape == val.shape, (sc.name, key)
+            assert sliced[key].tobytes() == val.tobytes(), (sc.name, key)
+
+
+def test_non_finite_rm_in_a_later_slice_is_named_by_its_chunk_sample(monkeypatch):
+    """A non-finite rm value planted in the second slice (sample 3 of it)
+    stops the curvature block naming curvature.rm and the sample's index in
+    the block, 1024 + 3, and on the grid path its (u, v)."""
+    add_quadratic_terms, calls = ambient_mod.Ambient.add_quadratic_terms, []
+
+    def planted(rm, G):
+        rm = add_quadratic_terms(rm, G)
+        calls.append(len(rm))
+        if len(calls) == 2:
+            rm[3, 0, 1, 2, 0] = np.nan
+        return rm
+
+    monkeypatch.setattr(ambient_mod.Ambient, "add_quadratic_terms", staticmethod(planted))
+    sc = scenes.builtin("cartan_schouten_sphere")
+    g = scenes.make_grid(sc, 33, 32)
+    i = surface.CURVATURE_SLICE + 3
+    with pytest.raises(NonFiniteValue) as err:
+        sc.surface.curvature_fields(g.base)
+    assert (err.value.path, err.value.sample, err.value.u) == ("curvature.rm", i, None)
+    assert calls == [surface.CURVATURE_SLICE, 32]
+    calls.clear()
+    with pytest.raises(NonFiniteValue) as err:
+        list(g.map_chunks(lambda part: part.curvature))
+    u, v = float(g.U[i]), float(g.V[i])
+    assert str(err.value) == (f"curvature.rm: non-finite value at sample {i} "
+                              f"(u={u!r}, v={v!r})")

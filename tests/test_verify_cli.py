@@ -554,7 +554,7 @@ def test_cli_unwritable_out_fails_before_grid_work(tmp_path, capsys, monkeypatch
     """An --out that cannot be written exits 2 with its one error line
     before any chunk is computed (map_chunks raises if it is reached) and
     prints nothing on stdout."""
-    def no_grid_work(self, work):
+    def no_grid_work(self, work, reads=None):
         raise AssertionError("grid work before the --out check")
 
     monkeypatch.setattr(scenes.SampleGrid, "map_chunks", no_grid_work)
@@ -573,7 +573,7 @@ def test_cli_run_failing_after_the_out_check_leaves_out_as_it_was(
         tmp_path, monkeypatch, command, existing):
     """The --out check creates no file and keeps an existing one as it
     was, when the run then fails."""
-    def fail(self, work):
+    def fail(self, work, reads=None):
         raise NonFiniteValue("non-finite value", "base.p")
 
     monkeypatch.setattr(scenes.SampleGrid, "map_chunks", fail)
